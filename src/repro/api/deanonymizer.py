@@ -17,7 +17,11 @@
 Batched execution: a request for N addresses samples and featurizes each
 address exactly once; the resulting :class:`AccountSubgraph` objects (and the
 CSR adjacency / time-slice caches memoized on them) are then shared by every
-category head, so per-head inference costs only the branch forward passes.
+category head.  Heads whose branches share one architecture are scored
+together (:class:`~repro.core.inference.StackedHeads`): one stacked GSG and
+one stacked LDG forward per sample serve all of them, and only calibration
+and the classifier run per head.  Scores stay bit-identical to each head's
+own ``predict_proba``.
 
 Ledger path: the facade reads the attached ledger through its columnar
 transaction store — the global graph is ingested with the vectorised
@@ -44,6 +48,7 @@ from repro.api.metrics import ServingMetrics
 from repro.api.persistence import load_state, save_state
 from repro.chain.labelcloud import AccountCategory
 from repro.chain.ledger import Ledger
+from repro.core.inference import StackedHeads
 from repro.core.model import DBG4ETH, DBG4ETHConfig
 from repro.data.dataset import (
     AccountSubgraph,
@@ -135,6 +140,8 @@ class DeAnonymizer:
         self._builder: SubgraphDatasetBuilder | None = None
         self._dataset: SubgraphDataset | None = None
         self._heads: dict[str, DBG4ETH] = {}
+        # The heads' stacked weights, rebuilt when the head set changes.
+        self._stacked: StackedHeads | None = None
         self._samples: OrderedDict[str, AccountSubgraph] = OrderedDict()
         # Reentrant: sample_for() may be re-entered through the builder while
         # the dataset property seeds the cache under the same lock.
@@ -236,6 +243,19 @@ class DeAnonymizer:
     def _check_fitted(self) -> None:
         if not self._heads:
             raise RuntimeError("DeAnonymizer has no fitted heads; call fit() first")
+
+    def _stacked_heads(self) -> StackedHeads:
+        """Every head, stacked for scoring; rebuilt once the heads change.
+
+        ``fit_category`` and ``set_state`` replace heads, and fitting or
+        restoring a head replaces its branch networks, so an identity check
+        of those objects tells a stale stack.
+        """
+        stacked = self._stacked
+        if stacked is None or not stacked.serves(self._heads):
+            stacked = StackedHeads(self._heads)
+            self._stacked = stacked
+        return stacked
 
     # -------------------------------------------------------------- training
     def fit(self, categories: Iterable | None = None) -> "DeAnonymizer":
@@ -387,9 +407,11 @@ class DeAnonymizer:
               skip_unknown: bool = False) -> dict[str, dict[str, float]]:
         """Per-category probabilities for raw addresses, end-to-end and batched.
 
-        Sampling and feature extraction run once per distinct address; every
-        head then scores the same cached subgraph objects, reusing their
-        memoized CSR adjacency and time-slice normalisations.
+        Sampling and feature extraction run once per distinct address; the
+        heads then score the same cached subgraph objects, reusing their
+        memoized CSR adjacency and time-slice normalisations, with one
+        stacked forward per sample for each group of same-architecture
+        branches (recorded as ``score.head_passes`` in :meth:`stats`).
         Returns ``{address: {category: probability}}``.
 
         Addresses that cannot be sampled are collected across the whole batch
@@ -418,12 +440,14 @@ class DeAnonymizer:
         known = [address for address in unique if address in samples]
         sample_list = [samples[address] for address in known]
         t1 = time.perf_counter()
-        per_head = {name: head.predict_proba(sample_list)
-                    for name, head in self._heads.items()} if known else {}
+        stacked = self._stacked_heads()
+        per_head = stacked.predict_proba(sample_list) if known else {}
         metrics = self.metrics
         metrics.record_seconds("score.sample", t1 - t0)
         metrics.record_seconds("score.heads", time.perf_counter() - t1)
         metrics.record_value("score.batch_size", len(unique))
+        metrics.record_value("score.head_passes",
+                             stacked.passes_per_sample * len(sample_list))
         metrics.increment("score.calls")
         metrics.increment("score.addresses", len(addresses))
         metrics.increment("score.unknown", len(unknown))
@@ -497,13 +521,14 @@ class DeAnonymizer:
         """Head probabilities for pre-built subgraph samples.
 
         With ``category`` returns that head's ``(n,)`` probability array;
-        without it, a ``{category: probabilities}`` dict over all heads.
+        without it, a ``{category: probabilities}`` dict over all heads,
+        scored together as in :meth:`score`.
         """
         self._check_fitted()
         samples = list(samples)
         if category is not None:
             return self.head(category).predict_proba(samples)
-        return {name: head.predict_proba(samples) for name, head in self._heads.items()}
+        return self._stacked_heads().predict_proba(samples)
 
     def predict_samples(self, category, samples: Sequence[AccountSubgraph]) -> np.ndarray:
         """Binary one-vs-rest predictions of one head for pre-built samples."""

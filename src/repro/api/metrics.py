@@ -2,7 +2,7 @@
 
 :class:`ServingMetrics` is the shared observability hook of the serving tier:
 :meth:`DeAnonymizer.score <repro.api.DeAnonymizer.score>` records per-stage
-wall times (sampling, head scoring) and batch sizes, the
+wall times (sampling, head scoring), batch sizes and stacked encoder passes, the
 :class:`~repro.api.scorer.ParallelScorer` records its fan-out stages, and the
 :class:`~repro.api.service.ScoringService` records queue waits and coalesced
 batch shapes.  Everything funnels into per-name :class:`Accumulator` objects
@@ -10,8 +10,8 @@ batch shapes.  Everything funnels into per-name :class:`Accumulator` objects
 cheap enough to leave enabled in production; a monitoring endpoint reads one
 :meth:`ServingMetrics.snapshot` dict.
 
-Percentile-grade latency analysis belongs to the benchmark harness
-(``benchmarks/perf_api.py``), which keeps raw per-request latencies; the
+Percentile-grade latency analysis belongs to the end-to-end benchmark
+(``perfbench/run.py``), which keeps raw per-request latencies; the
 in-process hook intentionally stores only O(1) aggregates.
 """
 

@@ -10,20 +10,23 @@ through every fitted head.  Two execution modes:
   *shared* facade.  The thread-safety groundwork in the graph / feature /
   cache layers (double-checked locking everywhere a lazy structure is built,
   plus the :meth:`~repro.api.DeAnonymizer.warm` pre-build) makes this safe;
-  head inference then runs once in the calling thread over the full batch, so
-  results are bit-identical to sequential :meth:`DeAnonymizer.score
-  <repro.api.DeAnonymizer.score>`.  Threads buy real wall-time on the
-  allocation-heavy sampling path and keep one shared sample cache, but remain
-  GIL-bound for pure-Python segments.
+  head inference then runs once in the calling thread over the full batch,
+  through the same stacked heads as :meth:`DeAnonymizer.score
+  <repro.api.DeAnonymizer.score>`, so results are bit-identical to it.
+  Threads buy real wall-time on the allocation-heavy sampling path and keep
+  one shared sample cache, but remain GIL-bound for pure-Python segments.
 * ``mode="process"``: each worker process rehydrates its **own** scorer from
   the fitted model's in-memory state blob
   (:func:`~repro.api.persistence.dumps_state` /
   :func:`~repro.api.persistence.loads_state`) plus a pickled ledger, then
   scores its chunk end-to-end and ships plain float dicts back.  This
   sidesteps the GIL entirely at the cost of per-worker memory and a one-time
-  rehydration; it is bit-identical to sequential scoring because every stage
-  of the DBG4ETH predict path (sampling, featurization, branch encodings,
-  calibration, classification) is computed independently per sample.
+  rehydration.  For heads trained with the default ``batch_size=1`` it is
+  bit-identical to sequential scoring, because every stage of their predict
+  path (sampling, featurization, branch encodings, calibration,
+  classification) is computed independently per sample.  Heads trained with
+  ``batch_size > 1`` predict on block-diagonal chunks of samples, so their
+  scores may differ from sequential ones in the last bits.
 
 Both modes preserve the facade's batch semantics: unknown addresses are
 aggregated across the whole request into one
@@ -220,8 +223,7 @@ class ParallelScorer:
         known = [address for chunk in chunks for address in chunk
                  if address in samples]
         sample_list = [samples[address] for address in known]
-        per_head = {name: head.predict_proba(sample_list)
-                    for name, head in deanon._heads.items()} if known else {}
+        per_head = deanon.score_samples(sample_list) if known else {}
         metrics = deanon.metrics
         metrics.record_seconds("parallel.sample", t1 - t0)
         metrics.record_seconds("parallel.heads", time.perf_counter() - t1)

@@ -16,6 +16,8 @@ The pipeline (Figure 2) has four components:
 :class:`~repro.core.model.DBG4ETH` wires the four together behind a
 ``fit`` / ``predict`` / ``predict_proba`` interface and exposes ablation
 switches used by the Table IV experiments.
+:class:`~repro.core.inference.StackedHeads` scores several fitted heads at
+once, one stacked encoder pass per sample for all heads of one architecture.
 """
 
 from repro.core.augmentation import AugmentationConfig, adaptive_augmentation
@@ -24,6 +26,7 @@ from repro.core.ldg import LDGBranch, LDGConfig
 from repro.core.calibration_module import JointCalibrationModule, CalibrationConfig
 from repro.core.classifier import AccountClassificationModule
 from repro.core.model import DBG4ETH, DBG4ETHConfig
+from repro.core.inference import StackedHeads
 
 __all__ = [
     "AugmentationConfig",
@@ -37,4 +40,5 @@ __all__ = [
     "AccountClassificationModule",
     "DBG4ETH",
     "DBG4ETHConfig",
+    "StackedHeads",
 ]

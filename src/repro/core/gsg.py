@@ -7,10 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.augmentation import AugmentationConfig, adaptive_augmentation
+from repro.core.inference import StackedGSG, stacks_samples
 from repro.data.dataset import AccountSubgraph
 from repro.gnn.hierarchical import HierarchicalAttentionEncoder
 from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
-from repro.nn import Adam, Linear, Module, Tensor, concat, nt_xent_loss
+from repro.nn import Adam, Linear, Module, Tensor, concat, no_grad, nt_xent_loss
 from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.functional import leaky_relu
 
@@ -239,23 +240,25 @@ class GSGBranch:
 
     # ---------------------------------------------------------------- inference
     def predict_scores(self, samples: list[AccountSubgraph]) -> np.ndarray:
-        """Raw (uncalibrated) predicted values, one per sample."""
+        """Raw (uncalibrated) predicted values, one per sample.
+
+        Samples are scored one by one through the stacked inference path as
+        its one-head case, bit-identical to the per-sample training forward;
+        with ``batch_size > 1`` they are scored in block-diagonal chunks.
+        """
         if self._network is None:
             raise RuntimeError("GSGBranch has not been fitted")
-        batch_size = max(1, self.config.batch_size)
-        if batch_size > 1 and self._batched_kernel and len(samples) > 1:
-            scores = np.empty(len(samples), dtype=np.float64)
+        if not (stacks_samples(self) and len(samples) > 1):
+            return StackedGSG([self]).scores(samples)[0]
+        batch_size = self.config.batch_size
+        scores = np.empty(len(samples), dtype=np.float64)
+        with no_grad():
             for start in range(0, len(samples), batch_size):
                 chunk = samples[start:start + batch_size]
                 features, edge_features, adjacency = self._prepare_batch(chunk)
                 logits = self._network.forward_batched(features, edge_features, adjacency)
                 scores[start:start + len(chunk)] = logits.data.ravel()
-            return scores
-        scores = []
-        for sample in samples:
-            features, edge_features, adjacency = self._prepare(sample)
-            scores.append(float(self._network(features, edge_features, adjacency).data.item()))
-        return np.array(scores)
+        return scores
 
     def predict_proba(self, samples: list[AccountSubgraph]) -> np.ndarray:
         """Sigmoid of the raw scores (used when the branch runs standalone)."""

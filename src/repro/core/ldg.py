@@ -6,13 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.inference import StackedLDG, stacks_samples
 from repro.data.dataset import AccountSubgraph
 from repro.gnn.layers import GCNLayer
 from repro.gnn.pooling import DiffPool
 from repro.gnn.recurrent import GRUCell
 from repro.gnn.sparse_ops import segment_mean_batch
 from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
-from repro.nn import Adam, Linear, Module, Parameter, Tensor, concat
+from repro.nn import Adam, Linear, Module, Parameter, Tensor, concat, no_grad
 from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.functional import relu, softmax
 
@@ -235,23 +236,26 @@ class LDGBranch:
         return self
 
     def predict_scores(self, samples: list[AccountSubgraph]) -> np.ndarray:
-        """Raw (uncalibrated) predicted values — the "local predicted value"."""
+        """Raw (uncalibrated) predicted values — the "local predicted value".
+
+        Scored like :meth:`GSGBranch.predict_scores
+        <repro.core.gsg.GSGBranch.predict_scores>`: one by one through the
+        stacked inference path, or in block-diagonal chunks with
+        ``batch_size > 1``.
+        """
         if self._network is None:
             raise RuntimeError("LDGBranch has not been fitted")
-        batch_size = max(1, self.config.batch_size)
-        if batch_size > 1 and self._batched_kernel and len(samples) > 1:
-            scores = np.empty(len(samples), dtype=np.float64)
+        if not (stacks_samples(self) and len(samples) > 1):
+            return StackedLDG([self]).scores(samples)[0]
+        batch_size = self.config.batch_size
+        scores = np.empty(len(samples), dtype=np.float64)
+        with no_grad():
             for start in range(0, len(samples), batch_size):
                 chunk = samples[start:start + batch_size]
                 features, slices = self._prepare_batch(chunk)
                 logits = self._network.forward_batched(features, slices)
                 scores[start:start + len(chunk)] = logits.data.ravel()
-            return scores
-        scores = []
-        for sample in samples:
-            features, slices = self._prepare(sample)
-            scores.append(float(self._network(features, slices).data.item()))
-        return np.array(scores)
+        return scores
 
     def predict_proba(self, samples: list[AccountSubgraph]) -> np.ndarray:
         scores = self.predict_scores(samples)

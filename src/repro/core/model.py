@@ -66,6 +66,13 @@ class DBG4ETHConfig:
             raise ValueError("at least one of the GSG / LDG branches must be enabled")
 
 
+def _mirror_disabled(gsg_scores, ldg_scores) -> tuple[np.ndarray, np.ndarray]:
+    """A disabled branch (``None``) mirrors the other, so the downstream stack
+    is unchanged."""
+    return (ldg_scores if gsg_scores is None else gsg_scores,
+            gsg_scores if ldg_scores is None else ldg_scores)
+
+
 class DBG4ETH:
     """Double graph inference-based account de-anonymization.
 
@@ -150,22 +157,27 @@ class DBG4ETH:
             if self.ldg_branch is not None:
                 self.ldg_branch.fit(samples, labels)
         gsg_scores = (self.gsg_branch.predict_scores(samples)
-                      if self.gsg_branch is not None else np.zeros(len(samples)))
+                      if self.gsg_branch is not None else None)
         ldg_scores = (self.ldg_branch.predict_scores(samples)
-                      if self.ldg_branch is not None else np.zeros(len(samples)))
-        # A disabled branch mirrors the other so the downstream stack is unchanged.
-        if self.gsg_branch is None:
-            gsg_scores = ldg_scores
-        if self.ldg_branch is None:
-            ldg_scores = gsg_scores
-        return gsg_scores, ldg_scores
+                      if self.ldg_branch is not None else None)
+        return _mirror_disabled(gsg_scores, ldg_scores)
 
     # -------------------------------------------------------------- inference
     def predict_proba(self, samples: list[AccountSubgraph]) -> np.ndarray:
         """Probability that each sample belongs to the positive category."""
         self._check_fitted()
-        gsg_scores, ldg_scores = self._branch_scores(samples, None, training=False)
-        calibrated = self.calibration.transform(gsg_scores, ldg_scores)
+        return self.proba_from_scores(*self._branch_scores(samples, None, training=False))
+
+    def proba_from_scores(self, gsg_scores: np.ndarray | None,
+                          ldg_scores: np.ndarray | None) -> np.ndarray:
+        """Probabilities from raw branch scores: calibration, then the classifier.
+
+        ``None`` stands for a disabled branch.  Scoring several heads at once
+        (:class:`~repro.core.inference.StackedHeads`) computes the branch
+        scores for all of them and finishes each head here.
+        """
+        self._check_fitted()
+        calibrated = self.calibration.transform(*_mirror_disabled(gsg_scores, ldg_scores))
         return self.classifier.predict_proba(calibrated)
 
     def predict(self, samples: list[AccountSubgraph]) -> np.ndarray:

@@ -23,23 +23,29 @@ import numpy as np
 __all__ = ["SparseAdjacency", "BatchedAdjacency", "segment_reduce"]
 
 
-def segment_reduce(contrib: np.ndarray, indptr: np.ndarray, ufunc=np.add) -> np.ndarray:
+def segment_reduce(contrib: np.ndarray, indptr: np.ndarray, ufunc=np.add,
+                   axis: int = 0) -> np.ndarray:
     """Reduce row-sorted per-edge contributions into per-row outputs.
 
-    ``contrib`` holds one entry per stored edge, ordered by CSR row (axis 0);
-    ``indptr`` is the usual CSR row-pointer array.  Rows with no entries reduce
-    to 0.  Implemented with ``ufunc.reduceat`` over the non-empty rows only:
-    because empty rows contribute no boundaries, each non-empty row's segment
-    ends exactly at the next non-empty row's start.
+    ``contrib`` holds one entry per stored edge along ``axis``, ordered by CSR
+    row; ``indptr`` is the usual CSR row-pointer array.  Rows with no entries
+    reduce to 0.  Implemented with ``ufunc.reduceat`` over the non-empty rows
+    only: because empty rows contribute no boundaries, each non-empty row's
+    segment ends exactly at the next non-empty row's start.
+
+    ``reduceat`` reduces every other position of ``contrib`` on its own, so
+    a head-stacked ``(H, E, d)`` input with ``axis=1`` gives each head the
+    bits its own ``(E, d)`` input would.
     """
     num_rows = len(indptr) - 1
-    out_shape = (num_rows,) + contrib.shape[1:]
+    out_shape = contrib.shape[:axis] + (num_rows,) + contrib.shape[axis + 1:]
     out = np.zeros(out_shape, dtype=np.float64)
-    if contrib.shape[0] == 0:
+    if contrib.shape[axis] == 0:
         return out
     nonempty = indptr[1:] > indptr[:-1]
     if nonempty.any():
-        out[nonempty] = ufunc.reduceat(contrib, indptr[:-1][nonempty], axis=0)
+        out[(slice(None),) * axis + (nonempty,)] = ufunc.reduceat(
+            contrib, indptr[:-1][nonempty], axis=axis)
     return out
 
 
@@ -424,17 +430,17 @@ class SparseAdjacency:
             return bool((t_indptr[1:] > t_indptr[:-1]).all())
         return self._memoized("cols_nonempty", build)
 
-    def reduce_rows(self, contrib: np.ndarray, ufunc=np.add) -> np.ndarray:
+    def reduce_rows(self, contrib: np.ndarray, ufunc=np.add, axis: int = 0) -> np.ndarray:
         """Reduce row-ordered per-edge contributions into per-row outputs.
 
-        Same result as ``segment_reduce(contrib, self.indptr, ufunc)``; when
-        every row is non-empty (self-looped structures — the message-passing
-        hot path) the reduction runs straight off ``indptr`` with no zero
-        buffer or mask.
+        Same result as ``segment_reduce(contrib, self.indptr, ufunc, axis)``;
+        when every row is non-empty (self-looped structures — the
+        message-passing hot path) the reduction runs straight off ``indptr``
+        with no zero buffer or mask.
         """
-        if contrib.shape[0] and self._rows_nonempty():
-            return ufunc.reduceat(contrib, self.indptr[:-1], axis=0)
-        return segment_reduce(contrib, self.indptr, ufunc)
+        if contrib.shape[axis] and self._rows_nonempty():
+            return ufunc.reduceat(contrib, self.indptr[:-1], axis=axis)
+        return segment_reduce(contrib, self.indptr, ufunc, axis)
 
     def reduce_cols(self, contrib: np.ndarray, ufunc=np.add) -> np.ndarray:
         """Reduce row-ordered per-edge contributions into per-column outputs,
@@ -458,22 +464,30 @@ class SparseAdjacency:
             return self.rows[perm], self.data[perm], t_indptr
         return self._memoized("rmatmul_plan", build)
 
-    def matmul(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x`` for a dense vector or matrix ``x``."""
-        x = np.asarray(x, dtype=np.float64)
-        contrib = x[self.indices]          # fresh gather — in-place scale is safe
-        contrib *= self.data if x.ndim == 1 else self.data[:, None]
-        return self.reduce_rows(contrib)
+    def matmul(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
+        """``A @ x`` for a dense vector or matrix ``x``.
 
-    def rmatmul(self, g: np.ndarray) -> np.ndarray:
-        """``A.T @ g`` for a dense vector or matrix ``g`` (no transpose copy)."""
+        ``axis`` is the node axis of ``x``: ``axis=1`` multiplies every slice
+        of a head-stacked ``(H, n, d)`` array, bit-identical to multiplying
+        each ``(n, d)`` slice on its own (see :func:`segment_reduce`).
+        """
+        x = np.asarray(x, dtype=np.float64)
+        contrib = np.take(x, self.indices, axis=axis)   # fresh gather — in-place scale is safe
+        contrib *= self.data.reshape((-1,) + (1,) * (x.ndim - axis - 1))
+        return self.reduce_rows(contrib, axis=axis)
+
+    def rmatmul(self, g: np.ndarray, axis: int = 0) -> np.ndarray:
+        """``A.T @ g`` for a dense vector or matrix ``g`` (no transpose copy).
+
+        ``axis`` is the node axis of ``g``, as in :meth:`matmul`.
+        """
         g = np.asarray(g, dtype=np.float64)
         rows_perm, data_perm, t_indptr = self._rmatmul_plan()
-        contrib = g[rows_perm]             # fresh gather — in-place scale is safe
-        contrib *= data_perm if g.ndim == 1 else data_perm[:, None]
-        if contrib.shape[0] and self._cols_nonempty():
-            return np.add.reduceat(contrib, t_indptr[:-1], axis=0)
-        return segment_reduce(contrib, t_indptr, np.add)
+        contrib = np.take(g, rows_perm, axis=axis)      # fresh gather — in-place scale is safe
+        contrib *= data_perm.reshape((-1,) + (1,) * (g.ndim - axis - 1))
+        if contrib.shape[axis] and self._cols_nonempty():
+            return np.add.reduceat(contrib, t_indptr[:-1], axis=axis)
+        return segment_reduce(contrib, t_indptr, np.add, axis)
 
     def __repr__(self) -> str:
         return f"SparseAdjacency(n={self.num_nodes}, nnz={self.nnz})"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, sigmoid_array
 
 __all__ = [
     "relu",
@@ -15,12 +15,39 @@ __all__ = [
     "softmax",
     "log_softmax",
     "dropout",
+    "relu_array",
+    "leaky_relu_array",
+    "elu_array",
+    "sigmoid_array",
+    "softmax_array",
 ]
+
+
+# Plain-array kernels: each activation's forward formula, used by the Tensor
+# ops below and by the no-grad inference path (repro.core.inference), whose
+# scores must match the Tensor forward bit for bit.  ``sigmoid_array`` lives
+# beside ``Tensor.sigmoid`` in repro.nn.tensor.
+def relu_array(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
+
+
+def leaky_relu_array(x: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
+    return np.where(x > 0.0, x, negative_slope * x)
+
+
+def elu_array(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    return np.where(x > 0.0, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
+
+
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The float steps of :func:`softmax`'s Tensor forward, on an array."""
+    exp = np.exp(x - x.max(axis=axis, keepdims=True))
+    return exp / exp.sum(axis=axis, keepdims=True)
 
 
 def relu(x: Tensor) -> Tensor:
     """Rectified linear unit."""
-    data = np.maximum(x.data, 0.0)
+    data = relu_array(x.data)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * (x.data > 0.0), owned=True)
@@ -30,7 +57,7 @@ def relu(x: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     """LeakyReLU, used by the paper for feature alignment and attention scores."""
-    data = np.where(x.data > 0.0, x.data, negative_slope * x.data)
+    data = leaky_relu_array(x.data, negative_slope)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * np.where(x.data > 0.0, 1.0, negative_slope),
@@ -41,11 +68,11 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
 
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     """Exponential linear unit, used after attention aggregation (Eq. 9 and 13)."""
-    exp_part = alpha * (np.exp(np.minimum(x.data, 0.0)) - 1.0)
-    data = np.where(x.data > 0.0, x.data, exp_part)
+    data = elu_array(x.data, alpha)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * np.where(x.data > 0.0, 1.0, exp_part + alpha),
+        # Where x <= 0, data is the exponential part.
+        x._accumulate(grad * np.where(x.data > 0.0, 1.0, data + alpha),
                       owned=True)
 
     return Tensor._make(data, (x,), backward)
@@ -60,7 +87,7 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
+    """Numerically stable softmax along ``axis`` (forward as :func:`softmax_array`)."""
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     exp = shifted.exp()
     return exp / exp.sum(axis=axis, keepdims=True)

@@ -11,25 +11,36 @@ and the usual activations built on top of them in :mod:`repro.nn.functional`).
 from __future__ import annotations
 
 import contextlib
+from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "concat", "stack", "no_grad"]
+__all__ = ["Tensor", "concat", "stack", "no_grad", "sigmoid_array"]
 
-_GRAD_ENABLED = True
+#: Whether operations record the autograd graph.  A context variable, so a
+#: ``no_grad()`` block in one thread (or asyncio task) never switches
+#: gradient tracking off in another.
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("repro_nn_grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables gradient tracking inside its block."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager that disables gradient tracking inside its block.
+
+    The switch is local to the current thread's context; other threads keep
+    recording gradients.
+    """
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_ENABLED.reset(token)
+
+
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """The logistic function on a plain array (the forward of :meth:`Tensor.sigmoid`)."""
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -60,10 +71,11 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, _parents: Sequence["Tensor"] = (),
                  _backward: Callable[[np.ndarray], None] | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        enabled = _GRAD_ENABLED.get()
+        self.requires_grad = bool(requires_grad) and enabled
         self.grad: np.ndarray | None = None
-        self._parents = tuple(_parents) if _GRAD_ENABLED else ()
-        self._backward = _backward if _GRAD_ENABLED else None
+        self._parents = tuple(_parents) if enabled else ()
+        self._backward = _backward if enabled else None
 
     # ------------------------------------------------------------------ utils
     @property
@@ -102,7 +114,7 @@ class Tensor:
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
               backward: Callable[[np.ndarray], None]) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
@@ -313,7 +325,7 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
+        data = sigmoid_array(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * data * (1.0 - data), owned=True)

@@ -8,11 +8,16 @@ from repro.nn import Tensor
 from repro.nn.functional import (
     dropout,
     elu,
+    elu_array,
     leaky_relu,
+    leaky_relu_array,
     log_softmax,
     relu,
+    relu_array,
     sigmoid,
+    sigmoid_array,
     softmax,
+    softmax_array,
     tanh,
 )
 from tests.test_nn_tensor import check_gradient
@@ -132,3 +137,18 @@ def test_relu_is_idempotent(values):
 def test_sigmoid_bounded(values):
     out = sigmoid(Tensor(values)).data
     assert np.all(out > 0.0) and np.all(out < 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5), st.integers(0, 1))
+def test_array_kernels_equal_the_tensor_forward_bit_for_bit(seed, rows, cols, axis):
+    # No-grad inference runs the array kernels; its scores must match the
+    # Tensor forward exactly, softmax (composed from Tensor ops) included.
+    x = np.random.default_rng(seed).normal(scale=4.0, size=(rows, cols))
+    pairs = [(relu(Tensor(x)), relu_array(x)),
+             (leaky_relu(Tensor(x), 0.2), leaky_relu_array(x, 0.2)),
+             (elu(Tensor(x)), elu_array(x)),
+             (sigmoid(Tensor(x)), sigmoid_array(x)),
+             (softmax(Tensor(x), axis=axis), softmax_array(x, axis=axis))]
+    for tensor, array in pairs:
+        assert np.array_equal(tensor.data, array)

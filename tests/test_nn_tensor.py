@@ -1,10 +1,12 @@
 """Autograd engine tests: correctness of every op's gradient."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import Tensor, concat, stack, no_grad
+from repro.nn import Linear, Tensor, concat, stack, no_grad
 
 
 def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -61,6 +63,38 @@ class TestBasicProperties:
         with no_grad():
             out = t * 2
         assert not out.requires_grad
+
+    def test_no_grad_in_one_thread_leaves_other_threads_recording(self):
+        inside, release = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with no_grad():
+                inside.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold_no_grad)
+        holder.start()
+        assert inside.wait(10)
+        seen = {}
+
+        def train_step():
+            layer = Linear(3, 1, rng=np.random.default_rng(0))
+            loss = (layer(Tensor(np.ones((2, 3)))) * 2.0).sum()
+            loss.backward()
+            seen["requires_grad"] = loss.requires_grad
+            seen["grad"] = layer.weight.grad
+
+        try:
+            trainer = threading.Thread(target=train_step)
+            trainer.start()
+            trainer.join(10)
+        finally:
+            release.set()
+            holder.join(10)
+        assert seen["requires_grad"]
+        np.testing.assert_array_equal(seen["grad"], np.full((3, 1), 4.0))
+        # The holder's block has ended and this thread was never inside it.
+        assert (Tensor(np.ones(2), requires_grad=True) * 2).requires_grad
 
     def test_zero_grad(self):
         t = Tensor(np.ones(3), requires_grad=True)
