@@ -24,7 +24,7 @@ Run::
 
     PYTHONPATH=src python benchmarks/perf_train.py                 # full record
     PYTHONPATH=src python benchmarks/perf_train.py --scale 0.2 \
-        --epochs 2 --reps 1 --min-step-speedup 2.0                 # CI smoke
+        --epochs 2 --reps 5 --min-step-speedup 2.0                 # CI smoke
 """
 
 from __future__ import annotations

@@ -306,10 +306,15 @@ class DeAnonymizer:
         * the cached global graph ingests the new rows
           (:meth:`TxGraph.ingest <repro.graph.txgraph.TxGraph.ingest>` —
           bit-identical to a cold rebuild, O(new rows));
-        * the extractor's per-account feature table refreshes itself lazily on
-          next use (only touched accounts' rows are recomputed);
+        * the builder is then warmed (:meth:`SubgraphDatasetBuilder.warm`):
+          the new edges are merged into the graph's row index and the
+          extractor's feature table is carried forward over the new rows, so
+          that work runs here rather than on the first scoring thread;
         * cached subgraph samples of accounts touched by the new transactions
           are evicted, so their next score is sampled fresh.
+
+        The whole reconciliation is timed as the ``refresh`` stage of
+        ``stats()["serving"]``.
 
         Untouched accounts keep their cached samples.  Note the documented
         approximation: a cached sample whose *neighbourhood* (but not the
@@ -328,21 +333,25 @@ class DeAnonymizer:
         with self._sample_lock:
             if ledger.data_version == self._seen_data_version:
                 return []
-            if self._builder is not None:
-                self._builder.refresh()
-            cols = ledger.tx_columns()
-            old_rows = self._seen_rows
-            new_submitted = cols.submitted[old_rows:]
-            touched_ids = np.unique(np.concatenate([
-                cols.sender_id[old_rows:][new_submitted],
-                cols.receiver_id[old_rows:][new_submitted]]))
-            addresses = ledger.store.addresses
-            touched = [addresses[i] for i in touched_ids.tolist()]
-            for address in touched:
-                if self._samples.pop(address, None) is not None:
-                    self._cache_invalidations += 1
-            self._seen_rows = len(cols.sender_id)
-            self._seen_data_version = ledger.data_version
+            with self.metrics.timed("refresh"):
+                builder = self._builder
+                if builder is not None:
+                    builder.refresh()
+                    if builder.graph_if_built() is not None:
+                        builder.warm()
+                cols = ledger.tx_columns()
+                old_rows = self._seen_rows
+                new_submitted = cols.submitted[old_rows:]
+                touched_ids = np.unique(np.concatenate([
+                    cols.sender_id[old_rows:][new_submitted],
+                    cols.receiver_id[old_rows:][new_submitted]]))
+                addresses = ledger.store.addresses
+                touched = [addresses[i] for i in touched_ids.tolist()]
+                for address in touched:
+                    if self._samples.pop(address, None) is not None:
+                        self._cache_invalidations += 1
+                self._seen_rows = len(cols.sender_id)
+                self._seen_data_version = ledger.data_version
             self.metrics.increment("refresh.calls")
             self.metrics.increment("refresh.touched", len(touched))
             return touched
@@ -350,8 +359,8 @@ class DeAnonymizer:
     def warm(self, freeze: bool = False) -> "DeAnonymizer":
         """Eagerly build every shared structure the scoring path reads.
 
-        Builds the global transaction graph with its lazy indexes and CSR
-        memos, plus the extractor's single-pass feature table, so a pool of
+        Builds the global transaction graph with its pair->slot dict and row
+        index, plus the extractor's single-pass feature table, so a pool of
         concurrent scoring threads never contends on a first-build lock.
         ``freeze=True`` additionally seals the graph against mutation
         (:meth:`TxGraph.freeze <repro.graph.txgraph.TxGraph.freeze>`), the

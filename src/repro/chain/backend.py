@@ -42,6 +42,7 @@ the O(new) contract.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
@@ -175,10 +176,18 @@ class LedgerBackend:
         """Persist every row/address/block/account/label appended since the
         last sync; returns the committed manifest.
 
-        The first sync of a directory writes everything; later syncs are
-        O(new entries).  Raises :class:`BackendFormatError` when ``ledger``
-        holds fewer rows than the directory has committed (it cannot be the
-        ledger this directory was built from — appends are the only mutation).
+        The first sync of a directory writes everything; later syncs write
+        only the new entries: column bytes past the committed row count, and
+        the accounts and labels past the committed counts, taken from the
+        insertion-ordered registry and label cloud without listing them.
+        What still grows with the ledger is a C-level walk over the committed
+        registry prefix and, when chunks were appended since the columns were
+        last read, their consolidation (an O(rows) copy, see
+        :meth:`ColumnarTxStore.columns`).
+
+        Raises :class:`BackendFormatError` when ``ledger`` holds fewer rows
+        than the directory has committed (it cannot be the ledger this
+        directory was built from — appends are the only mutation).
         """
         self.path.mkdir(parents=True, exist_ok=True)
         manifest = self.read_manifest() if self.exists() else self._empty_manifest()
@@ -217,29 +226,30 @@ class LedgerBackend:
         manifest["num_blocks"] = ledger.num_blocks
 
         # Records, not Account objects: bulk-registered placeholders persist
-        # without ever being materialised.
-        records = list(ledger.account_records())
-        new_records = records[manifest["num_accounts"]:]
+        # without ever being materialised.  Registry and label cloud are
+        # insertion-ordered dicts, so the new entries are the ones past the
+        # committed counts.
         account_lines = "".join(
             json.dumps({"address": address, "type": type_value,
                         "balance": balance, "nonce": nonce},
                        separators=(",", ":")) + "\n"
-            for address, type_value, balance, nonce in new_records).encode("utf-8")
+            for address, type_value, balance, nonce
+            in ledger.account_records(manifest["num_accounts"])).encode("utf-8")
         _append_bytes(self.path / "accounts.jsonl", manifest["accounts_bytes"],
                       account_lines)
         manifest["accounts_bytes"] += len(account_lines)
-        manifest["num_accounts"] = len(records)
+        manifest["num_accounts"] = ledger.num_accounts
 
-        labels = list(ledger.labels.items())
-        new_labels = labels[manifest["num_labels"]:]
         label_lines = "".join(
             json.dumps({"address": address, "category": category.value},
                        separators=(",", ":")) + "\n"
-            for address, category in new_labels).encode("utf-8")
+            for address, category
+            in itertools.islice(ledger.labels.items(), manifest["num_labels"], None)
+        ).encode("utf-8")
         _append_bytes(self.path / "labels.jsonl", manifest["labels_bytes"],
                       label_lines)
         manifest["labels_bytes"] += len(label_lines)
-        manifest["num_labels"] = len(labels)
+        manifest["num_labels"] = len(ledger.labels)
 
         span = store.submitted_timespan()
         manifest.update(

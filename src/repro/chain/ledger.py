@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 from typing import Iterator, Sequence
@@ -139,14 +140,16 @@ class Ledger:
         """All accounts as objects (materialises bulk-registered placeholders)."""
         return [self.get_account(address) for address in list(self._accounts)]
 
-    def account_records(self) -> Iterator[tuple[str, str, float, int]]:
-        """``(address, type, balance, nonce)`` rows in registration order.
+    def account_records(self, start: int = 0) -> Iterator[tuple[str, str, float, int]]:
+        """``(address, type, balance, nonce)`` rows in registration order,
+        from the ``start``-th registered account on.
 
         The persistence path's view of the registry: placeholders yield their
         default balance/nonce directly, so syncing a bulk-registered ledger
-        never materialises Account objects.
+        never materialises Account objects, and the skipped prefix costs only
+        a C-level walk over the registry dict.
         """
-        for address, entry in self._accounts.items():
+        for address, entry in itertools.islice(self._accounts.items(), start, None):
             if isinstance(entry, Account):
                 yield (address, entry.account_type.value, entry.balance,
                        entry.nonce)

@@ -301,9 +301,11 @@ class SubgraphDatasetBuilder:
     def warm(self, freeze: bool = False) -> "SubgraphDatasetBuilder":
         """Eagerly build every shared lazy structure the sampling path reads.
 
-        Builds the global graph, its pair/row indexes and memoized CSR forms
-        (:meth:`TxGraph.warm`), and the extractor's single-pass feature table,
-        so a pool of sampling threads never contends on a build lock.  With
+        Builds the global graph, its pair/row indexes (:meth:`TxGraph.warm`)
+        and the extractor's single-pass feature table, so a pool of sampling
+        threads never contends on a build lock.  After :meth:`refresh` this
+        is the cheap incremental step: the new edges are merged into the row
+        index and the table is carried forward over the appended rows.  With
         ``freeze=True`` the graph is sealed against mutation on top
         (:meth:`TxGraph.freeze`) — the strongest serving guarantee.
         """
@@ -329,11 +331,15 @@ class SubgraphDatasetBuilder:
         Incrementally ingests the new rows into the cached global graph
         (:meth:`TxGraph.ingest` — O(new rows), bit-identical to a cold
         rebuild) and returns the addresses incident to the new edges: the
-        invalidation set for per-account caches downstream (the extractor's
-        feature table refreshes itself lazily, keyed on ledger growth, so it
-        needs no explicit call here).  With no cached graph yet — or no new
-        rows — this is a cheap no-op returning ``[]``; later builds see the
-        full ledger anyway.
+        invalidation set for per-account caches downstream.  The graph's row
+        index and the extractor's feature table (keyed on ledger growth)
+        catch up on their next read, or eagerly in :meth:`warm`, which is
+        what :meth:`DeAnonymizer.refresh <repro.api.DeAnonymizer.refresh>`
+        calls next.  Neither re-sorts nor re-reduces the whole ledger: the
+        index merges the new slots in, and the table folds in only the
+        appended rows.  With no cached graph yet — or no new rows — this is
+        a cheap no-op returning ``[]``; later builds see the full ledger
+        anyway.
 
         Follows the graph's write contract: must not run concurrently with
         readers (freeze()d graphs refuse; warm()-only serving deployments

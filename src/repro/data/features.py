@@ -53,36 +53,104 @@ def _interval_stats(timestamps: list[float]) -> tuple[float, float]:
     return (float(gaps.min()), float(gaps.max()))
 
 
-def _group_interval_stats(accounts_sorted: np.ndarray, ts_sorted: np.ndarray,
-                          num_accounts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-account (min, max) gap between consecutive sorted timestamps.
+def _group_runs(accounts_sorted: np.ndarray, ts_sorted: np.ndarray,
+                ) -> tuple[np.ndarray, ...]:
+    """Per-account runs of non-empty arrays sorted by ``(account, timestamp)``.
 
-    ``accounts_sorted``/``ts_sorted`` are parallel arrays sorted by
-    ``(account, timestamp)``.  Accounts with fewer than two events get zeros,
-    mirroring :func:`_interval_stats`.
+    Returns ``(accounts, first, last, min_gap, max_gap)`` with one entry per
+    run: its account, its first and last timestamp, and the min / max gap
+    between its consecutive timestamps (``+inf`` / ``-inf`` for a run of one).
     """
-    mins = np.zeros(num_accounts)
-    maxs = np.zeros(num_accounts)
     n = len(ts_sorted)
-    if n < 2:
-        return mins, maxs
     boundaries = np.flatnonzero(np.diff(accounts_sorted))
-    group_starts = np.concatenate([[0], boundaries + 1])
-    group_accounts = accounts_sorted[group_starts]
-    group_sizes = np.diff(np.append(group_starts, n))
+    starts = np.concatenate([[0], boundaries + 1])
+    ends = np.append(boundaries, n - 1)
     gaps = ts_sorted[1:] - ts_sorted[:-1]
-    # Cross-account gaps (and a trailing sentinel, so every group start is a
+    # Cross-account gaps (and a trailing sentinel, so every run start is a
     # valid reduceat index) are neutralised with +/-inf for the min/max passes.
     gaps_min = np.append(gaps, np.inf)
     gaps_max = np.append(gaps, -np.inf)
     gaps_min[boundaries] = np.inf
     gaps_max[boundaries] = -np.inf
-    group_min = np.minimum.reduceat(gaps_min, group_starts)
-    group_max = np.maximum.reduceat(gaps_max, group_starts)
-    valid = group_sizes >= 2
-    mins[group_accounts[valid]] = group_min[valid]
-    maxs[group_accounts[valid]] = group_max[valid]
-    return mins, maxs
+    return (accounts_sorted[starts], ts_sorted[starts], ts_sorted[ends],
+            np.minimum.reduceat(gaps_min, starts),
+            np.maximum.reduceat(gaps_max, starts))
+
+
+def _fold_rows(features: np.ndarray, last: np.ndarray, sender_ids: np.ndarray,
+               receiver_ids: np.ndarray, values: np.ndarray,
+               timestamps: np.ndarray, fees: np.ndarray,
+               is_call: np.ndarray) -> np.ndarray:
+    """Fold submitted transaction rows into a Table I table, in place.
+
+    ``features`` holds each account's vector over its earlier rows (zeros for
+    none) and ``last`` its last send / receive timestamp (``-inf`` for none);
+    the rows must come after those earlier rows in ledger order.  Counts and
+    NC are exact integers and simply add.  Value and fee totals continue each
+    account's left fold: ``np.add.at`` adds in row order, the same sequence of
+    adds a cold ``bincount`` performs (``old + bincount(new)`` would round
+    differently).  Interval stats extend from ``last``: the gap from it to
+    the account's first new timestamp joins the old and the new gaps.
+
+    That extension is exact only when the new rows do not start before
+    ``last``.  Returns a mask of the accounts where, in some role, they do:
+    their interval stats and ``last`` are wrong and must be recomputed from
+    all of their rows (every other column is right regardless).
+    """
+    n_accounts = len(features)
+    late = np.zeros(n_accounts, dtype=bool)
+    # NC counts the distinct transactions involving the account: one per tx,
+    # so a contract-call self-transfer contributes exactly once (the
+    # receiver pass skips self rows).
+    recv_call = np.where(sender_ids == receiver_ids, 0.0, is_call)
+    features[:, 14] += (np.bincount(sender_ids, weights=is_call, minlength=n_accounts)
+                        + np.bincount(receiver_ids, weights=recv_call,
+                                      minlength=n_accounts))
+    for role, ids in enumerate((sender_ids, receiver_ids)):
+        offset = 5 * role
+        prior = features[:, offset].copy()
+        counts = prior + np.bincount(ids, minlength=n_accounts)
+        totals = features[:, offset + 1].copy()
+        np.add.at(totals, ids, values)
+        fee_totals = features[:, 10 + role].copy()
+        np.add.at(fee_totals, ids, fees)
+        active = counts > 0
+        features[:, offset + 0] = counts
+        features[:, offset + 1] = totals
+        features[:, offset + 2] = np.divide(totals, counts, out=np.zeros(n_accounts),
+                                            where=active)
+        features[:, 10 + role] = fee_totals
+        features[:, 12 + role] = np.divide(fee_totals, counts,
+                                           out=np.zeros(n_accounts), where=active)
+        if not len(ids):
+            continue
+        order = np.lexsort((timestamps, ids))
+        accounts, first, final, min_gap, max_gap = _group_runs(
+            ids[order], timestamps[order])
+        seen = prior[accounts]
+        previous = last[accounts, role]
+        bridge = first - previous
+        min_gap = np.minimum(min_gap, np.where(seen > 0, bridge, np.inf))
+        max_gap = np.maximum(max_gap, np.where(seen > 0, bridge, -np.inf))
+        min_gap = np.minimum(min_gap, np.where(
+            seen > 1, features[accounts, offset + 3], np.inf))
+        max_gap = np.maximum(max_gap, np.where(
+            seen > 1, features[accounts, offset + 4], -np.inf))
+        pairs = counts[accounts] > 1
+        features[accounts, offset + 3] = np.where(pairs, min_gap, 0.0)
+        features[accounts, offset + 4] = np.where(pairs, max_gap, 0.0)
+        late[accounts[(seen > 0) & (first < previous)]] = True
+        last[accounts, role] = final
+    return late
+
+
+def _submitted_rows(cols, rows: slice, mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The :func:`_fold_rows` inputs over ``cols[rows][mask]``, in ledger order."""
+    return (cols.sender_id[rows][mask], cols.receiver_id[rows][mask],
+            cols.value[rows][mask], cols.timestamp[rows][mask],
+            (cols.gas_price[rows][mask]
+             * cols.gas_used[rows][mask].astype(np.float64) / GWEI_PER_ETH),
+            cols.is_contract_call[rows][mask].astype(np.float64))
 
 
 class DeepFeatureExtractor:
@@ -97,6 +165,7 @@ class DeepFeatureExtractor:
         self.ledger = ledger
         self._table_key: tuple[int, int] | None = None
         self._table_features: np.ndarray | None = None
+        self._table_last: np.ndarray | None = None
         self._table_ids: dict[str, int] = {}
         self._table_lock = threading.Lock()
 
@@ -140,13 +209,13 @@ class DeepFeatureExtractor:
         the store's parallel value / timestamp / fee / account-id columns are
         consumed directly — no ``Transaction`` is materialised — and every
         per-account statistic is computed with grouped reductions
-        (``bincount`` for the sequential sums, sorted ``reduceat`` for the
-        interval stats) instead of filtering per-address transaction lists
-        once per account.  The result is bit-identical to stacking
-        per-address :meth:`extract` calls; a self-transfer counts exactly once
-        per role (once in the sender statistics, once in the receiver
-        statistics, once in NC), matching the deduplicated
-        :meth:`Ledger.transactions_for`.
+        (row-order ``np.add.at`` for the sums, ``bincount`` for the counts,
+        sorted ``reduceat`` for the interval stats) instead of filtering
+        per-address transaction lists once per account.  The result is
+        bit-identical to stacking per-address :meth:`extract` calls; a
+        self-transfer counts exactly once per role (once in the sender
+        statistics, once in the receiver statistics, once in NC), matching
+        the deduplicated :meth:`Ledger.transactions_for`.
         """
         if not addresses:
             return np.zeros((0, len(FEATURE_NAMES)))
@@ -154,7 +223,7 @@ class DeepFeatureExtractor:
         rows = np.zeros((len(addresses), len(FEATURE_NAMES)))
         for i, address in enumerate(addresses):
             idx = account_ids.get(address)
-            if idx is not None:
+            if idx is not None and idx < len(features):
                 rows[i] = features[idx]
         return rows
 
@@ -166,12 +235,13 @@ class DeepFeatureExtractor:
         interned account ids, so the table is computed straight from the
         ledger's column arrays; addresses that never transacted are absent,
         and addresses with only unsubmitted transactions hold all-zero rows.
+        ``account_ids`` is the store's live interning table: an id at or past
+        ``len(features)`` was interned after the build and has no row yet.
 
         Growth is handled incrementally: because the store is append-only, a
-        stale table is refreshed by recomputing only the rows of accounts
-        touched by the appended transactions (see
-        :meth:`_update_global_features`) — bit-identical to a full rebuild,
-        at a fraction of the cost — instead of re-sorting the whole ledger.
+        stale table is carried forward over the appended rows only (see
+        :meth:`_build_global_features`) — bit-identical to a full rebuild —
+        instead of re-reducing the whole ledger.
 
         Thread-safe: the build runs under a lock with a double-checked fast
         path (``_table_key`` is assigned last, so a lock-free hit only ever
@@ -187,116 +257,58 @@ class DeepFeatureExtractor:
         with self._table_lock:
             return self._build_global_features(key)
 
-    @staticmethod
-    def _compute_feature_rows(sender_ids: np.ndarray, receiver_ids: np.ndarray,
-                              values: np.ndarray, timestamps: np.ndarray,
-                              fees: np.ndarray, is_call: np.ndarray,
-                              n_accounts: int) -> np.ndarray:
-        """The Table I matrix over one set of submitted transaction rows.
-
-        Rows must be in ledger (block) order; per-account statistics depend
-        only on that account's rows, so computing over any row subset that is
-        *complete* for an account yields that account's exact full-table row
-        (``bincount`` accumulates in array order — the same left-fold the
-        full pass performs — and ``lexsort`` is stable, so interval stats sort
-        identically).  Both the full build and the incremental refresh call
-        this one helper, which is what makes them bit-identical.
-        """
-        features = np.zeros((n_accounts, len(FEATURE_NAMES)))
-        # NC counts the distinct transactions involving the account: one
-        # per tx, so a contract-call self-transfer contributes exactly
-        # once (the receiver pass skips self rows).
-        recv_call = np.where(sender_ids == receiver_ids, 0.0, is_call)
-        features[:, 14] = (np.bincount(sender_ids, weights=is_call, minlength=n_accounts)
-                           + np.bincount(receiver_ids, weights=recv_call, minlength=n_accounts))
-
-        for offset, ids in ((0, sender_ids), (5, receiver_ids)):
-            counts = np.bincount(ids, minlength=n_accounts).astype(np.float64)
-            totals = np.bincount(ids, weights=values, minlength=n_accounts)
-            fee_totals = np.bincount(ids, weights=fees, minlength=n_accounts)
-            active = counts > 0
-            means = np.zeros(n_accounts)
-            means[active] = totals[active] / counts[active]
-            fee_means = np.zeros(n_accounts)
-            fee_means[active] = fee_totals[active] / counts[active]
-            order = np.lexsort((timestamps, ids))
-            min_gap, max_gap = _group_interval_stats(
-                ids[order], timestamps[order], n_accounts)
-            features[:, offset + 0] = counts
-            features[:, offset + 1] = totals
-            features[:, offset + 2] = means
-            features[:, offset + 3] = min_gap
-            features[:, offset + 4] = max_gap
-            features[:, 10 + offset // 5] = fee_totals
-            features[:, 12 + offset // 5] = fee_means
-        return features
-
     def _build_global_features(self, key: tuple[int, int],
                                ) -> tuple[np.ndarray, dict[str, int]]:
+        """Fold the rows appended since the last build into a fresh table.
+
+        After append-only growth (neither count in the key shrank) the
+        previous table and each account's last send / receive timestamp are
+        carried forward and only the appended submitted rows are folded in
+        (:func:`_fold_rows`): O(appended rows), plus O(accounts) to publish a
+        fresh array.  A cold build is the same fold from an empty table over
+        every row.
+
+        ``append_blocks_columnar`` does not enforce time order, so appended
+        rows may start before an account's last timestamp in a role.  Those
+        accounts alone are recomputed from all of their rows (a fold from an
+        empty table over the rows they take part in), at the cost of one
+        pass over the ledger.
+        """
         if key == self._table_key and self._table_features is not None:
             return self._table_features, self._table_ids
-        if (self._table_key is not None and self._table_features is not None
-                and self._table_key[0] <= key[0] and self._table_key[1] <= key[1]):
-            return self._update_global_features(key)
         cols = self.ledger.tx_columns()
         store = self.ledger.store
-        submitted = cols.submitted
-        account_ids = dict(store.address_ids)
-        n_accounts = store.num_addresses
-        if submitted.any():
-            features = self._compute_feature_rows(
-                cols.sender_id[submitted], cols.receiver_id[submitted],
-                cols.value[submitted], cols.timestamp[submitted],
-                (cols.gas_price[submitted]
-                 * cols.gas_used[submitted].astype(np.float64) / GWEI_PER_ETH),
-                cols.is_contract_call[submitted].astype(np.float64), n_accounts)
-        else:
-            features = np.zeros((n_accounts, len(FEATURE_NAMES)))
-        self._table_features = features
-        self._table_ids = account_ids
-        self._table_key = key               # last: publishes the built table
-        return features, account_ids
-
-    def _update_global_features(self, key: tuple[int, int],
-                                ) -> tuple[np.ndarray, dict[str, int]]:
-        """Refresh a stale table after append-only ledger growth (O(T) scan,
-        O(touched) recompute — no global re-sort).
-
-        The accounts whose features can have changed are exactly those
-        appearing as sender or receiver of a newly appended *submitted* row.
-        Their table rows are recomputed from scratch over all of their rows
-        (old and new — a boolean-mask gather over the columns), every other
-        row is carried over unchanged, and new accounts get rows computed (or
-        zeros if they have not transacted).  Publishing follows the same
-        discipline as the full build: fresh array, ``_table_key`` last.
-        """
-        cols = self.ledger.tx_columns()
-        store = self.ledger.store
-        old_rows, _old_accounts = self._table_key
         n_accounts = store.num_addresses
         features = np.zeros((n_accounts, len(FEATURE_NAMES)))
-        old_table = self._table_features
-        features[:old_table.shape[0]] = old_table
-        new_submitted = cols.submitted[old_rows:]
-        touched = np.unique(np.concatenate([
-            cols.sender_id[old_rows:][new_submitted],
-            cols.receiver_id[old_rows:][new_submitted]]))
-        if touched.size:
-            lut = np.zeros(n_accounts, dtype=bool)
-            lut[touched] = True
-            mask = (cols.submitted
-                    & (lut[cols.sender_id] | lut[cols.receiver_id]))
-            computed = self._compute_feature_rows(
-                cols.sender_id[mask], cols.receiver_id[mask],
-                cols.value[mask], cols.timestamp[mask],
-                (cols.gas_price[mask]
-                 * cols.gas_used[mask].astype(np.float64) / GWEI_PER_ETH),
-                cols.is_contract_call[mask].astype(np.float64), n_accounts)
-            features[touched] = computed[touched]
-        account_ids = dict(store.address_ids)
+        last = np.full((n_accounts, 2), -np.inf)
+        start = 0
+        old_key = self._table_key
+        if old_key is not None and old_key[0] <= key[0] and old_key[1] <= key[1]:
+            start = old_key[0]
+            features[:len(self._table_features)] = self._table_features
+            last[:len(self._table_last)] = self._table_last
+        # The table covers exactly the key's rows, so the next build folds
+        # on from there even if rows landed after the key was read.
+        rows = slice(start, key[0])
+        late = _fold_rows(features, last,
+                          *_submitted_rows(cols, rows, cols.submitted[rows]))
+        if late.any():
+            head = slice(0, key[0])
+            mask = cols.submitted[head] & (late[cols.sender_id[head]]
+                                           | late[cols.receiver_id[head]])
+            complete = np.zeros_like(features)
+            complete_last = np.full_like(last, -np.inf)
+            _fold_rows(complete, complete_last,
+                       *_submitted_rows(cols, head, mask))
+            features[late] = complete[late]
+            last[late] = complete_last[late]
+        # The interning table itself, not a copy: it is append-only, and an
+        # id past the table's rows was interned after this build.
+        account_ids = store.address_ids
         self._table_features = features
+        self._table_last = last
         self._table_ids = account_ids
-        self._table_key = key               # last: publishes the refreshed table
+        self._table_key = key               # last: publishes the built table
         return features, account_ids
 
 
@@ -305,7 +317,7 @@ def _feature_vector(sent: list[Transaction], received: list[Transaction],
     """The Table I vector from pre-split sent/received transaction lists.
 
     Sums are sequential left-folds (plain :func:`sum`) so the scalar path is
-    bit-identical to the grouped ``np.bincount`` accumulation that
+    bit-identical to the row-order ``np.add.at`` accumulation that
     :meth:`DeepFeatureExtractor.extract_many` uses.
     """
     nts = float(len(sent))

@@ -20,8 +20,8 @@ by a per-graph lock with double-checked fast paths, so any number of reader
 threads may race on a cold graph and all observe the one structure the winner
 built — bit-identical to a single-threaded warm-up.  Mutations must not run
 concurrently with reads; serving deployments call :meth:`warm` (pre-build
-every lazy structure) or :meth:`freeze` (warm + reject further mutation)
-before fanning readers out.
+the pair->slot dict and the row index) or :meth:`freeze` (warm + reject
+further mutation) before fanning readers out.
 """
 
 from __future__ import annotations
@@ -63,6 +63,33 @@ class Edge:
     timestamp: float = 0.0
 
 
+def _merge_rows(indptr: np.ndarray, slots: np.ndarray, endpoint: np.ndarray,
+                m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR row index over edges ``[0, m)`` and nodes ``[0, n)``.
+
+    ``(indptr, slots)`` is the index over the first ``len(slots)`` edges:
+    their slots grouped by ``endpoint``, in insertion order within each row.
+    Edges are append-only and never move, so the grown index keeps every old
+    row as it is and appends each row's new slots at its end: the new slots
+    are stably sorted by endpoint (O(k log k) for k new edges) and inserted
+    at their rows' old end offsets in one O(m) pass.  The result equals a
+    full stable argsort of ``endpoint[:m]``; a cold build is this merge into
+    the empty index ``([0], [])``, where the insert is the sorted slots.
+    """
+    start = len(slots)
+    keys = endpoint[start:m]
+    order = np.argsort(keys, kind="stable")
+    grown = np.empty(n + 1, dtype=np.int64)
+    grown[:len(indptr)] = indptr
+    grown[len(indptr):] = indptr[-1]
+    grown[1:] += np.cumsum(np.bincount(keys, minlength=n))
+    merged = order + start
+    if start:
+        row_ends = indptr[np.minimum(keys[order] + 1, len(indptr) - 1)]
+        merged = np.insert(slots, row_ends, merged)
+    return grown, merged
+
+
 class TxGraph:
     """A directed graph with node features, labels and merged weighted edges.
 
@@ -82,6 +109,7 @@ class TxGraph:
     * the CSR row index — ``_out_indptr``/``_out_slots`` (and the ``_in``
       twins) list each node's incident edge slots in insertion order,
       serving ``out_edges``/``in_edges``/``neighbors``/``degree`` in O(deg).
+      New edges are merged into the existing index, never re-sorted with it.
     * the :meth:`to_csr` cache — adjacency arrays shared with callers under
       the same treat-as-immutable contract as ``SparseAdjacency``.
     """
@@ -106,10 +134,10 @@ class TxGraph:
         self._slot_of: dict[int, int] = {}
         self._slot_synced = 0               # edges currently keyed in _slot_of
         self._adj_version = -1              # CSR row index validity
-        self._out_indptr: np.ndarray | None = None
-        self._out_slots: np.ndarray | None = None
-        self._in_indptr: np.ndarray | None = None
-        self._in_slots: np.ndarray | None = None
+        self._out_indptr = np.zeros(1, dtype=np.int64)
+        self._out_slots = np.empty(0, dtype=np.int64)
+        self._in_indptr = np.zeros(1, dtype=np.int64)
+        self._in_slots = np.empty(0, dtype=np.int64)
         self._csr_version = -1              # to_csr() cache validity
         self._csr_cache: dict = {}
         # Follow-the-chain bookkeeping: how many ledger rows this graph has
@@ -141,32 +169,29 @@ class TxGraph:
                 "TxGraph is frozen: the graph was sealed for concurrent serving "
                 "(freeze()); mutations are no longer allowed")
 
-    def warm(self, csr_keys: Iterable[tuple[bool, bool]] = ((False, True), (True, True)),
-             ) -> "TxGraph":
-        """Eagerly build every lazy read structure (idempotent, thread-safe).
+    def warm(self) -> "TxGraph":
+        """Eagerly build the pair->slot dict and the CSR row index (idempotent,
+        thread-safe).
 
-        After ``warm()`` returns, the pair->slot dict, the CSR row index and
-        the :meth:`to_csr` forms for each ``(weighted, symmetric)`` pair in
-        ``csr_keys`` are all in place, so reader threads never contend on a
-        build lock.  The defaults cover the serving path: the symmetric
-        binary/weighted adjacencies consumed by
-        :meth:`~repro.graph.sparse.SparseAdjacency.from_graph`.
+        These are the structures every reader on the sampling path touches,
+        so after ``warm()`` returns reader threads never contend on a build
+        lock.  The global :meth:`to_csr` forms are not built: serving builds
+        its adjacency per sample subgraph, and ``to_csr`` still builds lazily
+        (under the graph lock) for the centrality callers that need it.
         """
         with self._lock:
             self._ensure_slots()
             self._ensure_adjacency()
-            for weighted, symmetric in csr_keys:
-                self.to_csr(weighted=weighted, symmetric=symmetric)
         return self
 
-    def freeze(self, csr_keys: Iterable[tuple[bool, bool]] = ((False, True), (True, True)),
-               ) -> "TxGraph":
+    def freeze(self) -> "TxGraph":
         """:meth:`warm` plus sealing: any later mutation raises ``RuntimeError``.
 
-        This is the strongest serving guarantee — once frozen, every read is
-        lock-free against fully built immutable structures.
+        This is the strongest serving guarantee — once frozen, every read on
+        the sampling path is lock-free against fully built immutable
+        structures.
         """
-        self.warm(csr_keys)
+        self.warm()
         self._frozen = True
         return self
 
@@ -264,7 +289,7 @@ class TxGraph:
             self._slot_synced = m
 
     def _ensure_adjacency(self) -> None:
-        """(Re)build the CSR row index when the structure changed since last build.
+        """Merge edge slots appended since the last build into the CSR row index.
 
         Double-checked: ``_adj_version`` is assigned last, so the lock-free
         fast path only ever observes a fully built index.
@@ -276,17 +301,12 @@ class TxGraph:
                 return
             m = self._m
             n = len(self._node_order)
-            src = self._src[:m]
-            dst = self._dst[:m]
-            # Stable argsort groups each node's slots while preserving global
-            # insertion order within the row — the same iteration order the
-            # per-node dict indexes produced.
-            self._out_slots = np.argsort(src, kind="stable")
-            self._in_slots = np.argsort(dst, kind="stable")
-            self._out_indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src, minlength=n), out=self._out_indptr[1:])
-            self._in_indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(dst, minlength=n), out=self._in_indptr[1:])
+            out_indptr, out_slots = _merge_rows(
+                self._out_indptr, self._out_slots, self._src, m, n)
+            in_indptr, in_slots = _merge_rows(
+                self._in_indptr, self._in_slots, self._dst, m, n)
+            self._out_indptr, self._out_slots = out_indptr, out_slots
+            self._in_indptr, self._in_slots = in_indptr, in_slots
             self._adj_version = self._structure_version
 
     def _edge_at(self, slot: int) -> Edge:
@@ -458,7 +478,7 @@ class TxGraph:
                 if not keep.any():
                     # The replayed add_edge calls above already bumped
                     # _version once per merge; a further bump here would
-                    # needlessly invalidate CSR forms warmed between bulk
+                    # needlessly invalidate to_csr forms built between bulk
                     # calls that turn out to be pure replays.
                     return
                 src_codes, dst_codes = src_codes[keep], dst_codes[keep]

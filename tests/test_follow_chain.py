@@ -10,6 +10,7 @@ it from fresh data, bit-identical to a cold pipeline over the grown ledger.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import DeAnonymizer
 from repro.chain import LedgerConfig, generate_ledger
@@ -67,6 +68,41 @@ def append_block_touching(ledger, addresses, n_per_address: int = 10,
         is_contract_call=np.zeros(n, dtype=bool),
         submitted=np.array(submitted),
         transactions_per_block=max(n, 1))
+
+
+# One appended row: (sender, receiver) index into a pool of eight existing
+# accounts followed by four fresh counterparties (equal indices make a
+# self-transfer), value, contract call, submitted, and a timestamp offset
+# (offsets need not be sorted within an append).
+append_row = st.tuples(
+    st.integers(0, 11), st.integers(0, 11),
+    st.floats(0.5, 50.0, allow_nan=False),
+    st.booleans(), st.integers(0, 4).map(bool),
+    st.floats(0.0, 600.0, allow_nan=False))
+
+# A program: appends, each either after the ledger's last timestamp or
+# backdated to a point inside its timespan (``position`` in [0, 1]).
+append_programs = st.lists(
+    st.tuples(st.lists(append_row, min_size=1, max_size=12), st.booleans(),
+              st.floats(0.0, 1.0, allow_nan=False)),
+    min_size=1, max_size=4)
+
+
+def append_program_rows(ledger, rows, backdated: bool, position: float):
+    pool = list(ledger.store.addresses[:8]) + [f"0xcounterparty{i}" for i in range(4)]
+    low, high = ledger.timespan()
+    start = (low + position * (high - low) if backdated
+             else high + ledger.block_interval)
+    n = len(rows)
+    ledger.append_blocks_columnar(
+        [pool[r[0]] for r in rows], [pool[r[1]] for r in rows],
+        values=np.array([r[2] for r in rows]),
+        gas_prices=np.full(n, 20.0) + np.arange(n),
+        gas_used=np.full(n, 21_000, dtype=np.int64),
+        timestamps=start + np.array([r[5] for r in rows]),
+        is_contract_call=np.array([r[3] for r in rows]),
+        submitted=np.array([r[4] for r in rows]),
+        transactions_per_block=4)
 
 
 def assert_graphs_bit_identical(a, b):
@@ -168,6 +204,30 @@ class TestFeatureTableRefresh:
         assert not np.array_equal(after[touched], before[touched])
         assert len(cols) == ledger.num_transactions
 
+    @settings(max_examples=40, deadline=None)
+    @given(append_programs)
+    def test_append_programs_carry_the_table_bit_for_bit(self, program):
+        """Whatever the appends, the carried table is a cold extractor's, to
+        the byte (``assert_array_equal`` would let -0.0 pass for 0.0), and so
+        is the merged row index of the ingesting graph."""
+        ledger = fresh_ledger(seed=13)
+        extractor = DeepFeatureExtractor(ledger).warm()
+        graph = build_transaction_graph(ledger).warm()
+        for rows, backdated, position in program:
+            append_program_rows(ledger, rows, backdated, position)
+            extractor.warm()
+            graph.ingest(ledger)
+            graph.warm()
+            cold = DeepFeatureExtractor(ledger).warm()
+            assert extractor._table_features.tobytes() == cold._table_features.tobytes()
+            assert extractor._table_ids == cold._table_ids
+            assert extractor._table_key == cold._table_key
+            m = graph.num_edges
+            assert graph._out_slots.tobytes() == \
+                np.argsort(graph._src[:m], kind="stable").tobytes()
+            assert graph._in_slots.tobytes() == \
+                np.argsort(graph._dst[:m], kind="stable").tobytes()
+
     def test_extract_reflects_appended_transactions(self):
         ledger = fresh_ledger(seed=3)
         extractor = DeepFeatureExtractor(ledger)
@@ -200,6 +260,22 @@ class TestServingRefresh:
         # The graph was ingested incrementally, not rebuilt.
         assert deanon.builder.graph_if_built() is builder_graph
         assert builder_graph.ingested_rows == ledger.num_transactions
+
+    def test_refresh_leaves_the_index_and_table_current(self):
+        """refresh() finishes the maintenance it starts: the row index merge
+        and the table step run there, not on the first scoring thread."""
+        ledger = fresh_ledger(seed=14)
+        deanon = DeAnonymizer(ledger, dataset_config=DATASET_CONFIG)
+        graph = deanon.builder.graph
+        deanon.warm()
+        append_block_touching(ledger, [graph.nodes[0]])
+        deanon.refresh()
+        assert graph._adj_version == graph._structure_version
+        extractor = deanon.builder._extractor
+        assert extractor._table_key == (ledger.num_transactions,
+                                        ledger.num_accounts)
+        timing = deanon.stats()["serving"]["stages"]["refresh"]
+        assert timing["count"] == 1 and timing["total"] > 0.0
 
     def test_rescore_after_append_matches_cold_pipeline(self):
         """The ISSUE's stale-cache acceptance test: score, append a block

@@ -6,7 +6,8 @@ pairs repeated both within and across calls — and requires the columnar
 ``TxGraph`` to be **bit-identical** to :class:`DictGraphReference`, which only
 ever sees the flattened sequential row stream: same node order, same edge
 iteration order, same left-fold amounts, counts and iterative count-weighted
-timestamp means, and the same per-node out/in iteration order.
+timestamp means, and the same per-node out/in iteration order (after every
+batch, so the merged row index is checked as it grows).
 """
 
 import numpy as np
@@ -74,11 +75,14 @@ def assert_bit_identical(graph: TxGraph, reference: DictGraphReference) -> None:
 @settings(max_examples=60, deadline=None)
 @given(program)
 def test_interleaved_programs_match_sequential_reference(batches):
+    """Checked after every batch, so the row index is built, then grown and
+    merged batch by batch, not only built once at the end."""
     graph = TxGraph()
     reference = DictGraphReference()
-    apply_program(graph, batches)
-    apply_sequential(reference, batches)
-    assert_bit_identical(graph, reference)
+    for batch in batches:
+        apply_program(graph, [batch])
+        apply_sequential(reference, [batch])
+        assert_bit_identical(graph, reference)
 
 
 @settings(max_examples=30, deadline=None)
