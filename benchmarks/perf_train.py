@@ -44,15 +44,20 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_train.json"
 PARITY_ATOL = 1e-9
 
 
-def _timed(fn, reps: int) -> tuple[float, object]:
-    """(best-of-reps wall seconds, last result)."""
-    best = float("inf")
-    result = None
+def _timed(fns: dict, reps: int) -> dict:
+    """Best-of-``reps`` wall seconds of each callable in ``fns``, by key.
+
+    Every rep runs the callables in turn, so a change of host speed hits
+    all of them alike and moves their ratios less than when each is timed
+    in its own block of reps.
+    """
+    best = dict.fromkeys(fns, float("inf"))
     for _ in range(reps):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+        for key, fn in fns.items():
+            t0 = time.perf_counter()
+            fn()
+            best[key] = min(best[key], time.perf_counter() - t0)
+    return best
 
 
 def build_task(scale: float, seed: int):
@@ -122,16 +127,17 @@ def bench_branch(name: str, branch_cls, config_factory, samples, labels,
 
     # --- timing -------------------------------------------------------------
     steps = len(samples) * epochs
-    t_batched, _ = _timed(lambda: fit(True), reps)
-    t_looped, _ = _timed(lambda: fit(False), reps)
-    t_legacy, _ = _timed(lambda: fit(False, batch_size=1), reps)
+    fits = _timed({"batched": lambda: fit(True), "looped": lambda: fit(False),
+                   "legacy": lambda: fit(False, batch_size=1)}, reps)
+    t_batched, t_looped, t_legacy = fits["batched"], fits["looped"], fits["legacy"]
 
     def predict(batched_kernel: bool):
         batched._batched_kernel = batched_kernel
         return batched.predict_scores(samples)
 
-    tp_batched, _ = _timed(lambda: predict(True), reps)
-    tp_looped, _ = _timed(lambda: predict(False), reps)
+    predicts = _timed({"batched": lambda: predict(True),
+                       "looped": lambda: predict(False)}, reps)
+    tp_batched, tp_looped = predicts["batched"], predicts["looped"]
     batched._batched_kernel = True
     return {
         "num_samples": len(samples),
@@ -165,17 +171,17 @@ def bench_build(make_builder, workers: int, reps: int,
             assert np.array_equal(got.node_features, expected.node_features), \
                 f"parallel build diverged at centre {got.center}"
 
-    modes: dict[str, dict] = {}
-    t_seq, _ = _timed(lambda: make_builder().build(), reps)
-    modes["sequential"] = {"seconds": t_seq}
-    plans = [("thread", workers)]
-    if include_process:
-        plans.append(("process", workers))
-    for mode, n in plans:
-        built = make_builder().build(workers=n, mode=mode)
-        check(built)
-        t, _ = _timed(lambda: make_builder().build(workers=n, mode=mode), reps)
-        modes[mode] = {"seconds": t, "workers": n, "speedup": t_seq / t}
+    plans = ["thread", "process"] if include_process else ["thread"]
+    for mode in plans:
+        check(make_builder().build(workers=workers, mode=mode))
+    builds = {"sequential": lambda: make_builder().build()}
+    builds.update({mode: lambda mode=mode: make_builder().build(workers=workers, mode=mode)
+                   for mode in plans})
+    seconds = _timed(builds, reps)
+    modes: dict[str, dict] = {"sequential": {"seconds": seconds["sequential"]}}
+    for mode in plans:
+        modes[mode] = {"seconds": seconds[mode], "workers": workers,
+                       "speedup": seconds["sequential"] / seconds[mode]}
     return {"num_samples": len(reference), "modes": modes}
 
 

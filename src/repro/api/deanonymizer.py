@@ -19,9 +19,10 @@ address exactly once; the resulting :class:`AccountSubgraph` objects (and the
 CSR adjacency / time-slice caches memoized on them) are then shared by every
 category head.  Heads whose branches share one architecture are scored
 together (:class:`~repro.core.inference.StackedHeads`): one stacked GSG and
-one stacked LDG forward per sample serve all of them, and only calibration
-and the classifier run per head.  Scores stay bit-identical to each head's
-own ``predict_proba``.
+one stacked LDG forward per chunk of samples with equal node counts serve
+all of them, and only calibration and the classifier run per head.  Scores
+stay bit-identical to each head's own ``predict_proba``, whatever else the
+batch holds.
 
 Ledger path: the facade reads the attached ledger through its columnar
 transaction store — the global graph is ingested with the vectorised
@@ -418,9 +419,10 @@ class DeAnonymizer:
 
         Sampling and feature extraction run once per distinct address; the
         heads then score the same cached subgraph objects, reusing their
-        memoized CSR adjacency and time-slice normalisations, with one
-        stacked forward per sample for each group of same-architecture
-        branches (recorded as ``score.head_passes`` in :meth:`stats`).
+        memoized CSR adjacency and time slices.  Each group of
+        same-architecture branches runs one stacked forward per chunk of
+        samples with equal node counts (the forwards run are recorded as
+        ``score.head_passes`` in :meth:`stats`).
         Returns ``{address: {category: probability}}``.
 
         Addresses that cannot be sampled are collected across the whole batch
@@ -455,8 +457,7 @@ class DeAnonymizer:
         metrics.record_seconds("score.sample", t1 - t0)
         metrics.record_seconds("score.heads", time.perf_counter() - t1)
         metrics.record_value("score.batch_size", len(unique))
-        metrics.record_value("score.head_passes",
-                             stacked.passes_per_sample * len(sample_list))
+        metrics.record_value("score.head_passes", stacked.passes(sample_list))
         metrics.increment("score.calls")
         metrics.increment("score.addresses", len(addresses))
         metrics.increment("score.unknown", len(unknown))

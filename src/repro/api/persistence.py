@@ -16,12 +16,22 @@ so a model restored with :func:`load_state` reproduces its predictions
 bit-for-bit.  The split keeps the manifest human-readable — configs, class
 names and calibration weights can be inspected with any text editor — while
 the weight tensors stay binary.
+
+Saving is crash-safe.  Each file is written to a temporary file beside it,
+flushed to disk and renamed over its target, the arrays first and the
+manifest last.  The manifest records the SHA-256 of the arrays file, and
+:func:`load_state` checks it, so a save that dies between the two renames
+(new arrays, old manifest) or a damaged arrays file raises
+:class:`StateFormatError` instead of loading a mix.  Manifests without a
+digest, written before it was recorded, load unchecked.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -80,19 +90,35 @@ def _decode(value, arrays):
     return value
 
 
+def _atomic_write(target: Path, data: bytes) -> None:
+    """Write ``data`` to a temporary file, fsync it and rename it over ``target``."""
+    tmp = target.with_name(target.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, target)
+
+
 def save_state(path: str | Path, state: dict) -> Path:
     """Write ``state`` into directory ``path`` as ``state.json`` + ``arrays.npz``.
 
-    The directory is created if needed; existing state files are overwritten.
+    The directory is created if needed; existing state files are replaced,
+    the arrays first and the manifest, with the arrays' SHA-256, last.
     Returns the directory path.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     arrays: dict[str, np.ndarray] = {}
-    document = {"format_version": FORMAT_VERSION, "state": _encode(state, arrays)}
-    (path / STATE_FILE).write_text(json.dumps(document, indent=2, sort_keys=False))
-    with open(path / ARRAYS_FILE, "wb") as handle:
-        np.savez(handle, **arrays)
+    encoded = _encode(state, arrays)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    payload = buffer.getvalue()
+    _atomic_write(path / ARRAYS_FILE, payload)
+    document = {"format_version": FORMAT_VERSION,
+                "arrays_sha256": hashlib.sha256(payload).hexdigest(), "state": encoded}
+    _atomic_write(path / STATE_FILE,
+                  json.dumps(document, indent=2, sort_keys=False).encode("utf-8"))
     return path
 
 
@@ -142,6 +168,12 @@ def load_state(path: str | Path) -> dict:
     if version != FORMAT_VERSION:
         raise StateFormatError(
             f"unsupported state format version {version!r} (this build reads {FORMAT_VERSION})")
-    with np.load(arrays_file) as payload:
-        arrays = {key: payload[key] for key in payload.files}
+    payload = arrays_file.read_bytes()
+    digest = document.get("arrays_sha256")
+    if digest is not None and hashlib.sha256(payload).hexdigest() != digest:
+        raise StateFormatError(
+            f"{arrays_file} does not match the SHA-256 recorded in {STATE_FILE}: "
+            f"the file is damaged, or a save was interrupted between the two files")
+    with np.load(io.BytesIO(payload)) as arrays_npz:
+        arrays = {key: arrays_npz[key] for key in arrays_npz.files}
     return _decode(document["state"], arrays)

@@ -17,7 +17,8 @@ The pipeline (Figure 2) has four components:
 ``fit`` / ``predict`` / ``predict_proba`` interface and exposes ablation
 switches used by the Table IV experiments.
 :class:`~repro.core.inference.StackedHeads` scores several fitted heads at
-once, one stacked encoder pass per sample for all heads of one architecture.
+once, one stacked encoder pass per chunk of equal-size samples for all heads
+of one architecture.
 """
 
 from repro.core.augmentation import AugmentationConfig, adaptive_augmentation

@@ -242,9 +242,11 @@ class GSGBranch:
     def predict_scores(self, samples: list[AccountSubgraph]) -> np.ndarray:
         """Raw (uncalibrated) predicted values, one per sample.
 
-        Samples are scored one by one through the stacked inference path as
-        its one-head case, bit-identical to the per-sample training forward;
-        with ``batch_size > 1`` they are scored in block-diagonal chunks.
+        Samples go through the stacked inference path as its one-head case,
+        one forward per chunk of samples with equal node counts, and every
+        score is bit-identical to the per-sample training forward.  With
+        ``batch_size > 1`` they are scored by the block-diagonal training
+        forward, ``batch_size`` at a time.
         """
         if self._network is None:
             raise RuntimeError("GSGBranch has not been fitted")

@@ -1,36 +1,44 @@
-"""Head-stacked inference: every head's GSG or LDG encoder in one pass per sample.
+"""Stacked inference: every head's GSG or LDG encoder on a chunk of samples at once.
 
 A facade scores each address with one DBG4ETH head per category, and every
 head runs both encoders.  Heads whose branch networks share one architecture
 are scored together here: their weights are stacked along a leading head
-axis, and one no-grad forward per sample computes all ``H`` raw branch
+axis, and samples with the same node count along a second, sample axis.  One
+no-grad forward per chunk of such samples computes all ``H x B`` raw branch
 scores in plain numpy, without the autograd bookkeeping of
 :class:`~repro.nn.Tensor`.  A single branch is the ``H = 1`` case
 (:meth:`GSGBranch.predict_scores <repro.core.gsg.GSGBranch.predict_scores>`,
-:meth:`LDGBranch.predict_scores <repro.core.ldg.LDGBranch.predict_scores>`).
+:meth:`LDGBranch.predict_scores <repro.core.ldg.LDGBranch.predict_scores>`),
+a single sample the ``B = 1`` case.
 
 Every score is bit-identical to the head's own per-sample training forward
-(``_network.forward``), because each stacked op does, per head, exactly the
-float operations of the per-head op:
+(``_network.forward``), whatever else the batch holds, because each stacked
+op does, per (head, sample) block, exactly the float operations of the
+per-sample op:
 
-* ``np.matmul`` over a leading head axis issues the same BLAS call per head
-  slice as the 2-D product, since slices keep the per-head shape and strides;
+* dense arrays are ``(H, B, n, d)``, so every block keeps the per-sample
+  shape and is contiguous.  ``np.matmul`` over the two leading axes issues
+  per block the BLAS call of the 2-D product; the weights carry a unit
+  sample axis (``(H, 1, in, out)``) that broadcasts over the chunk;
 * elementwise ops are position-independent;
-* reductions keep a **head-major** layout: each head's operand is one
-  contiguous block of the per-head shape, so numpy picks the same pairwise or
-  sequential summation for it.  A node-major ``(n, H)`` layout would not: a
-  contiguous ``(n, 1)`` column is summed pairwise, a strided column of
-  ``(n, H)`` sequentially;
-* sparse message passing gathers along the node axis and reduces with
-  ``reduceat``, whose per-column result does not depend on the columns beside
-  it (``SparseAdjacency.matmul(x, axis=1)``);
-* past the first DiffPool layer every head has its own coarse graph; the
-  heads' graphs are laid out as one block-diagonal CSR, in which every row
-  keeps its own entries in the same order.
-
-Samples are never stacked block-diagonally here: a reduction over a stacked
-batch sums in another order than the per-sample forward, so scores would
-depend on how samples are grouped.
+* reductions run within a block, so numpy picks the same pairwise or
+  sequential summation for it as for the per-sample array.  A layout that
+  merges blocks would not: a read-out or softmax sum over ``(H, B*n, ...)``,
+  over a padded block or down one column of a node-major ``(n, H)`` array
+  reduces in another order.  Samples of different sizes therefore never
+  share an array and are never padded: they are grouped by node count, and
+  each group is scored in chunks of at most ``_CHUNK`` samples
+  (:func:`_chunks`);
+* sparse message passing runs on the block-diagonal of the chunk's graphs,
+  in which every row keeps its own entries in the same order.  It gathers
+  along the node axis and reduces with ``reduceat``, whose per-column result
+  does not depend on the columns beside it
+  (``SparseAdjacency.matmul(x, axis=1)``).  A chunk of one uses the sample's
+  own graph, whose memoized normalisations serve every later request; a
+  larger chunk derives them on its block-diagonal, which gives the same bits
+  as composing the samples' forms (pinned in ``tests/test_batched_training.py``);
+* past the first DiffPool layer every (head, sample) pair has its own coarse
+  graph; those graphs are laid out as one block-diagonal CSR in the same way.
 """
 
 from __future__ import annotations
@@ -45,65 +53,109 @@ from repro.nn.functional import (elu_array, leaky_relu_array, relu_array, sigmoi
 
 __all__ = ["StackedGSG", "StackedLDG", "StackedHeads", "stacks_samples"]
 
+#: Most samples in one stacked forward.  On perfbench serve's held-out
+#: batches of 64 addresses, scored cold by 3 heads on a 2-vCPU x86-64 host
+#: (seeds 1-3), bounds of 16 and 32 ran the heads equally fast (median per
+#: batch 152, 115 and 122 ms at 16; 142, 116 and 132 ms at 32; 225 ms one
+#: sample at a time), and 16 halves the transient peak (tracemalloc: 6.9 MB
+#: at 16, 13.4 MB at 32, 22.4 MB with one chunk per node count).
+_CHUNK = 16
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """``arrays`` on a new leading head axis (a view of the array for one head)."""
-    return arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
+
+def _chunks(samples: Sequence) -> list[list[int]]:
+    """Positions of ``samples`` per stacked forward.
+
+    Samples with the same node count are stacked, in order, at most
+    ``_CHUNK`` at a time; a repeated sample takes its own slot.
+    """
+    by_size: dict[int, list[int]] = {}
+    for position, sample in enumerate(samples):
+        by_size.setdefault(sample.num_nodes, []).append(position)
+    return [positions[start:start + _CHUNK] for positions in by_size.values()
+            for start in range(0, len(positions), _CHUNK)]
+
+
+def _stack(arrays: list[np.ndarray], unit_axes: int = 1) -> np.ndarray:
+    """``arrays`` on a new leading head axis, then ``unit_axes`` axes of length 1.
+
+    The unit axes broadcast over the sample (and node) axes of a chunk.  For
+    one head the result is a view of its array.
+    """
+    stacked = arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
+    return stacked.reshape(stacked.shape[:1] + (1,) * unit_axes + stacked.shape[1:])
+
+
+def _nodes(x: np.ndarray) -> np.ndarray:
+    """``(H, B*n, d)`` view of an ``(H, B, n, d)`` array: the chunk's nodes in
+    block-diagonal order, for gathers and sparse products only."""
+    return x.reshape(x.shape[0], -1, x.shape[-1])
+
+
+def _block_diagonal(adjacencies: list[SparseAdjacency]) -> SparseAdjacency:
+    """A chunk's graphs side by side: one sample's own graph, or a fresh
+    block-diagonal whose derived forms are computed on the stack."""
+    return adjacencies[0] if len(adjacencies) == 1 else \
+        SparseAdjacency.block_diagonal(adjacencies)
 
 
 class _Affine:
-    """``x @ W + b`` for every head: ``W`` is ``(H, in, out)``, ``b`` ``(H, 1, out)``."""
+    """``x @ W + b`` for every head: ``W`` is ``(H, 1, in, out)``, ``b`` ``(H, 1, 1, out)``."""
 
     __slots__ = ("weight", "bias")
 
     def __init__(self, layers: list):
         self.weight = _stack([layer.weight.data for layer in layers])
         self.bias = (None if layers[0].bias is None
-                     else _stack([layer.bias.data for layer in layers])[:, np.newaxis])
+                     else _stack([layer.bias.data for layer in layers], 2))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         out = x @ self.weight
         return out if self.bias is None else out + self.bias
 
 
-class _SliceGraph:
-    """A time slice: one sparse graph that every head propagates over."""
+class _Graphs:
+    """Sparse products over a chunk's graphs, laid out as one block-diagonal CSR.
+
+    ``x`` is ``(H, B, n, d)``.  ``axis`` is the node axis of the flattened
+    operand: 1 when every head shares the graphs (``(H, B*n, d)``, one block
+    per sample), 0 when every (head, sample) pair has its own
+    (``(H*B*n, d)``, one block per pair).
+    """
 
     __slots__ = ("adjacency",)
+    axis = 1
 
     def __init__(self, adjacency: SparseAdjacency):
         self.adjacency = adjacency
 
+    def _apply(self, product, x: np.ndarray) -> np.ndarray:
+        rows = x.reshape(x.shape[:self.axis] + (-1, x.shape[-1]))
+        return product(rows, axis=self.axis).reshape(x.shape)
+
     def gcn(self, x: np.ndarray) -> np.ndarray:
-        """``D^-1/2 (A + I) D^-1/2 x`` per head (the GCN propagation)."""
-        return self.adjacency.gcn_normalized().matmul(x, axis=1)
+        """``D^-1/2 (A + I) D^-1/2 x`` per block (the GCN propagation)."""
+        return self._apply(self.adjacency.gcn_normalized().matmul, x)
 
     def rmatmul(self, x: np.ndarray) -> np.ndarray:
-        """``A.T @ x`` per head."""
-        return self.adjacency.rmatmul(x, axis=1)
+        """``A.T @ x`` per block."""
+        return self._apply(self.adjacency.rmatmul, x)
 
 
-class _CoarseGraphs:
-    """Each head's coarse graph ``M^T A M`` past the first DiffPool layer.
+class _CoarseGraphs(_Graphs):
+    """Each (head, sample) pair's coarse graph ``M^T A M`` past the first DiffPool layer.
 
-    The per-head path converts its dense ``(c, c)`` coarse graph to CSR
-    (:meth:`SparseAdjacency.from_dense`); the heads' graphs are laid out as
-    one block-diagonal CSR of those rows, which keeps every row's entries and
-    their order.
+    The per-sample path converts its dense ``(c, c)`` coarse graph to CSR
+    (:meth:`SparseAdjacency.from_dense`); the ``(H, B, c, c)`` stack is laid
+    out as one block-diagonal CSR of those rows
+    (:meth:`BatchedAdjacency.from_dense_blocks`).
     """
 
+    __slots__ = ()
+    axis = 0
+
     def __init__(self, dense: np.ndarray):
-        self.adjacency = BatchedAdjacency.from_dense_blocks(dense)
-
-    def _blockwise(self, product, x: np.ndarray) -> np.ndarray:
-        size, _, dim = x.shape
-        return product(x.reshape(-1, dim)).reshape(size, -1, dim)
-
-    def gcn(self, x: np.ndarray) -> np.ndarray:
-        return self._blockwise(self.adjacency.gcn_normalized().matmul, x)
-
-    def rmatmul(self, x: np.ndarray) -> np.ndarray:
-        return self._blockwise(self.adjacency.rmatmul, x)
+        super().__init__(BatchedAdjacency.from_dense_blocks(
+            dense.reshape((-1,) + dense.shape[-2:])))
 
 
 class _Stacked:
@@ -111,21 +163,22 @@ class _Stacked:
 
     def __init__(self, branches: Sequence):
         self.size = len(branches)
-        self.mean = _stack([b._feature_stats[0] for b in branches])[:, np.newaxis]
-        self.std = _stack([b._feature_stats[1] for b in branches])[:, np.newaxis]
+        self.mean = _stack([b._feature_stats[0] for b in branches], 2)
+        self.std = _stack([b._feature_stats[1] for b in branches], 2)
 
-    def _features(self, sample) -> np.ndarray:
-        """``(H, n, F)``: the sample's node features under each head's scaler."""
-        return (sample.node_features - self.mean) / self.std
+    def _features(self, chunk: Sequence) -> np.ndarray:
+        """``(H, B, n, F)``: the chunk's node features under each head's scaler."""
+        return (np.array([sample.node_features for sample in chunk]) - self.mean) / self.std
 
-    def logits(self, sample) -> np.ndarray:
+    def logits(self, chunk: Sequence) -> np.ndarray:
+        """``(H, B)`` raw scores of a chunk of samples with one node count."""
         raise NotImplementedError
 
     def scores(self, samples: Sequence) -> np.ndarray:
-        """``(H, len(samples))`` raw scores, one forward per sample."""
+        """``(H, len(samples))`` raw scores, one forward per :func:`chunk <_chunks>`."""
         out = np.empty((self.size, len(samples)), dtype=np.float64)
-        for j, sample in enumerate(samples):
-            out[:, j] = self.logits(sample)
+        for positions in _chunks(samples):
+            out[:, positions] = self.logits([samples[i] for i in positions])
         return out
 
 
@@ -149,37 +202,40 @@ class StackedGSG(_Stacked):
         self.out_linear = _Affine([r.out_linear for r in readouts])
         self.head = _Affine([net.head for net in nets])
 
-    def logits(self, sample) -> np.ndarray:
-        """``(H,)`` raw scores of one sample: ``_GSGNetwork.forward`` per head."""
-        edge_features = np.log1p(np.abs(sample.node_edge_features()))
-        features = self._features(sample)
+    def logits(self, chunk: Sequence) -> np.ndarray:
+        """``(H, B)`` raw scores: ``_GSGNetwork.forward`` per head and sample."""
+        edge_features = np.log1p(np.abs(np.array(
+            [sample.node_edge_features() for sample in chunk])))
+        features = self._features(chunk)
         x = np.concatenate([features, np.broadcast_to(
-            edge_features, (self.size,) + edge_features.shape)], axis=2)
+            edge_features, (self.size,) + edge_features.shape)], axis=3)
         h = leaky_relu_array(self.align(x), 0.01)                     # Eq. 6
-        structure = sample.adjacency_sparse().attention_structure()
+        structure = _block_diagonal(
+            [sample.adjacency_sparse() for sample in chunk]).attention_structure()
         rows, cols = structure.rows, structure.indices
         for heads, negative_slope in self.layers:                     # Eq. 7-9
             outputs = []
             for project, attn_src, attn_dst in heads:
                 z = project(h)
-                scores = leaky_relu_array(
-                    (z @ attn_src)[:, rows] + (z @ attn_dst)[:, cols], negative_slope)
+                scores = leaky_relu_array(_nodes(z @ attn_src)[:, rows]
+                                          + _nodes(z @ attn_dst)[:, cols], negative_slope)
                 shift = structure.reduce_rows(scores, np.maximum, axis=1)[:, rows]
                 exp = np.exp(scores - shift)
                 attn = exp / structure.reduce_rows(exp, axis=1)[:, rows]
-                outputs.append(structure.reduce_rows(attn * z[:, cols], axis=1))
+                outputs.append(structure.reduce_rows(
+                    attn * _nodes(z)[:, cols], axis=1).reshape(z.shape))
             out = (outputs[0] if len(outputs) == 1
-                   else np.stack(outputs, axis=2).sum(axis=2) * (1.0 / len(outputs)))
+                   else np.stack(outputs, axis=3).sum(axis=3) * (1.0 / len(outputs)))
             h = elu_array(out)
         # Graph-level attention read-out (Eq. 10-13).
-        summary = h.max(axis=1, keepdims=True)
-        candidates = np.concatenate([h, summary], axis=1)
-        repeated = np.ones((self.size, candidates.shape[1], 1)) @ summary
+        summary = h.max(axis=2, keepdims=True)
+        candidates = np.concatenate([h, summary], axis=2)
+        repeated = np.ones(candidates.shape[:3] + (1,)) @ summary
         scores = leaky_relu_array(self.score_linear(
-            np.concatenate([repeated, candidates], axis=2)), 0.2)
-        weights = softmax_array(scores, axis=1)
-        embedding = elu_array((weights * self.out_linear(candidates)).sum(axis=1, keepdims=True))
-        return self.head(embedding).reshape(self.size)
+            np.concatenate([repeated, candidates], axis=3)), 0.2)
+        weights = softmax_array(scores, axis=2)
+        embedding = elu_array((weights * self.out_linear(candidates)).sum(axis=2, keepdims=True))
+        return self.head(embedding).reshape(self.size, len(chunk))
 
 
 class StackedLDG(_Stacked):
@@ -196,14 +252,14 @@ class StackedLDG(_Stacked):
         self.gcn = _Affine([net.gcn.linear for net in nets])
         self.gru = {name: _stack([getattr(net.gru, name).data for net in nets])
                     for name in self._GRU}
-        self.gru.update({name: _stack([getattr(net.gru, name).data for net in nets])
-                         [:, np.newaxis] for name in self._GRU_BIAS})
+        self.gru.update({name: _stack([getattr(net.gru, name).data for net in nets], 2)
+                         for name in self._GRU_BIAS})
         self.pools = [(_Affine([net.pools[i].assign_gnn.linear for net in nets]),
                        _Affine([net.pools[i].embed_gnn.linear for net in nets]))
                       for i in range(len(nets[0].pools))]
         # Sample-independent: the adaptive time-slice weights (Eq. 22).
-        logits = _stack([net.slice_logits.data for net in nets])[:, np.newaxis]
-        self.slice_weights = softmax_array(logits, axis=2)            # (H, 1, T)
+        logits = _stack([net.slice_logits.data for net in nets], 2)
+        self.slice_weights = softmax_array(logits, axis=3)            # (H, 1, 1, T)
         self.head = _Affine([net.head for net in nets])
 
     def _gru_step(self, x: np.ndarray, hidden: np.ndarray) -> np.ndarray:
@@ -215,31 +271,32 @@ class StackedLDG(_Stacked):
                             + g["bias_candidate"])
         return (1.0 - update) * hidden + update * candidate
 
-    def _pool(self, x: np.ndarray, graph: _SliceGraph) -> np.ndarray:
-        """The DiffPool stack (Eq. 19-21) down to one cluster: ``(H, 1, d)``."""
+    def _pool(self, x: np.ndarray, graph: _Graphs) -> np.ndarray:
+        """The DiffPool stack (Eq. 19-21) down to one cluster: ``(H, B, 1, d)``."""
         for i, (assign_linear, embed_linear) in enumerate(self.pools):
-            assignment = softmax_array(graph.gcn(assign_linear(x)), axis=2)
+            assignment = softmax_array(graph.gcn(assign_linear(x)), axis=3)
             embedded = relu_array(graph.gcn(embed_linear(x)))
             if i < len(self.pools) - 1:
                 graph = _CoarseGraphs(
-                    graph.rmatmul(assignment).transpose(0, 2, 1) @ assignment)
-            x = assignment.transpose(0, 2, 1) @ embedded
+                    graph.rmatmul(assignment).swapaxes(2, 3) @ assignment)
+            x = assignment.swapaxes(2, 3) @ embedded
         return x
 
-    def logits(self, sample) -> np.ndarray:
-        """``(H,)`` raw scores of one sample: ``_LDGNetwork.forward`` per head."""
-        hidden = relu_array(self.input_proj(self._features(sample)))
+    def logits(self, chunk: Sequence) -> np.ndarray:
+        """``(H, B)`` raw scores: ``_LDGNetwork.forward`` per head and sample."""
+        hidden = relu_array(self.input_proj(self._features(chunk)))
         representation = None
-        slices = sample.time_slices(self.num_slices, weighted=False, sparse=True)
-        for t, adjacency in enumerate(slices):
-            graph = _SliceGraph(adjacency)
+        slices = [sample.time_slices(self.num_slices, weighted=False, sparse=True)
+                  for sample in chunk]
+        for t in range(self.num_slices):
+            graph = _Graphs(_block_diagonal([own[t] for own in slices]))
             hidden = self._gru_step(relu_array(graph.gcn(self.gcn(hidden))),
                                     hidden)                           # Eq. 14-18
             pooled = self._pool(hidden, graph)
-            pooled = pooled.sum(axis=1, keepdims=True) * (1.0 / pooled.shape[1])
-            weighted = pooled * self.slice_weights[:, :, t:t + 1]
+            pooled = pooled.sum(axis=2, keepdims=True) * (1.0 / pooled.shape[2])
+            weighted = pooled * self.slice_weights[..., t:t + 1]
             representation = weighted if representation is None else representation + weighted
-        return self.head(relu_array(representation)).reshape(self.size)  # Eq. 23
+        return self.head(relu_array(representation)).reshape(self.size, len(chunk))  # Eq. 23
 
 
 def stacks_samples(branch) -> bool:
@@ -274,9 +331,10 @@ class StackedHeads:
     GSG and LDG branches are grouped separately, by architecture, so an
     ablated head (``use_gsg=False``) still joins the LDG group and a head
     with another ``hidden_dim`` forms groups of its own.  Each group runs one
-    forward per sample for all its heads; feature scaling happens inside the
-    group, calibration and the classifier stay per head.  Branches that
-    :func:`stack samples <stacks_samples>` predict on their own.
+    forward per :func:`chunk <_chunks>` of equal-size samples for all its
+    heads; feature scaling happens inside the group, calibration and the
+    classifier stay per head.  Branches that :func:`stack samples
+    <stacks_samples>` predict on their own.
 
     The stacked arrays are copies: :meth:`serves` tells whether they still
     belong to a given head set.
@@ -301,10 +359,9 @@ class StackedHeads:
                          stacked[key[0]]([branch for _, _, branch in members]))
                         for key, members in grouped.items()]
 
-    @property
-    def passes_per_sample(self) -> int:
-        """Stacked forward passes per scored sample: one per group."""
-        return len(self._groups)
+    def passes(self, samples: Sequence) -> int:
+        """Stacked forwards that scoring ``samples`` runs: one per group and chunk."""
+        return len(self._groups) * len(_chunks(samples))
 
     def serves(self, heads: Mapping) -> bool:
         """True while ``heads`` holds the same head and branch objects."""

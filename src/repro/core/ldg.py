@@ -239,9 +239,9 @@ class LDGBranch:
         """Raw (uncalibrated) predicted values — the "local predicted value".
 
         Scored like :meth:`GSGBranch.predict_scores
-        <repro.core.gsg.GSGBranch.predict_scores>`: one by one through the
-        stacked inference path, or in block-diagonal chunks with
-        ``batch_size > 1``.
+        <repro.core.gsg.GSGBranch.predict_scores>`: through the stacked
+        inference path in chunks of samples with equal node counts, or by the
+        block-diagonal training forward with ``batch_size > 1``.
         """
         if self._network is None:
             raise RuntimeError("LDGBranch has not been fitted")

@@ -1,5 +1,8 @@
 """Tests for the serving facade (`repro.api`): persistence, batching, errors."""
 
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -310,6 +313,65 @@ class TestStateFiles:
         state_file.write_text(state_file.read_text().replace(
             '"format_version": 1', '"format_version": 999'))
         with pytest.raises(StateFormatError, match="version"):
+            load_state(tmp_path / "m")
+
+
+#: Two states of one structure: a manifest of either over the arrays of the
+#: other would load without complaint from the structure alone.
+OLD_STATE = {"weights": np.arange(6.0), "head": {"bias": np.ones(3), "name": "h"}}
+NEW_STATE = {"weights": np.arange(6.0) * 2.0, "head": {"bias": np.zeros(3), "name": "h"}}
+
+
+def assert_same_state(got, expected):
+    np.testing.assert_array_equal(got["weights"], expected["weights"])
+    np.testing.assert_array_equal(got["head"]["bias"], expected["head"]["bias"])
+    assert got["head"]["name"] == expected["head"]["name"]
+
+
+class TestCrashSafeSaves:
+    @pytest.mark.parametrize("replaced", ["state.json", "arrays.npz"])
+    def test_a_save_cut_between_the_two_files_never_loads_a_mix(self, tmp_path, replaced):
+        # Whichever of the two files a crashed save got to replace, the pair
+        # left behind mixes the old and the new state, and must not load.
+        save_state(tmp_path / "m", OLD_STATE)
+        save_state(tmp_path / "new", NEW_STATE)
+        shutil.copyfile(tmp_path / "new" / replaced, tmp_path / "m" / replaced)
+        with pytest.raises(StateFormatError):
+            load_state(tmp_path / "m")
+
+    @pytest.mark.parametrize("crash_at", [1, 2])
+    def test_a_crashed_save_loads_the_old_state_or_raises(self, tmp_path, monkeypatch,
+                                                          crash_at):
+        save_state(tmp_path / "m", OLD_STATE)
+        renames = []
+        real_replace = os.replace
+
+        def replace(source, target):
+            renames.append(target)
+            if len(renames) == crash_at:
+                raise OSError("injected crash")
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="injected crash"):
+            save_state(tmp_path / "m", NEW_STATE)
+        monkeypatch.undo()
+        if crash_at == 1:                   # nothing renamed: the old state stands
+            assert_same_state(load_state(tmp_path / "m"), OLD_STATE)
+        else:                               # new arrays under the old manifest
+            with pytest.raises(StateFormatError, match="SHA-256"):
+                load_state(tmp_path / "m")
+        save_state(tmp_path / "m", NEW_STATE)
+        assert_same_state(load_state(tmp_path / "m"), NEW_STATE)
+
+    @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+    def test_a_flipped_byte_in_the_arrays_raises(self, tmp_path, where):
+        save_state(tmp_path / "m", OLD_STATE)
+        arrays = tmp_path / "m" / "arrays.npz"
+        data = bytearray(arrays.read_bytes())
+        data[round(where * (len(data) - 1))] ^= 0x01
+        arrays.write_bytes(bytes(data))
+        with pytest.raises(StateFormatError, match="SHA-256"):
             load_state(tmp_path / "m")
 
 

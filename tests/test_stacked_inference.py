@@ -1,29 +1,34 @@
-"""Head-stacked scoring equals each head's own per-sample forward, bit for bit.
+"""Stacked scoring equals each head's own per-sample forward, bit for bit.
 
 :meth:`DeAnonymizer.score` and :meth:`DeAnonymizer.score_samples` run one
-stacked GSG and one stacked LDG forward per sample for every group of
-same-architecture heads (:class:`~repro.core.inference.StackedHeads`).  The
-reference here is the training forward: each branch's ``_network`` on one
-prepared sample, then the head's calibration and classifier.  The heads mix
-the shapes the stacking must handle: two heads of one architecture, the
+stacked GSG and one stacked LDG forward per chunk of equal-size samples for
+every group of same-architecture heads
+(:class:`~repro.core.inference.StackedHeads`).  The reference here is the
+training forward: each branch's ``_network`` on one prepared sample, then
+the head's calibration and classifier.  The heads mix the shapes the
+stacking must handle: two heads of one architecture, the
 ``use_gsg=False`` / ``use_ldg=False`` ablations, a wider head that forms its
 own groups, and a head with two attention heads per GAT layer and three
-DiffPool layers (coarse graphs pooled again).
+DiffPool layers (coarse graphs pooled again).  The batches mix node counts,
+repeat samples and fill a node count past one chunk.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import DeAnonymizer
 from repro.core import CalibrationConfig, DBG4ETHConfig, GSGConfig, LDGConfig, StackedHeads
-from repro.core.inference import _CoarseGraphs
+from repro.core.inference import _CHUNK, _CoarseGraphs, _chunks
 from repro.data import DatasetConfig
+from repro.data.dataset import AccountSubgraph
+from repro.graph import TxGraph
 from repro.graph.sparse import SparseAdjacency
 
 DATASET_CONFIG = DatasetConfig(top_k=40, max_nodes_per_subgraph=40, seed=3)
@@ -63,6 +68,36 @@ def fitted(small_ledger, small_dataset) -> DeAnonymizer:
 @pytest.fixture(scope="module")
 def addresses(small_dataset) -> list[str]:
     return [sample.center for sample in list(small_dataset)[:12]]
+
+
+@pytest.fixture(scope="module")
+def pool(small_dataset) -> list[str]:
+    """Every dataset centre: most samples hit the 40-node cap, a few are smaller."""
+    return [sample.center for sample in small_dataset]
+
+
+@pytest.fixture(scope="module")
+def lone(small_dataset) -> AccountSubgraph:
+    """A one-node sample (an account that only pays itself); the fixture
+    ledger has none."""
+    graph = TxGraph()
+    graph.add_edge("self-payer", "self-payer", amount=2.0, timestamp=5.0)
+    return AccountSubgraph("self-payer", None, graph,
+                           small_dataset[0].node_features[:1].copy(), 0)
+
+
+@pytest.fixture(scope="module")
+def reference(fitted):
+    """Memoized :func:`forward_scores` of one fitted head on one sample."""
+    memo = {}
+
+    def scores(name, sample):
+        key = (name, sample.center)
+        if key not in memo:
+            memo[key] = forward_scores(fitted.head(name), [sample])
+        return memo[key]
+
+    return scores
 
 
 def serving(fitted: DeAnonymizer, names, ledger) -> DeAnonymizer:
@@ -124,6 +159,31 @@ def test_score_equals_each_heads_per_sample_forward(fitted, addresses, small_led
         assert np.array_equal(head.predict_proba(samples), expected)
 
 
+@settings(max_examples=20, deadline=None)
+@given(names=st.lists(st.sampled_from(sorted(HEADS)), min_size=1, unique=True),
+       picks=st.lists(st.integers(0, 1000), min_size=1, max_size=40),
+       lone_at=st.integers(0, 40))
+@example(names=sorted(HEADS), picks=list(range(40)), lone_at=3)
+@example(names=["exchange", "mixer"], picks=[5] * 40, lone_at=40)
+def test_a_batch_scores_every_sample_as_it_scores_alone(fitted, pool, lone, reference,
+                                                       small_ledger, names, picks,
+                                                       lone_at):
+    facade = serving(fitted, names, small_ledger)
+    batch = [pool[i % len(pool)] for i in picks]
+    scores = facade.score(batch)
+    for address in set(batch):
+        assert scores[address] == facade.score([address])[address]
+    samples = [facade.sample_for(address) for address in batch]
+    samples.insert(min(lone_at, len(samples)), lone)
+    raw = StackedHeads({name: facade.head(name) for name in names}).branch_scores(samples)
+    for name in names:
+        expected = [reference(name, sample) for sample in samples]
+        for kind in (0, 1):
+            column = (None if expected[0][kind] is None
+                      else np.concatenate([pair[kind] for pair in expected]))
+            assert same_scores(raw[name][kind], column)
+
+
 def test_heads_group_by_architecture(fitted, small_ledger):
     stacked = serving(fitted, sorted(HEADS), small_ledger)._stacked_heads()
     groups = sorted(sorted(members) for members, _ in stacked._groups)
@@ -135,11 +195,16 @@ def test_heads_group_by_architecture(fitted, small_ledger):
     ]
 
 
-def test_score_records_one_pass_per_group_and_sample(fitted, addresses, small_ledger):
-    facade = serving(fitted, ["exchange", "phish/hack"], small_ledger)
-    facade.score(addresses[:5])
+def test_score_records_one_pass_per_group_and_chunk(fitted, pool, small_ledger):
+    facade = serving(fitted, ["exchange", "phish/hack", "bridge"], small_ledger)
+    facade.score(pool)
+    # Two groups per architecture: one GSG and one LDG stack each.
+    sizes = Counter(facade.sample_for(address).num_nodes for address in pool)
+    forwards = sum(-(-count // _CHUNK) for count in sizes.values())
+    assert max(sizes.values()) > _CHUNK and len(sizes) > 1
+    assert forwards == len(_chunks([facade.sample_for(address) for address in pool]))
     passes = facade.stats()["serving"]["stages"]["score.head_passes"]
-    assert passes["count"] == 1 and passes["total"] == 2 * 5
+    assert passes["count"] == 1 and passes["total"] == 4 * forwards
 
 
 def test_threads_scoring_through_a_cold_stack_match_sequential(fitted, addresses,
@@ -207,19 +272,22 @@ def test_a_head_trained_on_sample_stacks_keeps_its_own_predict(fitted, addresses
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), heads=st.integers(1, 3), nodes=st.integers(1, 9),
-       dim=st.integers(1, 5), zero_share=st.sampled_from([0.0, 0.0, 0.3, 1.0]))
-def test_coarse_graphs_match_each_heads_csr_graph(seed, heads, nodes, dim, zero_share):
+@given(seed=st.integers(0, 2**32 - 1), heads=st.integers(1, 3), batch=st.integers(1, 4),
+       nodes=st.integers(1, 9), dim=st.integers(1, 5),
+       zero_share=st.sampled_from([0.0, 0.0, 0.3, 1.0]))
+def test_coarse_graphs_match_each_heads_csr_graph(seed, heads, batch, nodes, dim,
+                                                  zero_share):
     rng = np.random.default_rng(seed)
-    dense = rng.uniform(0.01, 3.0, size=(heads, nodes, nodes))
+    dense = rng.uniform(0.01, 3.0, size=(heads, batch, nodes, nodes))
     dense[rng.random(dense.shape) < zero_share] = 0.0
-    x = rng.normal(size=(heads, nodes, dim))
+    x = rng.normal(size=(heads, batch, nodes, dim))
     graphs = _CoarseGraphs(dense)
     propagated, transposed = graphs.gcn(x), graphs.rmatmul(x)
     for h in range(heads):
-        csr = SparseAdjacency.from_dense(dense[h])
-        assert np.array_equal(propagated[h], csr.gcn_normalized().matmul(x[h]))
-        assert np.array_equal(transposed[h], csr.rmatmul(x[h]))
+        for b in range(batch):
+            csr = SparseAdjacency.from_dense(dense[h, b])
+            assert np.array_equal(propagated[h, b], csr.gcn_normalized().matmul(x[h, b]))
+            assert np.array_equal(transposed[h, b], csr.rmatmul(x[h, b]))
 
 
 @settings(max_examples=60, deadline=None)
