@@ -32,13 +32,14 @@ from repro.api.persistence import (
     loads_state,
     save_state,
 )
-from repro.api.scorer import ParallelScorer
+from repro.api.scorer import ParallelScorer, WorkerCrashedError
 from repro.api.service import ScoringService
 
 __all__ = [
     "DeAnonymizer",
     "UnknownAddressError",
     "ParallelScorer",
+    "WorkerCrashedError",
     "ScoringService",
     "ServingMetrics",
     "save_state",

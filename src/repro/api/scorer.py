@@ -32,6 +32,12 @@ Both modes preserve the facade's batch semantics: unknown addresses are
 aggregated across the whole request into one
 :class:`~repro.api.UnknownAddressError`, or silently skipped with
 ``skip_unknown=True``.
+
+A worker process that dies (killed, out of memory, a crash in native code)
+breaks its pool.  ``score()`` then shuts the broken pool down, drops it and
+raises :class:`WorkerCrashedError`, chained from the pool's
+``BrokenProcessPool``; the next ``score()`` starts a fresh pool.  The failed
+batch is not retried automatically.
 """
 
 from __future__ import annotations
@@ -40,12 +46,22 @@ import os
 import time
 
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Sequence
 
 from repro.api.deanonymizer import DeAnonymizer, UnknownAddressError
 from repro.api.persistence import dumps_state, loads_state
 
-__all__ = ["ParallelScorer"]
+__all__ = ["ParallelScorer", "WorkerCrashedError"]
+
+
+class WorkerCrashedError(RuntimeError):
+    """A process-mode scoring worker died, so its batch was not scored.
+
+    The broken pool has been shut down and dropped; the next
+    :meth:`ParallelScorer.score` starts a fresh one.  ``__cause__`` holds the
+    pool's original ``BrokenProcessPool``.
+    """
 
 #: Per-process rehydrated scorer (set once by the pool initializer).
 _WORKER_DEANON: DeAnonymizer | None = None
@@ -247,14 +263,22 @@ class ParallelScorer:
                             t0: float) -> dict[str, dict[str, float]]:
         """Each worker process scores its chunk end-to-end; merge the dicts."""
         deanon = self.deanonymizer
-        futures = [executor.submit(_score_chunk_in_worker, chunk)
-                   for chunk in chunks]
         merged: dict[str, dict[str, float]] = {}
         unknown: list[str] = []
-        for future in futures:
-            chunk_results, chunk_unknown = future.result()
-            merged.update(chunk_results)
-            unknown.extend(chunk_unknown)
+        try:
+            futures = [executor.submit(_score_chunk_in_worker, chunk)
+                       for chunk in chunks]
+            for future in futures:
+                chunk_results, chunk_unknown = future.result()
+                merged.update(chunk_results)
+                unknown.extend(chunk_unknown)
+        except BrokenProcessPool as exc:
+            # A broken pool refuses every later submit: drop it so the next
+            # call starts a fresh one.
+            self.close()
+            raise WorkerCrashedError(
+                "a scoring worker process died; the batch was not scored and "
+                "the next score() starts a fresh pool") from exc
         if unknown and not skip_unknown:
             raise UnknownAddressError(unknown)
         deanon.metrics.record_seconds("parallel.score", time.perf_counter() - t0)

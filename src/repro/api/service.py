@@ -155,15 +155,19 @@ class ScoringService:
                 "await service.start()")
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         request = _Request(address, future)
-        await self._queue.put(request)
+        queue = self._queue
         if timeout is None:
+            await queue.put(request)
             return await future
-        try:
-            return await asyncio.wait_for(future, timeout)
-        finally:
-            # wait_for cancelled the future on timeout; nothing to clean up —
-            # the batcher skips requests whose futures are already done.
-            pass
+
+        async def enqueue_and_wait() -> dict[str, float]:
+            await queue.put(request)
+            return await future
+
+        # One deadline covers the wait for a queue slot and for the result.
+        # On timeout wait_for cancels the put (nothing was queued) or the
+        # future (the batcher skips requests whose futures are done).
+        return await asyncio.wait_for(enqueue_and_wait(), timeout)
 
     async def score_many(self, addresses: Sequence[str],
                          timeout: float | None = None) -> list[dict[str, float]]:

@@ -34,7 +34,9 @@ class AccountSubgraph:
         The account category string, or ``None`` for negative samples drawn from
         the unlabeled population.
     graph:
-        The sampled ego subgraph.
+        The sampled ego subgraph: Eq. 2's top-K ego graph, cut to the centre
+        plus its highest-degree nodes when larger than
+        ``DatasetConfig.max_nodes_per_subgraph``.
     node_features:
         ``(n, 15)`` deep feature matrix, row order matching ``graph.nodes``.
     center_index:
@@ -153,7 +155,12 @@ class AccountSubgraph:
 
 @dataclass
 class DatasetConfig:
-    """Sampling parameters (Section V-A4: 2 hops, top-K = 2000 by default)."""
+    """Sampling parameters (Section V-A4: 2 hops, top-K = 2000 by default).
+
+    ``max_nodes_per_subgraph`` caps each sample: a larger ego set keeps its
+    centre plus the highest-degree nodes (see
+    :func:`~repro.graph.sampling.ego_subgraph`).
+    """
 
     hops: int = 2
     top_k: int = 2000
@@ -415,14 +422,19 @@ class SubgraphDatasetBuilder:
         return tasks
 
     def build_sample(self, address: str, category: str | None = None) -> AccountSubgraph:
-        """Sample one account-centred subgraph (2-hop top-K ego + deep features)."""
+        """Sample one account-centred subgraph (2-hop top-K ego + deep features).
+
+        One :func:`~repro.graph.sampling.ego_subgraph` call expands, induces
+        and truncates to ``max_nodes_per_subgraph`` (the centre plus the
+        highest-degree nodes of the ego subgraph), building only the graph
+        the sample keeps.
+        """
         cfg = self.config
         graph = self.graph
         if address not in graph:
             raise KeyError(f"address {address!r} is not in the transaction graph")
-        sub = ego_subgraph(graph, address, hops=cfg.hops, k=cfg.top_k)
-        if sub.num_nodes > cfg.max_nodes_per_subgraph:
-            sub = self._truncate(sub, address, cfg.max_nodes_per_subgraph)
+        sub = ego_subgraph(graph, address, hops=cfg.hops, k=cfg.top_k,
+                           max_nodes=cfg.max_nodes_per_subgraph)
         # One batched extraction per subgraph instead of a per-node loop: the
         # extractor serves all rows from its single-pass feature table.
         features = self._extractor.extract_many(sub.nodes)
@@ -433,14 +445,6 @@ class SubgraphDatasetBuilder:
             node_features=features,
             center_index=sub.node_index(address),
         )
-
-    def _truncate(self, sub: TxGraph, center: str, max_nodes: int) -> TxGraph:
-        """Keep the centre plus the highest-degree nodes when a subgraph is too large."""
-        degrees = sub.degree_vector()
-        ranked = sorted((node for node in sub.nodes if node != center),
-                        key=lambda n: -degrees[sub.node_index(n)])
-        keep = [center] + ranked[:max_nodes - 1]
-        return sub.subgraph(keep)
 
 
 # Process-pool plumbing for :meth:`SubgraphDatasetBuilder.build`: each worker

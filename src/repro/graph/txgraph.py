@@ -688,6 +688,27 @@ class TxGraph:
         slots = getattr(self, slots_name)
         return slots[indptr[idx]:indptr[idx + 1]]
 
+    def gather_slots(self, ids: np.ndarray, incoming: bool = False,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Edge-column slots of many nodes' out-edges (or in-edges) at once.
+
+        ``ids`` are node indices.  Returns ``(slots, lengths)``: the rows of
+        ``ids`` concatenated in the order given, each in insertion order, and
+        each row's length — :meth:`out_slots` / :meth:`in_slots` per node,
+        vectorised into one gather over the CSR row index.
+        """
+        self._ensure_adjacency()
+        if incoming:
+            indptr, row_slots = self._in_indptr, self._in_slots
+        else:
+            indptr, row_slots = self._out_indptr, self._out_slots
+        starts = indptr[ids]
+        lengths = indptr[ids + 1] - starts
+        # Output position p of row j sits at starts[j] + (p - row j's offset).
+        shift = starts - np.cumsum(lengths) + lengths
+        positions = np.repeat(shift, lengths) + np.arange(int(lengths.sum()))
+        return row_slots[positions], lengths
+
     def out_slots(self, node: Hashable) -> np.ndarray:
         """Edge-column slots of ``node``'s out-edges, in insertion order."""
         return self._row_slots(node, "_out_indptr", "_out_slots")
@@ -854,36 +875,47 @@ class TxGraph:
         edges yields an edgeless subgraph — never a KeyError.
         """
         node_index = self._nodes
-        keep_ids = sorted({node_index[node] for node in nodes if node in node_index})
-        sub = TxGraph()
-        order = self._node_order
-        for new_id, old_id in enumerate(keep_ids):
-            node = order[old_id]
-            sub._nodes[node] = new_id
-            sub._node_order.append(node)
-            sub._node_attrs[node] = dict(self._node_attrs[node])
+        keep_ids = np.array(
+            sorted({node_index[node] for node in nodes if node in node_index}),
+            dtype=np.int64)
         m = self._m
-        if m and keep_ids:
-            n = len(order)
+        slots = np.empty(0, dtype=np.int64)
+        if m and len(keep_ids):
+            n = len(self._node_order)
             in_keep = np.zeros(n, dtype=bool)
             in_keep[keep_ids] = True
             if (self._adj_version == self._structure_version
                     and len(keep_ids) * 4 < n):
                 # Gather candidate slots from the CSR row index: O(sum deg),
                 # then restore global insertion order with a sort on slots.
-                indptr = self._out_indptr
-                out_slots = self._out_slots
-                parts = [out_slots[indptr[i]:indptr[i + 1]] for i in keep_ids]
-                cand = np.concatenate(parts)
+                cand, _lengths = self.gather_slots(keep_ids)
                 slots = np.sort(cand[in_keep[self._dst[cand]]])
             else:
                 # Dense selection: one vectorised pass over the edge columns.
                 slots = np.flatnonzero(in_keep[self._src[:m]]
                                        & in_keep[self._dst[:m]])
-            remap = np.zeros(n, dtype=np.int64)
-            remap[keep_ids] = np.arange(len(keep_ids))
-            sub._src = remap[self._src[slots]]
-            sub._dst = remap[self._dst[slots]]
+        return self.subgraph_by_index(keep_ids, slots)
+
+    def subgraph_by_index(self, ids: np.ndarray, slots: np.ndarray) -> "TxGraph":
+        """The subgraph on node indices ``ids`` holding edge slots ``slots``.
+
+        The id-level constructor behind :meth:`subgraph` and ego sampling:
+        ``ids`` must be ascending and unique, and ``slots`` ascending, with
+        both endpoints of every slot in ``ids`` (for an induced subgraph, all
+        such slots).  Node attributes are copied; nodes and edges keep the
+        parent's order.
+        """
+        sub = TxGraph()
+        order = self._node_order
+        for new_id, old_id in enumerate(ids.tolist()):
+            node = order[old_id]
+            sub._nodes[node] = new_id
+            sub._node_order.append(node)
+            sub._node_attrs[node] = dict(self._node_attrs[node])
+        if len(slots):
+            # ids is sorted, so a node's position in it is its new index.
+            sub._src = np.searchsorted(ids, self._src[slots])
+            sub._dst = np.searchsorted(ids, self._dst[slots])
             sub._amount = self._amount[slots]
             sub._count = self._count[slots]
             sub._ts = self._ts[slots]

@@ -15,16 +15,20 @@ Three layers under test:
 from __future__ import annotations
 
 import asyncio
+import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
+import repro.api.scorer as scorer_module
 from repro.api import (
     DeAnonymizer,
     ParallelScorer,
     ScoringService,
     UnknownAddressError,
+    WorkerCrashedError,
 )
 from repro.core import CalibrationConfig, DBG4ETHConfig, GSGConfig, LDGConfig
 from repro.data import DatasetConfig, SubgraphDatasetBuilder
@@ -285,6 +289,29 @@ def test_parallel_scorer_process_unknown_semantics(facade, served_addresses):
     assert list(partial) == served_addresses[:4]
 
 
+def _crash_worker(addresses):
+    """Stands in for the worker's chunk function: the process dies mid-batch."""
+    os._exit(1)
+
+
+def test_parallel_scorer_process_worker_crash_raises_typed_error(
+        facade, served_addresses, monkeypatch):
+    """A dead worker raises WorkerCrashedError (chained from the broken pool),
+    and the next call runs on a fresh pool, bit-identical to score()."""
+    expected = facade.score(served_addresses)
+    with ParallelScorer(facade, max_workers=2, mode="process") as scorer:
+        monkeypatch.setattr(scorer_module, "_score_chunk_in_worker", _crash_worker)
+        with pytest.raises(WorkerCrashedError) as excinfo:
+            scorer.score(served_addresses)
+        assert type(excinfo.value.__cause__).__name__ == "BrokenProcessPool"
+        assert scorer._executor is None
+        monkeypatch.undo()
+        got = scorer.score(served_addresses)
+    assert list(got) == list(expected)
+    for address in expected:
+        assert got[address] == expected[address]
+
+
 # --------------------------------------------------------------------------
 # ScoringService (asyncio micro-batcher)
 # --------------------------------------------------------------------------
@@ -358,6 +385,42 @@ def test_scoring_service_timeout(facade, served_addresses):
                 release.set()
 
     asyncio.run(main())
+
+
+def test_scoring_service_timeout_covers_a_full_queue(facade, served_addresses):
+    """At max_queue behind a stalled backend, the timeout also bounds the wait
+    for a queue slot: the caller gets TimeoutError, not the backend's delay."""
+    release = threading.Event()
+    dispatched = threading.Event()
+
+    class StalledScorer:
+        deanonymizer = facade
+
+        def score(self, addresses, skip_unknown=False):
+            dispatched.set()
+            release.wait(5.0)
+            return facade.score(addresses, skip_unknown=skip_unknown)
+
+    async def main():
+        async with ScoringService(StalledScorer(), batch_window=0.0, max_batch=1,
+                                  max_queue=1) as svc:
+            try:
+                in_flight = asyncio.ensure_future(svc.score(served_addresses[0]))
+                while not dispatched.is_set():
+                    await asyncio.sleep(0.001)
+                queued = asyncio.ensure_future(svc.score(served_addresses[1]))
+                await asyncio.sleep(0.01)
+                assert svc._queue.full()
+                start = time.perf_counter()
+                with pytest.raises(asyncio.TimeoutError):
+                    await svc.score(served_addresses[2], timeout=0.05)
+                waited = time.perf_counter() - start
+            finally:
+                release.set()
+            await asyncio.gather(in_flight, queued)
+        return waited
+
+    assert asyncio.run(main()) < 0.5
 
 
 def test_scoring_service_requires_start(facade, served_addresses):

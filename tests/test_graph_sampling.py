@@ -92,6 +92,21 @@ class TestEgoSubgraph:
         with pytest.raises(KeyError):
             ego_subgraph(ranked_graph, "nope", hops=1, k=1)
 
+    def test_negative_k_and_empty_cap_raise(self, ranked_graph):
+        with pytest.raises(ValueError, match="k must be"):
+            ego_subgraph(ranked_graph, "c", hops=1, k=-1)
+        with pytest.raises(ValueError, match="k must be"):
+            top_k_neighbors(ranked_graph, "c", k=-1)
+        with pytest.raises(ValueError, match="max_nodes"):
+            ego_subgraph(ranked_graph, "c", hops=1, k=1, max_nodes=0)
+
+    def test_max_nodes_keeps_centre_and_highest_degree_nodes(self, ranked_graph):
+        # Ego degrees: c 3, mid 2, high 1, low 1, far 1; of the three tied
+        # at 1, high comes first in insertion order.
+        sub = ego_subgraph(ranked_graph, "c", hops=2, k=10, max_nodes=3)
+        assert sub.nodes == ["c", "high", "mid"]
+        assert [(e.src, e.dst) for e in sub.edges] == [("c", "high"), ("c", "mid")]
+
     def test_subgraph_of_ledger_graph_contains_center(self, small_ledger):
         from repro.data import build_transaction_graph
 
