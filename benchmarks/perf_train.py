@@ -9,15 +9,14 @@ Measures, on a synthetic ledger's ``exchange`` one-vs-rest task:
   headline baseline) and the **same-schedule looped kernel**
   (``_batched_kernel = False``: identical RNG draws, identical optimizer
   steps, forwards run one sample at a time — the ≤1e-9 parity reference);
-* ``gsg_predict`` / ``ldg_predict`` — chunked batched scoring vs sequential
-  scoring on the trained branch;
 * ``dataset_build`` — sequential vs thread-pool vs process-pool dataset
   construction (bit-identity asserted before timing; thread numbers are
   honest GIL-bound ~1x on single-core boxes, the process pool is the
   scaling path).
 
-Final weights and scores of the batched and looped paths are asserted to
-agree to 1e-9 before any timing is recorded.  Results, including speedups,
+Final weights of the batched and looped fits are asserted to agree to 1e-9
+before any timing is recorded.  Scoring has one path whatever the
+``batch_size``, so it is not timed here.  Results, including speedups,
 are written to ``BENCH_train.json``.
 
 Run::
@@ -113,16 +112,8 @@ def bench_branch(name: str, branch_cls, config_factory, samples, labels,
     weight_diff = _max_weight_diff(batched, looped)
     assert weight_diff < PARITY_ATOL, \
         f"{name} fit parity violated: max weight diff {weight_diff:.3e}"
-    scores_batched = batched.predict_scores(samples)
-    batched._batched_kernel = False
-    scores_looped = batched.predict_scores(samples)
-    batched._batched_kernel = True
-    score_diff = float(np.abs(scores_batched - scores_looped).max())
-    assert score_diff < PARITY_ATOL, \
-        f"{name} predict parity violated: max score diff {score_diff:.3e}"
-    # Identical scores ⇒ identical train accuracy; record it to make the
-    # "same final accuracy" claim explicit in the artifact.
-    accuracy = float(((scores_batched > 0).astype(float)
+    # The batched fit's train accuracy, recorded in the artifact.
+    accuracy = float(((batched.predict_scores(samples) > 0).astype(float)
                       == np.asarray(labels, dtype=float)).mean())
 
     # --- timing -------------------------------------------------------------
@@ -130,20 +121,10 @@ def bench_branch(name: str, branch_cls, config_factory, samples, labels,
     fits = _timed({"batched": lambda: fit(True), "looped": lambda: fit(False),
                    "legacy": lambda: fit(False, batch_size=1)}, reps)
     t_batched, t_looped, t_legacy = fits["batched"], fits["looped"], fits["legacy"]
-
-    def predict(batched_kernel: bool):
-        batched._batched_kernel = batched_kernel
-        return batched.predict_scores(samples)
-
-    predicts = _timed({"batched": lambda: predict(True),
-                       "looped": lambda: predict(False)}, reps)
-    tp_batched, tp_looped = predicts["batched"], predicts["looped"]
-    batched._batched_kernel = True
     return {
         "num_samples": len(samples),
         "epochs": epochs,
         "max_weight_diff": weight_diff,
-        "max_score_diff": score_diff,
         "train_accuracy": accuracy,
         "fit": {"batched_seconds": t_batched,
                 "legacy_per_sample_seconds": t_legacy,
@@ -153,8 +134,6 @@ def bench_branch(name: str, branch_cls, config_factory, samples, labels,
                 "looped_steps_per_second": steps / t_looped,
                 "speedup": t_legacy / t_batched,
                 "speedup_vs_looped": t_looped / t_batched},
-        "predict": {"batched_seconds": tp_batched, "looped_seconds": tp_looped,
-                    "speedup": tp_looped / tp_batched},
     }
 
 
@@ -212,7 +191,6 @@ def run(scale: float = 1.2, batch_size: int = 32, epochs: int = 20,
               f"loop ({record['fit']['speedup_vs_looped']:4.2f}x vs looped "
               f"schedule, {record['fit']['batched_steps_per_second']:7.1f} vs "
               f"{record['fit']['legacy_steps_per_second']:7.1f} steps/s) | "
-              f"predict {record['predict']['speedup']:5.2f}x | "
               f"weight diff {record['max_weight_diff']:.2e}")
 
     branches = results["branches"].values()

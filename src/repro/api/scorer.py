@@ -21,12 +21,10 @@ through every fitted head.  Two execution modes:
   :func:`~repro.api.persistence.loads_state`) plus a pickled ledger, then
   scores its chunk end-to-end and ships plain float dicts back.  This
   sidesteps the GIL entirely at the cost of per-worker memory and a one-time
-  rehydration.  For heads trained with the default ``batch_size=1`` it is
-  bit-identical to sequential scoring, because every stage of their predict
-  path (sampling, featurization, branch encodings, calibration,
-  classification) is computed independently per sample.  Heads trained with
-  ``batch_size > 1`` predict on block-diagonal chunks of samples, so their
-  scores may differ from sequential ones in the last bits.
+  rehydration.  It is bit-identical to sequential scoring whatever
+  ``batch_size`` the heads were trained with, because every stage of the
+  predict path (sampling, featurization, branch encodings, calibration,
+  classification) gives each sample the bits it gets when scored alone.
 
 Both modes preserve the facade's batch semantics: unknown addresses are
 aggregated across the whole request into one

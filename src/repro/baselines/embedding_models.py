@@ -21,17 +21,15 @@ class _WalkBaseline(BaselineClassifier):
     """Shared fit/predict machinery for walk-embedding baselines."""
 
     def __init__(self, dim: int = 16, walk_length: int = 10, walks_per_node: int = 2,
-                 window: int = 3, epochs: int = 1, seed: int = 0,
-                 tree_method: str = "hist"):
+                 window: int = 3, epochs: int = 1, seed: int = 0):
         self.dim = dim
         self.walk_length = walk_length
         self.walks_per_node = walks_per_node
         self.window = window
         self.epochs = epochs
         self.seed = seed
-        self.tree_method = tree_method
         self._downstream = GradientBoostingClassifier(n_estimators=40, max_depth=3,
-                                                      seed=seed, tree_method=tree_method)
+                                                      seed=seed)
 
     def _make_embedder(self):
         raise NotImplementedError

@@ -1,8 +1,7 @@
 """The six seed behaviour families, vectorised.
 
 Each scenario reproduces the qualitative pattern of the historical per-tuple
-behaviour of the same category (see the module docstring of
-``repro.chain.behaviors``) with batched RNG draws across *all* centres at
+behaviour of the same category with batched RNG draws across *all* centres at
 once: one ``synthesize`` call emits the full column block for a category
 regardless of how many labelled accounts it has.  The RNG layout therefore
 differs from the per-tuple implementation — an intentional data regeneration

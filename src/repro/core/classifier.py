@@ -15,8 +15,8 @@ from repro.ensemble import (
 __all__ = ["AccountClassificationModule", "CLASSIFIER_FACTORIES"]
 
 #: Factories for the five final classifiers compared in Figure 7.  Extra
-#: keyword arguments (``tree_method``, ``backend``, ...) are forwarded to the
-#: underlying head, so callers can pin e.g. the exact-splitter reference.
+#: keyword arguments (``n_estimators``, ``max_depth``, ...) are forwarded to
+#: the underlying head.
 CLASSIFIER_FACTORIES = {
     "lightgbm": lambda seed, **kw: LightGBMClassifier(seed=seed, **kw),
     "xgboost": lambda seed, **kw: XGBoostClassifier(seed=seed, **kw),
@@ -52,10 +52,19 @@ class AccountClassificationModule:
         return np.asarray(self._model.predict(calibrated)).astype(int)
 
     def predict_proba(self, calibrated: np.ndarray) -> np.ndarray:
-        """Probability of the positive class for each sample."""
+        """Probability of the positive class for each sample.
+
+        The boosted heads always emit ``[P(0), P(1)]``; the forest and the MLP
+        emit one column per class seen in training, so a head that never saw
+        class 1 scores 0.0.
+        """
         calibrated = np.atleast_2d(np.asarray(calibrated, dtype=float))
         probs = self._model.predict_proba(calibrated)
-        return probs[:, 1] if probs.ndim == 2 else probs
+        classes = getattr(self._model, "classes_", None)
+        if classes is None:
+            return probs[:, 1]
+        positive = np.flatnonzero(classes == 1)
+        return probs[:, positive[0]] if len(positive) else np.zeros(len(calibrated))
 
     # ------------------------------------------------------------- persistence
     def get_state(self) -> dict:

@@ -7,11 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.augmentation import AugmentationConfig, adaptive_augmentation
-from repro.core.inference import StackedGSG, stacks_samples
+from repro.core.inference import StackedGSG
 from repro.data.dataset import AccountSubgraph
 from repro.gnn.hierarchical import HierarchicalAttentionEncoder
 from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
-from repro.nn import Adam, Linear, Module, Tensor, concat, no_grad, nt_xent_loss
+from repro.nn import Adam, Linear, Module, Tensor, concat, nt_xent_loss
 from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.functional import leaky_relu
 
@@ -30,6 +30,8 @@ class GSGConfig:
     legacy one-subgraph-per-optimizer-step loop bit-for-bit; larger values
     train on minibatches forwarded as a single block-diagonal sparse pass
     (one optimizer step per minibatch, loss averaged over its samples).
+    Scoring does not depend on it: every fitted branch scores each sample
+    with the bits of its own per-sample forward.
     """
 
     hidden_dim: int = 32
@@ -96,8 +98,8 @@ class GSGBranch:
         self.config = config or GSGConfig()
         self._network: _GSGNetwork | None = None
         self._feature_stats: tuple[np.ndarray, np.ndarray] | None = None
-        # Parity escape hatch: with batch_size > 1 and this flag off, fit and
-        # predict follow the same minibatch schedule but forward each sample
+        # Parity escape hatch: with batch_size > 1 and this flag off, fit
+        # follows the same minibatch schedule but forwards each sample
         # separately — the looped reference the stacked kernel is pinned
         # against (and timed against in benchmarks/perf_train.py).
         self._batched_kernel = True
@@ -244,23 +246,11 @@ class GSGBranch:
 
         Samples go through the stacked inference path as its one-head case,
         one forward per chunk of samples with equal node counts, and every
-        score is bit-identical to the per-sample training forward.  With
-        ``batch_size > 1`` they are scored by the block-diagonal training
-        forward, ``batch_size`` at a time.
+        score is bit-identical to the per-sample training forward.
         """
         if self._network is None:
             raise RuntimeError("GSGBranch has not been fitted")
-        if not (stacks_samples(self) and len(samples) > 1):
-            return StackedGSG([self]).scores(samples)[0]
-        batch_size = self.config.batch_size
-        scores = np.empty(len(samples), dtype=np.float64)
-        with no_grad():
-            for start in range(0, len(samples), batch_size):
-                chunk = samples[start:start + batch_size]
-                features, edge_features, adjacency = self._prepare_batch(chunk)
-                logits = self._network.forward_batched(features, edge_features, adjacency)
-                scores[start:start + len(chunk)] = logits.data.ravel()
-        return scores
+        return StackedGSG([self]).scores(samples)[0]
 
     def predict_proba(self, samples: list[AccountSubgraph]) -> np.ndarray:
         """Sigmoid of the raw scores (used when the branch runs standalone)."""

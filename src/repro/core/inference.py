@@ -9,7 +9,8 @@ scores in plain numpy, without the autograd bookkeeping of
 :class:`~repro.nn.Tensor`.  A single branch is the ``H = 1`` case
 (:meth:`GSGBranch.predict_scores <repro.core.gsg.GSGBranch.predict_scores>`,
 :meth:`LDGBranch.predict_scores <repro.core.ldg.LDGBranch.predict_scores>`),
-a single sample the ``B = 1`` case.
+a single sample the ``B = 1`` case.  Every fitted branch scores here,
+whatever ``batch_size`` it was trained with.
 
 Every score is bit-identical to the head's own per-sample training forward
 (``_network.forward``), whatever else the batch holds, because each stacked
@@ -51,7 +52,7 @@ from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
 from repro.nn.functional import (elu_array, leaky_relu_array, relu_array, sigmoid_array,
                                  softmax_array)
 
-__all__ = ["StackedGSG", "StackedLDG", "StackedHeads", "stacks_samples"]
+__all__ = ["StackedGSG", "StackedLDG", "StackedHeads"]
 
 #: Most samples in one stacked forward.  On perfbench serve's held-out
 #: batches of 64 addresses, scored cold by 3 heads on a 2-vCPU x86-64 host
@@ -299,15 +300,6 @@ class StackedLDG(_Stacked):
         return self.head(relu_array(representation)).reshape(self.size, len(chunk))  # Eq. 23
 
 
-def stacks_samples(branch) -> bool:
-    """Whether ``branch`` predicts on block-diagonal stacks of samples.
-
-    A branch trained with ``batch_size > 1`` does, and its scores then depend
-    on how samples are chunked, so it keeps its own predict path.
-    """
-    return branch.config.batch_size > 1 and branch._batched_kernel
-
-
 def _architecture(kind: str, branch) -> tuple:
     """Branches with equal keys stack: the parameter shapes fix every layer size."""
     return (kind,) + tuple(p.data.shape for p in branch._network.parameters())
@@ -333,8 +325,7 @@ class StackedHeads:
     with another ``hidden_dim`` forms groups of its own.  Each group runs one
     forward per :func:`chunk <_chunks>` of equal-size samples for all its
     heads; feature scaling happens inside the group, calibration and the
-    classifier stay per head.  Branches that :func:`stack samples
-    <stacks_samples>` predict on their own.
+    classifier stay per head.
 
     The stacked arrays are copies: :meth:`serves` tells whether they still
     belong to a given head set.
@@ -344,14 +335,9 @@ class StackedHeads:
         self.heads = dict(heads)
         self._sources = _sources(self.heads)
         grouped: dict[tuple, list[tuple[str, str, object]]] = {}
-        self._solo: list[tuple[str, str, object]] = []
         for name, head in self.heads.items():
             for kind, branch in (("gsg", head.gsg_branch), ("ldg", head.ldg_branch)):
-                if branch is None:
-                    continue
-                if stacks_samples(branch):
-                    self._solo.append((name, kind, branch))
-                else:
+                if branch is not None:
                     grouped.setdefault(_architecture(kind, branch), []).append(
                         (name, kind, branch))
         stacked = {"gsg": StackedGSG, "ldg": StackedLDG}
@@ -375,8 +361,6 @@ class StackedHeads:
         for members, stack in self._groups:
             for (name, kind), scores in zip(members, stack.scores(samples)):
                 raw[name][kind] = scores
-        for name, kind, branch in self._solo:
-            raw[name][kind] = branch.predict_scores(samples)
         return {name: (scores.get("gsg"), scores.get("ldg")) for name, scores in raw.items()}
 
     def predict_proba(self, samples: Sequence) -> dict[str, np.ndarray]:

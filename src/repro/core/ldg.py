@@ -6,14 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.inference import StackedLDG, stacks_samples
+from repro.core.inference import StackedLDG
 from repro.data.dataset import AccountSubgraph
 from repro.gnn.layers import GCNLayer
 from repro.gnn.pooling import DiffPool
 from repro.gnn.recurrent import GRUCell
 from repro.gnn.sparse_ops import segment_mean_batch
 from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
-from repro.nn import Adam, Linear, Module, Parameter, Tensor, concat, no_grad
+from repro.nn import Adam, Linear, Module, Parameter, Tensor, concat
 from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.functional import relu, softmax
 
@@ -32,6 +32,8 @@ class LDGConfig:
     legacy one-subgraph-per-optimizer-step loop bit-for-bit; larger values
     train on minibatches whose time slices are stacked block-diagonally per
     slice index and forwarded as ``num_slices`` batched sparse passes.
+    Scoring does not depend on it: every fitted branch scores each sample
+    with the bits of its own per-sample forward.
     """
 
     hidden_dim: int = 32
@@ -240,22 +242,11 @@ class LDGBranch:
 
         Scored like :meth:`GSGBranch.predict_scores
         <repro.core.gsg.GSGBranch.predict_scores>`: through the stacked
-        inference path in chunks of samples with equal node counts, or by the
-        block-diagonal training forward with ``batch_size > 1``.
+        inference path in chunks of samples with equal node counts.
         """
         if self._network is None:
             raise RuntimeError("LDGBranch has not been fitted")
-        if not (stacks_samples(self) and len(samples) > 1):
-            return StackedLDG([self]).scores(samples)[0]
-        batch_size = self.config.batch_size
-        scores = np.empty(len(samples), dtype=np.float64)
-        with no_grad():
-            for start in range(0, len(samples), batch_size):
-                chunk = samples[start:start + batch_size]
-                features, slices = self._prepare_batch(chunk)
-                logits = self._network.forward_batched(features, slices)
-                scores[start:start + len(chunk)] = logits.data.ravel()
-        return scores
+        return StackedLDG([self]).scores(samples)[0]
 
     def predict_proba(self, samples: list[AccountSubgraph]) -> np.ndarray:
         scores = self.predict_scores(samples)

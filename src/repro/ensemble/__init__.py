@@ -4,21 +4,16 @@ DBG4ETH feeds the calibrated GSG/LDG probabilities into a LightGBM classifier;
 the Figure 7 study also compares random forest, AdaBoost, XGBoost and an MLP.
 All of them are reimplemented here from scratch on numpy behind a common
 ``fit`` / ``predict`` / ``predict_proba`` interface.  The tree-based heads fit
-and predict on the flat histogram engine (:mod:`repro.ensemble.engine`); the
-recursive exact-splitter trees remain available as the validated reference
-(``tree_method="exact"``).
+and predict on one engine, the flat histogram engine of
+:mod:`repro.ensemble.engine`.
 """
 
 from repro.ensemble.engine import (
+    FlatClassifierTree,
     FlatTree,
     FlatTreeStack,
     GrowthParams,
     HistogramBinner,
-)
-from repro.ensemble.tree import (
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
-    FlatClassifierTree,
 )
 from repro.ensemble.boosting import (
     GradientBoostingClassifier,
@@ -34,8 +29,6 @@ __all__ = [
     "FlatTreeStack",
     "GrowthParams",
     "HistogramBinner",
-    "DecisionTreeClassifier",
-    "DecisionTreeRegressor",
     "FlatClassifierTree",
     "GradientBoostingClassifier",
     "LightGBMClassifier",

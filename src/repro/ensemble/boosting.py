@@ -1,11 +1,10 @@
 """Boosted tree classifiers: gradient boosting, LightGBM-style, XGBoost-style, AdaBoost.
 
-All three additive heads fit on the flat histogram engine
-(:mod:`repro.ensemble.engine`) by default: features are quantile-binned once
-per fit, every node's best split comes from one vectorised bincount pass, and
-prediction descends the stacked flat trees of the whole ensemble at once.
-``tree_method="exact"`` preserves the original recursive exact-splitter
-algorithms bit-for-bit as the reference implementation.
+All four heads fit on the flat histogram engine
+(:mod:`repro.ensemble.engine`): features are quantile-binned once per fit and
+every node's best split comes from one vectorised bincount pass.  The three
+additive heads predict by descending the stacked flat trees of the whole
+ensemble at once.
 
 The heads differ in the boosting mathematics, mirroring their namesakes:
 
@@ -16,21 +15,14 @@ The heads differ in the boosting mathematics, mirroring their namesakes:
 * :class:`LightGBMClassifier` — Newton boosting with *leaf-wise* (best-gain
   first) growth under a ``max_leaves`` budget plus row subsampling — the
   engineering profile the paper cites for robustness to outliers.
-
-When the real ``lightgbm``/``xgboost`` packages are installed the LightGBM /
-XGBoost heads can delegate to them (``backend="auto"``); in their absence the
-heads degrade silently to the built-in engine (see
-:mod:`repro.ensemble.native`).
 """
 
 from __future__ import annotations
 
-import base64
-
 import numpy as np
 
-from repro.ensemble import native
 from repro.ensemble.engine import (
+    FlatClassifierTree,
     FlatTree,
     FlatTreeStack,
     GrowthParams,
@@ -38,7 +30,6 @@ from repro.ensemble.engine import (
     grow_classification_tree,
     grow_regression_tree,
 )
-from repro.ensemble.tree import DecisionTreeClassifier, DecisionTreeRegressor, FlatClassifierTree
 
 __all__ = [
     "GradientBoostingClassifier",
@@ -72,17 +63,13 @@ class _BoostedTreesState:
     """
 
     _input_space = "raw"
-    _native_booster = None
 
     def _transform_inputs(self, X: np.ndarray) -> np.ndarray:
         """Hook for heads whose persisted trees expect preprocessed inputs."""
         return X
 
     def decision_function(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._native_booster is not None:
-            return self._native_raw_scores(X)
-        X = self._transform_inputs(X)
+        X = self._transform_inputs(np.atleast_2d(np.asarray(X, dtype=float)))
         raw = np.full(len(X), self._base_score)
         if self._trees:
             if self._stack is None:
@@ -108,8 +95,6 @@ class _BoostedTreesState:
         so ``set_state`` restores them (older states that lack the key leave
         the host's constructor values untouched).
         """
-        if self._native_booster is not None:
-            return self._native_get_state()
         return {
             "learning_rate": float(self.learning_rate),
             "base_score": float(self._base_score),
@@ -123,9 +108,10 @@ class _BoostedTreesState:
 
     def set_state(self, state: dict):
         if "native_model" in state:
-            self._set_native_state(state)
-            return self
-        self._native_booster = None
+            raise ValueError(
+                f"this {type(self).__name__} state holds a native "
+                f"{state.get('native_backend', 'lightgbm/xgboost')} booster, but "
+                f"only histogram-engine trees can be scored: refit the head")
         self.learning_rate = float(state["learning_rate"])
         self._base_score = float(state["base_score"])
         tree_params = state.get("tree_params")
@@ -138,16 +124,6 @@ class _BoostedTreesState:
         self._stack = None
         return self
 
-    # ------------------------------------------------------- native escape hatch
-    def _native_raw_scores(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-    def _native_get_state(self) -> dict:  # pragma: no cover
-        raise NotImplementedError
-
-    def _set_native_state(self, state: dict) -> None:  # pragma: no cover
-        raise NotImplementedError
-
 
 class GradientBoostingClassifier(_BoostedTreesState):
     """Binary gradient boosting with logistic loss and regression-tree weak learners."""
@@ -155,9 +131,7 @@ class GradientBoostingClassifier(_BoostedTreesState):
     def __init__(self, n_estimators: int = 50, learning_rate: float = 0.1,
                  max_depth: int = 3, subsample: float = 1.0, seed: int = 0,
                  min_samples_leaf: int = 1, max_features: int | None = None,
-                 max_bins: int = 32, tree_method: str = "hist"):
-        if tree_method not in ("hist", "exact"):
-            raise ValueError(f"unsupported tree_method: {tree_method!r}")
+                 max_bins: int = 32):
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -166,7 +140,6 @@ class GradientBoostingClassifier(_BoostedTreesState):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.max_bins = max_bins
-        self.tree_method = tree_method
         self._trees: list[FlatTree] = []
         self._stack: FlatTreeStack | None = None
         self._base_score = 0.0
@@ -193,15 +166,11 @@ class GradientBoostingClassifier(_BoostedTreesState):
         raw = np.full(len(y), self._base_score)
         self._trees = []
         self._stack = None
-        self._native_booster = None
-        if self.tree_method == "hist":
-            self._fit_hist(X, y, raw, rng)
-        else:
-            self._fit_exact(X, y, raw, rng)
+        self._boost(X, y, raw, rng)
         return self
 
-    def _fit_hist(self, X: np.ndarray, y: np.ndarray, raw: np.ndarray,
-                  rng: np.random.Generator) -> None:
+    def _boost(self, X: np.ndarray, y: np.ndarray, raw: np.ndarray,
+               rng: np.random.Generator) -> None:
         binner = HistogramBinner(self.max_bins).fit(X)
         codes = binner.transform(X)
         params = self._growth_params()
@@ -214,20 +183,6 @@ class GradientBoostingClassifier(_BoostedTreesState):
             raw += self.learning_rate * tree.predict_values(X)
             self._trees.append(tree)
 
-    def _fit_exact(self, X: np.ndarray, y: np.ndarray, raw: np.ndarray,
-                   rng: np.random.Generator) -> None:
-        """The original recursive exact-splitter algorithm (reference path)."""
-        for _ in range(self.n_estimators):
-            residual = y - _sigmoid(raw)
-            idx = self._subsample_mask(rng, len(y))
-            tree = DecisionTreeRegressor(max_depth=self.max_depth,
-                                         min_samples_leaf=self.min_samples_leaf,
-                                         max_features=self.max_features,
-                                         rng=np.random.default_rng(rng.integers(1 << 31)))
-            tree.fit(X[idx], residual[idx])
-            raw += self.learning_rate * tree.predict(X)
-            self._trees.append(tree.flat)
-
 
 class LightGBMClassifier(GradientBoostingClassifier):
     """LightGBM-style boosting: histogram bins, Newton steps, leaf-wise growth.
@@ -236,31 +191,23 @@ class LightGBMClassifier(GradientBoostingClassifier):
     features are quantile-binned once (``max_bins``), trees grow *leaf-wise*
     (always splitting the frontier leaf with the best gain, bounded by
     ``max_leaves`` and capped at ``max_depth``), and leaves take second-order
-    Newton values ``-G/(H+λ)``.  Row subsampling mirrors bagging.  With
-    ``tree_method="exact"`` the original PR-3 algorithm runs instead
-    (first-order boosting over the binned feature values with the exact
-    splitter) — also the semantics used to score PR-3-era persisted states,
-    whose trees split on *binned* inputs (``input_space == "binned"``).
-
-    With ``backend="auto"`` and the real ``lightgbm`` package installed, fit
-    and predict delegate to a native booster; otherwise this engine runs.
+    Newton values ``-G/(H+λ)``.  Row subsampling mirrors bagging.  States
+    saved before the histogram engine hold trees that split on *binned*
+    inputs (``input_space == "binned"``); they still load and score, with
+    inputs re-binned through the persisted ``bin_edges``.
     """
 
     def __init__(self, n_estimators: int = 60, learning_rate: float = 0.1,
                  max_depth: int = 4, max_bins: int = 32, subsample: float = 0.9,
                  seed: int = 0, min_samples_leaf: int = 1,
                  max_features: int | None = None, max_leaves: int = 15,
-                 reg_lambda: float = 1e-3, tree_method: str = "hist",
-                 backend: str = "auto"):
+                 reg_lambda: float = 1e-3):
         super().__init__(n_estimators=n_estimators, learning_rate=learning_rate,
                          max_depth=max_depth, subsample=subsample, seed=seed,
                          min_samples_leaf=min_samples_leaf, max_features=max_features,
-                         max_bins=max_bins, tree_method=tree_method)
-        if backend not in ("auto", "native", "python"):
-            raise ValueError(f"unsupported backend: {backend!r}")
+                         max_bins=max_bins)
         self.max_leaves = max_leaves
         self.reg_lambda = reg_lambda
-        self.backend = backend
         self._bin_edges: list[np.ndarray] = []
 
     def _growth_params(self) -> GrowthParams:
@@ -271,18 +218,12 @@ class LightGBMClassifier(GradientBoostingClassifier):
                             leaf_wise=True, max_leaves=self.max_leaves)
 
     def fit(self, X, y) -> "LightGBMClassifier":
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.backend in ("auto", "native") and native.HAS_LIGHTGBM:  # pragma: no cover
-            self._fit_native(X, _validate_binary(y))
-            return self
-        if self.backend == "native":
-            native.require_lightgbm()
         self._input_space = "raw"
         super().fit(X, y)
         return self
 
-    def _fit_hist(self, X: np.ndarray, y: np.ndarray, raw: np.ndarray,
-                  rng: np.random.Generator) -> None:
+    def _boost(self, X: np.ndarray, y: np.ndarray, raw: np.ndarray,
+               rng: np.random.Generator) -> None:
         binner = HistogramBinner(self.max_bins).fit(X)
         self._bin_edges = binner.edges_
         codes = binner.transform(X)
@@ -299,20 +240,8 @@ class LightGBMClassifier(GradientBoostingClassifier):
             raw += self.learning_rate * tree.predict_values(X)
             self._trees.append(tree)
 
-    def _fit_exact(self, X: np.ndarray, y: np.ndarray, raw: np.ndarray,
-                   rng: np.random.Generator) -> None:
-        """PR-3 reference algorithm: exact splits over binned feature values."""
-        binned = self._legacy_bin(X, fit=True)
-        self._input_space = "binned"
-        super()._fit_exact(binned, y, raw, rng)
-
-    def _legacy_bin(self, X: np.ndarray, fit: bool) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if fit:
-            self._bin_edges = []
-            for j in range(X.shape[1]):
-                quantiles = np.quantile(X[:, j], np.linspace(0.0, 1.0, self.max_bins + 1)[1:-1])
-                self._bin_edges.append(np.unique(quantiles))
+    def _legacy_bin(self, X: np.ndarray) -> np.ndarray:
+        """Bin codes (as floats) of ``X`` under the persisted ``bin_edges``."""
         binned = np.empty_like(X)
         for j in range(X.shape[1]):
             binned[:, j] = np.searchsorted(self._bin_edges[j], X[:, j])
@@ -322,48 +251,21 @@ class LightGBMClassifier(GradientBoostingClassifier):
         # PR-3-era states hold trees fitted on binned values; new trees split
         # on raw feature space and need no preprocessing.
         if self._input_space == "binned":
-            return self._legacy_bin(X, fit=False)
+            return self._legacy_bin(X)
         return X
 
     def get_state(self) -> dict:
         state = super().get_state()
-        if "native_model" in state:  # pragma: no cover - needs lightgbm
-            return state
         state["bin_edges"] = [np.asarray(edges, dtype=float) for edges in self._bin_edges]
         state["input_space"] = self._input_space
         return state
 
     def set_state(self, state: dict) -> "LightGBMClassifier":
         super().set_state(state)
-        if "native_model" in state:  # pragma: no cover - needs lightgbm
-            return self
         self._bin_edges = [np.asarray(edges, dtype=float) for edges in state["bin_edges"]]
         # States predating the histogram engine carry binned-space trees.
         self._input_space = state.get("input_space", "binned")
         return self
-
-    # ------------------------------------------------------- native delegation
-    def _fit_native(self, X, y) -> None:  # pragma: no cover - needs lightgbm
-        self._native_booster = native.fit_lightgbm_binary(
-            X, y, n_estimators=self.n_estimators, learning_rate=self.learning_rate,
-            max_depth=self.max_depth, max_leaves=self.max_leaves,
-            max_bins=self.max_bins, subsample=self.subsample,
-            min_samples_leaf=self.min_samples_leaf, reg_lambda=self.reg_lambda,
-            seed=self.seed)
-        self._trees = []
-        self._stack = None
-
-    def _native_raw_scores(self, X) -> np.ndarray:  # pragma: no cover
-        return native.lightgbm_raw_scores(self._native_booster, X)
-
-    def _native_get_state(self) -> dict:  # pragma: no cover
-        return {"native_backend": "lightgbm",
-                "native_model": native.lightgbm_to_string(self._native_booster)}
-
-    def _set_native_state(self, state: dict) -> None:  # pragma: no cover
-        self._native_booster = native.lightgbm_from_string(state["native_model"])
-        self._trees = []
-        self._stack = None
 
 
 class XGBoostClassifier(_BoostedTreesState):
@@ -373,21 +275,12 @@ class XGBoostClassifier(_BoostedTreesState):
     boosting: every split is scored by the second-order gain
     ``GL²/(HL+λ) + GR²/(HR+λ) − G²/(H+λ)`` and leaves take the Newton value
     ``-G/(H+λ)`` using both the gradient and Hessian of the logistic loss.
-    ``tree_method="exact"`` runs the original PR-3 approximation instead (an
-    exact-splitter tree regressed onto the per-row Newton targets).  With
-    ``backend="auto"`` and the real ``xgboost`` package installed, fit and
-    predict delegate to a native booster.
     """
 
     def __init__(self, n_estimators: int = 50, learning_rate: float = 0.1,
                  max_depth: int = 3, reg_lambda: float = 1.0, seed: int = 0,
                  min_samples_leaf: int = 1, max_features: int | None = None,
-                 max_bins: int = 32, tree_method: str = "hist",
-                 backend: str = "auto"):
-        if tree_method not in ("hist", "exact"):
-            raise ValueError(f"unsupported tree_method: {tree_method!r}")
-        if backend not in ("auto", "native", "python"):
-            raise ValueError(f"unsupported backend: {backend!r}")
+                 max_bins: int = 32):
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -396,8 +289,6 @@ class XGBoostClassifier(_BoostedTreesState):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.max_bins = max_bins
-        self.tree_method = tree_method
-        self.backend = backend
         self._trees: list[FlatTree] = []
         self._stack: FlatTreeStack | None = None
         self._base_score = 0.0
@@ -405,26 +296,12 @@ class XGBoostClassifier(_BoostedTreesState):
     def fit(self, X, y) -> "XGBoostClassifier":
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = _validate_binary(y)
-        if self.backend in ("auto", "native") and native.HAS_XGBOOST:  # pragma: no cover
-            self._fit_native(X, y)
-            return self
-        if self.backend == "native":
-            native.require_xgboost()
         positive_rate = np.clip(y.mean(), 1e-6, 1.0 - 1e-6)
         self._base_score = float(np.log(positive_rate / (1.0 - positive_rate)))
         raw = np.full(len(y), self._base_score)
         rng = np.random.default_rng(self.seed)
         self._trees = []
         self._stack = None
-        self._native_booster = None
-        if self.tree_method == "hist":
-            self._fit_hist(X, y, raw, rng)
-        else:
-            self._fit_exact(X, y, raw, rng)
-        return self
-
-    def _fit_hist(self, X: np.ndarray, y: np.ndarray, raw: np.ndarray,
-                  rng: np.random.Generator) -> None:
         binner = HistogramBinner(self.max_bins).fit(X)
         codes = binner.transform(X)
         params = GrowthParams(max_depth=self.max_depth,
@@ -440,66 +317,22 @@ class XGBoostClassifier(_BoostedTreesState):
                                         params, tree_rng, leaf_sign=-1.0)
             raw += self.learning_rate * tree.predict_values(X)
             self._trees.append(tree)
-
-    def _fit_exact(self, X: np.ndarray, y: np.ndarray, raw: np.ndarray,
-                   rng: np.random.Generator) -> None:
-        """The original PR-3 algorithm: exact trees on per-row Newton targets."""
-        for _ in range(self.n_estimators):
-            p = _sigmoid(raw)
-            gradient = p - y
-            hessian = np.maximum(p * (1.0 - p), 1e-6)
-            # Newton step target; the Hessian also regularises the leaf values.
-            target = -gradient / (hessian + self.reg_lambda / max(len(y), 1))
-            tree = DecisionTreeRegressor(max_depth=self.max_depth,
-                                         min_samples_leaf=self.min_samples_leaf,
-                                         max_features=self.max_features,
-                                         rng=np.random.default_rng(rng.integers(1 << 31)))
-            tree.fit(X, target)
-            raw += self.learning_rate * tree.predict(X)
-            self._trees.append(tree.flat)
-
-    # ------------------------------------------------------- native delegation
-    def _fit_native(self, X, y) -> None:  # pragma: no cover - needs xgboost
-        self._native_booster = native.fit_xgboost_binary(
-            X, y, n_estimators=self.n_estimators, learning_rate=self.learning_rate,
-            max_depth=self.max_depth, max_bins=self.max_bins,
-            reg_lambda=self.reg_lambda, min_samples_leaf=self.min_samples_leaf,
-            seed=self.seed)
-        self._trees = []
-        self._stack = None
-
-    def _native_raw_scores(self, X) -> np.ndarray:  # pragma: no cover
-        return native.xgboost_raw_scores(self._native_booster, X)
-
-    def _native_get_state(self) -> dict:  # pragma: no cover
-        payload = native.xgboost_to_bytes(self._native_booster)
-        return {"native_backend": "xgboost",
-                "native_model": base64.b64encode(payload).decode("ascii")}
-
-    def _set_native_state(self, state: dict) -> None:  # pragma: no cover
-        payload = base64.b64decode(state["native_model"].encode("ascii"))
-        self._native_booster = native.xgboost_from_bytes(payload)
-        self._trees = []
-        self._stack = None
+        return self
 
 
 class AdaBoostClassifier:
     """Discrete AdaBoost (SAMME) over shallow decision stumps.
 
-    Stumps are histogram-grown flat trees by default (one shared binning per
-    fit); ``tree_method="exact"`` uses the recursive exact-splitter reference.
-    Either way each stump predicts all rows in one batched descent.
+    Stumps are histogram-grown flat trees (one shared binning per fit), and
+    each stump predicts all rows in one batched descent.
     """
 
     def __init__(self, n_estimators: int = 50, max_depth: int = 1, seed: int = 0,
-                 max_bins: int = 32, tree_method: str = "hist"):
-        if tree_method not in ("hist", "exact"):
-            raise ValueError(f"unsupported tree_method: {tree_method!r}")
+                 max_bins: int = 32):
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.seed = seed
         self.max_bins = max_bins
-        self.tree_method = tree_method
         self._stumps: list[FlatClassifierTree] = []
         self._alphas: list[float] = []
 
@@ -511,26 +344,19 @@ class AdaBoostClassifier:
         n = len(y)
         weights = np.full(n, 1.0 / n)
         self._stumps, self._alphas = [], []
-        if self.tree_method == "hist":
-            binner = HistogramBinner(self.max_bins).fit(X)
-            codes = binner.transform(X)
+        binner = HistogramBinner(self.max_bins).fit(X)
+        codes = binner.transform(X)
         for _ in range(self.n_estimators):
             # Weighted fitting via weighted resampling (keeps the tree code simple).
             idx = rng.choice(n, size=n, replace=True, p=weights)
             stump_rng = np.random.default_rng(rng.integers(1 << 31))
-            if self.tree_method == "hist":
-                sub_y = y[idx]
-                classes = np.unique(sub_y)
-                y_idx = np.searchsorted(classes, sub_y)
-                grown = grow_classification_tree(
-                    codes[idx], binner.edges_, y_idx, len(classes),
-                    GrowthParams(max_depth=self.max_depth), stump_rng)
-                stump = FlatClassifierTree(grown, classes)
-            else:
-                reference = DecisionTreeClassifier(max_depth=self.max_depth,
-                                                   rng=stump_rng)
-                reference.fit(X[idx], y[idx])
-                stump = FlatClassifierTree.from_state(reference.get_state())
+            sub_y = y[idx]
+            classes = np.unique(sub_y)
+            y_idx = np.searchsorted(classes, sub_y)
+            grown = grow_classification_tree(
+                codes[idx], binner.edges_, y_idx, len(classes),
+                GrowthParams(max_depth=self.max_depth), stump_rng)
+            stump = FlatClassifierTree(grown, classes)
             predictions = 2 * stump.predict(X).astype(int) - 1
             error = float(weights[predictions != signed].sum())
             error = np.clip(error, 1e-10, 1.0 - 1e-10)

@@ -1,27 +1,23 @@
 """Flat, array-backed histogram-GBDT engine.
 
-This module is the vectorised core every tree-based head in the ensemble
-builds on.  It replaces the two Python-loop hot spots of the recursive
-``_Node`` trees:
+Every tree-based head in the ensemble fits and predicts on this module:
 
 * **Split finding** — features are pre-binned once into quantile buckets
   (:class:`HistogramBinner`), after which the per-node gradient/hessian (or
   per-class count) sums over *all bins of all candidate features* come from a
   single ``np.bincount`` pass over the node's rows.  Cumulative sums along the
   bin axis then score every candidate threshold at once, so the best split of
-  a node is one vectorised reduction instead of a doubly-nested Python loop
-  over features × thresholds.
+  a node is one vectorised reduction.
 * **Prediction** — fitted trees are stored as parallel preorder arrays
   (``feature`` / ``threshold`` / ``left`` / ``right`` / ``values``,
   :class:`FlatTree`) and predicted by *iterative* descent of all rows at
   once; :class:`FlatTreeStack` concatenates the arrays of a whole ensemble so
   every tree of every row advances one level per numpy step.
 
-The array layout is exactly the preorder ``get_state`` format the persistence
-layer has shipped since PR 3, so a :class:`FlatTree` round-trips PR-3-era
-model directories bit-for-bit, and descent uses the same ``x <= threshold``
-comparisons as the recursive reference — predictions are bit-identical, not
-merely close.
+The array layout is the preorder ``get_state`` format of every saved model
+directory, including those written before this engine existed, so a
+:class:`FlatTree` loads them bit-for-bit; descent routes ``x <= threshold``
+to the left child, the comparison those trees were fitted with.
 
 Split thresholds are mapped back from bin space to raw feature space
 (``threshold = edges[bin]``; ``np.searchsorted(edges, x) <= bin`` iff
@@ -40,6 +36,7 @@ import numpy as np
 __all__ = [
     "HistogramBinner",
     "FlatTree",
+    "FlatClassifierTree",
     "FlatTreeStack",
     "GrowthParams",
     "grow_regression_tree",
@@ -48,8 +45,8 @@ __all__ = [
     "newton_gain",
 ]
 
-#: Gains below this are treated as "no usable split" (mirrors the exact
-#: splitter's ``best_gain + 1e-15`` guard against splitting on noise).
+#: Gains below this are treated as "no usable split" (a guard against
+#: splitting on floating-point noise).
 MIN_GAIN = 1e-12
 
 
@@ -166,6 +163,39 @@ class FlatTree:
         return self.values[self.apply(np.atleast_2d(np.asarray(X, dtype=float)))]
 
 
+class FlatClassifierTree:
+    """A fitted classification tree: a :class:`FlatTree` of class-probability
+    rows plus the class labels its columns stand for.
+
+    The state is the tree's node arrays plus ``classes``.
+    """
+
+    __slots__ = ("_flat", "classes_")
+
+    def __init__(self, flat: FlatTree, classes):
+        self._flat = flat
+        self.classes_ = np.asarray(classes)
+
+    @classmethod
+    def from_state(cls, state: dict) -> "FlatClassifierTree":
+        return cls(FlatTree.from_state(state), state["classes"])
+
+    def get_state(self) -> dict:
+        state = dict(self._flat.get_state())
+        state["classes"] = np.asarray(self.classes_)
+        return state
+
+    @property
+    def flat(self) -> FlatTree:
+        return self._flat
+
+    def predict_proba(self, X) -> np.ndarray:
+        return self._flat.predict_values(X)
+
+    def predict(self, X) -> np.ndarray:
+        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
+
+
 class FlatTreeStack:
     """All trees of an ensemble concatenated into one set of node arrays.
 
@@ -218,7 +248,7 @@ def newton_gain(g_sum: np.ndarray, h_sum: np.ndarray, g_total: float,
     """Second-order split gain: GL²/(HL+λ) + GR²/(HR+λ) − G²/(H+λ).
 
     With unit hessians and λ=0 this reduces to the sum-of-squares reduction,
-    which orders splits identically to the exact splitter's variance gain.
+    which orders splits as the variance-reduction gain does.
     """
     g_right = g_total - g_sum
     h_right = h_total - h_sum
@@ -337,7 +367,7 @@ def _best_gini_split(codes: np.ndarray, rows: np.ndarray, y_idx: np.ndarray,
     flat_best = int(np.argmax(gain))
     feat_pos, bin_idx = divmod(flat_best, max_bins)
     best_gain = float(gain[feat_pos, bin_idx])
-    # Normalise to the exact splitter's weighted-Gini-gain scale (divide by n).
+    # Normalise to the weighted-Gini-gain scale (divide by n).
     if not np.isfinite(best_gain) or best_gain / n <= MIN_GAIN:
         return None
     return int(features[feat_pos]), int(bin_idx), best_gain / n

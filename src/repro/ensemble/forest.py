@@ -1,23 +1,20 @@
 """Random forest classifier (bagged Gini trees with feature subsampling).
 
-Trees are histogram-grown flat trees by default (quantile binning shared by
-the whole forest, one vectorised split search per node);
-``tree_method="exact"`` fits the recursive exact-splitter reference instead.
-Prediction stacks every tree's preorder arrays once
-(:class:`~repro.ensemble.engine.FlatTreeStack`) and descends the whole forest
-per batch; per-tree class probabilities are pre-aligned to the forest's
-global class order, and votes are accumulated tree-by-tree in the same
-left-to-right order as the original per-tree loop so results stay
-bit-identical to it.
+Trees are histogram-grown flat trees (quantile binning shared by the whole
+forest, one vectorised split search per node).  Prediction stacks every
+tree's preorder arrays once (:class:`~repro.ensemble.engine.FlatTreeStack`)
+and descends the whole forest per batch; per-tree class probabilities are
+pre-aligned to the forest's global class order, and votes are accumulated
+tree-by-tree in the same left-to-right order as a per-tree loop so results
+stay bit-identical to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ensemble.engine import FlatTree, FlatTreeStack, GrowthParams, \
-    HistogramBinner, grow_classification_tree
-from repro.ensemble.tree import DecisionTreeClassifier, FlatClassifierTree
+from repro.ensemble.engine import FlatClassifierTree, FlatTree, FlatTreeStack, \
+    GrowthParams, HistogramBinner, grow_classification_tree
 
 __all__ = ["RandomForestClassifier"]
 
@@ -27,16 +24,13 @@ class RandomForestClassifier:
 
     def __init__(self, n_estimators: int = 50, max_depth: int = 6,
                  max_features: str | int | None = "sqrt", min_samples_leaf: int = 1,
-                 seed: int = 0, max_bins: int = 32, tree_method: str = "hist"):
-        if tree_method not in ("hist", "exact"):
-            raise ValueError(f"unsupported tree_method: {tree_method!r}")
+                 seed: int = 0, max_bins: int = 32):
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.max_features = max_features
         self.min_samples_leaf = min_samples_leaf
         self.seed = seed
         self.max_bins = max_bins
-        self.tree_method = tree_method
         self._trees: list[FlatClassifierTree] = []
         self.classes_: np.ndarray | None = None
         self._stack: FlatTreeStack | None = None
@@ -60,32 +54,21 @@ class RandomForestClassifier:
         self._trees = []
         self._invalidate_stack()
         n = len(y)
-        if self.tree_method == "hist":
-            binner = HistogramBinner(self.max_bins).fit(X)
-            codes = binner.transform(X)
-            params = GrowthParams(max_depth=self.max_depth,
-                                  min_samples_leaf=self.min_samples_leaf,
-                                  max_features=max_features)
+        binner = HistogramBinner(self.max_bins).fit(X)
+        codes = binner.transform(X)
+        params = GrowthParams(max_depth=self.max_depth,
+                              min_samples_leaf=self.min_samples_leaf,
+                              max_features=max_features)
         for _ in range(self.n_estimators):
             idx = rng.choice(n, size=n, replace=True)
             tree_rng = np.random.default_rng(rng.integers(1 << 31))
-            if self.tree_method == "hist":
-                sub_y = y[idx]
-                classes = np.unique(sub_y)
-                y_idx = np.searchsorted(classes, sub_y)
-                grown = grow_classification_tree(codes[idx], binner.edges_,
-                                                 y_idx, len(classes),
-                                                 params, tree_rng)
-                self._trees.append(FlatClassifierTree(grown, classes))
-            else:
-                reference = DecisionTreeClassifier(
-                    max_depth=self.max_depth,
-                    min_samples_leaf=self.min_samples_leaf,
-                    max_features=max_features,
-                    rng=tree_rng,
-                )
-                reference.fit(X[idx], y[idx])
-                self._trees.append(FlatClassifierTree.from_state(reference.get_state()))
+            sub_y = y[idx]
+            classes = np.unique(sub_y)
+            y_idx = np.searchsorted(classes, sub_y)
+            grown = grow_classification_tree(codes[idx], binner.edges_,
+                                             y_idx, len(classes),
+                                             params, tree_rng)
+            self._trees.append(FlatClassifierTree(grown, classes))
         return self
 
     def _invalidate_stack(self) -> None:

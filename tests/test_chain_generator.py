@@ -4,20 +4,7 @@ import numpy as np
 import pytest
 
 from repro.chain import AccountCategory, LedgerConfig, LedgerGenerator, generate_ledger
-from repro.chain.behaviors import (
-    BEHAVIORS,
-    airdrop_farming_behavior,
-    behavior_for,
-    bridge_behavior,
-    defi_behavior,
-    exchange_behavior,
-    ico_wallet_behavior,
-    mining_behavior,
-    mixer_behavior,
-    phish_hack_behavior,
-    wash_trading_behavior,
-)
-from repro.chain.scenarios import MIXER_DENOMINATIONS
+from repro.chain.scenarios import MIXER_DENOMINATIONS, registered_scenarios, scenario_for
 
 
 @pytest.fixture()
@@ -27,67 +14,81 @@ def behavior_env(rng):
     return users, contracts, rng, 1_000_000.0, 1_000_000.0
 
 
+def synthesize(category, center, users, contracts, rng, start, span):
+    """One centre's transactions from ``category``'s scenario, as tuples of
+    ``(sender, receiver, value, gas_price, gas_used, timestamp, is_contract_call)``
+    over the address strings."""
+    addresses = [center, *users, *contracts]
+    block = scenario_for(category).synthesize(
+        np.zeros(1, dtype=np.int64),
+        np.arange(1, 1 + len(users), dtype=np.int64),
+        np.arange(1 + len(users), len(addresses), dtype=np.int64),
+        rng, start, span)
+    return [
+        (addresses[s], addresses[r], float(v), float(g), int(gu), float(t), bool(c))
+        for s, r, v, g, gu, t, c in zip(
+            block.sender_id.tolist(), block.receiver_id.tolist(),
+            block.value.tolist(), block.gas_price.tolist(),
+            block.gas_used.tolist(), block.timestamp.tolist(),
+            block.is_contract_call.tolist())
+    ]
+
+
 class TestBehaviors:
     def test_registry_covers_all_categories(self):
-        assert set(BEHAVIORS) == set(AccountCategory)
+        assert set(registered_scenarios()) == set(AccountCategory)
 
-    def test_behavior_for_accepts_strings(self):
-        assert behavior_for("defi") is defi_behavior
+    def test_scenario_for_accepts_strings(self):
+        assert scenario_for("defi") is scenario_for(AccountCategory.DEFI)
 
     def test_exchange_has_bidirectional_flow(self, behavior_env):
-        users, contracts, rng, start, span = behavior_env
-        txs = exchange_behavior("0xex", users, contracts, rng, start, span)
+        txs = synthesize(AccountCategory.EXCHANGE, "0xex", *behavior_env)
         senders = {t[0] for t in txs}
         receivers = {t[1] for t in txs}
         assert "0xex" in senders and "0xex" in receivers
         assert len(senders | receivers) > 20
 
     def test_ico_wallet_inflow_precedes_disbursement(self, behavior_env):
-        users, contracts, rng, start, span = behavior_env
-        txs = ico_wallet_behavior("0xico", users, contracts, rng, start, span)
+        txs = synthesize(AccountCategory.ICO_WALLET, "0xico", *behavior_env)
         inflow_times = [t[5] for t in txs if t[1] == "0xico"]
         outflow_times = [t[5] for t in txs if t[0] == "0xico"]
         assert max(inflow_times) < min(outflow_times)
         assert len(inflow_times) > len(outflow_times)
 
     def test_mining_rewards_are_periodic_and_constant(self, behavior_env):
-        users, contracts, rng, start, span = behavior_env
-        txs = mining_behavior("0xminer", users, contracts, rng, start, span)
+        txs = synthesize(AccountCategory.MINING, "0xminer", *behavior_env)
         rewards = [t[2] for t in txs if t[1] == "0xminer"]
         assert len(rewards) >= 30
         assert np.std(rewards) / np.mean(rewards) < 0.1
 
     def test_phish_sweeps_most_of_the_stolen_funds(self, behavior_env):
-        users, contracts, rng, start, span = behavior_env
-        txs = phish_hack_behavior("0xbad", users, contracts, rng, start, span)
+        txs = synthesize(AccountCategory.PHISH_HACK, "0xbad", *behavior_env)
         stolen = sum(t[2] for t in txs if t[1] == "0xbad")
         swept = sum(t[2] for t in txs if t[0] == "0xbad")
         assert swept == pytest.approx(stolen * 0.98, rel=1e-6)
 
     def test_phish_burst_is_short(self, behavior_env):
-        users, contracts, rng, start, span = behavior_env
-        txs = phish_hack_behavior("0xbad", users, contracts, rng, start, span)
+        span = behavior_env[-1]
+        txs = synthesize(AccountCategory.PHISH_HACK, "0xbad", *behavior_env)
         times = [t[5] for t in txs]
         assert (max(times) - min(times)) < span * 0.2
 
     def test_bridge_pairs_match_amounts(self, behavior_env):
-        users, contracts, rng, start, span = behavior_env
-        txs = bridge_behavior("0xbridge", users, contracts, rng, start, span)
+        txs = synthesize(AccountCategory.BRIDGE, "0xbridge", *behavior_env)
         inflows = sorted(t for t in txs if t[1] == "0xbridge")
         outflows = sorted(t for t in txs if t[0] == "0xbridge")
         assert len(inflows) == len(outflows)
         assert all(t[6] for t in txs)  # every leg is a contract call
 
     def test_defi_is_contract_call_heavy(self, behavior_env):
-        users, contracts, rng, start, span = behavior_env
-        txs = defi_behavior("0xdefi", users, contracts, rng, start, span)
+        contracts = behavior_env[1]
+        txs = synthesize(AccountCategory.DEFI, "0xdefi", *behavior_env)
         assert all(t[6] for t in txs)
         counterparties = {t[0] for t in txs} | {t[1] for t in txs}
         assert counterparties - {"0xdefi"} <= set(contracts)
 
     def test_wash_trading_round_trips_balance(self, behavior_env):
-        users, contracts, rng, start, span = behavior_env
-        txs = wash_trading_behavior("0xwash", users, contracts, rng, start, span)
+        txs = synthesize(AccountCategory.WASH_TRADING, "0xwash", *behavior_env)
         inflow = sum(t[2] for t in txs if t[1] == "0xwash")
         outflow = sum(t[2] for t in txs if t[0] == "0xwash")
         assert abs(inflow - outflow) / max(inflow, outflow) < 0.05
@@ -95,8 +96,8 @@ class TestBehaviors:
         assert len(clique) <= 6
 
     def test_airdrop_claims_are_near_identical_and_bursty(self, behavior_env):
-        users, contracts, rng, start, span = behavior_env
-        txs = airdrop_farming_behavior("0xfarm", users, contracts, rng, start, span)
+        span = behavior_env[-1]
+        txs = synthesize(AccountCategory.AIRDROP_FARMING, "0xfarm", *behavior_env)
         claims = [t for t in txs if t[1] == "0xfarm"]
         values = [t[2] for t in claims]
         assert len(claims) >= 40
@@ -105,8 +106,7 @@ class TestBehaviors:
         assert (max(times) - min(times)) < span * 0.1
 
     def test_mixer_uses_fixed_denominations(self, behavior_env):
-        users, contracts, rng, start, span = behavior_env
-        txs = mixer_behavior("0xmix", users, contracts, rng, start, span)
+        txs = synthesize(AccountCategory.MIXER, "0xmix", *behavior_env)
         assert all(t[6] for t in txs)
         deposits = {t[2] for t in txs if t[1] == "0xmix"}
         assert deposits <= set(MIXER_DENOMINATIONS.tolist())

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import CalibrationConfig, JointCalibrationModule
+from repro.core import DBG4ETH, CalibrationConfig, JointCalibrationModule
 from repro.core.classifier import CLASSIFIER_FACTORIES, AccountClassificationModule
+from repro.experiments.runner import fast_dbg4eth_config
 
 
 def synthetic_branch_scores(n=200, seed=0):
@@ -98,3 +99,22 @@ class TestAccountClassificationModule:
         probs = module.predict_proba(calibrated)
         assert probs.shape == labels.shape
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    @pytest.mark.parametrize("name", sorted(CLASSIFIER_FACTORIES))
+    def test_a_head_trained_on_one_class_scores_that_class(self, name, label):
+        """The forest and the MLP emit one column per class they saw, so
+        P(class 1) is read through ``classes_``: 0.0 if class 1 never appeared."""
+        gsg, ldg, _ = synthetic_branch_scores(n=40, seed=6)
+        calibrated = 1.0 / (1.0 + np.exp(-np.column_stack([gsg, ldg])))
+        module = AccountClassificationModule(name).fit(calibrated, np.full(40, label))
+        probs = module.predict_proba(calibrated)
+        assert probs.shape == (40,)
+        assert np.all(np.abs(probs - label) < 1e-3)
+
+    @pytest.mark.parametrize("name", ["mlp", "random_forest"])
+    def test_dbg4eth_trained_on_one_class_scores_zero(self, name, small_dataset):
+        samples = list(small_dataset)[:12]
+        model = DBG4ETH(fast_dbg4eth_config(epochs=1, classifier=name)).fit(
+            samples, np.zeros(12, dtype=int))
+        assert np.array_equal(model.predict_proba(samples), np.zeros(12))

@@ -1,12 +1,10 @@
-"""Tests for the from-scratch tree, boosting, forest and MLP classifiers."""
+"""Tests for the from-scratch boosting, forest and MLP classifiers."""
 
 import numpy as np
 import pytest
 
 from repro.ensemble import (
     AdaBoostClassifier,
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
     GradientBoostingClassifier,
     LightGBMClassifier,
     MLPClassifier,
@@ -21,7 +19,7 @@ BINARY_MODELS = [
     XGBoostClassifier,
     AdaBoostClassifier,
 ]
-ALL_MODELS = BINARY_MODELS + [RandomForestClassifier, MLPClassifier, DecisionTreeClassifier]
+ALL_MODELS = BINARY_MODELS + [RandomForestClassifier, MLPClassifier]
 
 
 def two_moons_like(n=200, seed=0):
@@ -32,64 +30,6 @@ def two_moons_like(n=200, seed=0):
     idx = rng.integers(0, 4, size=n)
     X = centers[idx] + rng.normal(scale=0.4, size=(n, 2))
     return X, labels[idx]
-
-
-class TestDecisionTreeRegressor:
-    def test_fits_piecewise_constant_function(self):
-        X = np.linspace(0, 1, 100).reshape(-1, 1)
-        y = (X[:, 0] > 0.5).astype(float) * 2.0
-        tree = DecisionTreeRegressor(max_depth=2).fit(X, y)
-        predictions = tree.predict(X)
-        assert np.mean((predictions - y) ** 2) < 0.01
-
-    def test_depth_zero_behaviour_single_leaf(self):
-        X = np.array([[0.0], [1.0]])
-        tree = DecisionTreeRegressor(max_depth=0).fit(X, np.array([1.0, 3.0]))
-        np.testing.assert_allclose(tree.predict(X), [2.0, 2.0])
-
-    def test_depth_property(self):
-        X = np.linspace(0, 1, 50).reshape(-1, 1)
-        y = np.sin(X[:, 0] * 6)
-        tree = DecisionTreeRegressor(max_depth=3).fit(X, y)
-        assert 1 <= tree.depth() <= 3
-
-    def test_constant_target_gives_single_leaf(self):
-        X = np.random.default_rng(0).normal(size=(20, 3))
-        tree = DecisionTreeRegressor(max_depth=5).fit(X, np.ones(20))
-        assert tree.depth() == 0
-
-    def test_non_2d_input_raises(self):
-        with pytest.raises(ValueError):
-            DecisionTreeRegressor().fit(np.ones(5), np.ones(5))
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            DecisionTreeRegressor().fit(np.ones((5, 2)), np.ones(4))
-
-
-class TestDecisionTreeClassifier:
-    def test_separable_data(self):
-        X, y = two_moons_like()
-        tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
-        assert accuracy(y, tree.predict(X)) > 0.9
-
-    def test_predict_proba_rows_sum_to_one(self):
-        X, y = two_moons_like()
-        tree = DecisionTreeClassifier(max_depth=3).fit(X, y)
-        np.testing.assert_allclose(tree.predict_proba(X).sum(axis=1), np.ones(len(X)))
-
-    def test_multiclass(self):
-        rng = np.random.default_rng(0)
-        X = np.vstack([rng.normal(loc=c, scale=0.3, size=(30, 2)) for c in (0, 3, 6)])
-        y = np.repeat([0, 1, 2], 30)
-        tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
-        assert accuracy(y, tree.predict(X)) > 0.9
-
-    def test_string_labels_supported(self):
-        X = np.array([[0.0], [0.1], [1.0], [1.1]])
-        y = np.array(["neg", "neg", "pos", "pos"])
-        tree = DecisionTreeClassifier(max_depth=2).fit(X, y)
-        assert list(tree.predict(X)) == list(y)
 
 
 class TestBoostedModels:
@@ -170,8 +110,7 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             RandomForestClassifier(max_features="bogus").fit(np.ones((4, 2)), np.array([0, 1, 0, 1]))
 
-    @pytest.mark.parametrize("tree_method", ["hist", "exact"])
-    def test_rare_class_missing_from_bootstraps(self, tree_method):
+    def test_rare_class_missing_from_bootstraps(self):
         """Regression: bootstraps that miss a rare class used to crash the stack.
 
         Trees grown on a resample without the minority class have narrower
@@ -182,8 +121,7 @@ class TestRandomForest:
         X = rng.normal(size=(60, 4))
         y = np.zeros(60, dtype=int)
         y[:2] = 1
-        forest = RandomForestClassifier(n_estimators=30, max_depth=4, seed=0,
-                                        tree_method=tree_method).fit(X, y)
+        forest = RandomForestClassifier(n_estimators=30, max_depth=4, seed=0).fit(X, y)
         # The scenario only bites if some (not all) trees missed the rare class.
         widths = {len(tree.classes_) for tree in forest._trees}
         assert widths == {1, 2}
@@ -204,19 +142,15 @@ class TestRandomForest:
                                       forest.predict_proba(X))
 
 
-class TestNativeBackendGuards:
-    """``backend="native"`` must raise, not silently fall back, without the package."""
+class TestNativeStates:
+    """A state saved by a native lightgbm/xgboost booster cannot be scored here."""
 
     @pytest.mark.parametrize("factory", [LightGBMClassifier, XGBoostClassifier],
                              ids=["lightgbm", "xgboost"])
-    def test_native_backend_raises_without_package(self, factory):
-        from repro.ensemble import native
-        name = "lightgbm" if factory is LightGBMClassifier else "xgboost"
-        if getattr(native, f"HAS_{name.upper()}"):
-            pytest.skip(f"{name} is installed; the guard cannot fire")
-        X, y = two_moons_like(40)
-        with pytest.raises(RuntimeError, match=name):
-            factory(n_estimators=2, backend="native").fit(X, y)
+    def test_native_state_raises_value_error(self, factory):
+        state = {"native_backend": "lightgbm", "native_model": "tree\n"}
+        with pytest.raises(ValueError, match="native lightgbm booster"):
+            factory().set_state(state)
 
 
 class TestMLP:
@@ -246,7 +180,6 @@ class TestDeterminism:
     @pytest.mark.parametrize("model_cls", ALL_MODELS)
     def test_same_seed_same_predictions(self, model_cls):
         X, y = two_moons_like(120, seed=6)
-        kwargs = {"seed": 0} if model_cls is not DecisionTreeClassifier else {}
-        a = model_cls(**kwargs).fit(X, y).predict(X)
-        b = model_cls(**kwargs).fit(X, y).predict(X)
+        a = model_cls(seed=0).fit(X, y).predict(X)
+        b = model_cls(seed=0).fit(X, y).predict(X)
         np.testing.assert_array_equal(a, b)

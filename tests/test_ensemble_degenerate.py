@@ -80,9 +80,8 @@ def test_tiny_subsample_mask_falls_back_to_all_rows(factory):
 
 
 @pytest.mark.parametrize("name", sorted(HEADS))
-@pytest.mark.parametrize("tree_method", ["hist", "exact"])
-def test_degenerate_regimes_in_both_engines(name, tree_method):
-    """Single-class + constant-column combined, on both splitters."""
+def test_single_class_on_constant_columns(name):
+    """Single-class labels and constant columns combined."""
     X = np.zeros((6, 2))
     y = np.ones(6)
-    _fit_and_check_majority(HEADS[name](seed=0, tree_method=tree_method), X, y)
+    _fit_and_check_majority(HEADS[name](seed=0), X, y)

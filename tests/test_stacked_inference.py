@@ -8,9 +8,11 @@ training forward: each branch's ``_network`` on one prepared sample, then
 the head's calibration and classifier.  The heads mix the shapes the
 stacking must handle: two heads of one architecture, the
 ``use_gsg=False`` / ``use_ldg=False`` ablations, a wider head that forms its
-own groups, and a head with two attention heads per GAT layer and three
-DiffPool layers (coarse graphs pooled again).  The batches mix node counts,
-repeat samples and fill a node count past one chunk.
+own groups, a head with two attention heads per GAT layer and three
+DiffPool layers (coarse graphs pooled again), and a head trained on
+block-diagonal minibatches (``batch_size=4``), which stacks with the heads of
+its architecture like any other.  The batches mix node counts, repeat
+samples and fill a node count past one chunk.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ HEADS = {
     "defi": micro_config(use_ldg=False),
     "bridge": micro_config(hidden_dim=12),
     "mixer": micro_config(gsg={"num_heads": 2}, ldg={"pooling_layers": 3}),
+    "ico-wallet": micro_config(gsg={"batch_size": 4}, ldg={"batch_size": 4}),
 }
 
 
@@ -189,8 +192,8 @@ def test_heads_group_by_architecture(fitted, small_ledger):
     groups = sorted(sorted(members) for members, _ in stacked._groups)
     assert groups == [
         [("bridge", "gsg")], [("bridge", "ldg")],
-        [("defi", "gsg"), ("exchange", "gsg"), ("phish/hack", "gsg")],
-        [("exchange", "ldg"), ("mining", "ldg"), ("phish/hack", "ldg")],
+        [("defi", "gsg"), ("exchange", "gsg"), ("ico-wallet", "gsg"), ("phish/hack", "gsg")],
+        [("exchange", "ldg"), ("ico-wallet", "ldg"), ("mining", "ldg"), ("phish/hack", "ldg")],
         [("mixer", "gsg")], [("mixer", "ldg")],
     ]
 
@@ -254,21 +257,22 @@ def test_refitting_a_head_after_score_rebuilds_the_stack(fitted, addresses, smal
         before["phish/hack"].tolist()
 
 
-def test_a_head_trained_on_sample_stacks_keeps_its_own_predict(fitted, addresses,
-                                                               small_ledger, small_dataset):
-    facade = serving(fitted, ["exchange"], small_ledger)
-    facade.model_config = micro_config(gsg={"batch_size": 4}, ldg={"batch_size": 4})
-    task, labels = small_dataset.binary_task("ico-wallet", rng=np.random.default_rng(0))
-    facade.fit_category("ico-wallet", task, labels)
-    samples = [facade.sample_for(address) for address in addresses]
-    scores = facade.score_samples(samples)
-    batched = facade.head("ico-wallet")
-    raw = StackedHeads({"ico-wallet": batched}).branch_scores(samples)["ico-wallet"]
-    assert np.array_equal(raw[0], batched.gsg_branch.predict_scores(samples))
-    assert np.array_equal(raw[1], batched.ldg_branch.predict_scores(samples))
-    assert np.array_equal(scores["ico-wallet"], batched.predict_proba(samples))
-    assert np.array_equal(scores["exchange"],
-                          forward_reference(facade.head("exchange"), samples))
+def test_a_batch_trained_head_scores_alike_in_any_chunking(fitted, pool, small_ledger):
+    """A ``batch_size=4`` head's scores do not depend on how a batch is split,
+    as when ``ParallelScorer`` hands each worker a chunk of addresses."""
+    facade = serving(fitted, ["ico-wallet"], small_ledger)
+    head = facade.head("ico-wallet")
+    assert head.gsg_branch.config.batch_size == head.ldg_branch.config.batch_size == 4
+    samples = [facade.sample_for(address) for address in pool]
+    expected = forward_scores(head, samples)
+    for size in (1, 3, 5, _CHUNK, len(samples)):
+        for start in range(0, len(samples), size):
+            chunk = samples[start:start + size]
+            for branch, scores in zip((head.gsg_branch, head.ldg_branch), expected):
+                assert np.array_equal(branch.predict_scores(chunk),
+                                      scores[start:start + size])
+            assert np.array_equal(facade.score_samples(chunk)["ico-wallet"],
+                                  forward_reference(head, chunk))
 
 
 @settings(max_examples=60, deadline=None)
