@@ -1,23 +1,21 @@
-"""Perf harness: block-diagonal batched training vs the per-sample loop.
+"""Perf harness: block-diagonal minibatch training vs one sample per step.
 
 Measures, on a synthetic ledger's ``exchange`` one-vs-rest task:
 
 * ``gsg_fit`` / ``ldg_fit`` — full-``fit`` training-step throughput
-  (samples x epochs / second) with ``batch_size`` block-diagonal minibatches
-  versus two references: the **legacy per-sample loop** (``batch_size=1``,
-  one optimizer step per subgraph — the pre-batching training path and the
-  headline baseline) and the **same-schedule looped kernel**
-  (``_batched_kernel = False``: identical RNG draws, identical optimizer
-  steps, forwards run one sample at a time — the ≤1e-9 parity reference);
+  (samples x epochs / second) with ``batch_size`` samples stacked
+  block-diagonally per optimizer step, against the same ``fit`` at
+  ``batch_size=1`` (one subgraph per step: the default, and the headline
+  baseline).  Both run the branches' one training loop; its parity with the
+  per-sample reference training is pinned by
+  ``tests/test_batched_training.py``;
 * ``dataset_build`` — sequential vs thread-pool vs process-pool dataset
   construction (bit-identity asserted before timing; thread numbers are
   honest GIL-bound ~1x on single-core boxes, the process pool is the
   scaling path).
 
-Final weights of the batched and looped fits are asserted to agree to 1e-9
-before any timing is recorded.  Scoring has one path whatever the
-``batch_size``, so it is not timed here.  Results, including speedups,
-are written to ``BENCH_train.json``.
+Scoring has one path whatever the ``batch_size``, so it is not timed here.
+Results, including speedups, are written to ``BENCH_train.json``.
 
 Run::
 
@@ -40,7 +38,6 @@ from repro.core import GSGBranch, GSGConfig, LDGBranch, LDGConfig
 from repro.data import DatasetConfig, SubgraphDatasetBuilder
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_train.json"
-PARITY_ATOL = 1e-9
 
 
 def _timed(fns: dict, reps: int) -> dict:
@@ -81,59 +78,38 @@ def build_task(scale: float, seed: int):
     return make_builder, samples, labels
 
 
-def _max_weight_diff(a, b) -> float:
-    return max(float(np.abs(pa.data - pb.data).max())
-               for pa, pb in zip(a._network.parameters(),
-                                 b._network.parameters()))
-
-
 def bench_branch(name: str, branch_cls, config_factory, samples, labels,
                  reps: int) -> dict:
-    """Parity-check then time one branch's batched vs reference training.
+    """Time one branch's fit at the configured ``batch_size`` and at 1.
 
-    The headline ``fit.speedup`` compares against the legacy per-sample loop
-    (``batch_size=1`` — one optimizer step per subgraph, the pre-batching
-    path); ``fit.speedup_vs_looped`` compares against the same-minibatch-
-    schedule looped kernel that the ≤1e-9 parity assertion runs against.
+    ``fit.speedup`` divides the ``batch_size=1`` fit's best time (the
+    ``legacy_*`` fields: one subgraph per optimizer step) by the batched
+    fit's.
     """
     epochs = config_factory().epochs
 
-    def fit(batched_kernel: bool, batch_size: int | None = None):
+    def fit(batch_size: int | None = None):
         config = config_factory()
         if batch_size is not None:
             config.batch_size = batch_size
-        branch = branch_cls(config)
-        branch._batched_kernel = batched_kernel
-        branch.fit(samples, labels)
-        return branch
+        return branch_cls(config).fit(samples, labels)
 
-    # --- parity before timing ----------------------------------------------
-    batched, looped = fit(True), fit(False)
-    weight_diff = _max_weight_diff(batched, looped)
-    assert weight_diff < PARITY_ATOL, \
-        f"{name} fit parity violated: max weight diff {weight_diff:.3e}"
     # The batched fit's train accuracy, recorded in the artifact.
-    accuracy = float(((batched.predict_scores(samples) > 0).astype(float)
+    accuracy = float(((fit().predict_scores(samples) > 0).astype(float)
                       == np.asarray(labels, dtype=float)).mean())
 
-    # --- timing -------------------------------------------------------------
     steps = len(samples) * epochs
-    fits = _timed({"batched": lambda: fit(True), "looped": lambda: fit(False),
-                   "legacy": lambda: fit(False, batch_size=1)}, reps)
-    t_batched, t_looped, t_legacy = fits["batched"], fits["looped"], fits["legacy"]
+    fits = _timed({"batched": fit, "legacy": lambda: fit(batch_size=1)}, reps)
+    t_batched, t_legacy = fits["batched"], fits["legacy"]
     return {
         "num_samples": len(samples),
         "epochs": epochs,
-        "max_weight_diff": weight_diff,
         "train_accuracy": accuracy,
         "fit": {"batched_seconds": t_batched,
                 "legacy_per_sample_seconds": t_legacy,
-                "looped_seconds": t_looped,
                 "batched_steps_per_second": steps / t_batched,
                 "legacy_steps_per_second": steps / t_legacy,
-                "looped_steps_per_second": steps / t_looped,
-                "speedup": t_legacy / t_batched,
-                "speedup_vs_looped": t_looped / t_batched},
+                "speedup": t_legacy / t_batched},
     }
 
 
@@ -173,7 +149,7 @@ def run(scale: float = 1.2, batch_size: int = 32, epochs: int = 20,
 
     results = {"config": {"scale": scale, "batch_size": batch_size,
                           "epochs": epochs, "reps": reps, "workers": workers,
-                          "seed": seed, "parity_atol": PARITY_ATOL},
+                          "seed": seed},
                "branches": {}}
     branch_specs = [
         ("gsg", GSGBranch, lambda: GSGConfig(
@@ -187,18 +163,16 @@ def run(scale: float = 1.2, batch_size: int = 32, epochs: int = 20,
         record = bench_branch(name, branch_cls, config_factory, samples,
                               labels, reps)
         results["branches"][name] = record
-        print(f"[{name}] fit {record['fit']['speedup']:5.2f}x vs per-sample "
-              f"loop ({record['fit']['speedup_vs_looped']:4.2f}x vs looped "
-              f"schedule, {record['fit']['batched_steps_per_second']:7.1f} vs "
-              f"{record['fit']['legacy_steps_per_second']:7.1f} steps/s) | "
-              f"weight diff {record['max_weight_diff']:.2e}")
+        print(f"[{name}] fit {record['fit']['speedup']:5.2f}x vs batch_size=1 "
+              f"({record['fit']['batched_steps_per_second']:7.1f} vs "
+              f"{record['fit']['legacy_steps_per_second']:7.1f} steps/s)")
 
     branches = results["branches"].values()
     results["combined_fit_speedup"] = (
         sum(b["fit"]["legacy_per_sample_seconds"] for b in branches)
         / sum(b["fit"]["batched_seconds"] for b in branches))
     print(f"[combined] GSG+LDG training {results['combined_fit_speedup']:.2f}x "
-          f"vs the per-sample loop")
+          f"vs batch_size=1")
 
     results["dataset_build"] = bench_build(make_builder, workers, reps,
                                            include_process=include_process)
@@ -232,7 +206,7 @@ def main() -> None:
                         help="path of the JSON results file")
     parser.add_argument("--min-step-speedup", type=float, default=None,
                         help="fail unless both branches hit this batched-fit "
-                             "speedup over the legacy per-sample loop")
+                             "speedup over batch_size=1")
     args = parser.parse_args()
     results = run(scale=args.scale, batch_size=args.batch_size,
                   epochs=args.epochs, reps=args.reps, workers=args.workers,

@@ -8,11 +8,11 @@ import numpy as np
 
 from repro.core.augmentation import AugmentationConfig, adaptive_augmentation
 from repro.core.inference import StackedGSG
+from repro.core.training import fit_branch
 from repro.data.dataset import AccountSubgraph
 from repro.gnn.hierarchical import HierarchicalAttentionEncoder
-from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
+from repro.graph.sparse import SparseAdjacency
 from repro.nn import Adam, Linear, Module, Tensor, concat, nt_xent_loss
-from repro.nn.losses import binary_cross_entropy_with_logits
 from repro.nn.functional import leaky_relu
 
 __all__ = ["GSGConfig", "GSGBranch"]
@@ -26,12 +26,12 @@ class GSGConfig:
     pooling read-out, and the two augmented views with
     ``(P_e, P_f) = (0.3, 0.1)`` and ``(0.4, 0.0)``.
 
-    ``batch_size`` selects the training granularity: 1 (the default) keeps the
-    legacy one-subgraph-per-optimizer-step loop bit-for-bit; larger values
-    train on minibatches forwarded as a single block-diagonal sparse pass
-    (one optimizer step per minibatch, loss averaged over its samples).
-    Scoring does not depend on it: every fitted branch scores each sample
-    with the bits of its own per-sample forward.
+    ``batch_size`` is the number of subgraphs per optimizer step, forwarded
+    as one block-diagonal stack with the loss averaged over its samples
+    (see :func:`~repro.core.training.fit_branch`); 1, the default, is a
+    batch of one.  It must be at least 1.  Scoring does not depend on it:
+    every fitted branch scores each sample with the bits of its own
+    one-sample forward.
     """
 
     hidden_dim: int = 32
@@ -62,28 +62,21 @@ class _GSGNetwork(Module):
 
     def embed(self, features: np.ndarray, edge_features: np.ndarray,
               adjacency) -> Tensor:
-        """``adjacency`` is a :class:`SparseAdjacency` (dense arrays also work)."""
+        """``(B, hidden)`` embeddings of a stack of ``B`` samples.
+
+        ``features`` / ``edge_features`` hold the samples' rows stacked in
+        block order and ``adjacency`` is their block-diagonal graph.  One
+        sample is a one-block stack: its own :class:`SparseAdjacency` (a
+        dense matrix also works).  The alignment layer and the GAT stack are
+        row- and block-local, and the read-out runs per block.
+        """
         aligned = leaky_relu(self.align(Tensor(np.hstack([features, edge_features]))))
         return self.encoder(aligned, adjacency)
 
     def forward(self, features: np.ndarray, edge_features: np.ndarray,
                 adjacency) -> Tensor:
+        """``(B, 1)`` logits of a stack of ``B`` samples (see :meth:`embed`)."""
         return self.head(self.embed(features, edge_features, adjacency))
-
-    def embed_batched(self, features: np.ndarray, edge_features: np.ndarray,
-                      adjacency: BatchedAdjacency) -> Tensor:
-        """``(B, hidden)`` embeddings of a block-diagonal minibatch.
-
-        ``features`` / ``edge_features`` are the per-sample matrices stacked
-        vertically in batch order; the alignment layer and GAT stack are
-        row-/block-local, so one stacked pass equals the per-sample loop.
-        """
-        aligned = leaky_relu(self.align(Tensor(np.hstack([features, edge_features]))))
-        return self.encoder.forward_batched(aligned, adjacency)
-
-    def forward_batched(self, features: np.ndarray, edge_features: np.ndarray,
-                        adjacency: BatchedAdjacency) -> Tensor:
-        return self.head(self.embed_batched(features, edge_features, adjacency))
 
 
 class GSGBranch:
@@ -98,11 +91,6 @@ class GSGBranch:
         self.config = config or GSGConfig()
         self._network: _GSGNetwork | None = None
         self._feature_stats: tuple[np.ndarray, np.ndarray] | None = None
-        # Parity escape hatch: with batch_size > 1 and this flag off, fit
-        # follows the same minibatch schedule but forwards each sample
-        # separately — the looped reference the stacked kernel is pinned
-        # against (and timed against in benchmarks/perf_train.py).
-        self._batched_kernel = True
 
     # ------------------------------------------------------------------ helpers
     def _prepare(self, sample: AccountSubgraph):
@@ -115,102 +103,40 @@ class GSGBranch:
         adjacency = sample.adjacency_sparse()
         return features, edge_features, adjacency
 
-    def _prepare_batch(self, samples: list[AccountSubgraph]):
-        """Stack a minibatch into one block-diagonal sparse pass.
+    @staticmethod
+    def _stack(prepared: list[tuple], derived: tuple = ("attention_structure",)) -> tuple:
+        """One forward's inputs for a list of :meth:`_prepare` outputs.
 
-        The stacked adjacency's attention structure is seeded from the
-        per-sample memoized structures (block-local derived forms compose),
-        so repeated epochs over the same samples never re-derive it.
+        A single sample is its own arrays and adjacency, memoized forms and
+        all.  Several are stacked block-diagonally, with the ``derived`` forms
+        and transpose plans composed from the samples' memoized ones, so a
+        fit's fixed minibatches never re-derive them.  Freshly augmented
+        views have no memoized forms to reuse: pass ``derived=()``.
         """
-        prepared = [self._prepare(s) for s in samples]
-        features = np.vstack([p[0] for p in prepared])
-        edge_features = np.vstack([p[1] for p in prepared])
-        adjacency = SparseAdjacency.block_diagonal(
-            [p[2] for p in prepared], derived=("attention_structure",),
-            compose_plans=True)
-        return features, edge_features, adjacency
-
-    def _minibatch_logits(self, batch: list[AccountSubgraph]) -> Tensor:
-        """``(len(batch),)`` logits — stacked kernel or looped reference."""
-        if self._batched_kernel:
-            features, edge_features, adjacency = self._prepare_batch(batch)
-            return self._network.forward_batched(
-                features, edge_features, adjacency).reshape(len(batch))
-        return concat([self._network(*self._prepare(s)).reshape(1)
-                       for s in batch], axis=0)
-
-    def _fit_feature_stats(self, samples: list[AccountSubgraph]) -> None:
-        stacked = np.vstack([s.node_features for s in samples])
-        mean = stacked.mean(axis=0)
-        std = stacked.std(axis=0)
-        std[std < 1e-12] = 1.0
-        self._feature_stats = (mean, std)
+        if len(prepared) == 1:
+            return prepared[0]
+        features, edge_features, adjacencies = zip(*prepared)
+        return (np.vstack(features), np.vstack(edge_features),
+                SparseAdjacency.block_diagonal(adjacencies, derived=derived,
+                                               compose_plans=bool(derived)))
 
     # ----------------------------------------------------------------- training
     def fit(self, samples: list[AccountSubgraph], labels: np.ndarray) -> "GSGBranch":
-        if len(samples) != len(labels):
-            raise ValueError("samples and labels must have the same length")
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        self._fit_feature_stats(samples)
-        in_dim = samples[0].node_features.shape[1]
-        self._network = _GSGNetwork(in_dim, 2, cfg, rng)
-        optimizer = Adam(self._network.parameters(), lr=cfg.learning_rate)
-        labels = np.asarray(labels, dtype=float)
-        indices = np.arange(len(samples))
-        batch_size = max(1, cfg.batch_size)
-        if batch_size > 1:
-            # Minibatch compositions are fixed by one seeded shuffle; epochs
-            # re-shuffle only the visit order.  Each minibatch's block-diagonal
-            # stack — with its composed attention structure and transpose
-            # plans — is therefore built once per fit and reused every epoch.
-            rng.shuffle(indices)
-            chunks = [indices[start:start + batch_size]
-                      for start in range(0, len(indices), batch_size)]
-            batches = [[samples[i] for i in chunk] for chunk in chunks]
-            stacks = [self._prepare_batch(batch) for batch in batches] \
-                if self._batched_kernel else None
-            order = np.arange(len(chunks))
-        for _epoch in range(cfg.epochs):
-            if batch_size == 1:
-                # Legacy per-sample-step loop, bit-for-bit.
-                rng.shuffle(indices)
-                for idx in indices:
-                    sample = samples[idx]
-                    features, edge_features, adjacency = self._prepare(sample)
-                    optimizer.zero_grad()
-                    logit = self._network(features, edge_features, adjacency)
-                    loss = binary_cross_entropy_with_logits(logit.reshape(1), [labels[idx]])
-                    loss.backward()
-                    optimizer.step()
-            else:
-                rng.shuffle(order)
-                for j in order:
-                    optimizer.zero_grad()
-                    if stacks is not None:
-                        logits = self._network.forward_batched(
-                            *stacks[j]).reshape(len(chunks[j]))
-                    else:
-                        logits = self._minibatch_logits(batches[j])
-                    loss = binary_cross_entropy_with_logits(logits, labels[chunks[j]])
-                    loss.backward()
-                    optimizer.step()
-            if cfg.use_contrastive and cfg.contrastive_weight > 0.0:
-                self._contrastive_step(samples, rng, optimizer)
+        fit_branch(self, lambda in_dim, rng: _GSGNetwork(in_dim, 2, self.config, rng),
+                   samples, labels, self._contrastive_step)
         return self
 
-    def _contrastive_step(self, samples: list[AccountSubgraph], rng: np.random.Generator,
+    def _contrastive_step(self, prepared: list[tuple], rng: np.random.Generator,
                           optimizer: Adam) -> None:
         """One contrastive-regularisation step on a random minibatch of subgraphs."""
         cfg = self.config
-        batch_size = min(cfg.contrastive_batch, len(samples))
-        if batch_size < 2:
+        batch_size = min(cfg.contrastive_batch, len(prepared))
+        if batch_size < 2 or not (cfg.use_contrastive and cfg.contrastive_weight > 0.0):
             return
-        batch_idx = rng.choice(len(samples), size=batch_size, replace=False)
+        batch_idx = rng.choice(len(prepared), size=batch_size, replace=False)
         view1, view2 = [], []
         for idx in batch_idx:
-            sample = samples[idx]
-            features, edge_features, adjacency = self._prepare(sample)
+            features, edge_features, adjacency = prepared[idx]
             # RNG order is part of the training contract: view 1 then view 2,
             # in sample order, regardless of how the forwards are grouped.
             adj1, feat1 = adaptive_augmentation(adjacency, features, cfg.view1, rng)
@@ -225,20 +151,12 @@ class GSGBranch:
         optimizer.step()
 
     def _embed_views(self, views: list[tuple]) -> Tensor:
-        """Embed a list of ``(features, edge_features, adjacency)`` views.
-
-        With batching enabled the augmented subgraphs are stacked into one
-        block-diagonal pass (their adjacencies are freshly augmented, so there
-        are no per-sample memos to seed); otherwise each view is embedded
-        separately and the results concatenated — identical float ops to the
-        pre-batching implementation.
-        """
-        if self.config.batch_size > 1 and self._batched_kernel:
-            features = np.vstack([v[0] for v in views])
-            edge_features = np.vstack([v[1] for v in views])
-            adjacency = SparseAdjacency.block_diagonal([v[2] for v in views])
-            return self._network.embed_batched(features, edge_features, adjacency)
-        return concat([self._network.embed(*view) for view in views], axis=0)
+        """Embed ``(features, edge_features, adjacency)`` views, ``batch_size``
+        views per stacked forward (one at a time at ``batch_size=1``)."""
+        step = self.config.batch_size
+        pieces = [self._network.embed(*self._stack(views[start:start + step], derived=()))
+                  for start in range(0, len(views), step)]
+        return pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
 
     # ---------------------------------------------------------------- inference
     def predict_scores(self, samples: list[AccountSubgraph]) -> np.ndarray:
@@ -246,7 +164,7 @@ class GSGBranch:
 
         Samples go through the stacked inference path as its one-head case,
         one forward per chunk of samples with equal node counts, and every
-        score is bit-identical to the per-sample training forward.
+        score is bit-identical to the training forward on that one sample.
         """
         if self._network is None:
             raise RuntimeError("GSGBranch has not been fitted")

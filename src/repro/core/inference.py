@@ -12,10 +12,10 @@ scores in plain numpy, without the autograd bookkeeping of
 a single sample the ``B = 1`` case.  Every fitted branch scores here,
 whatever ``batch_size`` it was trained with.
 
-Every score is bit-identical to the head's own per-sample training forward
-(``_network.forward``), whatever else the batch holds, because each stacked
-op does, per (head, sample) block, exactly the float operations of the
-per-sample op:
+Every score is bit-identical to the head's own training forward on that one
+sample (``_network.forward`` on a one-block stack), whatever else the batch
+holds, because each stacked op does, per (head, sample) block, exactly the
+float operations of the per-sample op:
 
 * dense arrays are ``(H, B, n, d)``, so every block keeps the per-sample
   shape and is contiguous.  ``np.matmul`` over the two leading axes issues

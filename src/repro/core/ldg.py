@@ -7,14 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.inference import StackedLDG
+from repro.core.training import fit_branch
 from repro.data.dataset import AccountSubgraph
 from repro.gnn.layers import GCNLayer
 from repro.gnn.pooling import DiffPool
 from repro.gnn.recurrent import GRUCell
 from repro.gnn.sparse_ops import segment_mean_batch
-from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
-from repro.nn import Adam, Linear, Module, Parameter, Tensor, concat
-from repro.nn.losses import binary_cross_entropy_with_logits
+from repro.graph.sparse import SparseAdjacency
+from repro.nn import Linear, Module, Parameter, Tensor
 from repro.nn.functional import relu, softmax
 
 __all__ = ["LDGConfig", "LDGBranch"]
@@ -28,12 +28,13 @@ class LDGConfig:
     the DiffPool depth studied in Figure 9(b) (2 by default, with pooling rates
     0.1 then collapse-to-one).
 
-    ``batch_size`` selects the training granularity: 1 (the default) keeps the
-    legacy one-subgraph-per-optimizer-step loop bit-for-bit; larger values
-    train on minibatches whose time slices are stacked block-diagonally per
-    slice index and forwarded as ``num_slices`` batched sparse passes.
-    Scoring does not depend on it: every fitted branch scores each sample
-    with the bits of its own per-sample forward.
+    ``batch_size`` is the number of subgraphs per optimizer step: their time
+    slices are stacked block-diagonally per slice index and forwarded as
+    ``num_slices`` sparse passes (see
+    :func:`~repro.core.training.fit_branch`); 1, the default, is a batch
+    of one.  It must be at least 1.  Scoring does not depend on it: every
+    fitted branch scores each sample with the bits of its own one-sample
+    forward.
     """
 
     hidden_dim: int = 32
@@ -79,59 +80,31 @@ class _LDGNetwork(Module):
     def slice_representations(self, features: np.ndarray, slices) -> list[Tensor]:
         """Per-slice pooled evolutionary features ``h^pool_t`` (Eq. 20/22 inputs).
 
-        ``slices`` is a sequence of per-slice adjacencies — sparse
-        :class:`~repro.graph.sparse.SparseAdjacency` instances in the training
-        path, dense matrices for backward compatibility.
+        Returns one ``(B, hidden)`` tensor per time slice for a stack of ``B``
+        samples.  ``features`` holds the samples' node-feature rows stacked
+        in block order; ``slices`` is a length-``T`` sequence whose entry
+        ``t`` is slice ``t`` of every sample stacked block-diagonally (all
+        ``T`` share the stack's node offsets: slicing partitions edges, not
+        nodes).  One sample is a one-block stack: its own per-slice
+        :class:`SparseAdjacency` (dense matrices also work).  GCN and GRU are
+        block- and row-local; DiffPool and the mean read-out reduce per block.
         """
-        projected = relu(self.input_proj(Tensor(features)))
-        hidden = projected
+        hidden = relu(self.input_proj(Tensor(features)))
         pooled_per_slice: list[Tensor] = []
         for adjacency in slices:
+            adjacency = SparseAdjacency.coerce(adjacency)
             topo = self.gcn(hidden, adjacency)            # Eq. 14
             hidden = self.gru(topo, hidden)               # Eq. 15-18
             pooled, pooled_adj = hidden, adjacency
             for pool in self.pools:
-                pooled, pooled_adj, _assign = pool(pooled, pooled_adj)   # Eq. 19-21
-            pooled_per_slice.append(pooled.mean(axis=0, keepdims=True))
-        return pooled_per_slice
-
-    def forward(self, features: np.ndarray, slices) -> Tensor:
-        pooled_per_slice = self.slice_representations(features, slices)
-        weights = softmax(self.slice_logits.reshape(1, -1), axis=1)
-        representation = None
-        for t, pooled in enumerate(pooled_per_slice):
-            weighted = pooled * weights[0, t].reshape(1, 1)
-            representation = weighted if representation is None else representation + weighted
-        return self.head(relu(representation))            # Eq. 23
-
-    def slice_representations_batched(self, features: np.ndarray,
-                                      slices) -> list[Tensor]:
-        """Batched ``h^pool_t``: one ``(B, hidden)`` tensor per time slice.
-
-        ``features`` is the per-sample node-feature matrices stacked
-        vertically; ``slices`` is a length-``T`` sequence of
-        :class:`~repro.graph.sparse.BatchedAdjacency` — slice ``t`` of every
-        sample stacked block-diagonally (all ``T`` share the batch's node
-        offsets, since slicing partitions edges, not nodes).  GCN and GRU are
-        block-/row-local so they run unchanged on the stack; DiffPool and the
-        final mean read-out reduce per segment.
-        """
-        projected = relu(self.input_proj(Tensor(features)))
-        hidden = projected
-        pooled_per_slice: list[Tensor] = []
-        for adjacency in slices:
-            topo = self.gcn(hidden, adjacency)            # Eq. 14
-            hidden = self.gru(topo, hidden)               # Eq. 15-18
-            pooled, pooled_adj = hidden, adjacency
-            for pool in self.pools:
-                pooled, pooled_adj, _assign = pool.forward_batched(pooled, pooled_adj)
+                pooled, pooled_adj, _assign = pool.forward_batched(pooled, pooled_adj)  # Eq. 19-21
             pooled_per_slice.append(
                 segment_mean_batch(pooled, pooled_adj.node_offsets))
         return pooled_per_slice
 
-    def forward_batched(self, features: np.ndarray, slices) -> Tensor:
-        """``(B, 1)`` logits for a block-diagonal minibatch."""
-        pooled_per_slice = self.slice_representations_batched(features, slices)
+    def forward(self, features: np.ndarray, slices) -> Tensor:
+        """``(B, 1)`` logits of a stack of ``B`` samples (see :meth:`slice_representations`)."""
+        pooled_per_slice = self.slice_representations(features, slices)
         weights = softmax(self.slice_logits.reshape(1, -1), axis=1)
         representation = None
         for t, pooled in enumerate(pooled_per_slice):
@@ -147,9 +120,6 @@ class LDGBranch:
         self.config = config or LDGConfig()
         self._network: _LDGNetwork | None = None
         self._feature_stats: tuple[np.ndarray, np.ndarray] | None = None
-        # Parity escape hatch — see GSGBranch: with batch_size > 1 and this
-        # flag off, the same minibatch schedule runs with per-sample forwards.
-        self._batched_kernel = True
 
     def _prepare(self, sample: AccountSubgraph):
         mean, std = self._feature_stats
@@ -159,82 +129,26 @@ class LDGBranch:
                                     sparse=True)
         return features, slices
 
-    def _prepare_batch(self, samples: list[AccountSubgraph]):
-        """Stack a minibatch: features vertically, slice ``t`` across samples.
+    @staticmethod
+    def _stack(prepared: list[tuple]) -> tuple:
+        """One forward's inputs for a list of :meth:`_prepare` outputs.
 
-        Each stacked slice seeds its GCN normalisation from the per-sample
-        memoized ones, so repeated epochs never re-derive them.
+        A single sample is its own features and slices.  Several are stacked:
+        features vertically, slice ``t`` across samples, each stacked slice
+        with its GCN normalisation and transpose plans composed from the
+        samples' memoized ones, so a fit's fixed minibatches never re-derive
+        them.
         """
-        prepared = [self._prepare(s) for s in samples]
-        features = np.vstack([p[0] for p in prepared])
-        slices = [SparseAdjacency.block_diagonal(
-            [p[1][t] for p in prepared], derived=("gcn_normalized",),
-            compose_plans=True)
-            for t in range(self.config.num_slices)]
-        return features, slices
-
-    def _minibatch_logits(self, batch: list[AccountSubgraph]) -> Tensor:
-        """``(len(batch),)`` logits — stacked kernel or looped reference."""
-        if self._batched_kernel:
-            features, slices = self._prepare_batch(batch)
-            return self._network.forward_batched(features, slices).reshape(len(batch))
-        return concat([self._network(*self._prepare(s)).reshape(1)
-                       for s in batch], axis=0)
-
-    def _fit_feature_stats(self, samples: list[AccountSubgraph]) -> None:
-        stacked = np.vstack([s.node_features for s in samples])
-        mean = stacked.mean(axis=0)
-        std = stacked.std(axis=0)
-        std[std < 1e-12] = 1.0
-        self._feature_stats = (mean, std)
+        if len(prepared) == 1:
+            return prepared[0]
+        features, slices = zip(*prepared)
+        return np.vstack(features), [SparseAdjacency.block_diagonal(
+            slice_t, derived=("gcn_normalized",), compose_plans=True)
+            for slice_t in zip(*slices)]
 
     def fit(self, samples: list[AccountSubgraph], labels: np.ndarray) -> "LDGBranch":
-        if len(samples) != len(labels):
-            raise ValueError("samples and labels must have the same length")
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        self._fit_feature_stats(samples)
-        in_dim = samples[0].node_features.shape[1]
-        self._network = _LDGNetwork(in_dim, cfg, rng)
-        optimizer = Adam(self._network.parameters(), lr=cfg.learning_rate)
-        labels = np.asarray(labels, dtype=float)
-        indices = np.arange(len(samples))
-        batch_size = max(1, cfg.batch_size)
-        if batch_size > 1:
-            # Minibatch compositions are fixed by one seeded shuffle; epochs
-            # re-shuffle only the visit order, so each minibatch's per-slice
-            # stacks (and their composed GCN normalisations / transpose plans)
-            # are built once per fit and reused every epoch.
-            rng.shuffle(indices)
-            chunks = [indices[start:start + batch_size]
-                      for start in range(0, len(indices), batch_size)]
-            batches = [[samples[i] for i in chunk] for chunk in chunks]
-            stacks = [self._prepare_batch(batch) for batch in batches] \
-                if self._batched_kernel else None
-            order = np.arange(len(chunks))
-        for _epoch in range(cfg.epochs):
-            if batch_size == 1:
-                # Legacy per-sample-step loop, bit-for-bit.
-                rng.shuffle(indices)
-                for idx in indices:
-                    features, slices = self._prepare(samples[idx])
-                    optimizer.zero_grad()
-                    logit = self._network(features, slices)
-                    loss = binary_cross_entropy_with_logits(logit.reshape(1), [labels[idx]])
-                    loss.backward()
-                    optimizer.step()
-            else:
-                rng.shuffle(order)
-                for j in order:
-                    optimizer.zero_grad()
-                    if stacks is not None:
-                        logits = self._network.forward_batched(
-                            *stacks[j]).reshape(len(chunks[j]))
-                    else:
-                        logits = self._minibatch_logits(batches[j])
-                    loss = binary_cross_entropy_with_logits(logits, labels[chunks[j]])
-                    loss.backward()
-                    optimizer.step()
+        fit_branch(self, lambda in_dim, rng: _LDGNetwork(in_dim, self.config, rng),
+                   samples, labels)
         return self
 
     def predict_scores(self, samples: list[AccountSubgraph]) -> np.ndarray:

@@ -41,9 +41,9 @@ def fast_dbg4eth_config(epochs: int = 8, batch_size: int = 1,
                         **overrides) -> DBG4ETHConfig:
     """A laptop-fast DBG4ETH configuration used across the benchmark suite.
 
-    ``batch_size`` is forwarded to both branch configs: 1 keeps the legacy
-    per-sample training loop, larger values train on block-diagonal
-    minibatches (one stacked sparse pass per optimizer step).
+    ``batch_size`` is forwarded to both branch configs: the subgraphs per
+    optimizer step, forwarded as one block-diagonal stack (1 is a batch of
+    one).
 
     ``overrides`` must name actual :class:`DBG4ETHConfig` fields (``use_gsg``,
     ``classifier``, ...); unknown names raise :class:`TypeError` instead of

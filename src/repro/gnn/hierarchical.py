@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.sparse import BatchedAdjacency, SparseAdjacency, segment_reduce
+from repro.graph.sparse import SparseAdjacency
 from repro.gnn.layers import GATLayer
-from repro.gnn.pooling import global_max_pool
-from repro.gnn.sparse_ops import (_segment_index, segment_expand_batch,
-                                  segment_max_batch, segment_sum_batch)
+from repro.gnn.sparse_ops import take_rows
 from repro.nn import Linear, Module, Tensor, concat
 from repro.nn.functional import elu, leaky_relu, softmax
 
@@ -30,49 +28,43 @@ class GraphAttentionReadout(Module):
         self.score_linear = Linear(2 * dim, 1, rng=rng)
         self.out_linear = Linear(dim, dim, rng=rng)
 
-    def forward(self, node_embeddings: Tensor) -> Tensor:
-        summary = global_max_pool(node_embeddings)                     # (1, d) — Eq. 10
-        candidates = concat([node_embeddings, summary], axis=0)        # nodes ∪ {c}
-        n_candidates = candidates.shape[0]
-        summary_repeated = Tensor(np.ones((n_candidates, 1))) @ summary
-        scores = leaky_relu(self.score_linear(
-            concat([summary_repeated, candidates], axis=1)), 0.2)      # Eq. 11
-        weights = softmax(scores, axis=0)                              # Eq. 12
-        projected = self.out_linear(candidates)
-        graph_embedding = (weights * projected).sum(axis=0, keepdims=True)
-        return elu(graph_embedding)                                    # Eq. 13
+    def forward(self, node_embeddings: Tensor,
+                stack: SparseAdjacency | None = None) -> Tensor:
+        """``(B, d)`` embeddings of the ``B`` graphs of a node stack.
 
-    def forward_batched(self, node_embeddings: Tensor,
-                        offsets: np.ndarray) -> Tensor:
-        """Batched read-out over a block-diagonal node stack.
-
-        ``node_embeddings`` is the stacked ``(N, d)`` matrix; ``offsets`` the
-        ``(B + 1,)`` node-offset vector of the batch.  Runs the same Eq. 10-13
-        math per segment — each block's candidate set is its own nodes plus its
-        own summary row, softmax-normalised within the block with the same
-        constant max-shift as the dense :func:`softmax` — and returns ``(B, d)``
-        graph embeddings matching the per-sample loop.
+        ``node_embeddings`` holds the graphs' node rows block after block, as
+        laid out by ``stack`` (a block-diagonal adjacency; ``None`` or a plain
+        adjacency is one graph).  Each graph attends over its own nodes plus
+        its own summary row.  Graphs with the same node count ``n`` run as one
+        ``(G, n + 1, d)`` array whose every block sees the float operations
+        of a lone ``(n + 1, d)`` graph, so a graph's embedding does not depend
+        on the rest of the stack (see :mod:`repro.core.inference`).
         """
-        _, batch = _segment_index(offsets)
-        summary = segment_max_batch(node_embeddings, offsets)          # (B, d) — Eq. 10
-        node_scores = leaky_relu(self.score_linear(
-            concat([segment_expand_batch(summary, offsets),
-                    node_embeddings], axis=1)), 0.2)                   # (N, 1) — Eq. 11
-        summary_scores = leaky_relu(self.score_linear(
-            concat([summary, summary], axis=1)), 0.2)                  # (B, 1)
-        shift = np.maximum(
-            segment_reduce(node_scores.data, offsets, np.maximum),
-            summary_scores.data)                                       # (B, 1) constant
-        exp_nodes = (node_scores - Tensor(shift[batch])).exp()
-        exp_summary = (summary_scores - Tensor(shift)).exp()
-        denom = segment_sum_batch(exp_nodes, offsets) + exp_summary    # (B, 1) — Eq. 12
-        projected_nodes = self.out_linear(node_embeddings)
-        projected_summary = self.out_linear(summary)
-        graph_embedding = (
-            segment_sum_batch((exp_nodes / segment_expand_batch(denom, offsets))
-                              * projected_nodes, offsets)
-            + (exp_summary / denom) * projected_summary)               # (B, d)
-        return elu(graph_embedding)                                    # Eq. 13
+        groups, order = ([(node_embeddings.shape[0], None)], None) if stack is None \
+            else stack.size_groups()
+        dim = node_embeddings.shape[1]
+        pieces = []
+        for n, rows in groups:
+            nodes = node_embeddings if rows is None else take_rows(node_embeddings, rows)
+            if nodes.shape[0] == n:                                    # one graph: (n, d)
+                pieces.append(self._attend(nodes))
+            else:
+                pieces.append(self._attend(nodes.reshape(-1, n, dim)).reshape(-1, dim))
+        embeddings = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
+        if order is not None:
+            embeddings = take_rows(embeddings, order)
+        return elu(embeddings)                                         # Eq. 13
+
+    def _attend(self, nodes: Tensor) -> Tensor:
+        """Eq. 10-12 on one ``(n, d)`` graph or ``(G, n, d)`` equal-size graphs:
+        the ``(1, d)`` or ``(G, 1, d)`` attention-weighted candidate sums."""
+        summary = nodes.max(axis=-2, keepdims=True)                    # Eq. 10
+        candidates = concat([nodes, summary], axis=-2)                 # nodes ∪ {c}
+        summary_repeated = Tensor(np.ones(candidates.shape[:-1] + (1,))) @ summary
+        scores = leaky_relu(self.score_linear(
+            concat([summary_repeated, candidates], axis=-1)), 0.2)     # Eq. 11
+        weights = softmax(scores, axis=-2)                             # Eq. 12
+        return (weights * self.out_linear(candidates)).sum(axis=-2, keepdims=True)
 
 
 class HierarchicalAttentionEncoder(Module):
@@ -108,16 +100,12 @@ class HierarchicalAttentionEncoder(Module):
         return h
 
     def forward(self, x: Tensor, adjacency) -> Tensor:
-        """Return the ``(1, hidden_dim)`` subgraph embedding."""
-        return self.readout(self.node_embeddings(x, adjacency))
+        """``(B, hidden_dim)`` embeddings of the ``B`` graphs of ``adjacency``.
 
-    def forward_batched(self, x: Tensor, adjacency: BatchedAdjacency) -> Tensor:
-        """Return ``(B, hidden_dim)`` embeddings for a block-diagonal batch.
-
-        The GAT stack runs unchanged on the stacked adjacency — attention
-        structures and per-row softmaxes are block-local, so the node
-        embeddings equal the per-sample ones — and only the read-out needs the
-        segment offsets.
+        ``adjacency`` is one graph (a :class:`SparseAdjacency` or a dense
+        matrix: ``B = 1``) or a block-diagonal stack with ``x`` holding its
+        node rows block after block.  The GAT stack runs unchanged on a
+        stack: attention structures and per-row softmaxes are block-local.
         """
-        return self.readout.forward_batched(
-            self.node_embeddings(x, adjacency), adjacency.node_offsets)
+        adj = SparseAdjacency.coerce(adjacency)
+        return self.readout(self.node_embeddings(x, adj), adj)

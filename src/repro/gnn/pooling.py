@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
 from repro.gnn.layers import GCNLayer
-from repro.gnn.sparse_ops import segment_matmul
+from repro.gnn.sparse_ops import segment_matmul, segment_matmul_array
 from repro.nn import Module, Tensor
 from repro.nn.functional import softmax
 
@@ -64,11 +64,14 @@ class DiffPool(Module):
         pooled_adjacency = adj.rmatmul(assign_np).T @ assign_np        # M^T A M
         return pooled_features, pooled_adjacency, assignment
 
-    def forward_batched(self, x: Tensor, adjacency: BatchedAdjacency,
-                        ) -> tuple[Tensor, BatchedAdjacency, Tensor]:
-        """Pool every block of a block-diagonal batch in one pass.
+    def forward_batched(self, x: Tensor, adjacency: SparseAdjacency,
+                        ) -> tuple[Tensor, SparseAdjacency, Tensor]:
+        """Pool every block of a block-diagonal stack in one pass.
 
-        The assignment/embedding GNNs and the row-wise softmax are block-local,
+        A plain adjacency is a stack of one graph: :meth:`forward` pools it
+        with the graph's own ops, and its coarse graph comes back as a plain
+        :class:`SparseAdjacency`.  On a :class:`BatchedAdjacency`, the
+        assignment/embedding GNNs and the row-wise softmax are block-local,
         so they run unchanged on the stacked input; the two per-block
         contractions (``M^T h`` and ``M^T A M``) use per-segment matmuls over
         exactly the rows the per-sample path would see.  Returns the pooled
@@ -77,25 +80,13 @@ class DiffPool(Module):
         the dense ``M^T A M`` stack with the same non-zero scan the per-sample
         path's next layer applies when it coerces its dense block.
         """
+        if not isinstance(adjacency, BatchedAdjacency):
+            pooled_features, coarse, assignment = self.forward(x, adjacency)
+            return pooled_features, SparseAdjacency.from_dense(coarse), assignment
         assignment = softmax(self.assign_gnn(x, adjacency), axis=1)    # (N, c)
         embedded = self.embed_gnn(x, adjacency)                        # (N, d)
         offsets = adjacency.node_offsets
         pooled_features = segment_matmul(assignment, embedded, offsets)
-        assign_np = assignment.data
-        coarse = adjacency.rmatmul(assign_np)                          # A^T M, (N, c)
-        num_graphs = adjacency.num_graphs
-        clusters = assign_np.shape[1]
-        counts = adjacency.node_counts()
-        if num_graphs and counts.min() == counts.max():
-            # Uniform blocks (every pool layer past the first): one batched
-            # dgemm over the reshaped stacks, same per-block operands.
-            n = int(counts[0])
-            stack = np.matmul(coarse.reshape(num_graphs, n, clusters)
-                              .transpose(0, 2, 1),
-                              assign_np.reshape(num_graphs, n, clusters))
-        else:
-            stack = np.empty((num_graphs, clusters, clusters))
-            for g in range(num_graphs):
-                lo, hi = offsets[g], offsets[g + 1]
-                stack[g] = coarse[lo:hi].T @ assign_np[lo:hi]          # M^T A M
-        return pooled_features, BatchedAdjacency.from_dense_blocks(stack), assignment
+        coarse = segment_matmul_array(adjacency.rmatmul(assignment.data),
+                                      assignment.data, offsets)        # M^T A M per block
+        return pooled_features, BatchedAdjacency.from_dense_blocks(coarse), assignment

@@ -23,8 +23,8 @@ from repro.graph.sparse import SparseAdjacency, segment_reduce
 from repro.nn import Tensor
 
 __all__ = ["spmm", "spmm_edge_weighted", "segment_softmax", "segment_sum",
-           "segment_sum_batch", "segment_mean_batch", "segment_max_batch",
-           "segment_expand_batch", "segment_matmul", "gather_rows", "gather_cols"]
+           "segment_mean_batch", "segment_matmul", "segment_matmul_array",
+           "gather_rows", "gather_cols", "take_rows"]
 
 
 def spmm(adjacency: SparseAdjacency, x: Tensor) -> Tensor:
@@ -87,6 +87,21 @@ def gather_cols(t: Tensor, structure: SparseAdjacency) -> Tensor:
     return Tensor._make(t.data[structure.indices], (t,), backward)
 
 
+def take_rows(t: Tensor, index: np.ndarray) -> Tensor:
+    """Rows ``t[index]`` of distinct indices, whose backward assigns.
+
+    With no index repeated, writing each gradient row into its place equals
+    the scatter-add of the generic fancy-index backward, without
+    ``np.add.at``'s unbuffered loop.
+    """
+    def backward(grad: np.ndarray) -> None:
+        full = np.zeros_like(t.data)
+        full[index] = grad
+        t._accumulate(full, owned=True)
+
+    return Tensor._make(t.data[index], (t,), backward)
+
+
 def segment_sum(values: Tensor, structure: SparseAdjacency) -> Tensor:
     """Sum per-edge values into per-row totals, with gradient support."""
     rows = structure.rows
@@ -125,13 +140,12 @@ def segment_softmax(scores: Tensor, structure: SparseAdjacency) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# Segmented readouts over a block-diagonal batch.
+# Segmented ops over a block-diagonal batch.
 #
-# ``offsets`` is the ``(B + 1,)`` node-offset vector of a
-# :class:`~repro.graph.sparse.BatchedAdjacency`: sample ``b`` owns rows
-# ``offsets[b]:offsets[b+1]`` of the stacked ``(N, d)`` node matrix.  Each op
-# reduces those row segments to a ``(B, d)`` per-graph output, replacing the
-# per-sample ``pooled.sum/mean/max(axis=0)`` readouts of the looped path.
+# ``offsets`` is the ``(B + 1,)`` node-offset vector of a stack
+# (:attr:`SparseAdjacency.node_offsets <repro.graph.sparse.SparseAdjacency.node_offsets>`):
+# sample ``b`` owns rows ``offsets[b]:offsets[b+1]`` of the stacked
+# ``(N, d)`` node matrix.
 
 
 @lru_cache(maxsize=256)
@@ -150,33 +164,6 @@ def _segment_index(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     return _segment_index_cached(
         np.ascontiguousarray(offsets, dtype=np.int64).tobytes())
-
-
-def segment_expand_batch(x: Tensor, offsets: np.ndarray) -> Tensor:
-    """Broadcast per-segment rows to nodes: ``out[i] = x[batch(i)]``.
-
-    The gradient of the repeat is the per-segment sum, computed with the same
-    ``reduceat`` scan (and the same in-order accumulation, hence bit-identical
-    results) as the generic fancy-index scatter-add it replaces.
-    """
-    _, batch = _segment_index(offsets)
-    data = x.data[batch]
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(segment_reduce(grad, offsets), owned=True)
-
-    return Tensor._make(data, (x,), backward)
-
-
-def segment_sum_batch(x: Tensor, offsets: np.ndarray) -> Tensor:
-    """Per-segment row sum: ``out[b] = Σ_{i in segment b} x[i]``."""
-    _, batch = _segment_index(offsets)
-    data = segment_reduce(x.data, offsets)
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad[batch], owned=True)
-
-    return Tensor._make(data, (x,), backward)
 
 
 def segment_mean_batch(x: Tensor, offsets: np.ndarray) -> Tensor:
@@ -199,18 +186,32 @@ def segment_mean_batch(x: Tensor, offsets: np.ndarray) -> Tensor:
     return Tensor._make(data, (x,), backward)
 
 
-def segment_max_batch(x: Tensor, offsets: np.ndarray) -> Tensor:
-    """Per-segment row max with the same tie-splitting subgradient as
-    :meth:`Tensor.max` (gradient shared evenly between tied entries)."""
-    _, batch = _segment_index(offsets)
-    data = segment_reduce(x.data, offsets, np.maximum)
+def _uniform_count(offsets: np.ndarray) -> int | None:
+    """The node count every segment shares, or ``None`` when they differ."""
+    counts, _ = _segment_index(offsets)
+    return int(counts[0]) if len(counts) and counts.min() == counts.max() else None
 
-    def backward(grad: np.ndarray) -> None:
-        mask = (x.data == data[batch]).astype(np.float64)
-        ties = segment_reduce(mask, offsets)
-        x._accumulate(mask * (grad / ties)[batch], owned=True)
 
-    return Tensor._make(data, (x,), backward)
+def segment_matmul_array(a: np.ndarray, b: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``(B, k, d)`` stack of every block's ``a_b.T @ b_b`` (``a`` is ``(N, k)``,
+    ``b`` is ``(N, d)``): one dgemm per block over exactly its rows, or one
+    batched dgemm with the same per-block operands when the blocks are of
+    one size."""
+    n = _uniform_count(offsets)
+    if n is not None:
+        num_graphs = len(offsets) - 1
+        return np.matmul(a.reshape(num_graphs, n, -1).transpose(0, 2, 1),
+                         b.reshape(num_graphs, n, -1))
+    return np.stack([a[lo:hi].T @ b[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])])
+
+
+def _rows_times_blocks(x: np.ndarray, blocks: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each block's rows of ``x`` times its own matrix ``blocks[b]``, in row order."""
+    n = _uniform_count(offsets)
+    if n is not None:
+        return np.matmul(x.reshape(len(blocks), n, -1), blocks).reshape(len(x), -1)
+    return np.concatenate([x[lo:hi] @ matrix for lo, hi, matrix
+                           in zip(offsets[:-1], offsets[1:], blocks)])
 
 
 def segment_matmul(a: Tensor, b: Tensor, offsets: np.ndarray) -> Tensor:
@@ -218,49 +219,19 @@ def segment_matmul(a: Tensor, b: Tensor, offsets: np.ndarray) -> Tensor:
 
     ``a`` is ``(N, k)`` and ``b`` is ``(N, d)``; the output is ``(B·k, d)``
     with block ``b`` at rows ``b·k:(b+1)·k``.  Each block is computed with its
-    own dgemm call over exactly the rows the per-sample path would use, so the
-    result is bit-identical to the looped ``assignment.T @ embedded``.
+    own dgemm call over exactly the rows a lone sample would use
+    (:func:`segment_matmul_array`), so the result is bit-identical to its
+    ``assignment.T @ embedded``.
     """
-    k = a.data.shape[1]
-    d = b.data.shape[1]
-    num_graphs = len(offsets) - 1
-    counts, _ = _segment_index(offsets)
-    uniform = num_graphs > 0 and counts.min() == counts.max()
-    if uniform:
-        # Uniform segments (pool layers past the first): batched dgemm over
-        # the reshaped stacks — same per-block operands, no Python loop.
-        n = int(counts[0])
-        data = np.matmul(a.data.reshape(num_graphs, n, k).transpose(0, 2, 1),
-                         b.data.reshape(num_graphs, n, d)).reshape(num_graphs * k, d)
-    else:
-        data = np.empty((num_graphs * k, d), dtype=np.float64)
-        for g in range(num_graphs):
-            lo, hi = offsets[g], offsets[g + 1]
-            data[g * k:(g + 1) * k] = a.data[lo:hi].T @ b.data[lo:hi]
+    num_graphs, k, d = len(offsets) - 1, a.data.shape[1], b.data.shape[1]
+    data = segment_matmul_array(a.data, b.data, offsets).reshape(num_graphs * k, d)
 
     def backward(grad: np.ndarray) -> None:
         grad3 = grad.reshape(num_graphs, k, d)
         if a.requires_grad:
-            if uniform:
-                n = int(counts[0])
-                grad_a = np.matmul(b.data.reshape(num_graphs, n, d),
-                                   grad3.transpose(0, 2, 1)).reshape(-1, k)
-            else:
-                grad_a = np.empty_like(a.data)
-                for g in range(num_graphs):
-                    lo, hi = offsets[g], offsets[g + 1]
-                    grad_a[lo:hi] = b.data[lo:hi] @ grad3[g].T
-            a._accumulate(grad_a, owned=True)
+            a._accumulate(_rows_times_blocks(b.data, grad3.transpose(0, 2, 1), offsets),
+                          owned=True)
         if b.requires_grad:
-            if uniform:
-                n = int(counts[0])
-                grad_b = np.matmul(a.data.reshape(num_graphs, n, k),
-                                   grad3).reshape(-1, d)
-            else:
-                grad_b = np.empty_like(b.data)
-                for g in range(num_graphs):
-                    lo, hi = offsets[g], offsets[g + 1]
-                    grad_b[lo:hi] = a.data[lo:hi] @ grad3[g]
-            b._accumulate(grad_b, owned=True)
+            b._accumulate(_rows_times_blocks(a.data, grad3, offsets), owned=True)
 
     return Tensor._make(data, (a, b), backward)

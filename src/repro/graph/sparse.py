@@ -258,6 +258,48 @@ class SparseAdjacency:
         """Per-row sum of stored values (the weighted degree vector)."""
         return segment_reduce(self.data, self.indptr)
 
+    # ------------------------------------------------------------------ blocks
+    # A plain adjacency is a stack of one block; BatchedAdjacency overrides
+    # ``node_offsets`` with its own.  Every consumer of a stack therefore
+    # takes a single sample's own adjacency, memoized forms and all.
+    @property
+    def node_offsets(self) -> np.ndarray:
+        """``(num_graphs + 1,)`` row offsets of the blocks (cached)."""
+        return self._memoized("node_offsets", lambda: np.array(
+            [0, self.num_nodes], dtype=np.int64))
+
+    @property
+    def num_graphs(self) -> int:
+        return len(self.node_offsets) - 1
+
+    def node_counts(self) -> np.ndarray:
+        """Nodes per block, ``(num_graphs,)`` (cached)."""
+        return self._memoized("node_counts", lambda: np.diff(self.node_offsets))
+
+    def size_groups(self) -> tuple[list[tuple[int, np.ndarray | None]], np.ndarray | None]:
+        """The blocks grouped by node count, for ops that run per block (cached).
+
+        Returns ``(groups, order)``.  Each group is ``(n, rows)``: the node
+        rows of its blocks of ``n`` nodes, block after block in stack order,
+        or ``None`` when that is every row in order (one block, or blocks all
+        of one size).  Per-block outputs stacked group after group are put
+        back in block order by taking ``order`` (``None`` when they already
+        are).
+        """
+        def build():
+            counts = self.node_counts()
+            sizes = np.unique(counts)
+            if len(sizes) == 1:
+                return [(int(sizes[0]), None)], None
+            groups, members = [], []
+            for n in sizes:
+                blocks = np.flatnonzero(counts == n)
+                groups.append((int(n), (self.node_offsets[blocks][:, None]
+                                        + np.arange(n)).ravel()))
+                members.append(blocks)
+            return groups, np.argsort(np.concatenate(members))
+        return self._memoized("size_groups", build)
+
     def is_symmetric(self) -> bool:
         """Structure and values equal to the transpose (within allclose, cached)."""
         def build():
@@ -506,12 +548,8 @@ class BatchedAdjacency(SparseAdjacency):
 
     __slots__ = ("node_offsets", "edge_offsets")
 
-    def __init__(self, indptr, indices, data, node_offsets=None, edge_offsets=None):
+    def __init__(self, indptr, indices, data, node_offsets, edge_offsets):
         super().__init__(indptr, indices, data)
-        if node_offsets is None:            # degenerate: one block
-            node_offsets = np.array([0, self.num_nodes], dtype=np.int64)
-        if edge_offsets is None:
-            edge_offsets = np.array([0, self.nnz], dtype=np.int64)
         self.node_offsets = np.asarray(node_offsets, dtype=np.int64)
         self.edge_offsets = np.asarray(edge_offsets, dtype=np.int64)
         if self.node_offsets[-1] != self.num_nodes:
@@ -550,19 +588,6 @@ class BatchedAdjacency(SparseAdjacency):
         return cls(indptr, indices, flat[rows_nz, cols_nz],
                    node_offsets=node_offsets,
                    edge_offsets=indptr[node_offsets])
-
-    @property
-    def num_graphs(self) -> int:
-        return len(self.node_offsets) - 1
-
-    def node_counts(self) -> np.ndarray:
-        """Nodes per block, ``(num_graphs,)``."""
-        return np.diff(self.node_offsets)
-
-    def batch_vector(self) -> np.ndarray:
-        """Block index per row (cached expansion of ``node_offsets``)."""
-        return self._memoized("batch_vector", lambda: np.repeat(
-            np.arange(self.num_graphs, dtype=np.int64), self.node_counts()))
 
     def blocks(self) -> list[SparseAdjacency]:
         """Split back into per-sample adjacencies (zero-copy data slices)."""

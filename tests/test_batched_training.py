@@ -1,17 +1,19 @@
 """Block-diagonal batched training: structure, segment ops, end-to-end parity.
 
-Three layers of pinning for the batched training path:
+Every GSG/LDG fit runs one minibatch loop over block-diagonal stacks; a
+sample is a one-block stack.  Three layers of pinning:
 
 * hypothesis property suites over arbitrary sample mixes (including 1-node and
   empty-edge subgraphs) check that :meth:`SparseAdjacency.block_diagonal`
-  stacking, its block-wise derived forms and the segment readout ops agree
-  with per-sample computation bit-for-bit / to machine precision;
-* module-level tests pin the batched GraphAttentionReadout and DiffPool twins
-  against the per-sample forwards, gradients included;
-* end-to-end tests train GSG/LDG with the stacked kernel and with the looped
-  reference (same minibatch schedule, per-sample forwards) and require final
-  weights and scores to agree to ``<= 1e-9``; a batch-trained branch scores
-  every sample with the bits of its own per-sample ``_network`` forward.
+  stacking, its block-wise derived forms and the segment ops agree with
+  per-sample computation bit-for-bit / to machine precision;
+* module-level tests pin the stacked GraphAttentionReadout (bit for bit per
+  block) and DiffPool against the per-sample forwards, gradients included;
+* end-to-end tests compare ``fit`` with the per-sample reference training
+  in ``tests/_training_reference.py``: bit for bit at ``batch_size=1`` and
+  within ``1e-9`` of its looped schedule above; a batch-trained branch
+  scores every sample with the bits of its own one-sample ``_network``
+  forward.
 """
 
 import numpy as np
@@ -21,10 +23,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core import GSGBranch, GSGConfig, LDGBranch, LDGConfig
 from repro.gnn.hierarchical import GraphAttentionReadout
 from repro.gnn.pooling import DiffPool
-from repro.gnn.sparse_ops import (segment_matmul, segment_max_batch,
-                                  segment_mean_batch, segment_sum_batch)
+from repro.gnn.sparse_ops import segment_matmul, segment_mean_batch
 from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
 from repro.nn import Tensor, concat
+from tests._training_reference import reference_fit, reference_readout
 
 PARITY_ATOL = 1e-9
 
@@ -122,31 +124,20 @@ class TestBlockDiagonal:
         assert_same_matrix(clone, stacked)
 
 
-def looped_readout(kind: str, x: Tensor, offsets: np.ndarray) -> Tensor:
-    """Reference segment readout: per-segment dense Tensor reductions."""
-    pieces = []
-    for b in range(len(offsets) - 1):
-        segment = x[np.arange(offsets[b], offsets[b + 1])]
-        pieces.append(getattr(segment, kind)(axis=0, keepdims=True))
-    return concat(pieces, axis=0)
-
-
 class TestSegmentReadouts:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 7), min_size=1, max_size=6),
-           st.integers(0, 2 ** 32 - 1),
-           st.sampled_from(["sum", "mean", "max"]))
-    def test_forward_and_grad_match_looped_reference(self, counts, seed, kind):
+           st.integers(0, 2 ** 32 - 1))
+    def test_forward_and_grad_match_looped_reference(self, counts, seed):
         offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         rng = np.random.default_rng(seed)
         values = rng.standard_normal((offsets[-1], 4))
 
-        op = {"sum": segment_sum_batch, "mean": segment_mean_batch,
-              "max": segment_max_batch}[kind]
         x_batched = Tensor(values, requires_grad=True)
-        out = op(x_batched, offsets)
+        out = segment_mean_batch(x_batched, offsets)
         x_looped = Tensor(values, requires_grad=True)
-        ref = looped_readout(kind, x_looped, offsets)
+        ref = concat([x_looped[np.arange(offsets[b], offsets[b + 1])].mean(
+            axis=0, keepdims=True) for b in range(len(counts))], axis=0)
 
         np.testing.assert_allclose(out.data, ref.data, atol=PARITY_ATOL, rtol=0)
         upstream = rng.standard_normal(out.data.shape)
@@ -154,12 +145,6 @@ class TestSegmentReadouts:
         (ref * Tensor(upstream)).sum().backward()
         np.testing.assert_allclose(x_batched.grad, x_looped.grad,
                                    atol=PARITY_ATOL, rtol=0)
-
-    def test_max_splits_gradient_between_ties(self):
-        offsets = np.array([0, 3], dtype=np.int64)
-        x = Tensor(np.array([[2.0], [2.0], [1.0]]), requires_grad=True)
-        segment_max_batch(x, offsets).sum().backward()
-        np.testing.assert_allclose(x.grad, [[0.5], [0.5], [0.0]])
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=5),
@@ -187,34 +172,42 @@ class TestSegmentReadouts:
 
 
 class TestBatchedModules:
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(1, 7), min_size=1, max_size=5),
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=32),
            st.integers(0, 2 ** 32 - 1))
     def test_graph_attention_readout_matches_loop(self, counts, seed):
+        """Each block's read-out has the bits of the one-graph reference; with
+        one block, so do the gradients (with more, they agree to 1e-9)."""
         rng = np.random.default_rng(seed)
         offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         embeddings = rng.standard_normal((offsets[-1], 6))
-        readout = GraphAttentionReadout(6, rng=np.random.default_rng(0))
+        readout = GraphAttentionReadout(6, rng=np.random.default_rng(seed % 7))
+        # A plain adjacency is a one-block stack.
+        stack = SparseAdjacency.empty(counts[0]) if len(counts) == 1 else \
+            SparseAdjacency.block_diagonal([SparseAdjacency.empty(n) for n in counts])
 
         x = Tensor(embeddings, requires_grad=True)
-        batched = readout.forward_batched(x, offsets)
-        looped = concat([
-            readout(Tensor(embeddings[offsets[b]:offsets[b + 1]]))
-            for b in range(len(counts))], axis=0)
-        np.testing.assert_allclose(batched.data, looped.data,
-                                   atol=PARITY_ATOL, rtol=0)
+        stacked = readout(x, stack)
+        blocks = [Tensor(embeddings[offsets[b]:offsets[b + 1]], requires_grad=True)
+                  for b in range(len(counts))]
+        looped = concat([reference_readout(readout, block) for block in blocks], axis=0)
+        np.testing.assert_array_equal(stacked.data, looped.data)
 
-        # Gradients through the shared score/out linear layers must agree too.
+        upstream = rng.standard_normal(stacked.data.shape)
         for p in readout.parameters():
             p.zero_grad()
-        batched.sum().backward()
-        batched_grads = [p.grad.copy() for p in readout.parameters()]
+        (stacked * Tensor(upstream)).sum().backward()
+        stacked_grads = [p.grad.copy() for p in readout.parameters()] + [x.grad]
         for p in readout.parameters():
             p.zero_grad()
-        looped.sum().backward()
-        for got, expected in zip(batched_grads,
-                                 [p.grad for p in readout.parameters()]):
-            np.testing.assert_allclose(got, expected, atol=PARITY_ATOL, rtol=0)
+        (looped * Tensor(upstream)).sum().backward()
+        looped_grads = [p.grad for p in readout.parameters()] + [
+            np.vstack([block.grad for block in blocks])]
+        for got, expected in zip(stacked_grads, looped_grads):
+            if len(counts) == 1:
+                np.testing.assert_array_equal(got, expected)
+            else:
+                np.testing.assert_allclose(got, expected, atol=PARITY_ATOL, rtol=0)
 
     @settings(max_examples=25, deadline=None)
     @given(sample_lists, st.integers(0, 2 ** 32 - 1))
@@ -265,29 +258,49 @@ def per_sample_forward(branch, samples) -> np.ndarray:
                      for sample in samples])
 
 
-def fit_twice(branch_cls, config_factory, samples, labels):
-    """Fit with the stacked kernel and with the looped reference."""
+def fit_pair(branch_cls, config_factory, samples, labels):
+    """``(scores, weights)`` of ``fit`` and of the per-sample reference fit."""
     results = []
-    for batched_kernel in (True, False):
-        branch = branch_cls(config_factory())
-        branch._batched_kernel = batched_kernel
-        branch.fit(samples, labels)
+    for fit in (lambda branch: branch.fit(samples, labels),
+                lambda branch: reference_fit(branch, samples, labels)):
+        branch = fit(branch_cls(config_factory()))
         results.append((branch.predict_scores(samples),
                         [p.data.copy() for p in branch._network.parameters()]))
     return results
 
 
+BRANCHES = {
+    "gsg": (GSGBranch, tiny_gsg_config),
+    "gsg-no-contrastive": (GSGBranch, lambda **kw: tiny_gsg_config(use_contrastive=False, **kw)),
+    "ldg": (LDGBranch, tiny_ldg_config),
+}
+
+
 class TestEndToEndParity:
-    """Batched fit vs the per-sample reference, `<= 1e-9` end to end."""
+    """``fit`` vs the per-sample reference: bit for bit at ``batch_size=1``,
+    ``<= 1e-9`` on the same minibatch schedule above it."""
 
     def test_default_batch_size_is_legacy_loop(self):
         assert GSGConfig().batch_size == 1
         assert LDGConfig().batch_size == 1
 
+    @pytest.mark.parametrize("category", ["exchange", "ico-wallet", "phish/hack"])
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_batch_size_one_fit_equals_reference(self, small_dataset, branch, category):
+        samples, labels = small_dataset.binary_task(
+            category, rng=np.random.default_rng(0))
+        samples, labels = samples[:14], labels[:14]
+        branch_cls, config_factory = BRANCHES[branch]
+        (scores, weights), (ref_scores, ref_weights) = fit_pair(
+            branch_cls, config_factory, samples, labels)
+        for got, expected in zip(weights, ref_weights):
+            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(scores, ref_scores)
+
     @pytest.mark.parametrize("batch_size", [5, 32])
     def test_gsg_batched_matches_looped_reference(self, tiny_task, batch_size):
         samples, labels = tiny_task
-        (scores_b, weights_b), (scores_r, weights_r) = fit_twice(
+        (scores_b, weights_b), (scores_r, weights_r) = fit_pair(
             GSGBranch, lambda: tiny_gsg_config(batch_size=batch_size),
             samples, labels)
         for got, expected in zip(weights_b, weights_r):
@@ -297,7 +310,7 @@ class TestEndToEndParity:
     @pytest.mark.parametrize("batch_size", [5, 32])
     def test_ldg_batched_matches_looped_reference(self, tiny_task, batch_size):
         samples, labels = tiny_task
-        (scores_b, weights_b), (scores_r, weights_r) = fit_twice(
+        (scores_b, weights_b), (scores_r, weights_r) = fit_pair(
             LDGBranch, lambda: tiny_ldg_config(batch_size=batch_size),
             samples, labels)
         for got, expected in zip(weights_b, weights_r):
@@ -316,14 +329,13 @@ class TestEndToEndParity:
         np.testing.assert_array_equal(branch.predict_scores(samples),
                                       per_sample_forward(branch, samples))
 
-    def test_gsg_batch_size_one_unchanged_by_kernel_flag(self, tiny_task):
-        """batch_size=1 must take the legacy path whatever the flag says."""
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    @pytest.mark.parametrize("branch", ["gsg", "ldg"])
+    def test_batch_size_below_one_is_rejected(self, tiny_task, branch, batch_size):
         samples, labels = tiny_task
-        a = GSGBranch(tiny_gsg_config()).fit(samples, labels).predict_scores(samples)
-        branch = GSGBranch(tiny_gsg_config())
-        branch._batched_kernel = False
-        b = branch.fit(samples, labels).predict_scores(samples)
-        np.testing.assert_array_equal(a, b)
+        branch_cls, config_factory = BRANCHES[branch]
+        with pytest.raises(ValueError, match="batch_size"):
+            branch_cls(config_factory(batch_size=batch_size)).fit(samples, labels)
 
 
 @pytest.fixture(scope="module")

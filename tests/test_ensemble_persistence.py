@@ -1,11 +1,11 @@
 """Persistence regression tests for the ensemble heads.
 
 The golden fixtures under ``tests/fixtures/classifier_states/`` were written
-by the PR-3-era recursive tree engine (see
-``tests/fixtures/make_classifier_fixtures.py``).  Loading them through the
-current flat histogram engine must reproduce the recorded predictions bit for
-bit — that is the backward-compatibility contract deployed model directories
-rely on.  Fresh fits must also survive a save/load round trip losslessly,
+by the PR-3-era recursive tree engine, in commit d20a42a; the engine that
+wrote them is gone, so they are kept as checked in and never regenerated.
+Loading them through the current flat histogram engine must reproduce the
+recorded predictions bit for bit — that is the backward-compatibility
+contract deployed model directories rely on.  Fresh fits must also survive a save/load round trip losslessly,
 including every tree hyperparameter.
 """
 

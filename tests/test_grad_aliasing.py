@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from repro.graph.sparse import SparseAdjacency
-from repro.gnn.sparse_ops import (_segment_index, segment_mean_batch,
-                                  segment_sum_batch)
+from repro.gnn.sparse_ops import _segment_index, segment_mean_batch, take_rows
 from repro.nn import Tensor, concat
 
 
@@ -70,9 +69,9 @@ class TestOwnedGradAliasing:
     def test_segment_ops_on_shared_input(self):
         offsets = np.array([0, 2, 3], dtype=np.int64)
         x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        total = segment_sum_batch(x, offsets) + segment_mean_batch(x, offsets)
+        total = take_rows(x, np.array([2, 0])) + segment_mean_batch(x, offsets)
         total.sum().backward()
-        expected = np.array([[1.5, 1.5], [1.5, 1.5], [2.0, 2.0]])
+        expected = np.array([[1.5, 1.5], [0.5, 0.5], [2.0, 2.0]])
         np.testing.assert_array_equal(x.grad, expected)
 
 
