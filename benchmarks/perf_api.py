@@ -14,9 +14,15 @@ On top of the sequential comparison, the harness exercises the concurrent
 serving tier:
 
 * ``latency``    — per-request wall times of warm single-address ``score()``
-  calls, reported as p50/p95/mean/max percentiles;
+  calls, reported as p50/p95/mean/max percentiles.  Every address was
+  scored just before, so each call is a repeat answered from the facade's
+  score memo (a cached sample and its memoized probabilities, no head
+  pass);
 * ``concurrent`` — a :class:`repro.api.ParallelScorer` worker-count sweep
-  (default 1/2/4) in thread or process mode, cold sample cache per run;
+  (default 1/2/4) in thread or process mode, cold sample cache per run.  In
+  process mode the cache cleared is the parent's: the workers keep theirs
+  across the runs of one worker count, so every run after the parity check
+  is answered from the workers' score memos;
 * ``service``    — N asyncio callers pushed through the
   :class:`repro.api.ScoringService` micro-batcher, recording how many batched
   passes served them and the per-caller latency percentiles.

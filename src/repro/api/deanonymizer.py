@@ -22,7 +22,8 @@ together (:class:`~repro.core.inference.StackedHeads`): one stacked GSG and
 one stacked LDG forward per chunk of samples with equal node counts serve
 all of them, and only calibration and the classifier run per head.  Scores
 stay bit-identical to each head's own ``predict_proba``, whatever else the
-batch holds.
+batch holds, so each cached sample keeps its scores and the heads run on it
+once: a repeated address is answered from that memo.
 
 Ledger path: the facade reads the attached ledger through its columnar
 transaction store — the global graph is ingested with the vectorised
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 
 from collections import OrderedDict
 from dataclasses import asdict
@@ -123,16 +125,14 @@ class DeAnonymizer:
     default) keeps every sample forever — the right call for small ledgers and
     batch experiments — while a positive integer turns the cache into an LRU,
     so a long-running server over a large address space holds at most that
-    many subgraphs in memory.  Hit/miss/eviction counts appear in
-    :meth:`stats`.
+    many subgraphs in memory.  It may be reassigned later, under the same
+    check.  Hit/miss/eviction counts appear in :meth:`stats`.
     """
 
     def __init__(self, ledger: Ledger | None = None,
                  dataset_config: DatasetConfig | None = None,
                  model_config: DBG4ETHConfig | Callable[[], DBG4ETHConfig] | None = None,
                  seed: int = 0, sample_cache_size: int | None = None):
-        if sample_cache_size is not None and sample_cache_size < 1:
-            raise ValueError("sample_cache_size must be a positive integer or None")
         self.ledger = ledger
         self.dataset_config = dataset_config or DatasetConfig()
         self.model_config = model_config
@@ -160,6 +160,17 @@ class DeAnonymizer:
         #: record their fan-out and queue-wait observations into the same
         #: registry, so ``stats()`` is the one monitoring surface.
         self.metrics = ServingMetrics()
+
+    @property
+    def sample_cache_size(self) -> int | None:
+        """Most cached subgraph samples (an LRU), or ``None`` for no bound."""
+        return self._sample_cache_size
+
+    @sample_cache_size.setter
+    def sample_cache_size(self, size: int | None) -> None:
+        if size is not None and size < 1:
+            raise ValueError("sample_cache_size must be a positive integer or None")
+        self._sample_cache_size = size
 
     # ---------------------------------------------------------- constructors
     @classmethod
@@ -312,16 +323,17 @@ class DeAnonymizer:
           extractor's feature table is carried forward over the new rows, so
           that work runs here rather than on the first scoring thread;
         * cached subgraph samples of accounts touched by the new transactions
-          are evicted, so their next score is sampled fresh.
+          are evicted, with the scores memoized on them, so their next score
+          is sampled and computed fresh.
 
         The whole reconciliation is timed as the ``refresh`` stage of
         ``stats()["serving"]``.
 
-        Untouched accounts keep their cached samples.  Note the documented
-        approximation: a cached sample whose *neighbourhood* (but not the
-        account itself) gained transactions is served unchanged until it is
-        evicted by LRU pressure, touched later, or dropped via
-        :meth:`clear_sample_cache`.
+        Untouched accounts keep their cached samples and memoized scores.
+        Note the documented approximation: a cached sample whose
+        *neighbourhood* (but not the account itself) gained transactions is
+        served unchanged, and so are its scores, until it is evicted by LRU
+        pressure, touched later, or dropped via :meth:`clear_sample_cache`.
 
         Follows the graph write contract — must not run concurrently with
         in-flight scoring threads; a frozen graph raises ``RuntimeError``
@@ -409,7 +421,8 @@ class DeAnonymizer:
         return kept
 
     def clear_sample_cache(self) -> None:
-        """Drop every cached subgraph sample (e.g. to bound server memory)."""
+        """Drop every cached subgraph sample, and the scores memoized on them
+        (e.g. to bound server memory)."""
         with self._sample_lock:
             self._samples.clear()
 
@@ -423,7 +436,16 @@ class DeAnonymizer:
         same-architecture branches runs one stacked forward per chunk of
         samples with equal node counts (the forwards run are recorded as
         ``score.head_passes`` in :meth:`stats`).
-        Returns ``{address: {category: probability}}``.
+
+        The heads run only on samples they have not scored yet.  A cached
+        sample keeps every head's probability, keyed on the identity of the
+        :class:`~repro.core.inference.StackedHeads` that computed it, and a
+        repeated address is answered from that memo, bit for bit what the
+        heads would recompute (counted as ``score.memo_hits``).  Refitting or
+        restoring a head rebuilds the stack, which invalidates every memo;
+        whatever drops a cached sample drops its scores.
+        Returns ``{address: {category: probability}}``, fresh dicts the caller
+        may change.
 
         Addresses that cannot be sampled are collected across the whole batch
         and raised as **one** aggregated :class:`UnknownAddressError` (its
@@ -449,22 +471,46 @@ class DeAnonymizer:
         if unknown and not skip_unknown:
             raise UnknownAddressError(unknown)
         known = [address for address in unique if address in samples]
-        sample_list = [samples[address] for address in known]
         t1 = time.perf_counter()
-        stacked = self._stacked_heads()
-        per_head = stacked.predict_proba(sample_list) if known else {}
+        scores = dict(zip(known, self._scores_for([samples[a] for a in known])))
         metrics = self.metrics
         metrics.record_seconds("score.sample", t1 - t0)
         metrics.record_seconds("score.heads", time.perf_counter() - t1)
         metrics.record_value("score.batch_size", len(unique))
-        metrics.record_value("score.head_passes", stacked.passes(sample_list))
         metrics.increment("score.calls")
         metrics.increment("score.addresses", len(addresses))
         metrics.increment("score.unknown", len(unknown))
-        index = {address: i for i, address in enumerate(known)}
-        return {address: {name: float(per_head[name][index[address]])
-                          for name in self._heads}
-                for address in addresses if address in samples}
+        return {address: scores[address] for address in addresses if address in scores}
+
+    def _scores_for(self, samples: Sequence[AccountSubgraph]) -> list[dict[str, float]]:
+        """``{category: probability}`` per sample: memoized, or one stacked pass.
+
+        The heads run only on the samples without a memo of the current
+        stack, and those keep their result in ``head_scores``.  The key is a
+        weak reference to the stack: unique across facades that share sample
+        objects (``from_dataset``), and it pins no replaced weights.  Returns
+        copies.  Two threads that score one unscored sample at once may both
+        compute it; they store equal values.  The scoring path of
+        :meth:`score` and of the thread-mode
+        :class:`~repro.api.scorer.ParallelScorer`.
+        """
+        stacked = self._stacked_heads()
+        memos = []
+        for sample in samples:
+            memo = sample.head_scores           # one read: other threads may store
+            memos.append(memo[1] if memo is not None and memo[0]() is stacked else None)
+        missing = [i for i, memo in enumerate(memos) if memo is None]
+        fresh = [samples[i] for i in missing]
+        if fresh:
+            per_head = stacked.predict_proba(fresh)
+            key = weakref.ref(stacked)
+            for j, i in enumerate(missing):
+                memos[i] = {name: float(probabilities[j])
+                            for name, probabilities in per_head.items()}
+                samples[i].head_scores = (key, memos[i])
+        self.metrics.record_value("score.head_passes", stacked.passes(fresh))
+        self.metrics.increment("score.memo_hits", len(samples) - len(fresh))
+        return [dict(memo) for memo in memos]
 
     def score_all(self) -> dict[str, dict[str, float]]:
         """Score every account in the transaction graph (or, without a ledger,
@@ -532,7 +578,8 @@ class DeAnonymizer:
 
         With ``category`` returns that head's ``(n,)`` probability array;
         without it, a ``{category: probabilities}`` dict over all heads,
-        scored together as in :meth:`score`.
+        scored together as in :meth:`score`.  The heads run on every sample
+        given: this path neither reads nor fills the memo of :meth:`score`.
         """
         self._check_fitted()
         samples = list(samples)

@@ -11,8 +11,9 @@ through every fitted head.  Two execution modes:
   cache layers (double-checked locking everywhere a lazy structure is built,
   plus the :meth:`~repro.api.DeAnonymizer.warm` pre-build) makes this safe;
   head inference then runs once in the calling thread over the full batch,
-  through the same stacked heads as :meth:`DeAnonymizer.score
-  <repro.api.DeAnonymizer.score>`, so results are bit-identical to it.
+  through the same stacked heads and per-sample score memo as
+  :meth:`DeAnonymizer.score <repro.api.DeAnonymizer.score>`, so results are
+  bit-identical to it.
   Threads buy real wall-time on the allocation-heavy sampling path and keep
   one shared sample cache, but remain GIL-bound for pure-Python segments.
 * ``mode="process"``: each worker process rehydrates its **own** scorer from
@@ -236,15 +237,11 @@ class ParallelScorer:
         t1 = time.perf_counter()
         known = [address for chunk in chunks for address in chunk
                  if address in samples]
-        sample_list = [samples[address] for address in known]
-        per_head = deanon.score_samples(sample_list) if known else {}
+        scores = dict(zip(known, deanon._scores_for([samples[a] for a in known])))
         metrics = deanon.metrics
         metrics.record_seconds("parallel.sample", t1 - t0)
         metrics.record_seconds("parallel.heads", time.perf_counter() - t1)
-        index = {address: i for i, address in enumerate(known)}
-        return {address: {name: float(per_head[name][index[address]])
-                          for name in deanon._heads}
-                for address in addresses if address in samples}
+        return {address: scores[address] for address in addresses if address in scores}
 
     def _sample_chunk(self, chunk: list[str]) -> tuple[dict, list[str]]:
         samples: dict = {}

@@ -41,6 +41,12 @@ class AccountSubgraph:
         ``(n, 15)`` deep feature matrix, row order matching ``graph.nodes``.
     center_index:
         Row index of the centre node in ``node_features`` / adjacency matrices.
+    head_scores:
+        ``(key, {head: probability})`` once a serving facade has scored the
+        sample, ``key`` a weak reference to the stacked heads that did (see
+        :meth:`DeAnonymizer.score <repro.api.DeAnonymizer.score>`); ``None``
+        before.  The probabilities are a pure function of the sample and those
+        heads, so they are kept as long as the sample is.  Not pickled.
     """
 
     center: str
@@ -57,10 +63,13 @@ class AccountSubgraph:
                                 compare=False)
     _cache_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                         repr=False, compare=False)
+    head_scores: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __getstate__(self):
         state = self.__dict__.copy()
         del state["_cache_lock"]            # locks are not picklable
+        state.pop("head_scores", None)      # weakly keyed; absent until scored
         return state
 
     def __setstate__(self, state):

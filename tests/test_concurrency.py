@@ -227,6 +227,23 @@ def test_sample_cache_size_validation(small_ledger):
         DeAnonymizer(small_ledger, sample_cache_size=0)
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_sample_cache_size_is_checked_when_reassigned(small_ledger, served_addresses,
+                                                      size):
+    """A bound assigned after construction gets the constructor's check:
+    unchecked, -1 made the first miss raise ``KeyError`` from ``popitem``
+    and 0 evicted every sample as soon as it was stored."""
+    deanon = DeAnonymizer(small_ledger, dataset_config=DATASET_CONFIG,
+                          sample_cache_size=2)
+    with pytest.raises(ValueError, match="sample_cache_size"):
+        deanon.sample_cache_size = size
+    assert deanon.sample_cache_size == 2
+    deanon.sample_cache_size = None
+    for address in served_addresses[:3]:
+        deanon.sample_for(address)
+    assert deanon.stats()["serving"]["sample_cache"]["evictions"] == 0
+
+
 # --------------------------------------------------------------------------
 # ParallelScorer
 # --------------------------------------------------------------------------

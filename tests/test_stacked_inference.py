@@ -174,8 +174,12 @@ def test_a_batch_scores_every_sample_as_it_scores_alone(fitted, pool, lone, refe
     facade = serving(fitted, names, small_ledger)
     batch = [pool[i % len(pool)] for i in picks]
     scores = facade.score(batch)
+    # Alone on a facade that has not scored it: the batch's facade would
+    # answer from the score memo its batch just filled.
+    alone = serving(fitted, names, small_ledger)
     for address in set(batch):
-        assert scores[address] == facade.score([address])[address]
+        assert scores[address] == alone.score([address])[address]
+    assert alone.metrics.counter("score.memo_hits") == 0
     samples = [facade.sample_for(address) for address in batch]
     samples.insert(min(lone_at, len(samples)), lone)
     raw = StackedHeads({name: facade.head(name) for name in names}).branch_scores(samples)
