@@ -19,19 +19,24 @@ serving tier:
   score memo (a cached sample and its memoized probabilities, no head
   pass);
 * ``concurrent`` — a :class:`repro.api.ParallelScorer` worker-count sweep
-  (default 1/2/4) in thread or process mode, cold sample cache per run.  In
-  process mode the cache cleared is the parent's: the workers keep theirs
-  across the runs of one worker count, so every run after the parity check
-  is answered from the workers' score memos;
+  (default 1/2/4) in thread or process mode.  Every timed run scores cold
+  addresses on a fresh pool: the pool is first warmed, untimed, by scoring
+  as many other addresses (this starts the threads or processes, and each
+  process worker builds its own graph), then the facade's sample cache is
+  cleared.  The addresses timed were never scored in that pool, so no
+  worker answers them from a sample cache or score memo;
 * ``service``    — N asyncio callers pushed through the
-  :class:`repro.api.ScoringService` micro-batcher, recording how many batched
-  passes served them and the per-caller latency percentiles.
+  :class:`repro.api.ScoringService` micro-batcher on a cold sample cache,
+  recording how many batched passes served them and the per-caller latency
+  percentiles.  All N callers queue before the batcher wakes, so they are
+  served together.
 
-Every path is asserted to produce bit-identical probabilities before timings
-are recorded.  Results are written to ``BENCH_api.json``.  Note that the
-worker sweep measures honestly: on a single-core host the parallel rows will
-hover around 1x — the ``--min-concurrent-speedup`` floor is opt-in and meant
-for multi-core runners.
+Every path is asserted to produce bit-identical probabilities: the
+sequential paths before timings are recorded, the sweep and the service on
+the results of their timed runs.  Results are written to ``BENCH_api.json``.
+Note that the worker sweep measures honestly: on a single-core host the
+parallel rows will hover around 1x — the ``--min-concurrent-speedup`` floor
+is opt-in and meant for multi-core runners.
 
 Run::
 
@@ -103,23 +108,26 @@ def assert_parity(expected: dict, got: dict, label: str) -> None:
 
 
 def bench_concurrent(deanon: DeAnonymizer, addresses: list[str],
-                     expected: dict, workers: list[int], mode: str,
-                     reps: int) -> dict:
-    """Worker-count sweep of the ParallelScorer, parity-checked per count."""
+                     expected: dict, warmup: list[str], workers: list[int],
+                     mode: str, reps: int) -> dict:
+    """Worker-count sweep of the ParallelScorer, parity-checked on every run.
+
+    Each run gets a fresh pool warmed on ``warmup`` (addresses disjoint from
+    ``addresses``) outside the timing: a process worker keeps its own samples
+    and their scores, so a pool that had scored ``addresses`` would answer
+    them from its memos.
+    """
     sweep = []
     for count in workers:
-        with ParallelScorer(deanon, max_workers=count, mode=mode) as scorer:
-            if mode == "process":
-                scorer.warm()                    # pool spin-up out of the timing
-            deanon.clear_sample_cache()
-            assert_parity(expected, scorer.score(addresses),
-                          f"concurrent[{mode} x{count}]")
-            best = float("inf")
-            for _ in range(reps):
+        best = float("inf")
+        for _ in range(reps):
+            with ParallelScorer(deanon, max_workers=count, mode=mode) as scorer:
+                scorer.score(warmup)
                 deanon.clear_sample_cache()
                 t0 = time.perf_counter()
-                scorer.score(addresses)
+                got = scorer.score(addresses)
                 best = min(best, time.perf_counter() - t0)
+            assert_parity(expected, got, f"concurrent[{mode} x{count}]")
         sweep.append({"workers": count, "seconds": best,
                       "addresses_per_second": len(addresses) / best})
     baseline = sweep[0]["seconds"]
@@ -128,9 +136,13 @@ def bench_concurrent(deanon: DeAnonymizer, addresses: list[str],
     return {"mode": mode, "sweep": sweep}
 
 
-def bench_service(deanon: DeAnonymizer, addresses: list[str], expected: dict,
-                  batch_window: float = 0.01) -> dict:
-    """N concurrent asyncio callers through the micro-batcher, one address each."""
+def bench_service(deanon: DeAnonymizer, addresses: list[str], expected: dict) -> dict:
+    """N concurrent asyncio callers through the micro-batcher, one address each.
+
+    The sample cache is cleared first, so the batch samples and scores every
+    address instead of reading the memos of the runs before it.
+    """
+    deanon.clear_sample_cache()
     latencies: list[float] = []
     before_batches = deanon.metrics.counter("service.batches")
 
@@ -141,8 +153,7 @@ def bench_service(deanon: DeAnonymizer, addresses: list[str], expected: dict,
         return result
 
     async def main():
-        async with ScoringService(deanon, batch_window=batch_window,
-                                  max_batch=len(addresses)) as service:
+        async with ScoringService(deanon, max_batch=len(addresses)) as service:
             t0 = time.perf_counter()
             results = await asyncio.gather(
                 *(call(service, address) for address in addresses))
@@ -159,7 +170,6 @@ def bench_service(deanon: DeAnonymizer, addresses: list[str], expected: dict,
         f"{len(addresses)} concurrent callers")
     return {
         "callers": len(addresses),
-        "batch_window_ms": batch_window * 1e3,
         "total_seconds": total_seconds,
         "batches": batches,
         "requests_per_second": len(addresses) / total_seconds,
@@ -187,7 +197,10 @@ def run(scale: float = 0.3, num_addresses: int = 30, epochs: int = 4,
     # Score addresses drawn from the global graph (mix of labelled and not).
     rng = np.random.default_rng(seed)
     nodes = list(deanon.builder.graph.nodes)
-    addresses = [nodes[i] for i in rng.permutation(len(nodes))[:num_addresses]]
+    order = rng.permutation(len(nodes))
+    addresses = [nodes[i] for i in order[:num_addresses]]
+    # Warms each timed sweep run's pool without touching ``addresses``.
+    warmup = [nodes[i] for i in order[num_addresses:2 * num_addresses]]
 
     # Pre-build the shared graph/feature structures so every timed path —
     # sequential and concurrent alike — measures serving, not first-build.
@@ -218,7 +231,7 @@ def run(scale: float = 0.3, num_addresses: int = 30, epochs: int = 4,
         deanon.score([address])
         single_latencies.append(time.perf_counter() - t0)
 
-    concurrent = bench_concurrent(deanon, addresses, expected,
+    concurrent = bench_concurrent(deanon, addresses, expected, warmup,
                                   workers or [1, 2, 4], concurrent_mode, reps)
     service = bench_service(deanon, addresses, expected)
 

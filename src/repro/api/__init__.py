@@ -16,7 +16,7 @@ The concurrent serving tier layers on top of the facade::
         scorer.score(addresses)                  # pooled fan-out, same results
 
     async with ScoringService(deanon) as service:
-        await service.score("0xabc...")          # coalesced micro-batches
+        await service.score("0xabc...")          # dispatched on arrival
 
 Everything underneath (graph sampling, feature extraction, the GSG/LDG
 branches, calibration, classification) stays importable for research use; the

@@ -125,8 +125,12 @@ class DeAnonymizer:
     default) keeps every sample forever — the right call for small ledgers and
     batch experiments — while a positive integer turns the cache into an LRU,
     so a long-running server over a large address space holds at most that
-    many subgraphs in memory.  It may be reassigned later, under the same
-    check.  Hit/miss/eviction counts appear in :meth:`stats`.
+    many subgraphs in memory.  The bound holds on every path that fills the
+    cache, the dataset samples seeded by :meth:`from_dataset` or
+    :attr:`dataset` included, and it may be reassigned later, under the same
+    check; a lower bound evicts at once.  Without a ledger an evicted sample
+    cannot be drawn again, so a ledger-less facade should stay unbounded.
+    Hit/miss/eviction counts appear in :meth:`stats`.
     """
 
     def __init__(self, ledger: Ledger | None = None,
@@ -137,7 +141,6 @@ class DeAnonymizer:
         self.dataset_config = dataset_config or DatasetConfig()
         self.model_config = model_config
         self.seed = seed
-        self.sample_cache_size = sample_cache_size
         self._builder: SubgraphDatasetBuilder | None = None
         self._dataset: SubgraphDataset | None = None
         self._heads: dict[str, DBG4ETH] = {}
@@ -151,6 +154,7 @@ class DeAnonymizer:
         self._cache_misses = 0
         self._cache_evictions = 0
         self._cache_invalidations = 0
+        self.sample_cache_size = sample_cache_size
         # Follow-the-chain epoch: the ledger data_version this facade has
         # reconciled its caches against (see refresh()).
         self._seen_data_version = ledger.data_version if ledger is not None else None
@@ -170,7 +174,22 @@ class DeAnonymizer:
     def sample_cache_size(self, size: int | None) -> None:
         if size is not None and size < 1:
             raise ValueError("sample_cache_size must be a positive integer or None")
-        self._sample_cache_size = size
+        with self._sample_lock:
+            self._sample_cache_size = size
+            self._trim_sample_cache()
+
+    def _trim_sample_cache(self) -> None:
+        """Evict the oldest samples down to the bound.
+
+        Oldest is least recently served while bounded, and first inserted
+        otherwise (an unbounded cache does not track recency).  Run under
+        ``_sample_lock`` wherever the cache grows or the bound drops; each
+        dropped sample counts as an eviction.
+        """
+        if self._sample_cache_size is not None:
+            while len(self._samples) > self._sample_cache_size:
+                self._samples.popitem(last=False)
+                self._cache_evictions += 1
 
     # ---------------------------------------------------------- constructors
     @classmethod
@@ -195,7 +214,9 @@ class DeAnonymizer:
                        model_config=model_config, seed=seed,
                        sample_cache_size=sample_cache_size)
         instance._dataset = dataset
-        instance._samples = OrderedDict((sample.center, sample) for sample in dataset)
+        with instance._sample_lock:
+            instance._samples = OrderedDict((sample.center, sample) for sample in dataset)
+            instance._trim_sample_cache()
         return instance
 
     def attach_ledger(self, ledger: Ledger) -> "DeAnonymizer":
@@ -237,6 +258,7 @@ class DeAnonymizer:
             with self._sample_lock:
                 for sample in dataset:
                     self._samples.setdefault(sample.center, sample)
+                self._trim_sample_cache()
             self._dataset = dataset
         return self._dataset
 
@@ -415,9 +437,7 @@ class DeAnonymizer:
             kept = self._samples.setdefault(address, sample)
             if self.sample_cache_size is not None:
                 self._samples.move_to_end(address)
-                while len(self._samples) > self.sample_cache_size:
-                    self._samples.popitem(last=False)
-                    self._cache_evictions += 1
+                self._trim_sample_cache()
         return kept
 
     def clear_sample_cache(self) -> None:

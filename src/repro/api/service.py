@@ -2,14 +2,23 @@
 
 :class:`ScoringService` turns the batch-oriented scorer into a low-latency
 concurrent endpoint.  Callers ``await service.score(address)`` one address at
-a time; a single batcher task collects requests that arrive within a short
-window (``batch_window`` seconds, up to ``max_batch`` addresses) and
-dispatches them as **one** batched ``score()`` call on a worker thread.  The
-batch path samples each distinct address once and runs every category head
-over the assembled sample list, so N coalesced callers cost far less than N
+a time; a single batcher task dispatches on arrival.  An idle scorer gets a
+lone request at once, and the requests that arrive while a batch runs on the
+worker thread form the next batch (up to ``max_batch`` addresses, one batch
+in flight), dispatched as **one** batched ``score()`` call.  The batch path
+samples each distinct address once and runs every category head over the
+assembled sample list, so N coalesced callers cost far less than N
 independent single-address calls — the same economics that make
 :meth:`DeAnonymizer.score <repro.api.DeAnonymizer.score>` fast, surfaced to
 async callers transparently.
+
+There is no batch window: whether to wait for company follows from whether
+the scorer is busy, which the batcher observes.  A window makes every request
+wait its full length, and under a light load it merges almost nothing (see
+DESIGN.md for the measurement).  This is the queue-driven batching of Clipper
+(Crankshaw et al., NSDI 2017): whatever queued while the model was busy is
+batched when it becomes free.  A burst still coalesces: ``score_many``
+queues every request before the batcher wakes.
 
 Failure isolation is per-request: the batch is dispatched with
 ``skip_unknown=True``, and each caller whose address could not be sampled
@@ -17,8 +26,10 @@ gets its own :class:`~repro.api.UnknownAddressError` — one bad address never
 fails the batch for everyone else.  Batch-wide failures (a crashed head, a
 detached ledger) propagate to every caller in that batch.  The intake queue
 is bounded (``max_queue``), so a stalled backend applies backpressure to
-producers instead of buffering unboundedly; per-call ``timeout`` turns that
-backpressure into a caller-visible :class:`asyncio.TimeoutError`.
+producers instead of buffering unboundedly: at a full queue ``score()``
+waits for a slot, and nothing is rejected or dropped.  A per-call
+``timeout`` bounds that wait and the wait for the result together, as a
+caller-visible :class:`asyncio.TimeoutError`.
 
 The service accepts anything with the facade's scoring surface — a
 :class:`~repro.api.DeAnonymizer` directly, or a
@@ -53,11 +64,11 @@ class _Request:
 
 
 class ScoringService:
-    """Asyncio micro-batching front-end over a scorer.
+    """Asyncio micro-batching front-end over a scorer, dispatching on arrival.
 
     Usage::
 
-        service = ScoringService(deanon, batch_window=0.005, max_batch=64)
+        service = ScoringService(deanon, max_batch=64)
         async with service:
             probs = await service.score("0xabc...")       # {category: p}
             many = await service.score_many(addresses)    # [{category: p}, ...]
@@ -67,27 +78,20 @@ class ScoringService:
     scorer:
         A fitted :class:`~repro.api.DeAnonymizer` or
         :class:`~repro.api.scorer.ParallelScorer`.
-    batch_window:
-        Seconds the batcher waits after the first request for more to
-        coalesce.  ``0`` still batches whatever is already queued (drain-only
-        coalescing) without adding latency.
     max_batch:
-        Hard cap on addresses per dispatched batch.
+        Hard cap on addresses per dispatched batch; requests queued beyond it
+        wait for the next batch, in arrival order.
     max_queue:
         Intake queue bound; when full, ``score()`` awaits (backpressure).
     """
 
     def __init__(self, scorer: DeAnonymizer | ParallelScorer,
-                 batch_window: float = 0.005, max_batch: int = 64,
-                 max_queue: int = 1024):
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0 seconds")
+                 max_batch: int = 64, max_queue: int = 1024):
         if max_batch < 1:
             raise ValueError("max_batch must be a positive integer")
         if max_queue < 1:
             raise ValueError("max_queue must be a positive integer")
         self.scorer = scorer
-        self.batch_window = batch_window
         self.max_batch = max_batch
         self.max_queue = max_queue
         self._queue: asyncio.Queue[_Request] | None = None
@@ -187,20 +191,12 @@ class ScoringService:
         queue = self._queue
         loop = asyncio.get_running_loop()
         while True:
+            # One batch in flight: _dispatch returns once its batch is scored,
+            # so what queued meanwhile goes out together, and a request that
+            # finds the scorer idle goes out alone at once.
             batch = [await queue.get()]
-            deadline = loop.time() + self.batch_window
-            while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    # Window elapsed: drain whatever is already queued, for
-                    # free, then dispatch.
-                    while len(batch) < self.max_batch and not queue.empty():
-                        batch.append(queue.get_nowait())
-                    break
-                try:
-                    batch.append(await asyncio.wait_for(queue.get(), remaining))
-                except asyncio.TimeoutError:
-                    break
+            while len(batch) < self.max_batch and not queue.empty():
+                batch.append(queue.get_nowait())
             await self._dispatch(loop, batch)
 
     async def _dispatch(self, loop: asyncio.AbstractEventLoop,

@@ -95,11 +95,16 @@ class _LDGNetwork(Module):
             adjacency = SparseAdjacency.coerce(adjacency)
             topo = self.gcn(hidden, adjacency)            # Eq. 14
             hidden = self.gru(topo, hidden)               # Eq. 15-18
-            pooled, pooled_adj = hidden, adjacency
-            for pool in self.pools:
-                pooled, pooled_adj, _assign = pool.forward_batched(pooled, pooled_adj)  # Eq. 19-21
-            pooled_per_slice.append(
-                segment_mean_batch(pooled, pooled_adj.node_offsets))
+            pooled, graph = hidden, adjacency
+            for pool in self.pools[:-1]:
+                pooled, graph, _assign = pool.forward_batched(pooled, graph)  # Eq. 19-21
+            offsets = graph.node_offsets
+            if self.pools:
+                # The last layer leaves one cluster per block, and nothing
+                # reads its coarse graph, so it is never built.
+                pooled, _assign = self.pools[-1].pool_features(pooled, graph)  # Eq. 19-20
+                offsets = np.arange(graph.num_graphs + 1)
+            pooled_per_slice.append(segment_mean_batch(pooled, offsets))
         return pooled_per_slice
 
     def forward(self, features: np.ndarray, slices) -> Tensor:

@@ -57,12 +57,30 @@ class DiffPool(Module):
         effectively full, so nothing is gained by keeping it in CSR form.
         """
         adj = SparseAdjacency.coerce(adjacency)
-        assignment = softmax(self.assign_gnn(x, adj), axis=1)          # (n, c)
-        embedded = self.embed_gnn(x, adj)                              # (n, d)
-        pooled_features = assignment.T @ embedded                      # (c, d)
+        pooled_features, assignment = self.pool_features(x, adj)
         assign_np = assignment.data
         pooled_adjacency = adj.rmatmul(assign_np).T @ assign_np        # M^T A M
         return pooled_features, pooled_adjacency, assignment
+
+    def pool_features(self, x: Tensor, adjacency: SparseAdjacency,
+                      ) -> tuple[Tensor, Tensor]:
+        """``(pooled features, assignment matrix)`` of every block of a stack.
+
+        Eq. 19-20 without the coarse graph (Eq. 21), for a last layer whose
+        coarse graph nothing reads.  A plain adjacency is one graph; on a
+        :class:`BatchedAdjacency` the assignment/embedding GNNs and the
+        row-wise softmax are block-local, so they run unchanged on the
+        stacked input, and ``M^T h`` is a per-segment matmul over exactly the
+        rows the per-sample path would see.  The pooled features of ``B``
+        blocks form a ``(B·c, d)`` stack.
+        """
+        assignment = softmax(self.assign_gnn(x, adjacency), axis=1)    # (N, c)
+        embedded = self.embed_gnn(x, adjacency)                        # (N, d)
+        if isinstance(adjacency, BatchedAdjacency):
+            pooled = segment_matmul(assignment, embedded, adjacency.node_offsets)
+        else:
+            pooled = assignment.T @ embedded                           # (c, d)
+        return pooled, assignment
 
     def forward_batched(self, x: Tensor, adjacency: SparseAdjacency,
                         ) -> tuple[Tensor, SparseAdjacency, Tensor]:
@@ -70,23 +88,17 @@ class DiffPool(Module):
 
         A plain adjacency is a stack of one graph: :meth:`forward` pools it
         with the graph's own ops, and its coarse graph comes back as a plain
-        :class:`SparseAdjacency`.  On a :class:`BatchedAdjacency`, the
-        assignment/embedding GNNs and the row-wise softmax are block-local,
-        so they run unchanged on the stacked input; the two per-block
-        contractions (``M^T h`` and ``M^T A M``) use per-segment matmuls over
-        exactly the rows the per-sample path would see.  Returns the pooled
-        features as a ``(B·c, d)`` stack and the pooled adjacency as a new
+        :class:`SparseAdjacency`.  On a :class:`BatchedAdjacency` the
+        features pool as in :meth:`pool_features`, and ``M^T A M`` is a
+        per-segment matmul too.  Returns the pooled adjacency as a new
         :class:`BatchedAdjacency` with uniform ``c``-node blocks, built from
-        the dense ``M^T A M`` stack with the same non-zero scan the per-sample
-        path's next layer applies when it coerces its dense block.
+        the dense ``M^T A M`` stack with the same non-zero scan the
+        per-sample path's next layer applies when it coerces its dense block.
         """
         if not isinstance(adjacency, BatchedAdjacency):
             pooled_features, coarse, assignment = self.forward(x, adjacency)
             return pooled_features, SparseAdjacency.from_dense(coarse), assignment
-        assignment = softmax(self.assign_gnn(x, adjacency), axis=1)    # (N, c)
-        embedded = self.embed_gnn(x, adjacency)                        # (N, d)
-        offsets = adjacency.node_offsets
-        pooled_features = segment_matmul(assignment, embedded, offsets)
-        coarse = segment_matmul_array(adjacency.rmatmul(assignment.data),
-                                      assignment.data, offsets)        # M^T A M per block
+        pooled_features, assignment = self.pool_features(x, adjacency)
+        coarse = segment_matmul_array(adjacency.rmatmul(assignment.data), assignment.data,
+                                      adjacency.node_offsets)          # M^T A M per block
         return pooled_features, BatchedAdjacency.from_dense_blocks(coarse), assignment

@@ -222,6 +222,40 @@ def test_sample_cache_lru_bound_and_counters(small_ledger, served_addresses):
     assert len(deanon._samples) == 2
 
 
+def test_from_dataset_seeds_at_most_the_bound(small_ledger, small_dataset):
+    """The dataset's samples seed the cache under the bound, the oldest
+    evicted first: unbounded, every one of them stayed cached."""
+    assert len(small_dataset) > 3
+    deanon = DeAnonymizer.from_dataset(small_dataset, ledger=small_ledger,
+                                       dataset_config=DATASET_CONFIG,
+                                       sample_cache_size=3)
+    cache = deanon.stats()["serving"]["sample_cache"]
+    assert cache["size"] == 3 and cache["max_size"] == 3
+    assert cache["evictions"] == len(small_dataset) - 3
+    assert list(deanon._samples) == [s.center for s in small_dataset][-3:]
+
+
+def test_dataset_property_seeds_at_most_the_bound(small_ledger):
+    deanon = DeAnonymizer(small_ledger, dataset_config=DATASET_CONFIG,
+                          sample_cache_size=3)
+    assert len(deanon.dataset) > 3
+    assert deanon.stats()["serving"]["sample_cache"]["size"] == 3
+
+
+def test_lowering_the_bound_trims_at_once(small_ledger, served_addresses):
+    """An unbounded cache keeps insertion order, so the first sampled go."""
+    deanon = DeAnonymizer(small_ledger, dataset_config=DATASET_CONFIG)
+    for address in served_addresses[:10]:
+        deanon.sample_for(address)
+    deanon.sample_cache_size = 3
+    cache = deanon.stats()["serving"]["sample_cache"]
+    assert cache["size"] == 3 and cache["evictions"] == 7
+    assert list(deanon._samples) == served_addresses[7:10]
+    deanon.sample_for(served_addresses[7])      # bounded: a hit moves it last
+    deanon.sample_cache_size = 2
+    assert list(deanon._samples) == [served_addresses[9], served_addresses[7]]
+
+
 def test_sample_cache_size_validation(small_ledger):
     with pytest.raises(ValueError, match="sample_cache_size"):
         DeAnonymizer(small_ledger, sample_cache_size=0)
@@ -340,7 +374,7 @@ def test_scoring_service_coalesces_and_matches_sequential(facade, served_address
     before = facade.metrics.counter("service.batches")
 
     async def main():
-        async with ScoringService(facade, batch_window=0.05, max_batch=64) as svc:
+        async with ScoringService(facade, max_batch=64) as svc:
             return await svc.score_many(served_addresses)
 
     results = asyncio.run(main())
@@ -351,9 +385,71 @@ def test_scoring_service_coalesces_and_matches_sequential(facade, served_address
     assert facade.metrics.counter("service.requests") >= len(served_addresses)
 
 
+def test_scoring_service_batches_what_queues_behind_a_running_batch(
+        facade, served_addresses):
+    """A lone request goes out at once; the requests sent while its batch
+    runs are the next batches, split by max_batch in arrival order."""
+    release = threading.Event()
+    dispatched = threading.Event()
+    batches = []
+
+    class GatedScorer:
+        deanonymizer = facade
+
+        def score(self, addresses, skip_unknown=False):
+            batches.append(list(addresses))
+            dispatched.set()
+            if len(batches) == 1:
+                release.wait(5.0)
+            return {address: {"stub": float(i)} for i, address in enumerate(addresses)}
+
+    first, queued = served_addresses[0], served_addresses[1:11]
+
+    async def main():
+        async with ScoringService(GatedScorer(), max_batch=4) as svc:
+            try:
+                lone = asyncio.ensure_future(svc.score(first))
+                while not dispatched.is_set():
+                    await asyncio.sleep(0.001)
+                behind = [asyncio.ensure_future(svc.score(a)) for a in queued]
+                while svc._queue.qsize() < len(queued):
+                    await asyncio.sleep(0.001)
+            finally:
+                release.set()
+            return await asyncio.gather(lone, *behind)
+
+    results = asyncio.run(main())
+    assert batches == [[first], queued[:4], queued[4:8], queued[8:]]
+    assert results == [{"stub": 0.0}] + [{"stub": float(i % 4)}
+                                         for i in range(len(queued))]
+
+
+def test_scoring_service_idle_round_trip_waits_for_no_window(facade, served_addresses):
+    """Through an idle service, a request costs one hand-off to the worker
+    thread and back: the median of 50 sequential round trips over a scorer
+    that returns at once is far below the 5 ms a batch window would add."""
+    class InstantScorer:
+        deanonymizer = facade
+
+        def score(self, addresses, skip_unknown=False):
+            return {address: {"stub": 1.0} for address in addresses}
+
+    async def main():
+        seconds = []
+        async with ScoringService(InstantScorer()) as svc:
+            await svc.score(served_addresses[0])         # starts the worker thread
+            for _ in range(50):
+                start = time.perf_counter()
+                await svc.score(served_addresses[0])
+                seconds.append(time.perf_counter() - start)
+        return float(np.median(seconds))
+
+    assert asyncio.run(main()) < 2.5e-3
+
+
 def test_scoring_service_unknown_is_per_request(facade, served_addresses):
     async def main():
-        async with ScoringService(facade, batch_window=0.05) as svc:
+        async with ScoringService(facade) as svc:
             return await svc.score_many([served_addresses[0], "0xMISSING",
                                          served_addresses[1]])
 
@@ -376,7 +472,7 @@ def test_scoring_service_batch_wide_failure_propagates(facade, served_addresses)
             raise Boom("backend down")
 
     async def main():
-        async with ScoringService(BrokenScorer(), batch_window=0.01) as svc:
+        async with ScoringService(BrokenScorer()) as svc:
             return await svc.score_many(served_addresses[:3])
 
     results = asyncio.run(main())
@@ -394,7 +490,7 @@ def test_scoring_service_timeout(facade, served_addresses):
             return facade.score(addresses, skip_unknown=skip_unknown)
 
     async def main():
-        async with ScoringService(SlowScorer(), batch_window=0.0) as svc:
+        async with ScoringService(SlowScorer()) as svc:
             try:
                 with pytest.raises(asyncio.TimeoutError):
                     await svc.score(served_addresses[0], timeout=0.05)
@@ -419,8 +515,7 @@ def test_scoring_service_timeout_covers_a_full_queue(facade, served_addresses):
             return facade.score(addresses, skip_unknown=skip_unknown)
 
     async def main():
-        async with ScoringService(StalledScorer(), batch_window=0.0, max_batch=1,
-                                  max_queue=1) as svc:
+        async with ScoringService(StalledScorer(), max_batch=1, max_queue=1) as svc:
             try:
                 in_flight = asyncio.ensure_future(svc.score(served_addresses[0]))
                 while not dispatched.is_set():
@@ -440,6 +535,46 @@ def test_scoring_service_timeout_covers_a_full_queue(facade, served_addresses):
     assert asyncio.run(main()) < 0.5
 
 
+def test_scoring_service_full_queue_makes_callers_wait(facade, served_addresses):
+    """Overload is backpressure, not rejection: at max_queue behind a stalled
+    backend, a caller with no timeout waits for a slot, is admitted when the
+    stall clears and gets the direct score() reply; every caller is served
+    exactly once."""
+    release = threading.Event()
+    dispatched = threading.Event()
+
+    class StalledScorer:
+        deanonymizer = facade
+
+        def score(self, addresses, skip_unknown=False):
+            dispatched.set()
+            release.wait(5.0)
+            return facade.score(addresses, skip_unknown=skip_unknown)
+
+    addresses = served_addresses[:3]
+    expected = facade.score(addresses)
+    before = facade.metrics.counter("service.requests")
+
+    async def main():
+        async with ScoringService(StalledScorer(), max_batch=1, max_queue=1) as svc:
+            try:
+                in_flight = asyncio.ensure_future(svc.score(addresses[0]))
+                while not dispatched.is_set():
+                    await asyncio.sleep(0.001)
+                queued = asyncio.ensure_future(svc.score(addresses[1]))
+                waiting = asyncio.ensure_future(svc.score(addresses[2]))
+                await asyncio.sleep(0.05)
+                assert svc._queue.full() and svc._queue.qsize() == 1
+                assert not waiting.done()
+            finally:
+                release.set()
+            return await asyncio.gather(in_flight, queued, waiting)
+
+    results = asyncio.run(main())
+    assert results == [expected[address] for address in addresses]
+    assert facade.metrics.counter("service.requests") - before == len(addresses)
+
+
 def test_scoring_service_requires_start(facade, served_addresses):
     svc = ScoringService(facade)
 
@@ -451,8 +586,6 @@ def test_scoring_service_requires_start(facade, served_addresses):
 
 
 def test_scoring_service_validation(facade):
-    with pytest.raises(ValueError, match="batch_window"):
-        ScoringService(facade, batch_window=-0.1)
     with pytest.raises(ValueError, match="max_batch"):
         ScoringService(facade, max_batch=0)
     with pytest.raises(ValueError, match="max_queue"):
@@ -465,7 +598,7 @@ def test_scoring_service_over_parallel_scorer(facade, served_addresses):
 
     async def main():
         with ParallelScorer(facade, max_workers=2, chunk_size=4) as scorer:
-            async with ScoringService(scorer, batch_window=0.05) as svc:
+            async with ScoringService(scorer) as svc:
                 return await svc.score_many(served_addresses)
 
     results = asyncio.run(main())
