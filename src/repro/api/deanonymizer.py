@@ -381,10 +381,13 @@ class DeAnonymizer:
                     cols.sender_id[old_rows:][new_submitted],
                     cols.receiver_id[old_rows:][new_submitted]]))
                 addresses = ledger.store.addresses
-                touched = [addresses[i] for i in touched_ids.tolist()]
-                for address in touched:
-                    if self._samples.pop(address, None) is not None:
-                        self._cache_invalidations += 1
+                touched = list(map(addresses.__getitem__, touched_ids.tolist()))
+                # One C-level pass over the touched addresses finds the
+                # cached ones; only those are evicted one by one.
+                stale = self._samples.keys() & touched
+                for address in stale:
+                    del self._samples[address]
+                self._cache_invalidations += len(stale)
                 self._seen_rows = len(cols.sender_id)
                 self._seen_data_version = ledger.data_version
             self.metrics.increment("refresh.calls")

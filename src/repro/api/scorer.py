@@ -41,6 +41,7 @@ batch is not retried automatically.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 
@@ -65,13 +66,36 @@ class WorkerCrashedError(RuntimeError):
 #: Per-process rehydrated scorer (set once by the pool initializer).
 _WORKER_DEANON: DeAnonymizer | None = None
 
+#: Per-process handle on the pool's start barrier (see :meth:`ParallelScorer.warm`).
+_WORKER_BARRIER = None
 
-def _init_process_worker(state_blob: bytes, ledger) -> None:
-    """Process-pool initializer: rebuild a full scorer inside the worker."""
-    global _WORKER_DEANON
+#: Longest wait, in seconds, for every worker of a pool to reach its start barrier.
+_WARM_TIMEOUT = 300.0
+
+
+def _init_process_worker(state_blob: bytes, ledger, barrier) -> None:
+    """Process-pool initializer: rebuild a full scorer inside the worker and
+    warm it, so the worker's first chunk pays for no graph or table build."""
+    global _WORKER_DEANON, _WORKER_BARRIER
     deanon = DeAnonymizer(ledger=ledger)
     deanon.set_state(loads_state(state_blob))
+    deanon.warm()
     _WORKER_DEANON = deanon
+    _WORKER_BARRIER = barrier
+
+
+def _warm_process_worker() -> tuple[int, int]:
+    """Hold this worker at the pool's barrier until every worker is there.
+
+    A worker runs one task at a time, so ``max_workers`` of these tasks in
+    flight at once must run on ``max_workers`` distinct workers.  Each has
+    finished its initializer (rehydrated and warmed) before it runs a task.
+    Returns ``(pid, number of nodes in the worker's graph)``.
+    """
+    assert _WORKER_DEANON is not None, "worker pool initializer did not run"
+    _WORKER_BARRIER.wait(_WARM_TIMEOUT)
+    graph = _WORKER_DEANON.builder.graph_if_built()
+    return os.getpid(), 0 if graph is None else graph.num_nodes
 
 
 def _score_chunk_in_worker(addresses: list[str]) -> tuple[dict, list[str]]:
@@ -153,20 +177,36 @@ class ParallelScorer:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.max_workers,
                     initializer=_init_process_worker,
-                    initargs=(state_blob, deanon.ledger))
+                    initargs=(state_blob, deanon.ledger,
+                              multiprocessing.Barrier(self.max_workers)))
         return self._executor
 
     def warm(self, freeze: bool = False) -> "ParallelScorer":
-        """Pre-build shared structures (and optionally the worker pool).
+        """Pre-build shared structures (and, in process mode, every worker).
 
         Thread mode: delegates to :meth:`DeAnonymizer.warm
         <repro.api.DeAnonymizer.warm>` so pooled threads never hit a
-        first-build lock.  Process mode: additionally spins up the pool now,
-        moving the per-worker rehydration cost out of the first request.
+        first-build lock.  Process mode: additionally starts the pool and
+        returns only once each of its ``max_workers`` processes has
+        rehydrated its scorer and warmed it (graph, row index, feature
+        table), moving all of that out of the first request.  A pool creates
+        its processes lazily, so constructing it is not enough: one
+        barrier-held task per worker makes every worker start and finish its
+        initializer.
         """
         self.deanonymizer.warm(freeze=freeze)
         if self.mode == "process":
-            self._ensure_executor()
+            executor = self._ensure_executor()
+            try:
+                futures = [executor.submit(_warm_process_worker)
+                           for _ in range(self.max_workers)]
+                for future in futures:
+                    future.result()
+            except BrokenProcessPool as exc:
+                self.close()
+                raise WorkerCrashedError(
+                    "a scoring worker process died while warming; the next "
+                    "call starts a fresh pool") from exc
         return self
 
     def close(self) -> None:

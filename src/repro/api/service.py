@@ -232,4 +232,6 @@ class ScoringService:
             if result is None:
                 request.future.set_exception(UnknownAddressError(request.address))
             else:
-                request.future.set_result(result)
+                # Callers coalesced on one address each get their own dict,
+                # which they may change, as score() promises.
+                request.future.set_result(dict(result))

@@ -32,8 +32,8 @@ manifest rename leaves the previous manifest in place, pointing at the old
 consistent prefix; the next sync truncates every file back to its valid
 prefix before appending, so torn trailing writes can never be observed.
 
-Append cost is O(new rows): :meth:`sync` slices each consolidated column at
-the manifest's row count and appends only the new bytes (likewise for new
+Append cost is O(new rows): :meth:`sync` slices each column at the
+manifest's row count and appends only the new bytes (likewise for new
 addresses, blocks, accounts and labels).  Account ``balance``/``nonce`` are
 captured when the account is first persisted — the de-anonymization pipeline
 reads only address and type, and rewriting the registry per sync would break
@@ -80,8 +80,12 @@ def _append_bytes(path: Path, valid_size: int, data: bytes) -> None:
     """Truncate ``path`` to its valid prefix, then append ``data``.
 
     The truncation discards torn bytes a crashed previous sync may have left
-    beyond the manifest's committed prefix.
+    beyond the manifest's committed prefix.  A file that already holds
+    exactly its valid prefix and gains nothing is left alone: there is
+    nothing to truncate, write or flush.
     """
+    if not data and path.exists() and path.stat().st_size == valid_size:
+        return
     mode = "r+b" if path.exists() else "wb"
     with open(path, mode) as f:
         f.truncate(valid_size)
@@ -180,10 +184,10 @@ class LedgerBackend:
         only the new entries: column bytes past the committed row count, and
         the accounts and labels past the committed counts, taken from the
         insertion-ordered registry and label cloud without listing them.
-        What still grows with the ledger is a C-level walk over the committed
-        registry prefix and, when chunks were appended since the columns were
-        last read, their consolidation (an O(rows) copy, see
-        :meth:`ColumnarTxStore.columns`).
+        The columns are read as views (:meth:`ColumnarTxStore.columns`, O(1)),
+        so what still grows with the ledger is a C-level walk over the
+        committed registry (or label) prefix, and only when accounts (or
+        labels) were added.
 
         Raises :class:`BackendFormatError` when ``ledger`` holds fewer rows
         than the directory has committed (it cannot be the ledger this
@@ -228,24 +232,26 @@ class LedgerBackend:
         # Records, not Account objects: bulk-registered placeholders persist
         # without ever being materialised.  Registry and label cloud are
         # insertion-ordered dicts, so the new entries are the ones past the
-        # committed counts.
+        # committed counts; reaching them walks the committed prefix, so
+        # neither is walked when it did not grow.
+        new_accounts = (ledger.account_records(manifest["num_accounts"])
+                        if ledger.num_accounts > manifest["num_accounts"] else ())
         account_lines = "".join(
             json.dumps({"address": address, "type": type_value,
                         "balance": balance, "nonce": nonce},
                        separators=(",", ":")) + "\n"
-            for address, type_value, balance, nonce
-            in ledger.account_records(manifest["num_accounts"])).encode("utf-8")
+            for address, type_value, balance, nonce in new_accounts).encode("utf-8")
         _append_bytes(self.path / "accounts.jsonl", manifest["accounts_bytes"],
                       account_lines)
         manifest["accounts_bytes"] += len(account_lines)
         manifest["num_accounts"] = ledger.num_accounts
 
+        new_labels = (itertools.islice(ledger.labels.items(), manifest["num_labels"], None)
+                      if len(ledger.labels) > manifest["num_labels"] else ())
         label_lines = "".join(
             json.dumps({"address": address, "category": category.value},
                        separators=(",", ":")) + "\n"
-            for address, category
-            in itertools.islice(ledger.labels.items(), manifest["num_labels"], None)
-        ).encode("utf-8")
+            for address, category in new_labels).encode("utf-8")
         _append_bytes(self.path / "labels.jsonl", manifest["labels_bytes"],
                       label_lines)
         manifest["labels_bytes"] += len(label_lines)
@@ -289,7 +295,8 @@ class LedgerBackend:
         ``mmap=False`` materialises the columns into RAM instead (useful when
         the directory will be deleted while the ledger object lives on).
         The returned ledger has this backend attached, so ``ledger.sync()``
-        keeps appending to the same directory.
+        keeps appending to the same directory.  Its first append copies the
+        mapped columns into growable buffers once; later appends fill those.
         """
         from repro.chain.ledger import Ledger
 
@@ -297,8 +304,8 @@ class LedgerBackend:
         num_rows = manifest["num_rows"]
 
         store = ColumnarTxStore()
-        store._consolidated = self._load_columns(num_rows, mmap)
-        store._num_rows = num_rows
+        store._buffers = self._load_columns(num_rows, mmap)
+        store._filled = store._num_rows = num_rows
         address_bytes = _read_prefix(self.path / "addresses.txt",
                                      manifest["addresses_bytes"])
         addresses = address_bytes.decode("utf-8").splitlines()

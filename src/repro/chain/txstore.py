@@ -14,9 +14,12 @@ Two ingestion paths feed the same columns:
 
 * ``append_tx`` buffers a single :class:`Transaction` (the object path used
   by ``Ledger.append_block`` and hand-built test ledgers);
-* ``append_chunk`` appends whole column arrays at once (the path
+* ``append_chunk`` writes whole column arrays at once (the path
   ``generate_ledger`` uses to assemble millions of rows without creating a
-  single ``Transaction``).
+  single ``Transaction``, and ``Ledger.append_blocks_columnar`` after it).
+
+Each column lives in one growable buffer with capacity doubling, so an
+append costs O(appended rows), amortised, and a read after it costs O(1).
 
 Transaction hashes are stored sparsely: a row's hash defaults to the
 canonical ``0x{row:064x}`` pattern the generator emits, and only hashes that
@@ -25,6 +28,7 @@ deviate from it (hand-built ledgers) occupy dictionary entries.
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 from typing import Iterator, Sequence
@@ -50,10 +54,11 @@ _COLUMN_DTYPES: tuple[tuple[str, type], ...] = (
 
 
 class TxColumns:
-    """A read-only snapshot of the store's consolidated column arrays.
+    """A read-only snapshot of the store's column arrays.
 
     Attribute names match the column names in ``_COLUMN_DTYPES``.  The arrays
-    are the store's own consolidated buffers — treat them as immutable.
+    are read-only views of the store's own buffers over the rows registered
+    when the snapshot was taken; later appends never change them.
     """
 
     __slots__ = tuple(name for name, _ in _COLUMN_DTYPES)
@@ -74,20 +79,26 @@ def _derived_hash(row: int) -> str:
 class ColumnarTxStore:
     """Parallel-array transaction storage with address interning.
 
-    Rows are append-only and kept in registration (block) order.  Appends go
-    to per-column chunk lists and are consolidated into single contiguous
-    arrays the first time :meth:`columns` is called after a write, so both
-    the per-``Transaction`` object path and the bulk columnar path stay
-    amortised O(1) per row.
+    Rows are append-only and kept in registration (block) order.  Each column
+    is one growable buffer whose first ``_filled`` entries are live rows;
+    capacity doubles when an append outgrows it, as ``TxGraph._grow`` does
+    for edges.  ``append_chunk`` writes into the buffers directly and
+    ``append_tx`` buffers rows in Python lists that flush into them on the
+    next read or chunk, so both paths cost amortised O(1) per row and a read
+    after an append copies nothing.  Rows never move within a buffer, so the
+    views :meth:`columns` hands out stay valid: later rows are written past
+    them, and a regrown buffer leaves the old one to the views that hold it.
     """
 
     def __init__(self):
         self._addr_to_id: dict[str, int] = {}
         self._addresses: list[str] = []
-        # Consolidated arrays + pending chunks awaiting consolidation.
-        self._consolidated: dict[str, np.ndarray] = {
+        # Column buffers (the first _filled entries are live), the cached
+        # read-only views over them, and object-path rows not yet flushed.
+        self._buffers: dict[str, np.ndarray] = {
             name: np.empty(0, dtype=dtype) for name, dtype in _COLUMN_DTYPES}
-        self._chunks: list[dict[str, np.ndarray]] = []
+        self._filled = 0
+        self._view: TxColumns | None = None
         self._row_buffer: dict[str, list] = {name: [] for name, _ in _COLUMN_DTYPES}
         self._num_rows = 0
         # Sparse hash storage: only hashes deviating from the derived pattern.
@@ -107,14 +118,18 @@ class ColumnarTxStore:
         self._index_key: tuple[int, int] = (-1, -1)
         self._index_indptr: np.ndarray | None = None
         self._index_row_ids: np.ndarray | None = None
-        # Guards the two lazy builds (column consolidation, address index) so
+        # Guards the two lazy builds (row-buffer flush, address index) so
         # concurrent readers of a quiescent store are safe; writes stay
         # single-threaded, matching the TxGraph concurrency contract.
         self._lock = threading.RLock()
 
     def __getstate__(self):
+        cols = self.columns()
         state = self.__dict__.copy()
         del state["_lock"]                  # locks are not picklable
+        # Only the live rows travel: the spare capacity stays behind.
+        state["_buffers"] = {name: getattr(cols, name) for name, _ in _COLUMN_DTYPES}
+        state["_view"] = None
         return state
 
     def __setstate__(self, state):
@@ -131,17 +146,28 @@ class ColumnarTxStore:
         return idx
 
     def intern_many(self, addresses: Sequence[str]) -> np.ndarray:
-        """Intern a sequence of addresses; returns their ids as an int64 array."""
+        """Intern a sequence of addresses; returns their ids as an int64 array.
+
+        Addresses interned before are resolved in one C-level
+        ``map(dict.get, ...)`` pass; a Python loop runs only over the rest,
+        in sequence order, so new ids follow first appearance.
+        """
         table = self._addr_to_id
-        pool = self._addresses
-        out = np.empty(len(addresses), dtype=np.int64)
-        for i, address in enumerate(addresses):
-            idx = table.get(address)
-            if idx is None:
-                idx = table[address] = len(pool)
-                pool.append(address)
-            out[i] = idx
-        return out
+        ids = np.fromiter(map(table.get, addresses, itertools.repeat(-1)),
+                          dtype=np.int64, count=len(addresses))
+        missing = np.flatnonzero(ids < 0)
+        if len(missing):
+            pool = self._addresses
+            assigned = []
+            for i in missing.tolist():
+                address = addresses[i]
+                idx = table.get(address)
+                if idx is None:
+                    idx = table[address] = len(pool)
+                    pool.append(address)
+                assigned.append(idx)
+            ids[missing] = assigned
+        return ids
 
     def intern_pairs(self, senders: Sequence[str], receivers: Sequence[str],
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -151,23 +177,11 @@ class ColumnarTxStore:
         same first-appearance order as the per-``Transaction`` object path,
         so bulk-built and object-built stores are column-for-column equal.
         """
-        table = self._addr_to_id
-        pool = self._addresses
-        n = len(senders)
-        sender_ids = np.empty(n, dtype=np.int64)
-        receiver_ids = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            idx = table.get(senders[i])
-            if idx is None:
-                idx = table[senders[i]] = len(pool)
-                pool.append(senders[i])
-            sender_ids[i] = idx
-            idx = table.get(receivers[i])
-            if idx is None:
-                idx = table[receivers[i]] = len(pool)
-                pool.append(receivers[i])
-            receiver_ids[i] = idx
-        return sender_ids, receiver_ids
+        interleaved = [None] * (2 * len(senders))
+        interleaved[0::2] = senders
+        interleaved[1::2] = receivers
+        ids = self.intern_many(interleaved)
+        return ids[0::2].copy(), ids[1::2].copy()
 
     def address(self, account_id: int) -> str:
         return self._addresses[account_id]
@@ -234,6 +248,7 @@ class ColumnarTxStore:
             self._row_by_explicit_hash[tx.tx_hash] = row
         if tx.submitted:
             self._record_submitted_span(tx.timestamp)
+        self._view = None
         self._num_rows += 1
         self._data_version += 1
         return row
@@ -247,28 +262,22 @@ class ColumnarTxStore:
         """Append whole column arrays at once (bulk path); returns the first row id.
 
         ``sender_ids``/``receiver_ids`` must already be interned (see
-        :meth:`intern_many`).  ``tx_hashes=None`` means every appended row uses
-        the derived ``0x{row:064x}`` hash — the generator's convention — and
-        costs no per-row storage.
+        :meth:`intern_many`): an id that is negative or past the interning
+        table raises ``ValueError``.  ``tx_hashes=None`` means every appended
+        row uses the derived ``0x{row:064x}`` hash — the generator's
+        convention — and costs no per-row storage.  The rows are copied into
+        the column buffers: O(chunk rows), amortised.
         """
         self._flush_row_buffer()
-        chunk = {
-            "sender_id": np.ascontiguousarray(sender_ids, dtype=np.int64),
-            "receiver_id": np.ascontiguousarray(receiver_ids, dtype=np.int64),
-            "value": np.ascontiguousarray(values, dtype=np.float64),
-            "gas_price": np.ascontiguousarray(gas_prices, dtype=np.float64),
-            "gas_used": np.ascontiguousarray(gas_used, dtype=np.int64),
-            "timestamp": np.ascontiguousarray(timestamps, dtype=np.float64),
-            "is_contract_call": np.ascontiguousarray(is_contract_call, dtype=np.bool_),
-            "submitted": np.ascontiguousarray(submitted, dtype=np.bool_),
-            "block_number": np.ascontiguousarray(block_numbers, dtype=np.int64),
-        }
+        chunk = {name: np.asarray(column, dtype=dtype) for (name, dtype), column in zip(
+            _COLUMN_DTYPES, (sender_ids, receiver_ids, values, gas_prices, gas_used,
+                             timestamps, is_contract_call, submitted, block_numbers))}
         n = len(chunk["sender_id"])
         if any(len(arr) != n for arr in chunk.values()):
             raise ValueError("all columns of a chunk must have the same length")
-        if (chunk["sender_id"].size and
-                (chunk["sender_id"].max(initial=-1) >= len(self._addresses)
-                 or chunk["receiver_id"].max(initial=-1) >= len(self._addresses))):
+        if n and (min(chunk["sender_id"].min(), chunk["receiver_id"].min()) < 0
+                  or max(chunk["sender_id"].max(), chunk["receiver_id"].max())
+                  >= len(self._addresses)):
             raise ValueError("sender/receiver ids must be interned before append_chunk")
         first_row = self._num_rows
         if tx_hashes is not None:
@@ -282,38 +291,68 @@ class ColumnarTxStore:
         sub = chunk["submitted"]
         if sub.any():
             self._record_submitted_span(chunk["timestamp"][sub])
-        self._chunks.append(chunk)
+        if n:
+            self._write_rows(chunk, n)
         self._num_rows += n
         self._data_version += 1
         return first_row
 
+    def _write_rows(self, chunk: dict, n: int) -> None:
+        """Copy ``n`` rows into the buffers past the live ones.
+
+        An outgrown buffer is replaced by one of at least twice the capacity,
+        holding a copy of the live rows.  A buffer the store does not own (a
+        memory-mapped column of an opened ledger, a pickle's live rows) has no
+        spare capacity, so the first append copies it once into an owned one.
+        """
+        filled = self._filled
+        need = filled + n
+        capacity = len(self._buffers["sender_id"])
+        for name, dtype in _COLUMN_DTYPES:
+            buffer = self._buffers[name]
+            if need > capacity:
+                grown = np.empty(max(need, 2 * capacity, 16), dtype=dtype)
+                grown[:filled] = buffer[:filled]
+                self._buffers[name] = buffer = grown
+            buffer[filled:need] = chunk[name]
+        self._filled = need
+        self._view = None
+
     def _flush_row_buffer(self) -> None:
         buf = self._row_buffer
-        if not buf["sender_id"]:
+        n = len(buf["sender_id"])
+        if not n:
             return
-        self._chunks.append({
-            name: np.asarray(buf[name], dtype=dtype)
-            for name, dtype in _COLUMN_DTYPES})
+        self._write_rows({name: np.asarray(buf[name], dtype=dtype)
+                          for name, dtype in _COLUMN_DTYPES}, n)
         self._row_buffer = {name: [] for name, _ in _COLUMN_DTYPES}
 
     # --------------------------------------------------------------- columns
     def columns(self) -> TxColumns:
-        """Consolidated column arrays over every registered row (all paths).
+        """Read-only views of the columns over every registered row (all paths).
 
-        Thread-safe for concurrent readers: consolidation of pending chunks
-        runs under the store lock (a quiescent, fully consolidated store takes
-        the lock-free path).
+        O(1): the views cover the buffers' live rows, so a read after an
+        append copies nothing.  Rows that ``append_tx`` buffered are flushed
+        into the buffers first, O(those rows).  A snapshot taken earlier
+        stays valid and unchanged after later appends, because they write
+        only past its rows.
+
+        Thread-safe for concurrent readers: the flush and the new snapshot
+        are built under the store lock, and the snapshot is published last,
+        so the lock-free fast path only sees a complete one.
         """
-        if self._row_buffer["sender_id"] or self._chunks:
+        view = self._view
+        if view is None:
             with self._lock:
-                self._flush_row_buffer()
-                if self._chunks:
-                    self._consolidated = {
-                        name: np.concatenate([self._consolidated[name]]
-                                             + [chunk[name] for chunk in self._chunks])
-                        for name, _ in _COLUMN_DTYPES}
-                    self._chunks = []
-        return TxColumns(**self._consolidated)
+                view = self._view
+                if view is None:
+                    self._flush_row_buffer()
+                    arrays = {}
+                    for name, _ in _COLUMN_DTYPES:
+                        arrays[name] = column = self._buffers[name][:self._filled]
+                        column.flags.writeable = False
+                    view = self._view = TxColumns(**arrays)
+        return view
 
     # ---------------------------------------------------------------- hashes
     def tx_hash(self, row: int) -> str:

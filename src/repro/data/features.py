@@ -85,12 +85,19 @@ def _fold_rows(features: np.ndarray, last: np.ndarray, sender_ids: np.ndarray,
 
     ``features`` holds each account's vector over its earlier rows (zeros for
     none) and ``last`` its last send / receive timestamp (``-inf`` for none);
-    the rows must come after those earlier rows in ledger order.  Counts and
-    NC are exact integers and simply add.  Value and fee totals continue each
-    account's left fold: ``np.add.at`` adds in row order, the same sequence of
-    adds a cold ``bincount`` performs (``old + bincount(new)`` would round
-    differently).  Interval stats extend from ``last``: the gap from it to
-    the account's first new timestamp joins the old and the new gaps.
+    the rows must come after those earlier rows in ledger order.  The ids
+    index rows of ``features`` and ``last``, and every pass is as wide as
+    they are: the whole table on a cold build, only the accounts the rows
+    name when :func:`_fold_touched` folds an append.  Every step is per
+    account, so an account's result does not depend on which other accounts
+    the table holds.
+
+    Counts and NC are exact integers and simply add.  Value and fee totals
+    continue each account's left fold: ``np.add.at`` adds in row order, the
+    same sequence of adds a cold ``bincount`` performs (``old + bincount(new)``
+    would round differently).  Interval stats extend from ``last``: the gap
+    from it to the account's first new timestamp joins the old and the new
+    gaps.
 
     That extension is exact only when the new rows do not start before
     ``last``.  Returns a mask of the accounts where, in some role, they do:
@@ -141,6 +148,29 @@ def _fold_rows(features: np.ndarray, last: np.ndarray, sender_ids: np.ndarray,
         features[accounts, offset + 4] = np.where(pairs, max_gap, 0.0)
         late[accounts[(seen > 0) & (first < previous)]] = True
         last[accounts, role] = final
+    return late
+
+
+def _fold_touched(features: np.ndarray, last: np.ndarray, sender_ids: np.ndarray,
+                  receiver_ids: np.ndarray, *payload: np.ndarray) -> np.ndarray:
+    """:func:`_fold_rows` over only the accounts the rows name, in place.
+
+    Those accounts' rows of ``features`` and ``last`` are gathered into
+    compact arrays, the rows are folded in under local ids, and the results
+    are scattered back: O(rows log rows) instead of the full-width passes
+    over every account.  Returns the fold's mask of late accounts, as wide
+    as ``features``.
+    """
+    touched, local = np.unique(np.concatenate([sender_ids, receiver_ids]),
+                               return_inverse=True)
+    sub_features = features[touched]
+    sub_last = last[touched]
+    n = len(sender_ids)
+    sub_late = _fold_rows(sub_features, sub_last, local[:n], local[n:], *payload)
+    features[touched] = sub_features
+    last[touched] = sub_last
+    late = np.zeros(len(features), dtype=bool)
+    late[touched[sub_late]] = True
     return late
 
 
@@ -263,10 +293,11 @@ class DeepFeatureExtractor:
 
         After append-only growth (neither count in the key shrank) the
         previous table and each account's last send / receive timestamp are
-        carried forward and only the appended submitted rows are folded in
-        (:func:`_fold_rows`): O(appended rows), plus O(accounts) to publish a
-        fresh array.  A cold build is the same fold from an empty table over
-        every row.
+        carried forward and only the appended submitted rows are folded in,
+        over only the accounts they name (:func:`_fold_touched`): O(appended
+        rows), plus one O(accounts) copy to publish a fresh array.  A cold
+        build is the same fold (:func:`_fold_rows`) from an empty table over
+        every row and every account.
 
         ``append_blocks_columnar`` does not enforce time order, so appended
         rows may start before an account's last timestamp in a role.  Those
@@ -281,17 +312,20 @@ class DeepFeatureExtractor:
         n_accounts = store.num_addresses
         features = np.zeros((n_accounts, len(FEATURE_NAMES)))
         last = np.full((n_accounts, 2), -np.inf)
+        fold = _fold_rows
         start = 0
         old_key = self._table_key
         if old_key is not None and old_key[0] <= key[0] and old_key[1] <= key[1]:
+            # Untouched accounts are carried by this copy, which publishes a
+            # fresh table; the fold then visits only the touched ones.
+            fold = _fold_touched
             start = old_key[0]
             features[:len(self._table_features)] = self._table_features
             last[:len(self._table_last)] = self._table_last
         # The table covers exactly the key's rows, so the next build folds
         # on from there even if rows landed after the key was read.
         rows = slice(start, key[0])
-        late = _fold_rows(features, last,
-                          *_submitted_rows(cols, rows, cols.submitted[rows]))
+        late = fold(features, last, *_submitted_rows(cols, rows, cols.submitted[rows]))
         if late.any():
             head = slice(0, key[0])
             mask = cols.submitted[head] & (late[cols.sender_id[head]]

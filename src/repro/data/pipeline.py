@@ -41,9 +41,10 @@ def build_transaction_graph(ledger: Ledger, min_value: float = 0.0,
     extraction can distinguish EOAs from contract accounts.
 
     With ``columnar=True`` (the default) the edge stream is ingested straight
-    from the ledger's column arrays via :meth:`TxGraph.add_edges_bulk` — the
-    filter mask, the merge and the timestamp means are all vectorised, and no
-    ``Transaction`` object is ever materialised.  ``columnar=False`` keeps the
+    from the ledger's column arrays by the code :meth:`TxGraph.ingest` runs
+    on an append, from row 0 into an empty graph — the filter mask, the merge
+    and the timestamp means are all vectorised, and no ``Transaction``
+    object is ever materialised.  ``columnar=False`` keeps the
     per-object loop; both paths produce bit-identical graphs (pinned by
     ``tests/test_data_pipeline.py``).
 
@@ -52,21 +53,14 @@ def build_transaction_graph(ledger: Ledger, min_value: float = 0.0,
     incrementally with :meth:`TxGraph.ingest` instead of a full rebuild.
     """
     graph = TxGraph()
-    if columnar:
-        cols = ledger.tx_columns()
-        keep = (cols.submitted
-                & (cols.sender_id != cols.receiver_id)
-                & (cols.value >= min_value))
-        graph.add_edges_bulk(
-            cols.sender_id[keep], cols.receiver_id[keep],
-            amounts=cols.value[keep], timestamps=cols.timestamp[keep],
-            node_keys=ledger.store.addresses)
-    else:
-        for tx in filter_transactions(ledger.transactions(), min_value=min_value):
-            graph.add_edge(tx.sender, tx.receiver, amount=tx.value, count=1,
-                           timestamp=tx.timestamp)
-    graph._ingested_rows = ledger.num_transactions
     graph._ingest_min_value = min_value
+    if columnar:
+        graph._ingest(ledger)
+        return graph
+    for tx in filter_transactions(ledger.transactions(), min_value=min_value):
+        graph.add_edge(tx.sender, tx.receiver, amount=tx.value, count=1,
+                       timestamp=tx.timestamp)
+    graph._ingested_rows = ledger.num_transactions
     contracts = ledger.contract_address_set()
     labels = ledger.labels
     for node in graph.nodes:

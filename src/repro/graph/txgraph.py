@@ -26,6 +26,7 @@ further mutation) before fanning readers out.
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 from dataclasses import dataclass
@@ -145,6 +146,10 @@ class TxGraph:
         # advanced by ingest()).
         self._ingested_rows = 0
         self._ingest_min_value = 0.0
+        # Account id -> node id over the interning table last ingested from
+        # (see _account_node_ids).
+        self._account_table: list | None = None
+        self._account_gid = np.empty(0, dtype=np.int64)
         # Guards every lazy build above (reentrant: warm() chains them).
         self._lock = threading.RLock()
         self._frozen = False
@@ -152,6 +157,10 @@ class TxGraph:
     def __getstate__(self):
         state = self.__dict__.copy()
         del state["_lock"]                  # locks are not picklable
+        # The account -> node id cache names the ledger's table by identity,
+        # which a pickle cannot carry; the next ingest refills it.
+        state["_account_table"] = None
+        state["_account_gid"] = np.empty(0, dtype=np.int64)
         return state
 
     def __setstate__(self, state):
@@ -392,6 +401,13 @@ class TxGraph:
         replayed through :meth:`add_edge` (merging into an existing edge is
         inherently sequential); fresh pairs take the vectorised path, which
         appends whole column blocks — no per-edge Python object or dict write.
+
+        Cost is O(rows log rows), plus one code table as long as
+        ``node_keys``, plus Python work for new nodes only: endpoint codes map
+        to node ids, and unique pairs probe the pair -> slot dict, a whole
+        array at a time through C-level ``map`` passes, so appending to a
+        large graph costs nothing per existing node or edge.  :meth:`ingest`
+        runs the same two steps with a code table kept across appends.
         """
         self._check_mutable()
         srcs = np.asarray(srcs)
@@ -429,49 +445,74 @@ class TxGraph:
             src_codes = np.ascontiguousarray(srcs, dtype=np.int64)
             dst_codes = np.ascontiguousarray(dsts, dtype=np.int64)
 
-        # Nodes, in first-appearance order over the interleaved endpoint scan;
-        # record each code's graph node id for the edge-column append below.
         if (src_codes.min() < 0 or dst_codes.min() < 0
                 or src_codes.max() >= len(node_keys)
                 or dst_codes.max() >= len(node_keys)):
             raise ValueError("src/dst codes must index into the node_keys table")
-        interleaved_codes = np.empty(2 * n, dtype=np.int64)
-        interleaved_codes[0::2] = src_codes
-        interleaved_codes[1::2] = dst_codes
-        uniq_codes, first_pos = np.unique(interleaved_codes, return_index=True)
-        nodes = self._nodes
-        node_order = self._node_order
-        node_attrs = self._node_attrs
-        code_gid = np.empty(len(node_keys), dtype=np.int64)
-        for pos in np.sort(first_pos).tolist():
-            code = interleaved_codes[pos]
-            node = node_keys[code]
-            gid = nodes.get(node)
-            if gid is None:
-                gid = len(node_order)
-                nodes[node] = gid
-                node_order.append(node)
-                node_attrs[node] = {}
-            code_gid[code] = gid
+        code_gid = np.full(len(node_keys), -1, dtype=np.int64)
+        self._resolve_nodes(src_codes, dst_codes, node_keys, code_gid)
+        self._add_rows(code_gid[src_codes], code_gid[dst_codes], amounts, counts,
+                       timestamps)
 
-        # Merged edges: group rows by ordered (src, dst) pair.
-        num_keys = len(node_keys)
-        pair_keys = src_codes * np.int64(num_keys) + dst_codes
+    def _resolve_nodes(self, src_codes: np.ndarray, dst_codes: np.ndarray,
+                       node_keys, code_gid: np.ndarray) -> None:
+        """Fill in ``code_gid``, code -> node id, for every code the rows use.
+
+        ``code_gid`` holds ``-1`` for codes whose node id is not known yet.
+        Those codes' keys are looked up in one C-level ``map(dict.get, ...)``
+        pass, and the keys that are not nodes yet become nodes, in
+        first-appearance order over the interleaved endpoint scan
+        ``(src_0, dst_0, src_1, ...)``.  The one Python loop left runs over
+        new nodes only.
+        """
+        interleaved = np.empty(2 * len(src_codes), dtype=np.int64)
+        interleaved[0::2] = src_codes
+        interleaved[1::2] = dst_codes
+        unknown = interleaved[code_gid[interleaved] < 0]
+        if not len(unknown):
+            return
+        uniq_codes, first_pos = np.unique(unknown, return_index=True)
+        codes = uniq_codes[np.argsort(first_pos)]
+        keys = list(map(node_keys.__getitem__, codes.tolist()))
+        nodes = self._nodes
+        gids = np.fromiter(map(nodes.get, keys, itertools.repeat(-1)),
+                           dtype=np.int64, count=len(keys))
+        new = np.flatnonzero(gids < 0)
+        if len(new):
+            new_keys = list(map(keys.__getitem__, new.tolist()))
+            fresh = dict.fromkeys(new_keys)     # a key two codes share, once
+            start = len(self._node_order)
+            nodes.update(zip(fresh, range(start, start + len(fresh))))
+            self._node_order.extend(fresh)
+            self._node_attrs.update((node, {}) for node in fresh)
+            gids[new] = list(map(nodes.__getitem__, new_keys))
+        code_gid[codes] = gids
+
+    def _add_rows(self, src_ids: np.ndarray, dst_ids: np.ndarray,
+                  amounts: np.ndarray, counts: np.ndarray,
+                  timestamps: np.ndarray) -> None:
+        """Merge rows between existing nodes (by node id) into the edge columns.
+
+        The second half of :meth:`add_edges_bulk`: rows are grouped by
+        ordered pair, pairs already in the graph are replayed row by row
+        through :meth:`add_edge`, and the new pairs are appended as whole
+        column blocks in first-appearance order.
+        """
+        pair_keys = (src_ids << np.int64(_PAIR_SHIFT)) | dst_ids
         uniq_pairs, pair_first, pair_inverse = np.unique(
             pair_keys, return_index=True, return_inverse=True)
-        # Rows whose pair already exists must merge sequentially.
+        # Rows whose pair already exists must merge sequentially; the pairs
+        # probe the pair -> slot dict in one C-level pass.
         if self._m:
             self._ensure_slots()
-            slot_of = self._slot_of
-            existing_pair_mask = np.zeros(len(uniq_pairs), dtype=bool)
-            for j, pair in enumerate(uniq_pairs.tolist()):
-                key = ((int(code_gid[pair // num_keys]) << _PAIR_SHIFT)
-                       | int(code_gid[pair % num_keys]))
-                existing_pair_mask[j] = key in slot_of
+            existing_pair_mask = np.fromiter(
+                map(self._slot_of.__contains__, uniq_pairs.tolist()),
+                dtype=bool, count=len(uniq_pairs))
             if existing_pair_mask.any():
                 replay = existing_pair_mask[pair_inverse]
-                for i in np.flatnonzero(replay):
-                    self.add_edge(node_keys[src_codes[i]], node_keys[dst_codes[i]],
+                order = self._node_order
+                for i in np.flatnonzero(replay).tolist():
+                    self.add_edge(order[src_ids[i]], order[dst_ids[i]],
                                   float(amounts[i]), int(counts[i]),
                                   float(timestamps[i]))
                 keep = ~replay
@@ -481,7 +522,6 @@ class TxGraph:
                     # needlessly invalidate to_csr forms built between bulk
                     # calls that turn out to be pure replays.
                     return
-                src_codes, dst_codes = src_codes[keep], dst_codes[keep]
                 amounts, counts, timestamps = (amounts[keep], counts[keep],
                                                timestamps[keep])
                 pair_keys = pair_keys[keep]
@@ -540,13 +580,12 @@ class TxGraph:
         # Append the merged edges as whole column blocks, in first-appearance
         # order.  No Edge objects, no per-edge dict writes — the pair -> slot
         # dict and the CSR row index are rebuilt lazily on first lookup.
-        src_gid = code_gid[(uniq_pairs // num_keys)[pair_appearance]]
-        dst_gid = code_gid[(uniq_pairs % num_keys)[pair_appearance]]
+        new_pairs = uniq_pairs[pair_appearance]
         self._grow(num_edges_new)
         m = self._m
         stop = m + num_edges_new
-        self._src[m:stop] = src_gid
-        self._dst[m:stop] = dst_gid
+        self._src[m:stop] = new_pairs >> np.int64(_PAIR_SHIFT)
+        self._dst[m:stop] = new_pairs & np.int64((1 << _PAIR_SHIFT) - 1)
         self._amount[m:stop] = edge_amounts
         self._count[m:stop] = edge_counts
         self._ts[m:stop] = ts_acc
@@ -567,7 +606,7 @@ class TxGraph:
         :func:`~repro.data.pipeline.build_transaction_graph`: rows
         ``[from_row, ledger.num_transactions)`` of the ledger's columnar store
         are filtered with the same predicate (submitted, non-self, value >=
-        ``min_value``) and merged into this graph through
+        ``min_value``) and merged into this graph by the same two steps as
         :meth:`add_edges_bulk` — so the result is **bit-identical** to
         rebuilding the whole graph from scratch over the grown ledger: nodes
         and merged edges keep global first-appearance order, and merges into
@@ -588,6 +627,24 @@ class TxGraph:
         :meth:`warm` instead.  With no new rows, ``ingest`` is a no-op and
         returns ``[]`` even on a frozen graph.
         """
+        kept = self._ingest(ledger, from_row, min_value)
+        if kept is None:
+            return []
+        addresses = ledger.store.addresses
+        touched_ids = np.unique(np.concatenate(kept))
+        return list(map(addresses.__getitem__, touched_ids.tolist()))
+
+    def _ingest(self, ledger, from_row: int | None = None,
+                min_value: float | None = None,
+                ) -> tuple[np.ndarray, np.ndarray] | None:
+        """:meth:`ingest` without the touched-address list, which a cold
+        build (``build_transaction_graph``) has no use for.
+
+        Returns the kept rows' ``(sender_ids, receiver_ids)``, or ``None``
+        when there are no rows to ingest.  Endpoints map to node ids through
+        :meth:`_account_node_ids`, so an append pays a dict lookup only for
+        accounts this graph has not met before.
+        """
         cols = ledger.tx_columns()
         total = len(cols.sender_id)
         if from_row is None:
@@ -595,7 +652,7 @@ class TxGraph:
         if min_value is None:
             min_value = self._ingest_min_value
         if from_row >= total:
-            return []
+            return None
         self._check_mutable()
         sl = slice(from_row, total)
         sender_ids = cols.sender_id[sl]
@@ -605,13 +662,14 @@ class TxGraph:
                 & (cols.value[sl] >= min_value))
         sender_ids = sender_ids[keep]
         receiver_ids = receiver_ids[keep]
-        addresses = ledger.store.addresses
         first_new_node = len(self._node_order)
         if len(sender_ids):
-            self.add_edges_bulk(
-                sender_ids, receiver_ids,
-                amounts=cols.value[sl][keep], timestamps=cols.timestamp[sl][keep],
-                node_keys=addresses)
+            addresses = ledger.store.addresses
+            code_gid = self._account_node_ids(addresses)
+            self._resolve_nodes(sender_ids, receiver_ids, addresses, code_gid)
+            self._add_rows(code_gid[sender_ids], code_gid[receiver_ids],
+                           cols.value[sl][keep], np.ones(len(sender_ids), dtype=np.int64),
+                           cols.timestamp[sl][keep])
         self._ingested_rows = total
         contracts = ledger.contract_address_set()
         labels = ledger.labels
@@ -620,8 +678,28 @@ class TxGraph:
             attrs["is_contract"] = node in contracts
             label = labels.get(node)
             attrs["label"] = label.value if label else None
-        touched_ids = np.unique(np.concatenate([sender_ids, receiver_ids]))
-        return [addresses[i] for i in touched_ids.tolist()]
+        return sender_ids, receiver_ids
+
+    def _account_node_ids(self, addresses: list) -> np.ndarray:
+        """Account id -> node id over the ledger's interning table ``addresses``.
+
+        ``-1`` marks an account whose node id this graph has not looked up
+        yet.  The array lives across ingests: the interning table is
+        append-only and node ids never change, so a resolved entry stays
+        right, and :meth:`_resolve_nodes` looks up only the ``-1`` entries
+        the rows use.  It belongs to the one table object it was filled
+        from, and pickles without it (see ``__getstate__``).
+        """
+        node_ids = self._account_gid
+        if self._account_table is not addresses:
+            self._account_table = addresses
+            node_ids = np.empty(0, dtype=np.int64)
+        if len(node_ids) < len(addresses):
+            grown = np.full(len(addresses), -1, dtype=np.int64)
+            grown[:len(node_ids)] = node_ids
+            node_ids = grown
+        self._account_gid = node_ids
+        return node_ids
 
     def has_edge(self, src: Hashable, dst: Hashable) -> bool:
         u = self._nodes.get(src)

@@ -1,7 +1,11 @@
 """Tests for the columnar transaction store backing the ledger."""
 
+import pickle
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chain import Account, Block, ColumnarTxStore, Ledger, Transaction
 
@@ -255,3 +259,190 @@ class TestLedgerBoundary:
         assert numbers == [4, 5, 6]
         assert [b.timestamp for b in ledger.blocks][1:] == [1200.0, 1300.0]
         assert ledger.num_transactions == 4
+
+
+COLUMNS = (("sender_id", np.int64), ("receiver_id", np.int64),
+           ("value", np.float64), ("gas_price", np.float64),
+           ("gas_used", np.int64), ("timestamp", np.float64),
+           ("is_contract_call", np.bool_), ("submitted", np.bool_),
+           ("block_number", np.int64))
+
+
+def _chunk(store, pairs):
+    """Append ``(sender, receiver)`` address pairs through the chunk path."""
+    sender_ids, receiver_ids = store.intern_pairs([s for s, _ in pairs],
+                                                  [r for _, r in pairs])
+    n = len(pairs)
+    return store.append_chunk(
+        sender_ids, receiver_ids, np.arange(n, dtype=float) + 1.0,
+        np.full(n, 20.0), np.full(n, 21_000), np.arange(n, dtype=float),
+        np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+        np.zeros(n, dtype=np.int64))
+
+
+class TestGrowableColumns:
+    def test_negative_ids_are_rejected(self):
+        """Regression: only the upper bound was checked, so an id of -1 was
+        accepted, read back as the last interned address, and broke the
+        per-address index with numpy's raw bincount error."""
+        store = ColumnarTxStore()
+        store.intern_pairs(["0xaa"], ["0xbb"])
+        for sender, receiver in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="interned"):
+                store.append_chunk(
+                    np.array([sender]), np.array([receiver]), np.ones(1),
+                    np.ones(1), np.ones(1, dtype=np.int64), np.ones(1),
+                    np.zeros(1, dtype=bool), np.ones(1, dtype=bool),
+                    np.zeros(1, dtype=np.int64))
+        assert store.num_rows == 0 and store.data_version == 0
+        assert store.rows_for_address("0xaa").tolist() == []
+
+    def test_small_append_after_a_read_shares_the_buffers(self):
+        """A read after an append copies nothing: the second small append
+        lands in spare capacity, so the earlier snapshot and the new one
+        view the same memory, and the earlier one keeps its rows."""
+        store = ColumnarTxStore()
+        _chunk(store, [("0xaa", "0xbb")] * 8)
+        _chunk(store, [("0xbb", "0xcc")] * 4)
+        before = store.columns()
+        kept = {name: getattr(before, name).copy() for name, _ in COLUMNS}
+        _chunk(store, [("0xcc", "0xaa")])
+        after = store.columns()
+        assert len(before) == 12 and len(after) == 13
+        for name, _ in COLUMNS:
+            assert np.shares_memory(getattr(before, name), getattr(after, name)), name
+            assert getattr(before, name).tobytes() == kept[name].tobytes(), name
+            assert not getattr(after, name).flags.writeable
+
+    def test_reads_without_appends_return_the_same_snapshot(self):
+        store = ColumnarTxStore()
+        _chunk(store, [("0xaa", "0xbb")])
+        assert store.columns() is store.columns()
+        store.append_tx(make_tx(1))
+        assert len(store.columns()) == 2
+
+    def test_pickle_carries_only_the_live_rows(self):
+        store = ColumnarTxStore()
+        _chunk(store, [("0xaa", "0xbb")] * 100)
+        _chunk(store, [("0xbb", "0xaa")])             # doubles the capacity
+        assert len(store._buffers["value"]) >= 200
+        clone = pickle.loads(pickle.dumps(store))
+        assert all(len(buffer) == 101 for buffer in clone._buffers.values())
+        for name, _ in COLUMNS:
+            np.testing.assert_array_equal(getattr(clone.columns(), name),
+                                          getattr(store.columns(), name))
+        _chunk(clone, [("0xcc", "0xaa")])             # the clone keeps growing
+        assert clone.num_rows == 102 and store.num_rows == 101
+
+
+# Store programs over six addresses (indices 6 and 7 are interned only):
+# one Transaction (sender, receiver, value, submitted, explicit hash), a
+# chunk of (sender, receiver, value, submitted) rows through the store or
+# through Ledger.append_blocks_columnar, an intern, a read, a pickle round
+# trip, or a sync followed by Ledger.open.
+_row = st.tuples(st.integers(0, 5), st.integers(0, 5),
+                 st.floats(0.0, 100.0, allow_nan=False), st.booleans())
+store_op = st.one_of(
+    st.tuples(st.just("tx"), _row, st.booleans()),
+    st.tuples(st.just("chunk"), st.lists(_row, max_size=12), st.booleans()),
+    st.tuples(st.just("intern"), st.integers(0, 7)),
+    st.tuples(st.just("read")),
+    st.tuples(st.just("pickle")),
+    st.tuples(st.just("persist")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(store_op, min_size=1, max_size=14))
+def test_store_programs_match_a_reference_concatenation(program):
+    """Whatever the interleaving of appends, interning, reads, pickles and
+    sync -> open -> append, ``columns()`` equals a plain concatenation of
+    every appended row (dtypes included), and every snapshot taken earlier
+    keeps its rows bit for bit."""
+    addresses = [f"0x{i:02x}" for i in range(8)]
+    reference = {name: [] for name, _ in COLUMNS}
+    interned: dict[str, int] = {}
+    snapshots = []
+
+    def intern(address):
+        return interned.setdefault(address, len(interned))
+
+    def expect(rows, block_numbers):
+        for (sender, receiver, value, submitted), block in zip(rows, block_numbers):
+            reference["sender_id"].append(intern(addresses[sender]))
+            reference["receiver_id"].append(intern(addresses[receiver]))
+            reference["value"].append(value)
+            reference["gas_price"].append(20.0)
+            reference["gas_used"].append(21_000)
+            reference["timestamp"].append(1000.0 + len(reference["timestamp"]))
+            reference["is_contract_call"].append(False)
+            reference["submitted"].append(submitted)
+            reference["block_number"].append(block)
+
+    def check(cols):
+        assert len(cols) == len(reference["value"])
+        for name, dtype in COLUMNS:
+            column = getattr(cols, name)
+            assert column.dtype == np.dtype(dtype), name
+            assert column.tobytes() == np.array(reference[name], dtype=dtype).tobytes(), name
+        for snapshot, frozen in snapshots:
+            for name, _ in COLUMNS:
+                assert getattr(snapshot, name).tobytes() == frozen[name], name
+
+    with tempfile.TemporaryDirectory() as directory:
+        ledger = Ledger()
+        for op in program:
+            store = ledger.store
+            kind = op[0]
+            if kind == "tx":
+                (sender, receiver, value, submitted), explicit = op[1], op[2]
+                row = store.num_rows
+                store.append_tx(Transaction(
+                    tx_hash=f"0xexplicit{row}" if explicit else f"0x{row:064x}",
+                    sender=addresses[sender], receiver=addresses[receiver],
+                    value=value, gas_price=20.0, gas_used=21_000,
+                    timestamp=1000.0 + row, block_number=row,
+                    submitted=submitted))
+                expect([op[1]], [row])
+            elif kind == "chunk" and op[2]:
+                rows = op[1]
+                sender_ids, receiver_ids = store.intern_pairs(
+                    [addresses[r[0]] for r in rows], [addresses[r[1]] for r in rows])
+                first = store.num_rows
+                n = len(rows)
+                store.append_chunk(
+                    sender_ids, receiver_ids, np.array([r[2] for r in rows], dtype=float),
+                    np.full(n, 20.0), np.full(n, 21_000),
+                    1000.0 + first + np.arange(n, dtype=float),
+                    np.zeros(n, dtype=bool), np.array([r[3] for r in rows], dtype=bool),
+                    first + np.arange(n, dtype=np.int64))
+                expect(rows, range(first, first + n))
+            elif kind == "chunk" and op[1]:
+                rows = op[1]
+                first = store.num_rows
+                n = len(rows)
+                next_block = ledger._block_numbers[-1] + 1 if ledger.num_blocks else 0
+                ledger.append_blocks_columnar(
+                    [addresses[r[0]] for r in rows], [addresses[r[1]] for r in rows],
+                    values=np.array([r[2] for r in rows], dtype=float),
+                    gas_prices=np.full(n, 20.0), gas_used=np.full(n, 21_000),
+                    timestamps=1000.0 + first + np.arange(n, dtype=float),
+                    is_contract_call=np.zeros(n, dtype=bool),
+                    submitted=np.array([r[3] for r in rows], dtype=bool),
+                    transactions_per_block=3)
+                expect(rows, [next_block + i // 3 for i in range(n)])
+            elif kind == "intern":
+                assert store.intern(addresses[op[1]]) == intern(addresses[op[1]])
+            elif kind == "read":
+                cols = ledger.tx_columns()
+                check(cols)
+                snapshots.append((cols, {name: getattr(cols, name).tobytes()
+                                         for name, _ in COLUMNS}))
+            elif kind == "pickle":
+                ledger = pickle.loads(pickle.dumps(ledger))
+            elif kind == "persist":
+                ledger.sync(None if ledger.backend else directory)
+                ledger = Ledger.open(directory)
+            assert ledger.store.addresses == list(interned)
+            assert ledger.store.num_rows == len(reference["value"])
+        check(ledger.tx_columns())

@@ -340,6 +340,27 @@ def test_parallel_scorer_process_unknown_semantics(facade, served_addresses):
     assert list(partial) == served_addresses[:4]
 
 
+def test_parallel_scorer_process_warm_starts_every_worker(facade, served_addresses):
+    """Regression: warm() only constructed the pool, whose processes start on
+    the first submit, so rehydration and each worker's graph build landed in
+    the first score().  Right after warm() every worker is alive and has a
+    built graph; scores stay bit-identical to score()."""
+    expected = facade.score(served_addresses)
+    nodes = facade.builder.graph.num_nodes
+    with ParallelScorer(facade, max_workers=2, mode="process") as scorer:
+        scorer.warm()
+        processes = scorer._executor._processes
+        assert len(processes) == 2
+        assert all(process.is_alive() for process in processes.values())
+        reports = [future.result() for future in [
+            scorer._executor.submit(scorer_module._warm_process_worker)
+            for _ in range(2)]]
+        assert sorted(pid for pid, _ in reports) == sorted(processes)
+        assert [graph_nodes for _, graph_nodes in reports] == [nodes, nodes]
+        got = scorer.score(served_addresses)
+    assert got == expected
+
+
 def _crash_worker(addresses):
     """Stands in for the worker's chunk function: the process dies mid-batch."""
     os._exit(1)
@@ -422,6 +443,48 @@ def test_scoring_service_batches_what_queues_behind_a_running_batch(
     assert batches == [[first], queued[:4], queued[4:8], queued[8:]]
     assert results == [{"stub": 0.0}] + [{"stub": float(i % 4)}
                                          for i in range(len(queued))]
+
+
+def test_scoring_service_coalesced_callers_get_their_own_dicts(
+        facade, served_addresses):
+    """Regression: callers of one address coalesced into one batch all got
+    the same result dict, so one caller's change showed in the other's."""
+    release = threading.Event()
+    dispatched = threading.Event()
+
+    class GatedScorer:
+        deanonymizer = facade
+        calls = 0
+
+        def score(self, addresses, skip_unknown=False):
+            GatedScorer.calls += 1
+            dispatched.set()
+            if GatedScorer.calls == 1:
+                release.wait(5.0)
+            return {address: {"stub": 1.0} for address in addresses}
+
+    first, address = served_addresses[0], served_addresses[1]
+
+    async def main():
+        async with ScoringService(GatedScorer(), max_batch=8) as svc:
+            try:
+                lone = asyncio.ensure_future(svc.score(first))
+                while not dispatched.is_set():
+                    await asyncio.sleep(0.001)
+                both = [asyncio.ensure_future(svc.score(address)) for _ in range(2)]
+                while svc._queue.qsize() < 2:
+                    await asyncio.sleep(0.001)
+            finally:
+                release.set()
+            await lone
+            return await asyncio.gather(*both)
+
+    r0, r1 = asyncio.run(main())
+    assert GatedScorer.calls == 2                    # the two calls coalesced
+    assert r0 == r1 == {"stub": 1.0}
+    assert r0 is not r1
+    r0["stub"] = -1.0
+    assert r1 == {"stub": 1.0}
 
 
 def test_scoring_service_idle_round_trip_waits_for_no_window(facade, served_addresses):

@@ -22,6 +22,8 @@ from repro.data import (
     build_transaction_graph,
 )
 
+from tests._dict_reference import DictGraphReference
+
 DATASET_CONFIG = DatasetConfig(top_k=30, max_nodes_per_subgraph=40, seed=3)
 
 
@@ -162,6 +164,40 @@ class TestGraphIngest:
         touched = graph.ingest(ledger, min_value=1.0)
         assert quiet not in touched
         assert loud in touched
+
+    def test_ingest_finds_nodes_added_by_hand_like_the_reference(self):
+        """An account that became a node through ``add_edge`` (not through
+        ingest) before any ingested row named it: the ingest must merge into
+        that node, exactly as the sequential reference replaying every kept
+        row does, and so must every later ingest."""
+        ledger = fresh_ledger(seed=15)
+        graph = build_transaction_graph(ledger)
+        reference = DictGraphReference()
+
+        def replay(start):
+            cols = ledger.tx_columns()
+            addresses = ledger.store.addresses
+            for row in range(start, ledger.num_transactions):
+                sender, receiver = cols.sender_id[row], cols.receiver_id[row]
+                if cols.submitted[row] and sender != receiver:
+                    reference.add_edge(addresses[sender], addresses[receiver],
+                                       amount=float(cols.value[row]), count=1,
+                                       timestamp=float(cols.timestamp[row]))
+
+        replay(0)
+        by_hand, partner = "0xby_hand", ledger.store.addresses[0]
+        graph.add_edge(by_hand, partner, amount=2.5, count=1, timestamp=1.0)
+        reference.add_edge(by_hand, partner, amount=2.5, count=1, timestamp=1.0)
+        for targets in ([by_hand, partner], [by_hand, ledger.store.addresses[1]]):
+            start = ledger.num_transactions
+            append_block_touching(ledger, targets)
+            graph.ingest(ledger)
+            replay(start)
+            assert graph.nodes == reference.nodes
+            assert [(e.src, e.dst, e.amount, e.count, e.timestamp)
+                    for e in graph.edges] == \
+                [(e.src, e.dst, e.amount, e.count, e.timestamp)
+                 for e in reference.edges]
 
     def test_frozen_graph_refuses_ingest_with_new_rows(self):
         ledger = fresh_ledger(seed=6)

@@ -118,3 +118,55 @@ def test_bulk_with_node_keys_matches_sequential_reference(rows):
         reference.add_edge(node_keys[src], node_keys[dst], amount=amount,
                            count=count, timestamp=ts)
     assert_bit_identical(graph, reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(program, st.permutations(range(12)))
+def test_node_keys_bulk_interleaved_with_add_edge_matches_reference(batches, table_order):
+    """The ``node_keys`` path, interleaved with ``add_edge``: rows name nodes
+    by codes into a string table whose order differs from the nodes' first
+    appearance and which holds unused entries, and batches are mixed with
+    single ``add_edge`` calls that create or merge into the same nodes."""
+    node_keys = [f"0xkey{i:02d}" for i in range(12)]
+    code_of = list(table_order[:6])          # node r -> code; six codes unused
+    graph = TxGraph()
+    reference = DictGraphReference()
+    for bulk, rows in batches:
+        if bulk:
+            graph.add_edges_bulk(
+                np.array([code_of[r[0]] for r in rows], dtype=np.int64),
+                np.array([code_of[r[1]] for r in rows], dtype=np.int64),
+                amounts=np.array([r[2] for r in rows]),
+                counts=np.array([r[3] for r in rows], dtype=np.int64),
+                timestamps=np.array([r[4] for r in rows]),
+                node_keys=node_keys)
+        else:
+            for src, dst, amount, count, ts in rows:
+                graph.add_edge(node_keys[code_of[src]], node_keys[code_of[dst]],
+                               amount=amount, count=count, timestamp=ts)
+        for src, dst, amount, count, ts in rows:
+            reference.add_edge(node_keys[code_of[src]], node_keys[code_of[dst]],
+                               amount=amount, count=count, timestamp=ts)
+        assert_bit_identical(graph, reference)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(row, min_size=1, max_size=30))
+def test_node_keys_sharing_a_node_merge_like_the_reference(rows):
+    """Two codes of one ``node_keys`` table may name the same node; their
+    rows then merge into that node's edges, as sequential ``add_edge`` calls
+    do."""
+    node_keys = [f"0x{i % 4:02d}" for i in range(6)]   # codes 4, 5 repeat 0, 1
+    graph = TxGraph()
+    graph.add_edges_bulk(
+        np.array([r[0] for r in rows], dtype=np.int64),
+        np.array([r[1] for r in rows], dtype=np.int64),
+        amounts=np.array([r[2] for r in rows]),
+        counts=np.array([r[3] for r in rows], dtype=np.int64),
+        timestamps=np.array([r[4] for r in rows]),
+        node_keys=node_keys)
+    reference = DictGraphReference()
+    for src, dst, amount, count, ts in rows:
+        reference.add_edge(node_keys[src], node_keys[dst], amount=amount,
+                           count=count, timestamp=ts)
+    assert_bit_identical(graph, reference)
