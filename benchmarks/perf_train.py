@@ -8,11 +8,7 @@ Measures, on a synthetic ledger's ``exchange`` one-vs-rest task:
   ``batch_size=1`` (one subgraph per step: the default, and the headline
   baseline).  Both run the branches' one training loop; its parity with the
   per-sample reference training is pinned by
-  ``tests/test_batched_training.py``;
-* ``dataset_build`` — sequential vs thread-pool vs process-pool dataset
-  construction (bit-identity asserted before timing; thread numbers are
-  honest GIL-bound ~1x on single-core boxes, the process pool is the
-  scaling path).
+  ``tests/test_batched_training.py``.
 
 Scoring has one path whatever the ``batch_size``, so it is not timed here.
 Results, including speedups, are written to ``BENCH_train.json``.
@@ -57,7 +53,7 @@ def _timed(fns: dict, reps: int) -> dict:
 
 
 def build_task(scale: float, seed: int):
-    """(builder factory, samples, labels) for the exchange one-vs-rest task.
+    """(samples, labels) for the exchange one-vs-rest task.
 
     Subgraph extraction matches the table-3 smoke regime
     (``tests/test_experiments.py``: ``top_k=20, max_nodes_per_subgraph=25``) —
@@ -67,15 +63,9 @@ def build_task(scale: float, seed: int):
     config = LedgerConfig().scaled(scale)
     config.seed = seed
     ledger = generate_ledger(config)
-    dataset_config = DatasetConfig(top_k=20, max_nodes_per_subgraph=25, seed=3)
-
-    def make_builder() -> SubgraphDatasetBuilder:
-        return SubgraphDatasetBuilder(ledger, dataset_config)
-
-    dataset = make_builder().build()
-    samples, labels = dataset.binary_task("exchange",
-                                          rng=np.random.default_rng(0))
-    return make_builder, samples, labels
+    dataset = SubgraphDatasetBuilder(
+        ledger, DatasetConfig(top_k=20, max_nodes_per_subgraph=25, seed=3)).build()
+    return dataset.binary_task("exchange", rng=np.random.default_rng(0))
 
 
 def bench_branch(name: str, branch_cls, config_factory, samples, labels,
@@ -113,43 +103,15 @@ def bench_branch(name: str, branch_cls, config_factory, samples, labels,
     }
 
 
-def bench_build(make_builder, workers: int, reps: int,
-                include_process: bool = True) -> dict:
-    """Sequential vs thread vs process dataset build (bit-identity first)."""
-    reference = make_builder().build()
-
-    def check(dataset) -> None:
-        assert len(dataset) == len(reference)
-        for got, expected in zip(dataset.samples, reference.samples):
-            assert got.center == expected.center
-            assert got.category == expected.category
-            assert np.array_equal(got.node_features, expected.node_features), \
-                f"parallel build diverged at centre {got.center}"
-
-    plans = ["thread", "process"] if include_process else ["thread"]
-    for mode in plans:
-        check(make_builder().build(workers=workers, mode=mode))
-    builds = {"sequential": lambda: make_builder().build()}
-    builds.update({mode: lambda mode=mode: make_builder().build(workers=workers, mode=mode)
-                   for mode in plans})
-    seconds = _timed(builds, reps)
-    modes: dict[str, dict] = {"sequential": {"seconds": seconds["sequential"]}}
-    for mode in plans:
-        modes[mode] = {"seconds": seconds[mode], "workers": workers,
-                       "speedup": seconds["sequential"] / seconds[mode]}
-    return {"num_samples": len(reference), "modes": modes}
-
-
 def run(scale: float = 1.2, batch_size: int = 32, epochs: int = 20,
-        reps: int = 3, workers: int = 4, include_process: bool = True,
-        output: Path | None = DEFAULT_OUTPUT, seed: int = 11) -> dict:
-    make_builder, samples, labels = build_task(scale, seed)
+        reps: int = 3, output: Path | None = DEFAULT_OUTPUT,
+        seed: int = 11) -> dict:
+    samples, labels = build_task(scale, seed)
     print(f"task: {len(samples)} samples "
           f"(batch_size={batch_size}, epochs={epochs})")
 
     results = {"config": {"scale": scale, "batch_size": batch_size,
-                          "epochs": epochs, "reps": reps, "workers": workers,
-                          "seed": seed},
+                          "epochs": epochs, "reps": reps, "seed": seed},
                "branches": {}}
     branch_specs = [
         ("gsg", GSGBranch, lambda: GSGConfig(
@@ -174,14 +136,6 @@ def run(scale: float = 1.2, batch_size: int = 32, epochs: int = 20,
     print(f"[combined] GSG+LDG training {results['combined_fit_speedup']:.2f}x "
           f"vs batch_size=1")
 
-    results["dataset_build"] = bench_build(make_builder, workers, reps,
-                                           include_process=include_process)
-    build_line = " | ".join(
-        f"{mode} {record['seconds']:.2f}s"
-        + (f" ({record['speedup']:.2f}x)" if "speedup" in record else "")
-        for mode, record in results["dataset_build"]["modes"].items())
-    print(f"[build] {build_line}")
-
     if output is not None:
         output.write_text(json.dumps(results, indent=2) + "\n")
         print(f"wrote {output}")
@@ -198,10 +152,6 @@ def main() -> None:
                         help="training epochs per fit (default: 20)")
     parser.add_argument("--reps", type=int, default=3,
                         help="best-of repetitions per measurement")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="pool size for the dataset-build sweep")
-    parser.add_argument("--skip-process", action="store_true",
-                        help="skip the process-pool build measurement")
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
                         help="path of the JSON results file")
     parser.add_argument("--min-step-speedup", type=float, default=None,
@@ -209,8 +159,7 @@ def main() -> None:
                              "speedup over batch_size=1")
     args = parser.parse_args()
     results = run(scale=args.scale, batch_size=args.batch_size,
-                  epochs=args.epochs, reps=args.reps, workers=args.workers,
-                  include_process=not args.skip_process, output=args.output)
+                  epochs=args.epochs, reps=args.reps, output=args.output)
     if args.min_step_speedup is not None:
         for name, record in results["branches"].items():
             got = record["fit"]["speedup"]

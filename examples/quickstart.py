@@ -55,10 +55,10 @@ def main(scale: float = 0.4, scenarios: list[str] | None = None,
     dataset_config = DatasetConfig(top_k=60, max_nodes_per_subgraph=50)
     model_config = lambda: fast_dbg4eth_config(epochs=8, batch_size=batch_size)
     if build_workers > 1:
-        print(f"   building the dataset with {build_workers} worker threads "
+        print(f"   building the dataset with {build_workers} worker processes "
               "(bit-identical to sequential)")
         builder = SubgraphDatasetBuilder(ledger, dataset_config)
-        dataset = builder.build(workers=build_workers, mode="thread")
+        dataset = builder.build(workers=build_workers)
         deanon = DeAnonymizer.from_dataset(dataset, ledger=ledger,
                                            dataset_config=dataset_config,
                                            model_config=model_config)
@@ -112,9 +112,10 @@ if __name__ == "__main__":
                              "forwards each minibatch as one block-diagonal "
                              "sparse pass (default: 1, the per-sample loop)")
     parser.add_argument("--build-workers", type=int, default=1,
-                        help="thread workers for the dataset build; the "
+                        help="worker processes for the dataset build; the "
                              "parallel build is bit-identical to the "
-                             "sequential one (default: 1)")
+                             "sequential one and pays off only on large "
+                             "ledgers (default: 1)")
     args = parser.parse_args()
     main(args.scale, scenarios=args.scenarios, category=args.category,
          batch_size=args.batch_size, build_workers=args.build_workers)

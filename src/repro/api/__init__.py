@@ -13,7 +13,7 @@ The concurrent serving tier layers on top of the facade::
 
     deanon.warm(freeze=True)                     # pre-build shared structures
     with ParallelScorer(deanon, max_workers=4) as scorer:
-        scorer.score(addresses)                  # pooled fan-out, same results
+        scorer.score(addresses)                  # process-pool fan-out, same results
 
     async with ScoringService(deanon) as service:
         await service.score("0xabc...")          # dispatched on arrival

@@ -493,47 +493,38 @@ class DeAnonymizer:
                 unknown.append(address)
         if unknown and not skip_unknown:
             raise UnknownAddressError(unknown)
-        known = [address for address in unique if address in samples]
         t1 = time.perf_counter()
-        scores = dict(zip(known, self._scores_for([samples[a] for a in known])))
+        # The heads run only on samples without a memo of the current stack.
+        # The memo key is a weak reference to the stack: unique across
+        # facades that share sample objects (from_dataset), and it pins no
+        # replaced weights.  Two threads that score one unscored sample at
+        # once may both compute it; they store equal values.
+        stacked = self._stacked_heads()
+        memos: dict[str, dict[str, float]] = {}
+        for address, sample in samples.items():
+            memo = sample.head_scores           # one read: other threads may store
+            if memo is not None and memo[0]() is stacked:
+                memos[address] = memo[1]
+        fresh = [address for address in samples if address not in memos]
+        fresh_samples = [samples[address] for address in fresh]
+        if fresh:
+            per_head = stacked.predict_proba(fresh_samples)
+            key = weakref.ref(stacked)
+            for j, address in enumerate(fresh):
+                memos[address] = {name: float(probabilities[j])
+                                  for name, probabilities in per_head.items()}
+                samples[address].head_scores = (key, memos[address])
         metrics = self.metrics
+        metrics.record_value("score.head_passes", stacked.passes(fresh_samples))
+        metrics.increment("score.memo_hits", len(samples) - len(fresh))
         metrics.record_seconds("score.sample", t1 - t0)
         metrics.record_seconds("score.heads", time.perf_counter() - t1)
         metrics.record_value("score.batch_size", len(unique))
         metrics.increment("score.calls")
         metrics.increment("score.addresses", len(addresses))
         metrics.increment("score.unknown", len(unknown))
-        return {address: scores[address] for address in addresses if address in scores}
-
-    def _scores_for(self, samples: Sequence[AccountSubgraph]) -> list[dict[str, float]]:
-        """``{category: probability}`` per sample: memoized, or one stacked pass.
-
-        The heads run only on the samples without a memo of the current
-        stack, and those keep their result in ``head_scores``.  The key is a
-        weak reference to the stack: unique across facades that share sample
-        objects (``from_dataset``), and it pins no replaced weights.  Returns
-        copies.  Two threads that score one unscored sample at once may both
-        compute it; they store equal values.  The scoring path of
-        :meth:`score` and of the thread-mode
-        :class:`~repro.api.scorer.ParallelScorer`.
-        """
-        stacked = self._stacked_heads()
-        memos = []
-        for sample in samples:
-            memo = sample.head_scores           # one read: other threads may store
-            memos.append(memo[1] if memo is not None and memo[0]() is stacked else None)
-        missing = [i for i, memo in enumerate(memos) if memo is None]
-        fresh = [samples[i] for i in missing]
-        if fresh:
-            per_head = stacked.predict_proba(fresh)
-            key = weakref.ref(stacked)
-            for j, i in enumerate(missing):
-                memos[i] = {name: float(probabilities[j])
-                            for name, probabilities in per_head.items()}
-                samples[i].head_scores = (key, memos[i])
-        self.metrics.record_value("score.head_passes", stacked.passes(fresh))
-        self.metrics.increment("score.memo_hits", len(samples) - len(fresh))
-        return [dict(memo) for memo in memos]
+        return {address: dict(memos[address])
+                for address in addresses if address in memos}
 
     def score_all(self) -> dict[str, dict[str, float]]:
         """Score every account in the transaction graph (or, without a ledger,

@@ -1,36 +1,28 @@
 """Parallel fan-out scoring over a fitted :class:`~repro.api.DeAnonymizer`.
 
-:class:`ParallelScorer` accelerates the expensive half of the serving path —
-per-address 2-hop ego sampling plus feature extraction — by fanning address
-chunks across a ``concurrent.futures`` pool, then scoring the assembled batch
-through every fitted head.  Two execution modes:
+:class:`ParallelScorer` splits a batch's unique addresses into chunks and
+scores them on a pool of worker processes.  Each worker rehydrates its
+**own** scorer from the fitted model's in-memory state blob
+(:func:`~repro.api.persistence.dumps_state` /
+:func:`~repro.api.persistence.loads_state`) plus the ledger, then scores its
+chunks end-to-end and ships plain float dicts back.  This sidesteps the GIL
+at the cost of per-worker memory and a one-time rehydration.  It is
+bit-identical to :meth:`DeAnonymizer.score <repro.api.DeAnonymizer.score>`
+whatever ``batch_size`` the heads were trained with, because every stage of
+the predict path (sampling, featurization, branch encodings, calibration,
+classification) gives each sample the bits it gets when scored alone.
 
-* ``mode="thread"`` (default): worker threads call
-  :meth:`DeAnonymizer.sample_for <repro.api.DeAnonymizer.sample_for>` on the
-  *shared* facade.  The thread-safety groundwork in the graph / feature /
-  cache layers (double-checked locking everywhere a lazy structure is built,
-  plus the :meth:`~repro.api.DeAnonymizer.warm` pre-build) makes this safe;
-  head inference then runs once in the calling thread over the full batch,
-  through the same stacked heads and per-sample score memo as
-  :meth:`DeAnonymizer.score <repro.api.DeAnonymizer.score>`, so results are
-  bit-identical to it.
-  Threads buy real wall-time on the allocation-heavy sampling path and keep
-  one shared sample cache, but remain GIL-bound for pure-Python segments.
-* ``mode="process"``: each worker process rehydrates its **own** scorer from
-  the fitted model's in-memory state blob
-  (:func:`~repro.api.persistence.dumps_state` /
-  :func:`~repro.api.persistence.loads_state`) plus a pickled ledger, then
-  scores its chunk end-to-end and ships plain float dicts back.  This
-  sidesteps the GIL entirely at the cost of per-worker memory and a one-time
-  rehydration.  It is bit-identical to sequential scoring whatever
-  ``batch_size`` the heads were trained with, because every stage of the
-  predict path (sampling, featurization, branch encodings, calibration,
-  classification) gives each sample the bits it gets when scored alone.
+A pool serves the ledger and heads it started with.  So the scorer records
+the ledger object, its ``data_version`` and the facade's stacked heads when
+a pool starts, and :meth:`~ParallelScorer.score` and
+:meth:`~ParallelScorer.warm` close a pool whose record no longer matches: a
+ledger append or sync, ``attach_ledger``, or a fit or restore of any head.
+The next submit starts a fresh pool, so each append or refit costs a full
+rehydration of every worker.
 
-Both modes preserve the facade's batch semantics: unknown addresses are
-aggregated across the whole request into one
+Unknown addresses are aggregated across the whole request into one
 :class:`~repro.api.UnknownAddressError`, or silently skipped with
-``skip_unknown=True``.
+``skip_unknown=True``, as in the facade.
 
 A worker process that dies (killed, out of memory, a crash in native code)
 breaks its pool.  ``score()`` then shuts the broken pool down, drops it and
@@ -44,8 +36,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+import weakref
 
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Sequence
 
@@ -56,7 +49,7 @@ __all__ = ["ParallelScorer", "WorkerCrashedError"]
 
 
 class WorkerCrashedError(RuntimeError):
-    """A process-mode scoring worker died, so its batch was not scored.
+    """A scoring worker process died, so its batch was not scored.
 
     The broken pool has been shut down and dropped; the next
     :meth:`ParallelScorer.score` starts a fresh one.  ``__cause__`` holds the
@@ -116,97 +109,105 @@ def _chunked(items: list, size: int) -> list[list]:
 
 
 class ParallelScorer:
-    """Fan per-address sampling/scoring across a worker pool.
+    """Fan per-address sampling and scoring across a pool of worker processes.
 
     Usage::
 
-        deanon = DeAnonymizer(ledger).fit(["exchange"]).warm(freeze=True)
+        deanon = DeAnonymizer(ledger).fit(["exchange"])
         with ParallelScorer(deanon, max_workers=4) as scorer:
             scorer.score(addresses)           # == deanon.score(addresses)
 
     Parameters
     ----------
     deanonymizer:
-        The fitted facade to serve.  In thread mode workers share it directly;
-        in process mode it is the template whose state blob and ledger seed
-        each worker's private copy.
+        The fitted facade to serve: the template whose state blob and ledger
+        seed each worker's private copy.  It needs a ledger, because the
+        workers sample from their own copy of it.
     max_workers:
         Pool size; defaults to ``os.cpu_count()``.
-    mode:
-        ``"thread"`` (shared facade, GIL-bound but zero-copy) or
-        ``"process"`` (private per-worker scorers, GIL-free).
     chunk_size:
         Addresses per work item.  Defaults to an even split into
         ``4 * max_workers`` chunks so stragglers rebalance; raise it to
         amortise task overhead on very cheap addresses.
 
-    The pool is created lazily on the first :meth:`score` call and torn down
-    by :meth:`close` (or the context manager).  Fan-out observations land in
-    the facade's :class:`~repro.api.metrics.ServingMetrics` under
-    ``parallel.*`` stages.
+    The pool is created lazily on the first :meth:`score` or :meth:`warm`
+    call and torn down by :meth:`close` (or the context manager).  Fan-out
+    observations land in the facade's
+    :class:`~repro.api.metrics.ServingMetrics` under ``parallel.*`` stages.
     """
 
     def __init__(self, deanonymizer: DeAnonymizer, max_workers: int | None = None,
-                 mode: str = "thread", chunk_size: int | None = None):
-        if mode not in ("thread", "process"):
-            raise ValueError(f"mode must be 'thread' or 'process', got {mode!r}")
+                 chunk_size: int | None = None):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be a positive integer or None")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be a positive integer or None")
         self.deanonymizer = deanonymizer
         self.max_workers = max_workers or (os.cpu_count() or 1)
-        self.mode = mode
         self.chunk_size = chunk_size
-        self._executor: Executor | None = None
+        self._executor: ProcessPoolExecutor | None = None
+        # What the running pool serves: (ledger, its data_version, a weak
+        # reference to the stacked heads), as in the facade's score memo.
+        self._served: tuple | None = None
 
     # ------------------------------------------------------------- lifecycle
-    def _ensure_executor(self) -> Executor:
+    def _pool_is_current(self) -> bool:
+        ledger, data_version, stacked = self._served
+        deanon = self.deanonymizer
+        return (ledger is deanon.ledger and data_version == ledger.data_version
+                and stacked() is deanon._stacked_heads())
+
+    def _ensure_executor(self) -> ProcessPoolExecutor:
+        if self._executor is not None and not self._pool_is_current():
+            self.close()
         if self._executor is None:
-            if self.mode == "thread":
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-scorer")
-            else:
-                deanon = self.deanonymizer
-                if deanon.ledger is None:
-                    raise RuntimeError(
-                        "process-mode ParallelScorer needs a ledger on the "
-                        "deanonymizer (workers sample from their own copy)")
-                state_blob = dumps_state(deanon.get_state())
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    initializer=_init_process_worker,
-                    initargs=(state_blob, deanon.ledger,
-                              multiprocessing.Barrier(self.max_workers)))
+            deanon = self.deanonymizer
+            if deanon.ledger is None:
+                raise RuntimeError(
+                    "ParallelScorer needs a ledger on the deanonymizer "
+                    "(workers sample from their own copy)")
+            state_blob = dumps_state(deanon.get_state())
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                initializer=_init_process_worker,
+                initargs=(state_blob, deanon.ledger,
+                          multiprocessing.Barrier(self.max_workers)))
+            self._served = (deanon.ledger, deanon.ledger.data_version,
+                            weakref.ref(deanon._stacked_heads()))
         return self._executor
 
-    def warm(self, freeze: bool = False) -> "ParallelScorer":
-        """Pre-build shared structures (and, in process mode, every worker).
+    def _run(self, tasks: list[tuple]) -> list:
+        """Run ``(function, *args)`` tasks on a current pool; results in task order.
 
-        Thread mode: delegates to :meth:`DeAnonymizer.warm
-        <repro.api.DeAnonymizer.warm>` so pooled threads never hit a
-        first-build lock.  Process mode: additionally starts the pool and
-        returns only once each of its ``max_workers`` processes has
+        A broken pool refuses every later submit, so a dead worker closes it
+        (the next call starts a fresh one) and raises :class:`WorkerCrashedError`.
+        """
+        executor = self._ensure_executor()
+        try:
+            futures = [executor.submit(*task) for task in tasks]
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            self.close()
+            raise WorkerCrashedError(
+                "a scoring worker process died, so its work was not done; the "
+                "next call starts a fresh pool") from exc
+
+    def warm(self, freeze: bool = False) -> "ParallelScorer":
+        """Pre-build the facade's shared structures and start every worker.
+
+        :meth:`DeAnonymizer.warm <repro.api.DeAnonymizer.warm>` readies the
+        facade, which scores single-address requests itself.  This then
+        returns only once each of the pool's ``max_workers`` processes has
         rehydrated its scorer and warmed it (graph, row index, feature
         table), moving all of that out of the first request.  A pool creates
         its processes lazily, so constructing it is not enough: one
         barrier-held task per worker makes every worker start and finish its
-        initializer.
+        initializer.  Under a :class:`~repro.api.ScoringService`, call it
+        before the service starts, so the workers fork before the service's
+        executor thread exists.
         """
         self.deanonymizer.warm(freeze=freeze)
-        if self.mode == "process":
-            executor = self._ensure_executor()
-            try:
-                futures = [executor.submit(_warm_process_worker)
-                           for _ in range(self.max_workers)]
-                for future in futures:
-                    future.result()
-            except BrokenProcessPool as exc:
-                self.close()
-                raise WorkerCrashedError(
-                    "a scoring worker process died while warming; the next "
-                    "call starts a fresh pool") from exc
+        self._run([(_warm_process_worker,)] * self.max_workers)
         return self
 
     def close(self) -> None:
@@ -214,6 +215,7 @@ class ParallelScorer:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
+            self._served = None
 
     def __enter__(self) -> "ParallelScorer":
         return self
@@ -229,7 +231,7 @@ class ParallelScorer:
 
     def score(self, addresses: str | Sequence[str],
               skip_unknown: bool = False) -> dict[str, dict[str, float]]:
-        """Batched per-category probabilities, computed with pooled workers.
+        """Batched per-category probabilities, computed by pooled workers.
 
         Semantics match :meth:`DeAnonymizer.score
         <repro.api.DeAnonymizer.score>` exactly — same result dict, same
@@ -242,80 +244,23 @@ class ParallelScorer:
             addresses = [addresses]
         addresses = list(addresses)
         unique = list(dict.fromkeys(addresses))
-        metrics = deanon.metrics
         if len(unique) <= 1:
             # No fan-out to be had; the facade path avoids pool overhead.
             return deanon.score(addresses, skip_unknown=skip_unknown)
         chunks = _chunked(unique, self._chunk_size_for(len(unique)))
-        executor = self._ensure_executor()
         t0 = time.perf_counter()
-        if self.mode == "thread":
-            results = self._score_threaded(executor, chunks, addresses,
-                                           skip_unknown, t0)
-        else:
-            results = self._score_multiprocess(executor, chunks, addresses,
-                                               skip_unknown, t0)
-        metrics.record_value("parallel.batch_size", len(unique))
-        metrics.record_value("parallel.chunks", len(chunks))
-        metrics.increment("parallel.calls")
-        return results
-
-    def _score_threaded(self, executor: Executor, chunks: list[list[str]],
-                        addresses: list[str], skip_unknown: bool,
-                        t0: float) -> dict[str, dict[str, float]]:
-        """Sample chunks on pooled threads, score the whole batch inline."""
-        deanon = self.deanonymizer
-        futures = [executor.submit(self._sample_chunk, chunk) for chunk in chunks]
-        samples: dict = {}
+        merged: dict[str, dict[str, float]] = {}
         unknown: list[str] = []
-        for future in futures:                   # chunk order == request order
-            chunk_samples, chunk_unknown = future.result()
-            samples.update(chunk_samples)
+        for chunk_results, chunk_unknown in self._run(
+                [(_score_chunk_in_worker, chunk) for chunk in chunks]):
+            merged.update(chunk_results)
             unknown.extend(chunk_unknown)
         if unknown and not skip_unknown:
             raise UnknownAddressError(unknown)
-        t1 = time.perf_counter()
-        known = [address for chunk in chunks for address in chunk
-                 if address in samples]
-        scores = dict(zip(known, deanon._scores_for([samples[a] for a in known])))
         metrics = deanon.metrics
-        metrics.record_seconds("parallel.sample", t1 - t0)
-        metrics.record_seconds("parallel.heads", time.perf_counter() - t1)
-        return {address: scores[address] for address in addresses if address in scores}
-
-    def _sample_chunk(self, chunk: list[str]) -> tuple[dict, list[str]]:
-        samples: dict = {}
-        unknown: list[str] = []
-        for address in chunk:
-            try:
-                samples[address] = self.deanonymizer.sample_for(address)
-            except UnknownAddressError:
-                unknown.append(address)
-        return samples, unknown
-
-    def _score_multiprocess(self, executor: Executor, chunks: list[list[str]],
-                            addresses: list[str], skip_unknown: bool,
-                            t0: float) -> dict[str, dict[str, float]]:
-        """Each worker process scores its chunk end-to-end; merge the dicts."""
-        deanon = self.deanonymizer
-        merged: dict[str, dict[str, float]] = {}
-        unknown: list[str] = []
-        try:
-            futures = [executor.submit(_score_chunk_in_worker, chunk)
-                       for chunk in chunks]
-            for future in futures:
-                chunk_results, chunk_unknown = future.result()
-                merged.update(chunk_results)
-                unknown.extend(chunk_unknown)
-        except BrokenProcessPool as exc:
-            # A broken pool refuses every later submit: drop it so the next
-            # call starts a fresh one.
-            self.close()
-            raise WorkerCrashedError(
-                "a scoring worker process died; the batch was not scored and "
-                "the next score() starts a fresh pool") from exc
-        if unknown and not skip_unknown:
-            raise UnknownAddressError(unknown)
-        deanon.metrics.record_seconds("parallel.score", time.perf_counter() - t0)
+        metrics.record_seconds("parallel.score", time.perf_counter() - t0)
+        metrics.record_value("parallel.batch_size", len(unique))
+        metrics.record_value("parallel.chunks", len(chunks))
+        metrics.increment("parallel.calls")
         return {address: merged[address]
                 for address in addresses if address in merged}

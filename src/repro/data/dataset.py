@@ -5,7 +5,7 @@ from __future__ import annotations
 import pickle
 import threading
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -367,8 +367,7 @@ class SubgraphDatasetBuilder:
         with self._graph_lock:
             return graph.ingest(self.ledger)
 
-    def build(self, workers: int | None = None,
-              mode: str = "thread") -> SubgraphDataset:
+    def build(self, workers: int | None = None) -> SubgraphDataset:
         """Build the dataset, optionally fanning out across centre accounts.
 
         The build has two phases with a strict contract between them: the
@@ -376,25 +375,18 @@ class SubgraphDatasetBuilder:
         label) consumes all of the build's randomness up front, and
         :meth:`build_sample` is a deterministic pure function of the frozen
         builder state.  Sampling is therefore embarrassingly parallel —
-        ``workers > 1`` maps the task list over a thread or process pool
-        (``mode``) in task order, and the result is bit-identical to the
-        sequential build.
-
-        Thread workers share this builder's graph and feature table (warmed
-        first so no worker pays a build); process workers receive a pickled
-        warmed copy once per worker via the pool initializer — the scaling
-        path on multi-core machines.
+        ``workers > 1`` maps the task list over a process pool in task
+        order, and the result is bit-identical to the sequential build.
+        Each worker receives a pickled, warmed copy of this builder once,
+        through the pool initializer.  The pool pays for its start-up and
+        for pickling the samples back, so it beats the sequential build only
+        on large ledgers.
         """
         tasks = self._build_tasks()
         if workers is None or workers <= 1:
             samples = [self.build_sample(address, category)
                        for address, category in tasks]
-        elif mode == "thread":
-            self.warm()
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                samples = list(pool.map(
-                    lambda task: self.build_sample(*task), tasks))
-        elif mode == "process":
+        else:
             self.warm()
             payload = pickle.dumps(self)
             with ProcessPoolExecutor(
@@ -402,9 +394,6 @@ class SubgraphDatasetBuilder:
                     initargs=(payload,)) as pool:
                 samples = list(pool.map(_worker_build_sample, tasks,
                                         chunksize=max(1, len(tasks) // (4 * workers))))
-        else:
-            raise ValueError(f"unknown build mode {mode!r} "
-                             "(expected 'thread' or 'process')")
         return SubgraphDataset(samples)
 
     def _build_tasks(self) -> list[tuple[str, str | None]]:

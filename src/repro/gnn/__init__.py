@@ -3,8 +3,8 @@
 All layers aggregate on CSR sparse adjacency (:class:`SparseAdjacency`) in
 O(E) per layer; dense ``(n, n)`` matrices are accepted everywhere and coerced
 on entry.  Feature matrices are :class:`repro.nn.Tensor`, so the whole stack
-trains with the numpy autograd engine; the seed's dense forward passes are
-preserved in :mod:`repro.gnn.dense_reference` as the parity/benchmark baseline.
+trains with the numpy autograd engine; the test suite keeps the seed's dense
+forward passes as the parity baseline.
 """
 
 from repro.graph.sparse import SparseAdjacency

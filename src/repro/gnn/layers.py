@@ -3,8 +3,8 @@
 Every layer aggregates in O(E) over a :class:`~repro.graph.sparse.SparseAdjacency`;
 dense ``(n, n)`` matrices are still accepted everywhere and converted on entry,
 so the seed's dense API keeps working.  ``tests/test_gnn_sparse_parity.py``
-pins each sparse forward against the faithful dense implementations preserved
-in :mod:`repro.gnn.dense_reference` to within 1e-9.
+pins each sparse forward against faithful dense implementations of the seed
+layers, kept in the test suite, to within 1e-9.
 """
 
 from __future__ import annotations

@@ -2,12 +2,10 @@
 
 The production layers in :mod:`repro.gnn.layers` aggregate on CSR arrays; this
 module preserves the seed's dense ``(n, n)`` math *verbatim*, operating on the
-same layer instances (shared weights), so that:
-
-* ``tests/test_gnn_sparse_parity.py`` can pin sparse vs dense agreement to
-  1e-9 on randomized adjacencies, and
-* ``benchmarks/perf_gnn.py`` can measure the sparse speedup against the exact
-  code the seed ran.
+same layer instances (shared weights), so that
+``tests/test_gnn_sparse_parity.py`` can pin sparse vs dense agreement to 1e-9
+on randomized adjacencies: layer forwards and gradients, the GSG and LDG
+encoders, and whole training steps.
 
 All functions take dense ``np.ndarray`` adjacencies and support full autograd,
 exactly as the seed layers did.

@@ -6,11 +6,6 @@ pair in a global insertion-ordered dict plus per-node out/in dicts, fed only
 by sequential ``add_edge`` calls.  The property tests replay arbitrary
 interleavings of ``add_edge`` / ``add_edges_bulk`` against it and require the
 columnar graph to be bit-identical — including edge iteration order.
-
-``benchmarks/perf_graph.py`` carries a separate, fuller snapshot of the PR 4
-store (``DictTxGraph``, including the vectorised bulk path) for timing.  Both
-references pin the same semantics; they stay in sync transitively because
-each is asserted bit-identical to ``TxGraph`` on its own suite.
 """
 
 from __future__ import annotations

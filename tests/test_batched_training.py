@@ -370,21 +370,13 @@ class TestParallelBuild:
                 DatasetConfig(top_k=40, max_nodes_per_subgraph=40, seed=3))
         return factory
 
-    def test_thread_mode_bit_identical(self, builder_factory, small_dataset):
-        parallel = builder_factory().build(workers=4, mode="thread")
-        assert_same_dataset(parallel, small_dataset)
-
     @pytest.mark.slow
     def test_process_mode_bit_identical(self, builder_factory, small_dataset):
-        parallel = builder_factory().build(workers=2, mode="process")
+        parallel = builder_factory().build(workers=2)
         assert_same_dataset(parallel, small_dataset)
 
     def test_single_worker_is_sequential_path(self, builder_factory, small_dataset):
         assert_same_dataset(builder_factory().build(workers=1), small_dataset)
-
-    def test_unknown_mode_rejected(self, builder_factory):
-        with pytest.raises(ValueError, match="mode"):
-            builder_factory().build(workers=2, mode="bogus")
 
 
 class TestTaskIndexCache:

@@ -32,6 +32,7 @@ from repro.api import (
 )
 from repro.core import CalibrationConfig, DBG4ETHConfig, GSGConfig, LDGConfig
 from repro.data import DatasetConfig, SubgraphDatasetBuilder
+from tests.test_follow_chain import append_block_touching, fresh_ledger
 
 DATASET_CONFIG = DatasetConfig(top_k=40, max_nodes_per_subgraph=40, seed=3)
 N_THREADS = 8
@@ -282,18 +283,6 @@ def test_sample_cache_size_is_checked_when_reassigned(small_ledger, served_addre
 # ParallelScorer
 # --------------------------------------------------------------------------
 
-def test_parallel_scorer_thread_parity(facade, served_addresses):
-    expected = facade.score(served_addresses)
-    with ParallelScorer(facade, max_workers=4, mode="thread", chunk_size=3) as scorer:
-        got = scorer.score(served_addresses)
-    assert list(got) == list(expected)
-    for address in expected:
-        assert got[address] == expected[address]
-    snap = facade.metrics.snapshot()
-    assert snap["counters"]["parallel.calls"] >= 1
-    assert snap["stages"]["parallel.sample"]["count"] >= 1
-
-
 def test_parallel_scorer_unknown_semantics(facade, served_addresses):
     request = served_addresses[:3] + ["0xMISSING1", "0xMISSING2"]
     with ParallelScorer(facade, max_workers=2, chunk_size=2) as scorer:
@@ -313,26 +302,36 @@ def test_parallel_scorer_single_address_delegates(facade, served_addresses):
 
 
 def test_parallel_scorer_validation(facade):
-    with pytest.raises(ValueError, match="mode"):
-        ParallelScorer(facade, mode="fiber")
     with pytest.raises(ValueError, match="max_workers"):
         ParallelScorer(facade, max_workers=0)
     with pytest.raises(ValueError, match="chunk_size"):
         ParallelScorer(facade, chunk_size=0)
 
 
+def test_parallel_scorer_needs_a_ledger(facade, served_addresses):
+    """Workers sample from their own copy of the facade's ledger, so a fitted
+    facade without one fans out nothing: score() raises and starts no pool."""
+    ledgerless = DeAnonymizer().set_state(facade.get_state())
+    with ParallelScorer(ledgerless, max_workers=2) as scorer:
+        with pytest.raises(RuntimeError, match="ledger"):
+            scorer.score(served_addresses[:4])
+        assert scorer._executor is None
+
+
 def test_parallel_scorer_process_parity(facade, served_addresses):
     expected = facade.score(served_addresses)
-    with ParallelScorer(facade, max_workers=2, mode="process") as scorer:
+    calls = facade.metrics.counter("parallel.calls")
+    with ParallelScorer(facade, max_workers=2) as scorer:
         got = scorer.score(served_addresses)
     assert list(got) == list(expected)
     for address in expected:
         assert got[address] == expected[address]
+    assert facade.metrics.counter("parallel.calls") == calls + 1
 
 
 def test_parallel_scorer_process_unknown_semantics(facade, served_addresses):
     request = served_addresses[:4] + ["0xMISSING"]
-    with ParallelScorer(facade, max_workers=2, mode="process", chunk_size=2) as scorer:
+    with ParallelScorer(facade, max_workers=2, chunk_size=2) as scorer:
         with pytest.raises(UnknownAddressError) as excinfo:
             scorer.score(request)
         assert excinfo.value.addresses == ("0xMISSING",)
@@ -347,7 +346,7 @@ def test_parallel_scorer_process_warm_starts_every_worker(facade, served_address
     built graph; scores stay bit-identical to score()."""
     expected = facade.score(served_addresses)
     nodes = facade.builder.graph.num_nodes
-    with ParallelScorer(facade, max_workers=2, mode="process") as scorer:
+    with ParallelScorer(facade, max_workers=2) as scorer:
         scorer.warm()
         processes = scorer._executor._processes
         assert len(processes) == 2
@@ -361,6 +360,73 @@ def test_parallel_scorer_process_warm_starts_every_worker(facade, served_address
     assert got == expected
 
 
+def test_parallel_scorer_keeps_a_current_pool(facade, served_addresses):
+    """Nothing changed in the parent, so later score() and warm() calls run on
+    the pool that the first warm() started: no worker is rehydrated again."""
+    with ParallelScorer(facade, max_workers=2) as scorer:
+        scorer.warm()
+        executor = scorer._executor
+        pids = sorted(executor._processes)
+        first = scorer.score(served_addresses)
+        assert scorer.score(served_addresses) == first
+        scorer.warm()
+        assert scorer._executor is executor
+        assert sorted(executor._processes) == pids
+
+
+def _fitted_on_a_private_ledger():
+    """A one-head facade over its own ledger, which a test may append to."""
+    ledger = fresh_ledger(seed=11)
+    dataset = SubgraphDatasetBuilder(ledger, DATASET_CONFIG).build()
+    deanon = DeAnonymizer.from_dataset(dataset, ledger=ledger,
+                                       dataset_config=DATASET_CONFIG,
+                                       model_config=micro_config)
+    deanon.fit(["exchange"])
+    return ledger, deanon, [sample.center for sample in dataset][:6]
+
+
+@pytest.mark.parametrize("change", ["append", "fit"])
+def test_parallel_scorer_replaces_a_stale_pool(change):
+    """Regression: a pool kept answering with the ledger and heads it started
+    with.  After a block that changes scores in the parent, or a head fitted
+    there, the pool's answers equal a cold facade's over the parent's ledger
+    and heads.  (The parent facade itself re-serves cached scores of
+    untouched neighbours of an append, so it is not the reference here.)"""
+    ledger, deanon, addresses = _fitted_on_a_private_ledger()
+    with ParallelScorer(deanon, max_workers=2) as scorer:
+        before = scorer.score(addresses)
+        assert before == deanon.score(addresses)
+        if change == "append":
+            append_block_touching(ledger, addresses[:3])
+        else:
+            deanon.fit(["mining"])
+        cold = DeAnonymizer(ledger).set_state(deanon.get_state())
+        expected = cold.score(addresses)
+        assert expected != before
+        assert scorer.score(addresses) == expected
+
+
+def test_parallel_scorer_warm_replaces_a_stale_pool():
+    """warm() after an append in the parent starts a fresh pool, and each of
+    its workers holds the grown graph before any score() call."""
+    ledger, deanon, addresses = _fitted_on_a_private_ledger()
+    with ParallelScorer(deanon, max_workers=2) as scorer:
+        scorer.warm()
+        stale = scorer._executor
+        nodes_before = deanon.builder.graph.num_nodes
+        append_block_touching(ledger, addresses[:3])
+        scorer.warm()
+        assert scorer._executor is not stale
+        nodes = deanon.builder.graph.num_nodes
+        assert nodes > nodes_before
+        reports = [future.result() for future in [
+            scorer._executor.submit(scorer_module._warm_process_worker)
+            for _ in range(2)]]
+        assert [graph_nodes for _, graph_nodes in reports] == [nodes, nodes]
+        cold = DeAnonymizer(ledger).set_state(deanon.get_state())
+        assert scorer.score(addresses) == cold.score(addresses)
+
+
 def _crash_worker(addresses):
     """Stands in for the worker's chunk function: the process dies mid-batch."""
     os._exit(1)
@@ -371,7 +437,7 @@ def test_parallel_scorer_process_worker_crash_raises_typed_error(
     """A dead worker raises WorkerCrashedError (chained from the broken pool),
     and the next call runs on a fresh pool, bit-identical to score()."""
     expected = facade.score(served_addresses)
-    with ParallelScorer(facade, max_workers=2, mode="process") as scorer:
+    with ParallelScorer(facade, max_workers=2) as scorer:
         monkeypatch.setattr(scorer_module, "_score_chunk_in_worker", _crash_worker)
         with pytest.raises(WorkerCrashedError) as excinfo:
             scorer.score(served_addresses)
@@ -659,11 +725,13 @@ def test_scoring_service_over_parallel_scorer(facade, served_addresses):
     """Coalescer over fan-out: the composed stack still matches sequential."""
     expected = facade.score(served_addresses)
 
-    async def main():
-        with ParallelScorer(facade, max_workers=2, chunk_size=4) as scorer:
-            async with ScoringService(scorer) as svc:
-                return await svc.score_many(served_addresses)
+    async def main(scorer):
+        async with ScoringService(scorer) as svc:
+            return await svc.score_many(served_addresses)
 
-    results = asyncio.run(main())
+    with ParallelScorer(facade, max_workers=2, chunk_size=4) as scorer:
+        # Fork the workers before the service's executor thread exists.
+        scorer.warm()
+        results = asyncio.run(main(scorer))
     for address, result in zip(served_addresses, results):
         assert result == expected[address]

@@ -1,7 +1,7 @@
 """Dense-vs-sparse parity suite pinning the CSR message-passing refactor.
 
 Every sparse code path is compared against the faithful seed implementations
-preserved in :mod:`repro.gnn.dense_reference`, on randomized Erdős–Rényi
+preserved in ``tests/_dense_reference.py``, on randomized Erdős–Rényi
 adjacencies, hand-built corner cases (isolated nodes, self loops, empty
 graphs) and real ego-subgraph samples, to an absolute tolerance of 1e-9.
 """
@@ -25,10 +25,10 @@ from repro.gnn import (
     SparseAdjacency,
     normalize_adjacency,
 )
-from repro.gnn import dense_reference as dense_ref
 from repro.gnn.pooling import DiffPool
 from repro.nn import Adam, Tensor
 from repro.nn.losses import binary_cross_entropy_with_logits
+from tests import _dense_reference as dense_ref
 
 ATOL = 1e-9
 

@@ -11,7 +11,7 @@ labelcloud → features → classification pipeline.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.chain import AccountCategory
 from repro.chain.scenarios import (
@@ -51,6 +51,15 @@ def assert_hard_invariants(block: RawTxBlock, centers: np.ndarray,
     assert np.all(sender_is_center ^ receiver_is_center)
 
 
+def with_larger_pools(test):
+    """One more input per category: 12 centres, 400 users, 40 contracts and
+    seed 7, the pools of the scenario-synthesis benchmark these checks replace."""
+    for category in CATEGORIES:
+        test = example(category=category, seed=7, n_centers=12, n_users=400,
+                       n_contracts=40)(test)
+    return test
+
+
 class TestScenarioProperties:
     @given(category=st.sampled_from(CATEGORIES),
            seed=st.integers(0, 2**16),
@@ -77,12 +86,16 @@ class TestScenarioProperties:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name),
                                           err_msg=name)
 
+    @with_larger_pools
     @given(category=st.sampled_from(CATEGORIES),
            seed=st.integers(0, 64),
-           n_centers=st.integers(3, 8))
+           n_centers=st.integers(3, 8),
+           n_users=st.just(60),
+           n_contracts=st.just(12))
     @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_self_check_passes_on_healthy_pools(self, category, seed, n_centers):
-        centers, users, contracts = make_pools(n_centers)
+    def test_self_check_passes_on_healthy_pools(self, category, seed, n_centers,
+                                                n_users, n_contracts):
+        centers, users, contracts = make_pools(n_centers, n_users, n_contracts)
         scenario = scenario_for(category)
         block = scenario.synthesize(centers, users, contracts,
                                     np.random.default_rng(seed), START, SPAN)

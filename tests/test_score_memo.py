@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import DeAnonymizer, ParallelScorer
+from repro.api import DeAnonymizer
 from repro.chain import LedgerConfig, generate_ledger
 from repro.core import CalibrationConfig, DBG4ETHConfig, GSGConfig, LDGConfig, StackedHeads
 from repro.data import DatasetConfig, SubgraphDatasetBuilder
@@ -263,24 +263,6 @@ def test_a_repeat_is_answered_from_the_memo(shared):
     facade.score(batch[:4] + [other])
     assert facade.metrics.counter("score.memo_hits") == len(batch) + 4
     assert facade.stats()["serving"]["stages"]["score.head_passes"]["total"] == passes + 2
-
-
-def test_thread_scorer_fills_and_reads_the_facades_memo(shared):
-    ledger, dataset, _ = shared
-    facade = fit(DeAnonymizer.from_dataset(dataset, ledger=ledger,
-                                           dataset_config=DATASET_CONFIG),
-                 dataset, "exchange", 2)
-    batch = pool_of(dataset, ledger)
-    with ParallelScorer(facade, max_workers=2, mode="thread", chunk_size=3) as scorer:
-        with recording(facade) as served:
-            cold = scorer.score(batch)
-        assert facade.metrics.counter("score.memo_hits") == 0
-        assert [cold[address] for address in batch] == \
-            expected_scores(facade, [served[address] for address in batch])
-        assert facade.score(batch) == cold
-        assert facade.metrics.counter("score.memo_hits") == len(batch)
-        assert scorer.score(batch) == cold
-        assert facade.metrics.counter("score.memo_hits") == 2 * len(batch)
 
 
 def test_a_pickled_sample_leaves_its_memo_behind(shared):
