@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["AccountType", "Account"]
 
@@ -15,9 +15,14 @@ class AccountType(str, enum.Enum):
     CONTRACT = "contract"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Account:
-    """A single Ethereum account.
+    """A single Ethereum account: its address and its kind.
+
+    The ledger's registry stores only ``address -> AccountType``;
+    :meth:`~repro.chain.ledger.Ledger.get_account` and
+    :attr:`~repro.chain.ledger.Ledger.accounts` build these records on
+    request.
 
     Attributes
     ----------
@@ -26,42 +31,14 @@ class Account:
     account_type:
         :class:`AccountType.EOA` for key-controlled accounts or
         :class:`AccountType.CONTRACT` for deployed contracts.
-    balance:
-        Current Ether balance (in ETH, not Wei, for readability).
-    nonce:
-        Number of transactions sent from this account; enforces ordering.
     """
 
     address: str
     account_type: AccountType = AccountType.EOA
-    balance: float = 0.0
-    nonce: int = 0
 
     @property
     def is_contract(self) -> bool:
         return self.account_type is AccountType.CONTRACT
-
-    def credit(self, amount: float) -> None:
-        """Increase the balance by ``amount`` ETH."""
-        if amount < 0:
-            raise ValueError("credit amount must be non-negative")
-        self.balance += amount
-
-    def debit(self, amount: float) -> None:
-        """Decrease the balance by ``amount`` ETH (may not go negative)."""
-        if amount < 0:
-            raise ValueError("debit amount must be non-negative")
-        if amount > self.balance + 1e-12:
-            raise ValueError(
-                f"insufficient balance: {self.balance:.6f} ETH available, "
-                f"{amount:.6f} ETH requested")
-        self.balance -= amount
-
-    def next_nonce(self) -> int:
-        """Return the current nonce and advance it (called when sending a tx)."""
-        nonce = self.nonce
-        self.nonce += 1
-        return nonce
 
 
 def make_address(index: int, prefix: str = "") -> str:

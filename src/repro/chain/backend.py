@@ -1,14 +1,13 @@
 """Durable on-disk backend for the columnar ledger.
 
 ``LedgerBackend`` persists a :class:`~repro.chain.ledger.Ledger` — the
-columnar transaction store plus every piece of ledger metadata the serving
-pipeline reads — as a directory of append-only files fronted by a JSON
-manifest:
+columnar transaction store, the account registry and the label cloud — as a
+directory of append-only files fronted by a JSON manifest:
 
 ``manifest.json``
     Scalar state written **last** on every sync (atomic temp-file +
     ``os.replace``): row/address/block/account/label counts, the byte length
-    of each variable-width file's valid prefix, the incrementally maintained
+    of each address file's valid prefix, the incrementally maintained
     submitted-timestamp span, the store's :attr:`data_version` epoch, block
     interval / genesis timestamp, and the sparse explicit-hash table.
 ``col_<name>.bin``
@@ -22,9 +21,15 @@ manifest:
 ``blocks.bin``
     Per-block ``(number, timestamp, start_row, stop_row)`` records as one
     structured little-endian array (append-only).
-``accounts.jsonl`` / ``labels.jsonl``
-    The account registry and the label cloud, one JSON object per line
-    (append-only).
+``accounts.txt`` + ``account_types.bin``, ``labels.txt`` + ``label_categories.bin``
+    The account registry and the label cloud in insertion order: addresses
+    as in ``addresses.txt``, and one uint8 code per address, the declaration
+    index of its :class:`AccountType` or :class:`AccountCategory` member.
+
+Address files split on ``"\\n"`` only; :meth:`LedgerBackend.sync` refuses
+an address holding one before it writes anything.  :meth:`LedgerBackend.load`
+parses no per-record text, and checks each file's line count and each code
+column's length against the manifest, and every code against its enum.
 
 Crash consistency: data files are append-only and the manifest's counts and
 byte lengths define each file's *valid prefix*.  A sync that dies before the
@@ -34,10 +39,7 @@ prefix before appending, so torn trailing writes can never be observed.
 
 Append cost is O(new rows): :meth:`sync` slices each column at the
 manifest's row count and appends only the new bytes (likewise for new
-addresses, blocks, accounts and labels).  Account ``balance``/``nonce`` are
-captured when the account is first persisted — the de-anonymization pipeline
-reads only address and type, and rewriting the registry per sync would break
-the O(new) contract.
+addresses, blocks, accounts and labels).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.chain.accounts import Account, AccountType
+from repro.chain.accounts import AccountType
 from repro.chain.labelcloud import AccountCategory
 from repro.chain.txstore import _COLUMN_DTYPES, ColumnarTxStore
 
@@ -61,7 +63,7 @@ if TYPE_CHECKING:                           # import cycle: ledger imports us la
 __all__ = ["LedgerBackend", "BackendFormatError"]
 
 #: Bump when the directory layout changes incompatibly.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Little-endian on-disk dtype of every transaction column.
 _DISK_DTYPES: dict[str, np.dtype] = {
@@ -70,6 +72,13 @@ _DISK_DTYPES: dict[str, np.dtype] = {
 #: Structured record layout of ``blocks.bin``.
 _BLOCK_DTYPE = np.dtype([("number", "<i8"), ("timestamp", "<f8"),
                          ("start", "<i8"), ("stop", "<i8")])
+
+#: The address -> enum mappings, each an address file plus a code column:
+#: manifest key -> (address file, code column, enum members by code).
+_KEYED_FILES = {
+    "accounts": ("accounts.txt", "account_types.bin", tuple(AccountType)),
+    "labels": ("labels.txt", "label_categories.bin", tuple(AccountCategory)),
+}
 
 
 class BackendFormatError(RuntimeError):
@@ -106,6 +115,45 @@ def _read_prefix(path: Path, valid_size: int) -> bytes:
             f"{path.name} holds {len(data)} bytes but the manifest commits "
             f"{valid_size}; the backend directory is damaged")
     return data
+
+
+def _address_lines(addresses: list[str]) -> bytes:
+    """``addresses`` as ``"\\n"``-terminated UTF-8 lines; an address holding
+    ``"\\n"`` would read back as two, so it raises ``ValueError``."""
+    if not addresses:
+        return b""
+    text = "\n".join(addresses)
+    if text.count("\n") != len(addresses) - 1:
+        bad = next(address for address in addresses if "\n" in address)
+        raise ValueError(f"address {bad!r} contains a newline; the ledger "
+                         f"backend stores one address per line")
+    return (text + "\n").encode("utf-8")
+
+
+def _fresh_entries(mapping: dict, start: int, members: tuple,
+                   ) -> tuple[bytes, bytes]:
+    """Address lines and value codes (indices into ``members``) of the
+    insertion-ordered ``mapping``'s entries past its first ``start``.
+
+    Reaching them walks the skipped prefix at C level, and only when the
+    mapping grew.
+    """
+    if len(mapping) <= start:
+        return b"", b""
+    code_of = {member: code for code, member in enumerate(members)}
+    return (_address_lines(list(itertools.islice(mapping, start, None))),
+            bytes(map(code_of.__getitem__,
+                      itertools.islice(mapping.values(), start, None))))
+
+
+def _read_lines(path: Path, valid_size: int, count: int) -> list[str]:
+    """The ``count`` addresses of an address file's valid prefix."""
+    lines = _read_prefix(path, valid_size).decode("utf-8").split("\n")
+    if lines.pop() or len(lines) != count:
+        raise BackendFormatError(
+            f"{path.name} holds {len(lines)} complete lines but the manifest "
+            f"commits {count} addresses; the backend directory is damaged")
+    return lines
 
 
 class LedgerBackend:
@@ -191,7 +239,9 @@ class LedgerBackend:
 
         Raises :class:`BackendFormatError` when ``ledger`` holds fewer rows
         than the directory has committed (it cannot be the ledger this
-        directory was built from — appends are the only mutation).
+        directory was built from — appends are the only mutation), and
+        ``ValueError`` for a new address that contains ``"\\n"``; either
+        way nothing is written.
         """
         self.path.mkdir(parents=True, exist_ok=True)
         manifest = self.read_manifest() if self.exists() else self._empty_manifest()
@@ -204,18 +254,24 @@ class LedgerBackend:
                 f"ledger holds {num_rows} rows but {self.path} has already "
                 f"committed {synced_rows}; refusing to sync a shorter ledger")
 
+        # Every address file is encoded before anything is written, so an
+        # address that holds a newline leaves the directory as it was.
+        addresses = store.addresses
+        address_lines = _address_lines(addresses[manifest["num_addresses"]:])
+        keyed = {key: _fresh_entries(mapping, manifest[f"num_{key}"],
+                                     _KEYED_FILES[key][2])
+                 for key, mapping in (("accounts", ledger._accounts),
+                                      ("labels", ledger.labels._labels))}
+
         for name, disk_dtype in _DISK_DTYPES.items():
             fresh = getattr(cols, name)[synced_rows:]
             _append_bytes(self._column_path(name),
                           synced_rows * disk_dtype.itemsize,
                           np.ascontiguousarray(fresh, dtype=disk_dtype).tobytes())
 
-        addresses = store.addresses
-        new_addresses = addresses[manifest["num_addresses"]:]
         _append_bytes(self.path / "addresses.txt", manifest["addresses_bytes"],
-                      "".join(f"{a}\n" for a in new_addresses).encode("utf-8"))
-        manifest["addresses_bytes"] += sum(
-            len(a.encode("utf-8")) + 1 for a in new_addresses)
+                      address_lines)
+        manifest["addresses_bytes"] += len(address_lines)
         manifest["num_addresses"] = len(addresses)
 
         blocks = np.empty(ledger.num_blocks - manifest["num_blocks"],
@@ -229,33 +285,13 @@ class LedgerBackend:
                       blocks.tobytes())
         manifest["num_blocks"] = ledger.num_blocks
 
-        # Records, not Account objects: bulk-registered placeholders persist
-        # without ever being materialised.  Registry and label cloud are
-        # insertion-ordered dicts, so the new entries are the ones past the
-        # committed counts; reaching them walks the committed prefix, so
-        # neither is walked when it did not grow.
-        new_accounts = (ledger.account_records(manifest["num_accounts"])
-                        if ledger.num_accounts > manifest["num_accounts"] else ())
-        account_lines = "".join(
-            json.dumps({"address": address, "type": type_value,
-                        "balance": balance, "nonce": nonce},
-                       separators=(",", ":")) + "\n"
-            for address, type_value, balance, nonce in new_accounts).encode("utf-8")
-        _append_bytes(self.path / "accounts.jsonl", manifest["accounts_bytes"],
-                      account_lines)
-        manifest["accounts_bytes"] += len(account_lines)
-        manifest["num_accounts"] = ledger.num_accounts
-
-        new_labels = (itertools.islice(ledger.labels.items(), manifest["num_labels"], None)
-                      if len(ledger.labels) > manifest["num_labels"] else ())
-        label_lines = "".join(
-            json.dumps({"address": address, "category": category.value},
-                       separators=(",", ":")) + "\n"
-            for address, category in new_labels).encode("utf-8")
-        _append_bytes(self.path / "labels.jsonl", manifest["labels_bytes"],
-                      label_lines)
-        manifest["labels_bytes"] += len(label_lines)
-        manifest["num_labels"] = len(ledger.labels)
+        for key, (lines, codes) in keyed.items():
+            text_name, code_name, _members = _KEYED_FILES[key]
+            count = manifest[f"num_{key}"]
+            _append_bytes(self.path / text_name, manifest[f"{key}_bytes"], lines)
+            _append_bytes(self.path / code_name, count, codes)
+            manifest[f"{key}_bytes"] += len(lines)
+            manifest[f"num_{key}"] = count + len(codes)
 
         span = store.submitted_timespan()
         manifest.update(
@@ -289,6 +325,21 @@ class LedgerBackend:
             arrays[name] = column if mmap else np.array(column, dtype=memory_dtype)
         return arrays
 
+    def _read_keyed(self, manifest: dict, key: str) -> dict:
+        """One address file and its code column as ``{address: member}``."""
+        text_name, code_name, members = _KEYED_FILES[key]
+        count = manifest[f"num_{key}"]
+        addresses = _read_lines(self.path / text_name,
+                                manifest[f"{key}_bytes"], count)
+        codes = _read_prefix(self.path / code_name, count)
+        top = int(np.frombuffer(codes, dtype=np.uint8).max()) if codes else 0
+        if top >= len(members):
+            raise BackendFormatError(
+                f"{code_name} holds code {top}, but "
+                f"{type(members[0]).__name__} has {len(members)} members; "
+                f"the backend directory is damaged")
+        return dict(zip(addresses, map(members.__getitem__, codes)))
+
     def load(self, mmap: bool = True) -> "Ledger":
         """Rebuild the persisted :class:`Ledger`, columns memory-mapped.
 
@@ -306,15 +357,11 @@ class LedgerBackend:
         store = ColumnarTxStore()
         store._buffers = self._load_columns(num_rows, mmap)
         store._filled = store._num_rows = num_rows
-        address_bytes = _read_prefix(self.path / "addresses.txt",
-                                     manifest["addresses_bytes"])
-        addresses = address_bytes.decode("utf-8").splitlines()
-        if len(addresses) != manifest["num_addresses"]:
-            raise BackendFormatError(
-                f"addresses.txt holds {len(addresses)} addresses but the "
-                f"manifest commits {manifest['num_addresses']}")
+        addresses = _read_lines(self.path / "addresses.txt",
+                                manifest["addresses_bytes"],
+                                manifest["num_addresses"])
         store._addresses = addresses
-        store._addr_to_id = {address: i for i, address in enumerate(addresses)}
+        store._addr_to_id = dict(zip(addresses, range(len(addresses))))
         store._explicit_hash_by_row = {
             int(row): tx_hash for row, tx_hash in manifest["explicit_hashes"].items()}
         store._row_by_explicit_hash = {
@@ -335,16 +382,7 @@ class LedgerBackend:
             ledger._block_timestamps = blocks["timestamp"].tolist()
             ledger._block_bounds = list(zip(blocks["start"].tolist(),
                                             blocks["stop"].tolist()))
-        for line in _read_prefix(self.path / "accounts.jsonl",
-                                 manifest["accounts_bytes"]).decode("utf-8").splitlines():
-            record = json.loads(line)
-            ledger.add_account(Account(
-                address=record["address"],
-                account_type=AccountType(record["type"]),
-                balance=record["balance"], nonce=record["nonce"]))
-        for line in _read_prefix(self.path / "labels.jsonl",
-                                 manifest["labels_bytes"]).decode("utf-8").splitlines():
-            record = json.loads(line)
-            ledger.labels.add(record["address"], AccountCategory(record["category"]))
+        ledger._accounts = self._read_keyed(manifest, "accounts")
+        ledger.labels._labels = self._read_keyed(manifest, "labels")
         ledger._backend = self
         return ledger

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-import threading
-
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -20,7 +17,8 @@ __all__ = ["Ledger"]
 class Ledger:
     """In-memory Ethereum-like ledger.
 
-    Holds the account registry, the block index and the label cloud.  All
+    Holds the account registry (address -> :class:`AccountType`), the block
+    index and the label cloud.  All
     transaction data lives in a :class:`~repro.chain.txstore.ColumnarTxStore`
     — parallel numpy column arrays plus an address interning table — and
     :class:`~repro.chain.transactions.Transaction` objects are materialised
@@ -35,10 +33,11 @@ class Ledger:
     into fixed-size blocks, the path ``generate_ledger`` uses).
 
     Durability: :meth:`sync` persists the ledger into a
-    :class:`~repro.chain.backend.LedgerBackend` directory (append-only column
-    files + JSON manifest; O(new rows) per sync) and :meth:`Ledger.open`
-    restarts from such a directory with the columns memory-mapped — no
-    rebuild.  :attr:`data_version` exposes the store's append epoch so
+    :class:`~repro.chain.backend.LedgerBackend` directory (append-only column,
+    address-line and code files + JSON manifest; O(new rows) per sync) and
+    :meth:`Ledger.open` restarts from such a directory with the columns
+    memory-mapped — no rebuild, and no per-account parsing.
+    :attr:`data_version` exposes the store's append epoch so
     downstream caches (graph, feature table, serving sample cache) can detect
     growth in O(1).
     """
@@ -46,9 +45,7 @@ class Ledger:
     def __init__(self, block_interval: float = 12.0, genesis_timestamp: float = 1_438_900_000.0):
         self.block_interval = block_interval
         self.genesis_timestamp = genesis_timestamp
-        self._accounts: dict[str, Account] = {}
-        self._contract_set: frozenset | None = None
-        self._contract_set_accounts = -1
+        self._accounts: dict[str, AccountType] = {}
         self._store = ColumnarTxStore()
         # Per-block metadata (number, timestamp, [start_row, end_row) in the
         # store); Block objects are materialised on demand from these bounds.
@@ -57,36 +54,20 @@ class Ledger:
         self._block_bounds: list[tuple[int, int]] = []
         self.labels = LabelCloud()
         self._backend = None
-        # Guards the lazy contract-set rebuild; reads of a quiescent ledger
-        # are lock-free (same contract as the store and graph layers).
-        self._lock = threading.Lock()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]                  # locks are not picklable
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     # --------------------------------------------------------------- accounts
     #
-    # The registry maps address -> Account, or address -> AccountType for
-    # accounts registered through the bulk path: a placeholder records only
-    # the kind, and the full (default-balance, zero-nonce) Account object is
-    # materialised lazily on first object-level access.  Nothing in the
-    # synthesis or de-anonymization pipeline mutates balances/nonces, so the
-    # lazy object is indistinguishable from an eagerly created one.
+    # The registry maps address -> AccountType and holds nothing else, in
+    # registration order; Account records are built on request.
     def add_account(self, account: Account) -> Account:
         if account.address in self._accounts:
             raise ValueError(f"duplicate account address {account.address}")
-        self._accounts[account.address] = account
+        self._accounts[account.address] = account.account_type
         return account
 
     def add_accounts_bulk(self, addresses: "Sequence[str]",
                           account_type: AccountType) -> None:
-        """Register many same-type accounts without creating Account objects.
+        """Register many same-type accounts in one dict update.
 
         All-or-nothing on duplicates (within the batch or against the
         registry), matching :meth:`add_account`'s refusal semantics.
@@ -100,61 +81,18 @@ class Ledger:
         self._accounts.update(new)
 
     def get_account(self, address: str) -> Account:
-        account = self._accounts[address]
-        if not isinstance(account, Account):
-            account = Account(address, account)
-            self._accounts[address] = account
-        return account
+        return Account(address, self._accounts[address])
 
     def has_account(self, address: str) -> bool:
         return address in self._accounts
 
     def is_contract(self, address: str) -> bool:
-        entry = self._accounts.get(address)
-        if entry is None:
-            return False
-        kind = entry.account_type if isinstance(entry, Account) else entry
-        return kind is AccountType.CONTRACT
-
-    def contract_address_set(self) -> frozenset:
-        """Addresses of registered contract accounts, as one frozenset.
-
-        Batch consumers (graph build over ~100k nodes) test membership here
-        instead of calling :meth:`is_contract` per node; rebuilt only when the
-        account registry has grown since the last call.
-        """
-        if self._contract_set is None or self._contract_set_accounts != len(self._accounts):
-            with self._lock:
-                if (self._contract_set is None
-                        or self._contract_set_accounts != len(self._accounts)):
-                    contract_set = frozenset(
-                        address for address, entry in self._accounts.items()
-                        if (entry.account_type if isinstance(entry, Account)
-                            else entry) is AccountType.CONTRACT)
-                    self._contract_set = contract_set
-                    self._contract_set_accounts = len(self._accounts)
-        return self._contract_set
+        return self._accounts.get(address) is AccountType.CONTRACT
 
     @property
     def accounts(self) -> list[Account]:
-        """All accounts as objects (materialises bulk-registered placeholders)."""
-        return [self.get_account(address) for address in list(self._accounts)]
-
-    def account_records(self, start: int = 0) -> Iterator[tuple[str, str, float, int]]:
-        """``(address, type, balance, nonce)`` rows in registration order,
-        from the ``start``-th registered account on.
-
-        The persistence path's view of the registry: placeholders yield their
-        default balance/nonce directly, so syncing a bulk-registered ledger
-        never materialises Account objects, and the skipped prefix costs only
-        a C-level walk over the registry dict.
-        """
-        for address, entry in itertools.islice(self._accounts.items(), start, None):
-            if isinstance(entry, Account):
-                yield (address, entry.account_type.value, entry.balance,
-                       entry.nonce)
-            else:
-                yield (address, entry.value, 0.0, 0)
+        """All accounts as records, in registration order."""
+        return list(map(Account, self._accounts, self._accounts.values()))
 
     @property
     def num_accounts(self) -> int:
@@ -204,9 +142,11 @@ class Ledger:
         """Restart a persisted ledger from a backend directory.
 
         Columns are memory-mapped read-only (``mmap=False`` copies them into
-        RAM), so opening costs O(metadata) — the transaction data pages in
-        lazily.  The backend stays attached: appends followed by
-        :meth:`sync` keep extending the same directory.
+        RAM), so the transaction data pages in lazily; the interning table,
+        the registry and the label cloud are rebuilt from address lines and
+        one-byte code columns with C-level passes and no per-record parsing.
+        The backend stays attached: appends followed by :meth:`sync` keep
+        extending the same directory.
         """
         from repro.chain.backend import LedgerBackend
 
@@ -333,13 +273,10 @@ class Ledger:
 
     def summary(self) -> dict:
         """Aggregate statistics used by examples and the dataset-stats bench."""
-        contract_count = sum(
-            1 for entry in self._accounts.values()
-            if (entry.account_type if isinstance(entry, Account)
-                else entry) is AccountType.CONTRACT)
         return {
             "num_accounts": self.num_accounts,
-            "num_contracts": contract_count,
+            "num_contracts": sum(kind is AccountType.CONTRACT
+                                 for kind in self._accounts.values()),
             "num_blocks": self.num_blocks,
             "num_transactions": self.num_transactions,
             "num_labeled": len(self.labels),

@@ -36,9 +36,8 @@ def build_transaction_graph(ledger: Ledger, min_value: float = 0.0,
 
     Every submitted transaction becomes (part of) a directed edge from sender to
     receiver; repeated transfers between the same ordered pair are merged into a
-    single edge carrying the total amount and count (Section III-B3).  Node
-    attributes record whether the account is a contract so downstream feature
-    extraction can distinguish EOAs from contract accounts.
+    single edge carrying the total amount and count (Section III-B3).  A node
+    is an address: account kinds and labels stay in the ledger.
 
     With ``columnar=True`` (the default) the edge stream is ingested straight
     from the ledger's column arrays by the code :meth:`TxGraph.ingest` runs
@@ -61,10 +60,4 @@ def build_transaction_graph(ledger: Ledger, min_value: float = 0.0,
         graph.add_edge(tx.sender, tx.receiver, amount=tx.value, count=1,
                        timestamp=tx.timestamp)
     graph._ingested_rows = ledger.num_transactions
-    contracts = ledger.contract_address_set()
-    labels = ledger.labels
-    for node in graph.nodes:
-        graph.set_node_attr(node, "is_contract", node in contracts)
-        label = labels.get(node)
-        graph.set_node_attr(node, "label", label.value if label else None)
     return graph

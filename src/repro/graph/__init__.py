@@ -2,29 +2,17 @@
 
 The paper manipulates account-interaction graphs at two granularities: a global
 static graph with merged edges (total amount + count) and per-time-slice local
-dynamic graphs.  :class:`~repro.graph.txgraph.TxGraph` is the common container;
-:mod:`repro.graph.centrality` provides the degree / eigenvector / PageRank
-centralities used by the adaptive graph augmentation of the GSG encoder.
+dynamic graphs.  :class:`~repro.graph.txgraph.TxGraph` is the common container.
 """
 
 from repro.graph.txgraph import TxGraph, Edge
 from repro.graph.sparse import SparseAdjacency
-from repro.graph.centrality import (
-    degree_centrality,
-    eigenvector_centrality,
-    pagerank_centrality,
-    edge_centrality,
-)
 from repro.graph.sampling import ego_subgraph, top_k_neighbors
 
 __all__ = [
     "TxGraph",
     "Edge",
     "SparseAdjacency",
-    "degree_centrality",
-    "eigenvector_centrality",
-    "pagerank_centrality",
-    "edge_centrality",
     "ego_subgraph",
     "top_k_neighbors",
 ]

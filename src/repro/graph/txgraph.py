@@ -6,7 +6,9 @@ mirroring the ledger's :class:`~repro.chain.txstore.ColumnarTxStore`.
 :class:`Edge` objects are materialised lazily, only when a caller crosses the
 object API boundary (``edges``, ``out_edges``, ``in_edges``, ``get_edge``,
 ``edges_between``); the hot consumers (``to_csr``, ``subgraph``, sampling,
-centrality, time slicing) read the columns directly via :meth:`edge_arrays`.
+time slicing) read the columns directly via :meth:`edge_arrays`.  A node is
+its identifier and nothing else: what is known about an account (its kind,
+its label) stays in the ledger, which the graph is built from.
 
 Per-node adjacency is served from a lazily built CSR row index (edge slots
 sorted by endpoint, insertion order preserved within each row), and the
@@ -92,11 +94,11 @@ def _merge_rows(indptr: np.ndarray, slots: np.ndarray, endpoint: np.ndarray,
 
 
 class TxGraph:
-    """A directed graph with node features, labels and merged weighted edges.
+    """A directed graph of merged weighted edges between account nodes.
 
-    Nodes are stored in insertion order so that the adjacency / feature
-    matrices returned by :meth:`adjacency_matrix` and :meth:`feature_matrix`
-    have stable row ordering.  Edges live in parallel column arrays in global
+    Nodes are stored in insertion order so that the adjacency matrices
+    returned by :meth:`adjacency_matrix` and :meth:`to_csr` have stable row
+    ordering.  Edges live in parallel column arrays in global
     first-insertion order (merging updates a slot in place, so iteration
     order is stable under merges), which makes subgraph edge ordering
     reproducible for free: kept slots are simply sorted.
@@ -118,7 +120,6 @@ class TxGraph:
     def __init__(self):
         self._nodes: dict[Hashable, int] = {}
         self._node_order: list[Hashable] = []
-        self._node_attrs: dict[Hashable, dict] = {}
         # Edge columns (capacity arrays; the first _m entries are live).
         self._m = 0
         self._src = np.empty(0, dtype=np.int64)
@@ -186,7 +187,7 @@ class TxGraph:
         so after ``warm()`` returns reader threads never contend on a build
         lock.  The global :meth:`to_csr` forms are not built: serving builds
         its adjacency per sample subgraph, and ``to_csr`` still builds lazily
-        (under the graph lock) for the centrality callers that need it.
+        (under the graph lock) for any caller that needs it.
         """
         with self._lock:
             self._ensure_slots()
@@ -205,17 +206,14 @@ class TxGraph:
         return self
 
     # ------------------------------------------------------------------ nodes
-    def add_node(self, node: Hashable, **attrs) -> None:
-        """Add ``node`` (idempotent); merge keyword attributes into its attr dict."""
+    def add_node(self, node: Hashable) -> None:
+        """Add ``node`` (idempotent)."""
         self._check_mutable()
         if node not in self._nodes:
             self._nodes[node] = len(self._node_order)
             self._node_order.append(node)
-            self._node_attrs[node] = {}
             self._version += 1
             self._structure_version += 1
-        if attrs:
-            self._node_attrs[node].update(attrs)
 
     def has_node(self, node: Hashable) -> bool:
         return node in self._nodes
@@ -225,13 +223,6 @@ class TxGraph:
 
     def node_index(self, node: Hashable) -> int:
         return self._nodes[node]
-
-    def node_attr(self, node: Hashable, key: str, default=None):
-        return self._node_attrs[node].get(key, default)
-
-    def set_node_attr(self, node: Hashable, key: str, value) -> None:
-        self._check_mutable()
-        self._node_attrs[node][key] = value
 
     @property
     def nodes(self) -> list[Hashable]:
@@ -484,7 +475,6 @@ class TxGraph:
             start = len(self._node_order)
             nodes.update(zip(fresh, range(start, start + len(fresh))))
             self._node_order.extend(fresh)
-            self._node_attrs.update((node, {}) for node in fresh)
             gids[new] = list(map(nodes.__getitem__, new_keys))
         code_gid[codes] = gids
 
@@ -611,8 +601,7 @@ class TxGraph:
         rebuilding the whole graph from scratch over the grown ledger: nodes
         and merged edges keep global first-appearance order, and merges into
         existing edges replay the same left-fold amount sums and iterative
-        count-weighted timestamp means.  New nodes receive the same
-        ``is_contract`` / ``label`` attributes the full build assigns.
+        count-weighted timestamp means.
 
         ``from_row`` defaults to :attr:`ingested_rows` (maintained by
         ``build_transaction_graph`` and previous ``ingest`` calls);
@@ -643,9 +632,11 @@ class TxGraph:
         Returns the kept rows' ``(sender_ids, receiver_ids)``, or ``None``
         when there are no rows to ingest.  Endpoints map to node ids through
         :meth:`_account_node_ids`, so an append pays a dict lookup only for
-        accounts this graph has not met before.
+        accounts this graph has not met before.  It reads only the ledger's
+        store: its columns and its interning table.
         """
-        cols = ledger.tx_columns()
+        store = ledger.store
+        cols = store.columns()
         total = len(cols.sender_id)
         if from_row is None:
             from_row = self._ingested_rows
@@ -662,22 +653,14 @@ class TxGraph:
                 & (cols.value[sl] >= min_value))
         sender_ids = sender_ids[keep]
         receiver_ids = receiver_ids[keep]
-        first_new_node = len(self._node_order)
         if len(sender_ids):
-            addresses = ledger.store.addresses
+            addresses = store.addresses
             code_gid = self._account_node_ids(addresses)
             self._resolve_nodes(sender_ids, receiver_ids, addresses, code_gid)
             self._add_rows(code_gid[sender_ids], code_gid[receiver_ids],
                            cols.value[sl][keep], np.ones(len(sender_ids), dtype=np.int64),
                            cols.timestamp[sl][keep])
         self._ingested_rows = total
-        contracts = ledger.contract_address_set()
-        labels = ledger.labels
-        for node in self._node_order[first_new_node:]:
-            attrs = self._node_attrs[node]
-            attrs["is_contract"] = node in contracts
-            label = labels.get(node)
-            attrs["label"] = label.value if label else None
         return sender_ids, receiver_ids
 
     def _account_node_ids(self, addresses: list) -> np.ndarray:
@@ -921,20 +904,6 @@ class TxGraph:
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return (indptr, cols, vals)
 
-    def feature_matrix(self, key: str = "features", dim: int | None = None) -> np.ndarray:
-        """Stack per-node feature vectors stored under attribute ``key``."""
-        rows = []
-        for node in self._node_order:
-            vec = self._node_attrs[node].get(key)
-            if vec is None:
-                if dim is None:
-                    raise KeyError(f"node {node!r} has no attribute {key!r} and no dim fallback")
-                vec = np.zeros(dim)
-            rows.append(np.asarray(vec, dtype=np.float64))
-        if not rows:
-            return np.zeros((0, dim or 0))
-        return np.vstack(rows)
-
     def edge_feature_matrix(self) -> np.ndarray:
         """Edge features ``[amount, count]`` in edge-insertion order."""
         m = self._m
@@ -945,7 +914,7 @@ class TxGraph:
 
     # --------------------------------------------------------------- subgraphs
     def subgraph(self, nodes: Iterable[Hashable]) -> "TxGraph":
-        """Induced subgraph on ``nodes``, preserving node attributes and edges.
+        """Induced subgraph on ``nodes``.
 
         Node and edge insertion order follow the parent graph, so matrices built
         from the subgraph are reproducible regardless of the order of ``nodes``.
@@ -980,16 +949,11 @@ class TxGraph:
         The id-level constructor behind :meth:`subgraph` and ego sampling:
         ``ids`` must be ascending and unique, and ``slots`` ascending, with
         both endpoints of every slot in ``ids`` (for an induced subgraph, all
-        such slots).  Node attributes are copied; nodes and edges keep the
-        parent's order.
+        such slots).  Nodes and edges keep the parent's order.
         """
         sub = TxGraph()
-        order = self._node_order
-        for new_id, old_id in enumerate(ids.tolist()):
-            node = order[old_id]
-            sub._nodes[node] = new_id
-            sub._node_order.append(node)
-            sub._node_attrs[node] = dict(self._node_attrs[node])
+        sub._node_order = list(map(self._node_order.__getitem__, ids.tolist()))
+        sub._nodes = dict(zip(sub._node_order, range(len(ids))))
         if len(slots):
             # ids is sorted, so a node's position in it is its new index.
             sub._src = np.searchsorted(ids, self._src[slots])
@@ -1009,8 +973,7 @@ class TxGraph:
         import networkx as nx
 
         g = nx.DiGraph()
-        for node in self._node_order:
-            g.add_node(node, **self._node_attrs[node])
+        g.add_nodes_from(self._node_order)
         for edge in self.edges:
             g.add_edge(edge.src, edge.dst, amount=edge.amount, count=edge.count,
                        timestamp=edge.timestamp)

@@ -21,20 +21,16 @@ class DictGraphReference:
     def __init__(self):
         self._nodes: dict[Hashable, int] = {}
         self._node_order: list[Hashable] = []
-        self._node_attrs: dict[Hashable, dict] = {}
         self._edges: dict[tuple[Hashable, Hashable], Edge] = {}
         self._out: dict[Hashable, dict[Hashable, Edge]] = {}
         self._in: dict[Hashable, dict[Hashable, Edge]] = {}
 
-    def add_node(self, node: Hashable, **attrs) -> None:
+    def add_node(self, node: Hashable) -> None:
         if node not in self._nodes:
             self._nodes[node] = len(self._node_order)
             self._node_order.append(node)
-            self._node_attrs[node] = {}
             self._out[node] = {}
             self._in[node] = {}
-        if attrs:
-            self._node_attrs[node].update(attrs)
 
     def add_edge(self, src: Hashable, dst: Hashable, amount: float = 0.0,
                  count: int = 1, timestamp: float = 0.0) -> None:
@@ -107,7 +103,7 @@ class DictGraphReference:
         sub = DictGraphReference()
         for node in self._node_order:
             if node in keep:
-                sub.add_node(node, **self._node_attrs[node])
+                sub.add_node(node)
         for (src, dst), edge in self._edges.items():
             if src in keep and dst in keep:
                 sub._edges[(src, dst)] = edge

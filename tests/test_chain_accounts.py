@@ -16,34 +16,11 @@ class TestAccount:
         account = Account("0x" + "1" * 40, AccountType.CONTRACT)
         assert account.is_contract
 
-    def test_credit_increases_balance(self):
-        account = Account("0x" + "0" * 40)
-        account.credit(2.5)
-        assert account.balance == pytest.approx(2.5)
-
-    def test_credit_negative_raises(self):
-        with pytest.raises(ValueError):
-            Account("0x" + "0" * 40).credit(-1.0)
-
-    def test_debit_reduces_balance(self):
-        account = Account("0x" + "0" * 40, balance=5.0)
-        account.debit(3.0)
-        assert account.balance == pytest.approx(2.0)
-
-    def test_debit_overdraw_raises(self):
-        account = Account("0x" + "0" * 40, balance=1.0)
-        with pytest.raises(ValueError):
-            account.debit(2.0)
-
-    def test_debit_negative_raises(self):
-        with pytest.raises(ValueError):
-            Account("0x" + "0" * 40, balance=1.0).debit(-0.5)
-
-    def test_nonce_advances(self):
-        account = Account("0x" + "0" * 40)
-        assert account.next_nonce() == 0
-        assert account.next_nonce() == 1
-        assert account.nonce == 2
+    def test_is_a_frozen_address_and_type(self):
+        account = Account("0x" + "0" * 40, AccountType.CONTRACT)
+        assert account == Account("0x" + "0" * 40, AccountType.CONTRACT)
+        with pytest.raises(AttributeError):
+            account.account_type = AccountType.EOA
 
 
 class TestMakeAddress:

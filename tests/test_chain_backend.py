@@ -8,6 +8,7 @@ append → sync cycles — and a later sync appends only the new entries.
 """
 
 import json
+import re
 import tempfile
 
 import numpy as np
@@ -50,10 +51,8 @@ def assert_ledger_equal(actual: Ledger, expected: Ledger) -> None:
             == [tuple(b) for b in expected._block_bounds])
     assert actual.block_interval == expected.block_interval
     assert actual.genesis_timestamp == expected.genesis_timestamp
-    assert ([(a.address, a.account_type, a.balance, a.nonce)
-             for a in actual.accounts]
-            == [(a.address, a.account_type, a.balance, a.nonce)
-                for a in expected.accounts])
+    assert ([(a.address, a.account_type) for a in actual.accounts]
+            == [(a.address, a.account_type) for a in expected.accounts])
     assert list(actual.labels.items()) == list(expected.labels.items())
 
 
@@ -121,7 +120,7 @@ class TestRoundTrip:
 
     def test_accounts_and_labels_round_trip(self, tmp_path):
         ledger = Ledger()
-        ledger.add_account(Account("0xaa", balance=7.5, nonce=3))
+        ledger.add_account(Account("0xaa"))
         ledger.add_account(Account("0xcontract", AccountType.CONTRACT))
         ledger.labels.add("0xaa", AccountCategory.EXCHANGE)
         ledger.append_block(Block(0, 1000.0, [Transaction(
@@ -132,7 +131,7 @@ class TestRoundTrip:
         reopened = Ledger.open(tmp_path / "chain")
         assert reopened.is_contract("0xcontract")
         assert not reopened.is_contract("0xaa")
-        assert reopened.get_account("0xaa").balance == 7.5
+        assert reopened.get_account("0xaa") == Account("0xaa", AccountType.EOA)
         assert reopened.labels.get("0xaa") is AccountCategory.EXCHANGE
 
     def test_empty_ledger_round_trips(self, tmp_path):
@@ -231,7 +230,8 @@ class TestCrashConsistencyAndErrors:
         shadow = small_generated_ledger()
         ledger.sync(tmp_path / "chain")
         for name in ("col_value.bin", "addresses.txt", "blocks.bin",
-                     "accounts.jsonl", "labels.jsonl"):
+                     "accounts.txt", "account_types.bin", "labels.txt",
+                     "label_categories.bin"):
             with open(tmp_path / "chain" / name, "ab") as f:
                 f.write(b"\xde\xad\xbe\xef")
         assert_ledger_equal(Ledger.open(tmp_path / "chain", mmap=False), shadow)
@@ -239,6 +239,46 @@ class TestCrashConsistencyAndErrors:
         append_growth(shadow, seed=6)
         ledger.sync()                       # truncates the garbage, then appends
         assert_ledger_equal(Ledger.open(tmp_path / "chain"), shadow)
+
+    @pytest.mark.parametrize("name", ["accounts.txt", "account_types.bin",
+                                      "labels.txt", "label_categories.bin"])
+    def test_short_account_or_label_file_raises(self, tmp_path, name):
+        ledger = small_generated_ledger()
+        ledger.sync(tmp_path / "chain")
+        path = tmp_path / "chain" / name
+        with open(path, "r+b") as f:
+            f.truncate(path.stat().st_size - 1)
+        with pytest.raises(BackendFormatError, match=name):
+            Ledger.open(tmp_path / "chain")
+
+    @pytest.mark.parametrize("name", ["addresses.txt", "accounts.txt", "labels.txt"])
+    def test_address_file_a_line_short_raises(self, tmp_path, name):
+        ledger = small_generated_ledger()
+        ledger.sync(tmp_path / "chain")
+        path = tmp_path / "chain" / name
+        path.write_bytes(path.read_bytes().replace(b"\n", b"x", 1))
+        with pytest.raises(BackendFormatError, match=f"{name} holds .* complete lines"):
+            Ledger.open(tmp_path / "chain")
+
+    @pytest.mark.parametrize("name, members", [("account_types.bin", 2),
+                                               ("label_categories.bin", 9)])
+    def test_code_past_its_enum_raises(self, tmp_path, name, members):
+        ledger = small_generated_ledger()
+        ledger.sync(tmp_path / "chain")
+        with open(tmp_path / "chain" / name, "r+b") as f:
+            f.write(bytes([members]))
+        with pytest.raises(BackendFormatError, match=f"code {members}"):
+            Ledger.open(tmp_path / "chain")
+
+    def test_version_1_directory_raises_naming_both_versions(self, tmp_path):
+        ledger = small_generated_ledger()
+        ledger.sync(tmp_path / "chain")
+        manifest_path = tmp_path / "chain" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(BackendFormatError, match="format 1; this build reads format 2"):
+            Ledger.open(tmp_path / "chain")
 
     def test_mmap_false_survives_directory_removal(self, tmp_path):
         import shutil
@@ -252,6 +292,47 @@ class TestCrashConsistencyAndErrors:
             np.asarray(cols.value), np.asarray(ledger.tx_columns().value))
 
 
+def ledger_holding(address: str) -> Ledger:
+    """A one-transaction ledger with ``address`` interned, registered and
+    labelled."""
+    ledger = Ledger()
+    ledger.add_account(Account(address, AccountType.CONTRACT))
+    ledger.labels.add(address, AccountCategory.MIXER)
+    ledger.append_block(Block(0, 1000.0, [Transaction(
+        tx_hash=f"0x{0:064x}", sender=address, receiver="0xbb", value=1.0,
+        gas_price=1.0, gas_used=21_000, timestamp=1000.0)]))
+    return ledger
+
+
+class TestAddressLineBoundaries:
+    @pytest.mark.parametrize("address", ["0xa\rb", "0xa\x85b", "0xa\u2028b"])
+    def test_line_boundary_other_than_newline_round_trips(self, tmp_path, address):
+        ledger = ledger_holding(address)
+        ledger.sync(tmp_path / "chain")
+        assert_ledger_equal(Ledger.open(tmp_path / "chain"), ledger)
+
+    @pytest.mark.parametrize("where", ["interning table", "registry", "label cloud"])
+    def test_newline_refuses_sync_and_writes_nothing(self, tmp_path, where):
+        ledger = ledger_holding("0xaa")
+        ledger.sync(tmp_path / "chain")
+        committed = Ledger.open(tmp_path / "chain")
+        files = {p.name: p.read_bytes() for p in (tmp_path / "chain").iterdir()}
+        bad = "0xa\nb"
+        ledger.append_block(Block(1, 1012.0, [Transaction(
+            tx_hash=f"0x{1:064x}", sender="0xaa",
+            receiver=bad if where == "interning table" else "0xbb",
+            value=2.0, gas_price=1.0, gas_used=21_000, timestamp=1012.0)]))
+        if where == "registry":
+            ledger.add_accounts_bulk([bad], AccountType.EOA)
+        elif where == "label cloud":
+            ledger.labels.add(bad, AccountCategory.EXCHANGE)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            ledger.sync()
+        assert {p.name: p.read_bytes()
+                for p in (tmp_path / "chain").iterdir()} == files
+        assert_ledger_equal(Ledger.open(tmp_path / "chain"), committed)
+
+
 # ---------------------------------------------------------------- property test
 
 # One transaction: (sender idx, receiver idx, value, timestamp, submitted,
@@ -263,10 +344,16 @@ tx_record = st.tuples(
     st.floats(1.0, 1000.0, allow_nan=False),
     st.booleans(), st.booleans())
 
-# One segment: (use the columnar bulk path?, transactions, reopen afterwards?).
+# One account registration: (through add_accounts_bulk?, contract?).
+registration = st.tuples(st.booleans(), st.booleans())
+
+# One segment: (use the columnar bulk path?, transactions, reopen afterwards?,
+# registrations, indices of universe addresses to label).
 segment = st.tuples(st.booleans(),
                     st.lists(tx_record, min_size=1, max_size=6),
-                    st.booleans())
+                    st.booleans(),
+                    st.lists(registration, max_size=4),
+                    st.lists(st.integers(0, 5), max_size=3))
 program = st.lists(segment, min_size=1, max_size=5)
 
 
@@ -297,6 +384,24 @@ def _apply_segment(ledger: Ledger, columnar: bool, records, counter: int) -> Non
             for i, r in enumerate(records)]))
 
 
+def _register(ledger: Ledger, registrations, labelled, counter: int) -> None:
+    """Register fresh accounts (bulk ones in one call per kind) and label
+    universe addresses, each always with the same category."""
+    bulk: dict[AccountType, list[str]] = {}
+    for i, (through_bulk, contract) in enumerate(registrations):
+        address = f"0xreg{counter}_{i}"
+        kind = AccountType.CONTRACT if contract else AccountType.EOA
+        if through_bulk:
+            bulk.setdefault(kind, []).append(address)
+        else:
+            ledger.add_account(Account(address, kind))
+    for kind, addresses in bulk.items():
+        ledger.add_accounts_bulk(addresses, kind)
+    categories = list(AccountCategory)
+    for r in labelled:
+        ledger.labels.add(f"0xacct{r}", categories[r % len(categories)])
+
+
 @settings(max_examples=30, deadline=None)
 @given(program)
 def test_sync_open_cycles_preserve_every_ledger_bit(segments):
@@ -306,15 +411,18 @@ def test_sync_open_cycles_preserve_every_ledger_bit(segments):
     ``Ledger.open`` of its own directory; the shadow only ever sees the
     in-memory appends.  Whatever the interleaving, the final reopened state
     must be bit-identical — columns, interning order, block bounds, sparse
-    hashes, timespan and the ``data_version`` epoch.
+    hashes, timespan, the ``data_version`` epoch, and the registry and label
+    cloud, which every segment may grow too.
     """
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/chain"
         live = Ledger()
         shadow = Ledger()
-        for counter, (columnar, records, reopen) in enumerate(segments):
-            _apply_segment(live, columnar, records, counter)
-            _apply_segment(shadow, columnar, records, counter)
+        for counter, (columnar, records, reopen, registrations,
+                      labelled) in enumerate(segments):
+            for ledger in (live, shadow):
+                _apply_segment(ledger, columnar, records, counter)
+                _register(ledger, registrations, labelled, counter)
             live.sync(path)
             if reopen:
                 live = Ledger.open(path)

