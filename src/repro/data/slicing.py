@@ -64,8 +64,8 @@ def time_slice_adjacency(graph: TxGraph, num_slices: int,
     by the LDG encoder.  With ``cumulative=True`` each slice also contains every
     earlier edge, which some baselines (e.g. TEGDetector-style models) prefer.
 
-    Returned matrices use the graph's node-insertion order, the same order as
-    :meth:`TxGraph.feature_matrix`, and are symmetrised for message passing.
+    Returned matrices use the graph's node-insertion order (``graph.nodes``)
+    and are symmetrised for message passing.
     """
     if num_slices < 1:
         raise ValueError("num_slices must be >= 1")

@@ -8,7 +8,9 @@ append → sync cycles — and a later sync appends only the new entries.
 """
 
 import json
+import pickle
 import re
+import sys
 import tempfile
 
 import numpy as np
@@ -140,6 +142,17 @@ class TestRoundTrip:
         reopened = Ledger.open(tmp_path / "chain")
         assert_ledger_equal(reopened, ledger)
         assert reopened.timespan() == (123.0, 123.0)
+
+    @pytest.mark.parametrize("opened", [False, True], ids=["in memory", "opened"])
+    def test_ledger_pickles_whole(self, tmp_path, opened):
+        """The parallel dataset build pickles its ledger into every worker."""
+        ledger = small_generated_ledger()
+        ledger.sync(tmp_path / "chain")
+        if opened:
+            ledger = Ledger.open(tmp_path / "chain")
+        clone = pickle.loads(pickle.dumps(ledger))
+        assert_ledger_equal(clone, ledger)
+        assert clone.summary() == ledger.summary()
 
 
 class TestAppendReopenAppend:
@@ -292,6 +305,41 @@ class TestCrashConsistencyAndErrors:
             np.asarray(cols.value), np.asarray(ledger.tx_columns().value))
 
 
+#: The on-disk code of every enum member.  A code is its member's declaration
+#: index, so appending members keeps written directories readable, while
+#: reordering or inserting them would misread every one of them.
+PINNED_CODES = [(AccountType.EOA, 0), (AccountType.CONTRACT, 1),
+                (AccountCategory.EXCHANGE, 0), (AccountCategory.ICO_WALLET, 1),
+                (AccountCategory.MINING, 2), (AccountCategory.PHISH_HACK, 3),
+                (AccountCategory.BRIDGE, 4), (AccountCategory.DEFI, 5),
+                (AccountCategory.WASH_TRADING, 6),
+                (AccountCategory.AIRDROP_FARMING, 7), (AccountCategory.MIXER, 8)]
+
+
+class TestCodeColumns:
+    def test_every_member_has_a_pinned_code(self):
+        assert {member for member, _ in PINNED_CODES} == {*AccountType,
+                                                          *AccountCategory}
+
+    @pytest.mark.parametrize("member, code", PINNED_CODES,
+                             ids=[member.name for member, _ in PINNED_CODES])
+    def test_member_is_stored_as_its_pinned_code(self, tmp_path, member, code):
+        is_type = isinstance(member, AccountType)
+        ledger = Ledger()
+        if is_type:
+            ledger.add_account(Account("0xaa", member))
+        else:
+            ledger.labels.add("0xaa", member)
+        ledger.sync(tmp_path / "chain")
+        column = "account_types.bin" if is_type else "label_categories.bin"
+        assert (tmp_path / "chain" / column).read_bytes() == bytes([code])
+        reopened = Ledger.open(tmp_path / "chain")
+        if is_type:
+            assert reopened.get_account("0xaa").account_type is member
+        else:
+            assert reopened.labels.get("0xaa") is member
+
+
 def ledger_holding(address: str) -> Ledger:
     """A one-transaction ledger with ``address`` interned, registered and
     labelled."""
@@ -304,8 +352,19 @@ def ledger_holding(address: str) -> Ledger:
     return ledger
 
 
+#: Every character ``str.splitlines`` breaks a line on, except ``"\n"``.
+OTHER_LINE_BOUNDARIES = ["\r", "\x85", "\u2028", "\x0b", "\x0c", "\x1c",
+                         "\x1d", "\x1e", "\u2029"]
+
+
 class TestAddressLineBoundaries:
-    @pytest.mark.parametrize("address", ["0xa\rb", "0xa\x85b", "0xa\u2028b"])
+    def test_boundary_list_is_complete(self):
+        assert sorted(OTHER_LINE_BOUNDARIES) == [
+            c for c in map(chr, range(sys.maxunicode + 1))
+            if c != "\n" and len(f"a{c}b".splitlines()) == 2]
+
+    @pytest.mark.parametrize("address", [f"0xa{boundary}b"
+                                         for boundary in OTHER_LINE_BOUNDARIES])
     def test_line_boundary_other_than_newline_round_trips(self, tmp_path, address):
         ledger = ledger_holding(address)
         ledger.sync(tmp_path / "chain")

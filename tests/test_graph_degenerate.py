@@ -1,8 +1,9 @@
-"""Degenerate-graph edge cases across slicing and sampling.
+"""Degenerate-graph edge cases across slicing, centrality and sampling.
 
 Empty graphs, single nodes (with and without self-loops) and graphs whose
 edges all share one timestamp must neither crash nor diverge between the
-dense and CSR slicers.
+dense and CSR slicers, and the augmentation's centralities must stay finite
+and agree across the two paths.
 Degenerate *queries* — subgraphs over node sets with no induced edges or
 with identifiers absent from the graph, ``edges_between`` on absent nodes —
 must return empty results (never ``KeyError``) identically on the columnar
@@ -12,6 +13,12 @@ must return empty results (never ``KeyError``) identically on the columnar
 import numpy as np
 import pytest
 
+from repro.core.augmentation import (
+    AugmentationConfig,
+    _node_centrality_dense,
+    _node_centrality_sparse,
+    adaptive_augmentation,
+)
 from repro.data.slicing import time_slice_adjacency, time_slice_csr
 from repro.graph import TxGraph, ego_subgraph
 
@@ -68,6 +75,54 @@ class TestSlicerParity:
         assert slices[0].sum() > 0
         for later in slices[1:]:
             assert later.sum() == 0.0
+
+
+MEASURES = ["degree", "eigenvector", "pagerank"]
+
+
+def _dense_and_csr(graph: TxGraph):
+    """The graph's single unweighted time slice, dense and CSR."""
+    return (time_slice_adjacency(graph, 1, weighted=False)[0],
+            time_slice_csr(graph, 1, weighted=False)[0])
+
+
+class TestCentralitiesFinite:
+    """The GSG augmentation's centralities on degenerate slices: finite, one
+    score per node, and equal on the dense and CSR paths."""
+
+    @pytest.mark.parametrize("builder", DEGENERATE_BUILDERS)
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_node_centralities_finite(self, builder, measure):
+        graph = builder()
+        dense, sparse = _dense_and_csr(graph)
+        dense_scores = _node_centrality_dense((dense > 0).astype(float), measure)
+        sparse_scores = _node_centrality_sparse(sparse.binarized(), measure)
+        assert dense_scores.shape == sparse_scores.shape == (graph.num_nodes,)
+        assert np.isfinite(dense_scores).all()
+        np.testing.assert_allclose(sparse_scores, dense_scores, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("builder", DEGENERATE_BUILDERS)
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_edge_centralities_finite(self, builder, measure):
+        """Centrality-scaled edge drop keeps a degenerate view finite, only
+        removes edges, and draws the same view on both paths."""
+        graph = builder()
+        dense, sparse = _dense_and_csr(graph)
+        features = np.ones((graph.num_nodes, 3))
+        config = AugmentationConfig(0.5, 0.0, centrality_measure=measure)
+        dense_view, _ = adaptive_augmentation(dense, features, config,
+                                              np.random.default_rng(0))
+        sparse_view, _ = adaptive_augmentation(sparse, features, config,
+                                               np.random.default_rng(0))
+        assert np.isfinite(dense_view).all()
+        assert np.all((dense_view > 0) <= (dense > 0))
+        np.testing.assert_array_equal(sparse_view.to_dense(), dense_view)
+
+    def test_empty_graph_returns_empty_scores(self):
+        dense, sparse = _dense_and_csr(empty_graph())
+        for measure in MEASURES:
+            assert _node_centrality_dense(dense, measure).shape == (0,)
+            assert _node_centrality_sparse(sparse, measure).shape == (0,)
 
 
 class TestDegenerateSampling:
