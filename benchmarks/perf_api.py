@@ -6,7 +6,7 @@ replaces:
 
 * ``batched``  — one ``score(addresses)`` call: every address is ego-sampled
   and featurized exactly once, and all category heads share the resulting
-  subgraphs (and their memoized CSR normalisations);
+  subgraphs (and each scoring chunk's graph structure, built once);
 * ``naive``    — for every head, re-sample and re-featurize every address and
   predict one sample at a time (cold caches, the pre-facade pattern).
 

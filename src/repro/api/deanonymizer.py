@@ -454,11 +454,11 @@ class DeAnonymizer:
         """Per-category probabilities for raw addresses, end-to-end and batched.
 
         Sampling and feature extraction run once per distinct address; the
-        heads then score the same cached subgraph objects, reusing their
-        memoized CSR adjacency and time slices.  Each group of
+        heads then score the same cached subgraph objects.  Each group of
         same-architecture branches runs one stacked forward per chunk of
         samples with equal node counts (the forwards run are recorded as
-        ``score.head_passes`` in :meth:`stats`).
+        ``score.head_passes`` in :meth:`stats`), on graph structure built
+        once per chunk and kept on no sample.
 
         The heads run only on samples they have not scored yet.  A cached
         sample keeps every head's probability, keyed on the identity of the

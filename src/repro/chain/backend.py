@@ -29,7 +29,9 @@ directory of append-only files fronted by a JSON manifest:
 Address files split on ``"\\n"`` only; :meth:`LedgerBackend.sync` refuses
 an address holding one before it writes anything.  :meth:`LedgerBackend.load`
 parses no per-record text, and checks each file's line count and each code
-column's length against the manifest, and every code against its enum.
+column's length against the manifest, and every code against its enum.  A
+committed file that is missing, or an address file that is not UTF-8,
+raises :class:`BackendFormatError` naming the file.
 
 Crash consistency: data files are append-only and the manifest's counts and
 byte lengths define each file's *valid prefix*.  A sync that dies before the
@@ -105,11 +107,20 @@ def _append_bytes(path: Path, valid_size: int, data: bytes) -> None:
         os.fsync(f.fileno())
 
 
+def _missing(path: Path) -> BackendFormatError:
+    return BackendFormatError(
+        f"{path.name} is missing, but the manifest commits data to it; the "
+        f"backend directory is damaged")
+
+
 def _read_prefix(path: Path, valid_size: int) -> bytes:
     if valid_size == 0:
         return b""
-    with open(path, "rb") as f:
-        data = f.read(valid_size)
+    try:
+        with open(path, "rb") as f:
+            data = f.read(valid_size)
+    except FileNotFoundError:
+        raise _missing(path) from None
     if len(data) != valid_size:
         raise BackendFormatError(
             f"{path.name} holds {len(data)} bytes but the manifest commits "
@@ -148,7 +159,12 @@ def _fresh_entries(mapping: dict, start: int, members: tuple,
 
 def _read_lines(path: Path, valid_size: int, count: int) -> list[str]:
     """The ``count`` addresses of an address file's valid prefix."""
-    lines = _read_prefix(path, valid_size).decode("utf-8").split("\n")
+    try:
+        lines = _read_prefix(path, valid_size).decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise BackendFormatError(
+            f"{path.name} is not UTF-8 ({exc.reason} at byte {exc.start}); the "
+            f"backend directory is damaged") from None
     if lines.pop() or len(lines) != count:
         raise BackendFormatError(
             f"{path.name} holds {len(lines)} complete lines but the manifest "
@@ -316,7 +332,11 @@ class LedgerBackend:
             if num_rows == 0:
                 arrays[name] = np.empty(0, dtype=memory_dtype)
                 continue
-            if path.stat().st_size < num_rows * disk_dtype.itemsize:
+            try:
+                size = path.stat().st_size
+            except FileNotFoundError:
+                raise _missing(path) from None
+            if size < num_rows * disk_dtype.itemsize:
                 raise BackendFormatError(
                     f"{path.name} is shorter than the manifest's {num_rows} "
                     f"committed rows; the backend directory is damaged")

@@ -34,10 +34,14 @@ float operations of the per-sample op:
   in which every row keeps its own entries in the same order.  It gathers
   along the node axis and reduces with ``reduceat``, whose per-column result
   does not depend on the columns beside it
-  (``SparseAdjacency.matmul(x, axis=1)``).  A chunk of one uses the sample's
-  own graph, whose memoized normalisations serve every later request; a
-  larger chunk derives them on its block-diagonal, which gives the same bits
-  as composing the samples' forms (pinned in ``tests/test_batched_training.py``);
+  (``SparseAdjacency.matmul(x, axis=1)``).  Every chunk, a chunk of one
+  included, builds that structure once from its concatenated edge columns
+  (:func:`~repro.data.slicing.time_slice_csr`,
+  :func:`~repro.data.slicing.block_adjacency`: one ``from_coo`` per slice
+  and one for the attention structure) and derives the normalised forms on
+  it.  Each block equals the sample's own form bit for bit (pinned in
+  ``tests/test_chunk_structure.py``), and nothing is memoized on the sample:
+  a scored sample is answered from its score memo from then on;
 * past the first DiffPool layer every (head, sample) pair has its own coarse
   graph; those graphs are laid out as one block-diagonal CSR in the same way.
 """
@@ -48,18 +52,21 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.data.slicing import block_adjacency, time_slice_csr
 from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
 from repro.nn.functional import (elu_array, leaky_relu_array, relu_array, sigmoid_array,
                                  softmax_array)
 
 __all__ = ["StackedGSG", "StackedLDG", "StackedHeads"]
 
-#: Most samples in one stacked forward.  On perfbench serve's held-out
-#: batches of 64 addresses, scored cold by 3 heads on a 2-vCPU x86-64 host
-#: (seeds 1-3), bounds of 16 and 32 ran the heads equally fast (median per
-#: batch 152, 115 and 122 ms at 16; 142, 116 and 132 ms at 32; 225 ms one
-#: sample at a time), and 16 halves the transient peak (tracemalloc: 6.9 MB
-#: at 16, 13.4 MB at 32, 22.4 MB with one chunk per node count).
+#: Most samples in one stacked forward.  Timed in-process on cold batches of
+#: 64 addresses scored by 3 heads on a 2-vCPU x86-64 host (perfbench seed 1:
+#: serve's 5 held-out batches and 8 fresh batches from follow_chain's 1M-tx
+#: graph; bounds alternated over 10 reps), the median heads time per batch
+#: was 147, 141 and 136 ms at bounds 8, 16 and 32 on serve, and 133, 126 and
+#: 122 ms on follow_chain.  32 beat 16 in 6 and 8 of the 10 reps and doubles
+#: the transient peak (tracemalloc per batch: 3.3, 6.2 and 11.9 MB on serve,
+#: 2.0, 3.9 and 7.7 MB on follow_chain), so the bound stays 16.
 _CHUNK = 16
 
 
@@ -90,13 +97,6 @@ def _nodes(x: np.ndarray) -> np.ndarray:
     """``(H, B*n, d)`` view of an ``(H, B, n, d)`` array: the chunk's nodes in
     block-diagonal order, for gathers and sparse products only."""
     return x.reshape(x.shape[0], -1, x.shape[-1])
-
-
-def _block_diagonal(adjacencies: list[SparseAdjacency]) -> SparseAdjacency:
-    """A chunk's graphs side by side: one sample's own graph, or a fresh
-    block-diagonal whose derived forms are computed on the stack."""
-    return adjacencies[0] if len(adjacencies) == 1 else \
-        SparseAdjacency.block_diagonal(adjacencies)
 
 
 class _Affine:
@@ -211,8 +211,7 @@ class StackedGSG(_Stacked):
         x = np.concatenate([features, np.broadcast_to(
             edge_features, (self.size,) + edge_features.shape)], axis=3)
         h = leaky_relu_array(self.align(x), 0.01)                     # Eq. 6
-        structure = _block_diagonal(
-            [sample.adjacency_sparse() for sample in chunk]).attention_structure()
+        structure = block_adjacency([sample.graph for sample in chunk]).attention_structure()
         rows, cols = structure.rows, structure.indices
         for heads, negative_slope in self.layers:                     # Eq. 7-9
             outputs = []
@@ -287,10 +286,10 @@ class StackedLDG(_Stacked):
         """``(H, B)`` raw scores: ``_LDGNetwork.forward`` per head and sample."""
         hidden = relu_array(self.input_proj(self._features(chunk)))
         representation = None
-        slices = [sample.time_slices(self.num_slices, weighted=False, sparse=True)
-                  for sample in chunk]
-        for t in range(self.num_slices):
-            graph = _Graphs(_block_diagonal([own[t] for own in slices]))
+        slices = time_slice_csr([sample.graph for sample in chunk], self.num_slices,
+                                weighted=False)
+        for t, adjacency in enumerate(slices):
+            graph = _Graphs(adjacency)
             hidden = self._gru_step(relu_array(graph.gcn(self.gcn(hidden))),
                                     hidden)                           # Eq. 14-18
             pooled = self._pool(hidden, graph)

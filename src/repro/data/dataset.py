@@ -54,11 +54,13 @@ class AccountSubgraph:
     graph: TxGraph
     node_features: np.ndarray
     center_index: int
-    # Lazily built sparse forms: the subgraph topology never changes after
-    # sampling, so the CSR adjacency and time-slice sequences (plus their
-    # memoized normalisations) are shared across every training epoch.  Builds
-    # are double-check-locked so concurrent scoring threads sharing a sample
-    # all observe the single instance the winning thread built.
+    # Lazily built sparse forms for training only: the subgraph topology
+    # never changes after sampling, so the CSR adjacency and time-slice
+    # sequences (plus their memoized normalisations) are shared across every
+    # training epoch.  Scoring builds each chunk's structure from the edge
+    # columns instead (repro.core.inference) and leaves this empty.  Builds
+    # are double-check-locked so threads sharing a sample all observe the
+    # single instance the winning thread built.
     _sparse_cache: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
     _cache_lock: threading.Lock = field(default_factory=threading.Lock, init=False,

@@ -7,25 +7,63 @@ arrays without ever allocating a dense matrix — the form the sparse LDG encode
 consumes.  Both read :meth:`TxGraph.edge_arrays` — the graph's columnar edge
 store — so no :class:`~repro.graph.txgraph.Edge` object is materialised on
 either path.
+
+Stacked scoring (:mod:`repro.core.inference`) builds a chunk's structure in
+one pass over the chunk's concatenated edge columns: :func:`time_slice_csr`
+of a sequence of graphs gives each slice as one block-diagonal
+:class:`~repro.graph.sparse.BatchedAdjacency`, and :func:`block_adjacency`
+the chunk's symmetric adjacency.  Every block equals its graph's own form bit
+for bit, and nothing is memoized on the graphs or their samples.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.graph.sparse import SparseAdjacency
+from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
 from repro.graph.txgraph import TxGraph
 
-__all__ = ["transaction_evolution_times", "time_slice_adjacency", "time_slice_csr"]
+__all__ = ["transaction_evolution_times", "time_slice_adjacency", "time_slice_csr",
+           "block_adjacency"]
 
 
-def _evolution_time_array(timestamps: np.ndarray) -> np.ndarray:
-    """Per-edge ``(t - t_min) / (t_max - t_min)``; zeros when the span is flat."""
-    t_min = timestamps.min()
-    span = timestamps.max() - t_min
-    if span > 0:
-        return (timestamps - t_min) / span
-    return np.zeros(len(timestamps))
+def _offsets(counts: list[int]) -> np.ndarray:
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _block_edge_arrays(graphs: Sequence[TxGraph]) -> tuple[np.ndarray, ...]:
+    """``(node_offsets, edge_offsets, src_idx, dst_idx, amount, timestamp)``
+    of ``graphs`` laid side by side.
+
+    Graph ``b`` owns nodes ``node_offsets[b]:node_offsets[b+1]`` and merged
+    edges ``edge_offsets[b]:edge_offsets[b+1]``, in its own order; its
+    endpoints are shifted by its node offset.
+    """
+    columns = [graph.edge_arrays() for graph in graphs]
+    node_offsets = _offsets([graph.num_nodes for graph in graphs])
+    edge_offsets = _offsets([len(src) for src, *_ in columns])
+    src, dst, amount, _count, stamps = (np.concatenate(column) for column in zip(*columns))
+    shift = np.repeat(node_offsets[:-1], np.diff(edge_offsets))
+    return node_offsets, edge_offsets, src + shift, dst + shift, amount, stamps
+
+
+def _evolution_time_array(timestamps: np.ndarray, edge_offsets: np.ndarray) -> np.ndarray:
+    """Per-edge ``(t - t_min) / (t_max - t_min)`` over each block's own edges;
+    zeros in a block whose span is flat."""
+    counts = np.diff(edge_offsets)
+    filled = counts > 0
+    times = np.zeros(len(timestamps))
+    if not filled.any():
+        return times
+    starts, counts = edge_offsets[:-1][filled], counts[filled]
+    t_min = np.repeat(np.minimum.reduceat(timestamps, starts), counts)
+    span = np.repeat(np.maximum.reduceat(timestamps, starts), counts) - t_min
+    np.divide(timestamps - t_min, span, out=times, where=span > 0)
+    return times
 
 
 def transaction_evolution_times(graph: TxGraph) -> dict[tuple, float]:
@@ -38,21 +76,22 @@ def transaction_evolution_times(graph: TxGraph) -> dict[tuple, float]:
     src_idx, dst_idx, _amount, _count, stamps = graph.edge_arrays()
     if not len(stamps):
         return {}
-    times = _evolution_time_array(stamps)
+    times = _evolution_time_array(stamps, np.array([0, len(stamps)]))
     nodes = graph.nodes
     return {(nodes[i], nodes[j]): t
             for i, j, t in zip(src_idx.tolist(), dst_idx.tolist(),
                                times.tolist())}
 
 
-def _edge_slice_arrays(graph: TxGraph, num_slices: int, weighted: bool,
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(src_idx, dst_idx, value, slot)`` per merged edge, zero-copy endpoints."""
-    src, dst, amount, _count, stamps = graph.edge_arrays()
+def _edge_slice_arrays(graphs: Sequence[TxGraph], num_slices: int, weighted: bool,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(node_offsets, src_idx, dst_idx, value, slot)`` per merged edge of
+    ``graphs`` laid side by side (see :func:`_block_edge_arrays`)."""
+    node_offsets, edge_offsets, src, dst, amount, stamps = _block_edge_arrays(graphs)
     vals = amount if weighted else np.ones(len(amount))
-    times = _evolution_time_array(stamps)
+    times = _evolution_time_array(stamps, edge_offsets)
     slots = np.minimum((times * num_slices).astype(np.int64), num_slices - 1)
-    return src, dst, vals, slots
+    return node_offsets, src, dst, vals, slots
 
 
 def time_slice_adjacency(graph: TxGraph, num_slices: int,
@@ -72,7 +111,7 @@ def time_slice_adjacency(graph: TxGraph, num_slices: int,
     n = graph.num_nodes
     slices = [np.zeros((n, n), dtype=np.float64) for _ in range(num_slices)]
     if graph.num_edges:
-        src, dst, vals, slots = _edge_slice_arrays(graph, num_slices, weighted)
+        _nodes, src, dst, vals, slots = _edge_slice_arrays([graph], num_slices, weighted)
         # Per-edge accumulation in insertion order — the same left-fold the
         # seed's Edge loop performed (a self loop adds to its diagonal twice).
         for i, j, value, slot in zip(src.tolist(), dst.tolist(),
@@ -85,26 +124,54 @@ def time_slice_adjacency(graph: TxGraph, num_slices: int,
     return slices
 
 
-def time_slice_csr(graph: TxGraph, num_slices: int, weighted: bool = True,
-                   cumulative: bool = False) -> list[SparseAdjacency]:
+def time_slice_csr(graphs: TxGraph | Sequence[TxGraph], num_slices: int,
+                   weighted: bool = True, cumulative: bool = False,
+                   ) -> list[SparseAdjacency]:
     """CSR twin of :func:`time_slice_adjacency`: no per-slice dense allocation.
 
     Returns one :class:`SparseAdjacency` per slice whose dense view equals the
     corresponding seed matrix: the same slot assignment, the same symmetrised
     accumulation (each edge contributes to ``(i, j)`` and ``(j, i)``, so a
     self loop counts twice on the diagonal) and the same cumulative semantics.
+
+    ``graphs`` may also be a sequence of graphs, such as a scoring chunk's.
+    Slice ``k`` is then one :class:`BatchedAdjacency` whose block ``b`` is
+    ``time_slice_csr(graphs[b], ...)[k]`` bit for bit: each graph keeps its
+    own evolution-time span, and the one ``from_coo`` per slice meets every
+    block's triplets in that graph's own order.
     """
     if num_slices < 1:
         raise ValueError("num_slices must be >= 1")
-    n = graph.num_nodes
-    if graph.num_edges == 0:
-        return [SparseAdjacency.empty(n) for _ in range(num_slices)]
-    src, dst, vals, slots = _edge_slice_arrays(graph, num_slices, weighted)
+    single = isinstance(graphs, TxGraph)
+    node_offsets, src, dst, vals, slots = _edge_slice_arrays(
+        [graphs] if single else graphs, num_slices, weighted)
     slices = []
     for k in range(num_slices):
         mask = slots <= k if cumulative else slots == k
         i, j, v = src[mask], dst[mask], vals[mask]
-        slices.append(SparseAdjacency.from_coo(
-            np.concatenate([i, j]), np.concatenate([j, i]),
-            np.concatenate([v, v]), n))
+        flat = SparseAdjacency.from_coo(np.concatenate([i, j]), np.concatenate([j, i]),
+                                        np.concatenate([v, v]), int(node_offsets[-1]))
+        slices.append(flat if single else _blocks(flat, node_offsets))
     return slices
+
+
+def block_adjacency(graphs: Sequence[TxGraph]) -> BatchedAdjacency:
+    """The unweighted ``max(A, A.T)`` of every graph, as one block-diagonal CSR.
+
+    Block ``b`` equals ``SparseAdjacency.from_graph(graphs[b],
+    symmetric=True)`` bit for bit: one ``from_coo`` over the doubled edges
+    collapses each block's duplicate slots (reciprocal pairs) with
+    ``np.maximum``, as :meth:`TxGraph.to_csr` does, whose memo it leaves
+    untouched.
+    """
+    node_offsets, _edges, src, dst, _amount, _stamps = _block_edge_arrays(graphs)
+    return _blocks(SparseAdjacency.from_coo(
+        np.concatenate([src, dst]), np.concatenate([dst, src]), np.ones(2 * len(src)),
+        int(node_offsets[-1]), combine=np.maximum), node_offsets)
+
+
+def _blocks(flat: SparseAdjacency, node_offsets: np.ndarray) -> BatchedAdjacency:
+    """``flat``, whose entries all lie inside the blocks of ``node_offsets``,
+    as a :class:`BatchedAdjacency` of those blocks."""
+    return BatchedAdjacency(flat.indptr, flat.indices, flat.data, node_offsets=node_offsets,
+                            edge_offsets=flat.indptr[node_offsets])

@@ -329,14 +329,33 @@ class SparseAdjacency:
             self.indices, self.rows, self.data, self.num_nodes))
 
     def with_self_loops(self, value: float = 1.0) -> "SparseAdjacency":
-        """``A + value * I`` — existing diagonal entries are incremented."""
+        """``A + value * I`` — existing diagonal entries are incremented.
+
+        Each row's diagonal slot goes in after its columns below the
+        diagonal, so the sorted CSR needs no re-sort.  An existing entry
+        becomes ``A_ii + value`` (kept even when that is 0), the bits
+        :meth:`from_coo` gives the two duplicate triplets.
+        """
         def build():
-            diag = np.arange(self.num_nodes, dtype=np.int64)
-            return SparseAdjacency.from_coo(
-                np.concatenate([self.rows, diag]),
-                np.concatenate([self.indices, diag]),
-                np.concatenate([self.data, np.full(self.num_nodes, value)]),
-                self.num_nodes)
+            n = self.num_nodes
+            rows, cols = self.rows, self.indices
+            has_diagonal = np.zeros(n, dtype=bool)
+            has_diagonal[rows[cols == rows]] = True
+            inserted = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(~has_diagonal, out=inserted[1:])
+            indptr = self.indptr + inserted
+            diagonal = indptr[:-1] + np.bincount(rows[cols < rows], minlength=n)
+            fresh = diagonal[~has_diagonal]
+            old = np.ones(indptr[-1], dtype=bool)
+            old[fresh] = False
+            indices = np.empty(indptr[-1], dtype=np.int64)
+            indices[old] = cols
+            indices[diagonal] = np.arange(n)
+            data = np.empty(indptr[-1], dtype=np.float64)
+            data[old] = self.data
+            data[fresh] = value
+            data[diagonal[has_diagonal]] += value
+            return SparseAdjacency(indptr, indices, data)
         return self._memoized(("self_loops", value), build)
 
     def binarized(self) -> "SparseAdjacency":

@@ -264,6 +264,29 @@ class TestCrashConsistencyAndErrors:
         with pytest.raises(BackendFormatError, match=name):
             Ledger.open(tmp_path / "chain")
 
+    @pytest.mark.parametrize("name", ["addresses.txt", "blocks.bin", "accounts.txt",
+                                      "account_types.bin", "labels.txt",
+                                      "label_categories.bin",
+                                      *(f"col_{name}.bin" for name in COLUMNS)])
+    def test_missing_committed_file_raises(self, tmp_path, name):
+        ledger = small_generated_ledger()
+        ledger.sync(tmp_path / "chain")
+        committed = {p.name for p in (tmp_path / "chain").iterdir()} - {"manifest.json"}
+        assert len(committed) == 15 and name in committed
+        (tmp_path / "chain" / name).unlink()
+        with pytest.raises(BackendFormatError, match=f"{re.escape(name)} is missing"):
+            Ledger.open(tmp_path / "chain")
+
+    @pytest.mark.parametrize("name", ["addresses.txt", "accounts.txt", "labels.txt"])
+    def test_address_file_not_utf8_raises(self, tmp_path, name):
+        ledger = small_generated_ledger()
+        ledger.sync(tmp_path / "chain")
+        with open(tmp_path / "chain" / name, "r+b") as f:
+            f.seek(5)
+            f.write(b"\xff")
+        with pytest.raises(BackendFormatError, match=f"{name} is not UTF-8"):
+            Ledger.open(tmp_path / "chain")
+
     @pytest.mark.parametrize("name", ["addresses.txt", "accounts.txt", "labels.txt"])
     def test_address_file_a_line_short_raises(self, tmp_path, name):
         ledger = small_generated_ledger()
