@@ -24,6 +24,13 @@ Unknown addresses are aggregated across the whole request into one
 :class:`~repro.api.UnknownAddressError`, or silently skipped with
 ``skip_unknown=True``, as in the facade.
 
+Pools start their workers from a ``forkserver`` that has imported
+:mod:`repro.api`, never by forking the calling process: a replacement pool
+often starts on :class:`~repro.api.ScoringService`'s executor thread while
+other threads run, and a lock one of them held at the fork would stay held
+in the child.  Where the platform has no ``forkserver``, its default start
+method (``spawn``) is used.
+
 A worker process that dies (killed, out of memory, a crash in native code)
 breaks its pool.  ``score()`` then shuts the broken pool down, drops it and
 raises :class:`WorkerCrashedError`, chained from the pool's
@@ -104,6 +111,20 @@ def _score_chunk_in_worker(addresses: list[str]) -> tuple[dict, list[str]]:
     return results, unknown
 
 
+def _pool_context():
+    """The multiprocessing context every scoring pool and its barrier use.
+
+    ``forkserver`` where the platform has it, with :mod:`repro.api` preloaded
+    so each worker forks from a server that has already imported numpy and
+    the scorer; otherwise the platform's default, ``spawn``.
+    """
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context()
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(["repro.api"])
+    return context
+
+
 def _chunked(items: list, size: int) -> list[list]:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
@@ -167,11 +188,12 @@ class ParallelScorer:
                     "ParallelScorer needs a ledger on the deanonymizer "
                     "(workers sample from their own copy)")
             state_blob = dumps_state(deanon.get_state())
+            context = _pool_context()
             self._executor = ProcessPoolExecutor(
-                max_workers=self.max_workers,
+                max_workers=self.max_workers, mp_context=context,
                 initializer=_init_process_worker,
                 initargs=(state_blob, deanon.ledger,
-                          multiprocessing.Barrier(self.max_workers)))
+                          context.Barrier(self.max_workers)))
             self._served = (deanon.ledger, deanon.ledger.data_version,
                             weakref.ref(deanon._stacked_heads()))
         return self._executor
@@ -202,9 +224,10 @@ class ParallelScorer:
         table), moving all of that out of the first request.  A pool creates
         its processes lazily, so constructing it is not enough: one
         barrier-held task per worker makes every worker start and finish its
-        initializer.  Under a :class:`~repro.api.ScoringService`, call it
-        before the service starts, so the workers fork before the service's
-        executor thread exists.
+        initializer.  A pool that a ledger append or a refit made stale is
+        replaced on the next call, so warming does not have to precede a
+        :class:`~repro.api.ScoringService`; it only keeps the first pool's
+        start out of the first request.
         """
         self.deanonymizer.warm(freeze=freeze)
         self._run([(_warm_process_worker,)] * self.max_workers)

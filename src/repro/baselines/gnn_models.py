@@ -263,7 +263,7 @@ class _TEGDetectorNetwork(Module):
         self.head = Linear(hidden_dim, 1, rng=rng)
 
     def forward(self, features: np.ndarray, sample: AccountSubgraph) -> Tensor:
-        slices = sample.time_slices(self.num_slices, weighted=False, sparse=True)
+        slices = sample.time_slices(self.num_slices, weighted=False)
         hidden = relu(self.input_proj(Tensor(features)))
         weights = softmax(self.time_logits.reshape(1, -1), axis=1)
         pooled_sum = None

@@ -376,7 +376,7 @@ class LedgerBackend:
 
         store = ColumnarTxStore()
         store._buffers = self._load_columns(num_rows, mmap)
-        store._filled = store._num_rows = num_rows
+        store._filled = num_rows
         addresses = _read_lines(self.path / "addresses.txt",
                                 manifest["addresses_bytes"],
                                 manifest["num_addresses"])

@@ -21,7 +21,6 @@ from repro.chain.labelcloud import AccountCategory
 from repro.chain.ledger import Ledger
 from repro.chain.scenarios import RawTxBlock, scenario_for
 from repro.chain.scenarios.base import CONTRACT_GAS, TRANSFER_GAS
-from repro.chain.transactions import Block, Transaction
 
 __all__ = ["LedgerConfig", "LedgerGenerator", "generate_ledger"]
 
@@ -99,18 +98,15 @@ class LedgerConfig:
 class LedgerGenerator:
     """Build a :class:`~repro.chain.Ledger` from a :class:`LedgerConfig`.
 
-    ``columnar=True`` (the default) sorts the synthesized
-    :class:`RawTxBlock` and appends it column-wise straight into the ledger's
-    :class:`~repro.chain.txstore.ColumnarTxStore` without creating a single
-    :class:`Transaction` object; ``columnar=False`` keeps a per-object
-    assembly loop over the same rows.  Both paths draw from the RNG in the
-    same order and produce identical ledgers (pinned by
-    ``tests/test_chain_generator.py``).
+    The synthesized :class:`RawTxBlock` is sorted and appended column-wise
+    straight into the ledger's :class:`~repro.chain.txstore.ColumnarTxStore`
+    without creating a single :class:`~repro.chain.transactions.Transaction`
+    object.  ``tests/test_graph_golden.py`` pins the generated ledger's bits
+    with a SHA-256 digest.
     """
 
-    def __init__(self, config: LedgerConfig | None = None, columnar: bool = True):
+    def __init__(self, config: LedgerConfig | None = None):
         self.config = config or LedgerConfig()
-        self.columnar = columnar
 
     def generate(self) -> Ledger:
         cfg = self.config
@@ -126,7 +122,7 @@ class LedgerGenerator:
         Returns the unsorted concatenated :class:`RawTxBlock` of all scenario
         and background traffic; account addresses are pre-interned into the
         ledger's store in creation order, so the block's id columns are valid
-        store account ids (used by both assembly paths).
+        store account ids.
         """
         cfg = self.config
         background = self._create_background_accounts(ledger)
@@ -219,20 +215,13 @@ class LedgerGenerator:
 
     def _assemble_blocks(self, ledger: Ledger, raw: RawTxBlock,
                          rng: np.random.Generator) -> None:
-        if self.columnar:
-            self._assemble_blocks_columnar(ledger, raw, rng)
-        else:
-            self._assemble_blocks_objects(ledger, raw, rng)
-
-    def _assemble_blocks_columnar(self, ledger: Ledger, raw: RawTxBlock,
-                                  rng: np.random.Generator) -> None:
         """Column-wise block assembly: no per-``Transaction`` object creation.
 
-        Reproduces the object path exactly: the same stable sort by
-        timestamp, the same per-row rounding, the same single stream of
-        ``rng.random()`` draws for the submitted flags (one vectorised call
-        draws the identical doubles), the same last-transaction block
-        timestamps, and the same derived ``0x{row:064x}`` hashes.
+        Rows are stably sorted by timestamp, values rounded to 8 and gas
+        prices to 4 decimals, one ``rng.random(n)`` call draws every row's
+        submitted flag, and each block of ``transactions_per_block`` rows
+        takes its last row's timestamp; rows keep the derived
+        ``0x{row:064x}`` hashes.
         """
         cfg = self.config
         n = len(raw)
@@ -245,46 +234,6 @@ class LedgerGenerator:
             np.round(ordered.value, 8), np.round(ordered.gas_price, 4),
             ordered.gas_used, ordered.timestamp, ordered.is_contract_call,
             submitted, transactions_per_block=cfg.transactions_per_block)
-
-    def _assemble_blocks_objects(self, ledger: Ledger, raw: RawTxBlock,
-                                 rng: np.random.Generator) -> None:
-        """The original object path: one ``Transaction`` per raw row."""
-        cfg = self.config
-        if len(raw) == 0:
-            return
-        ordered = raw.take(np.argsort(raw.timestamp, kind="stable"))
-        address = ledger.store.address
-        rows = zip(ordered.sender_id.tolist(), ordered.receiver_id.tolist(),
-                   ordered.value.tolist(), ordered.gas_price.tolist(),
-                   ordered.gas_used.tolist(), ordered.timestamp.tolist(),
-                   ordered.is_contract_call.tolist())
-        blocks: list[Block] = []
-        current: list[Transaction] = []
-        block_number = 0
-        for i, (sender, receiver, value, gas_price, gas_used, ts, is_call) in \
-                enumerate(rows):
-            submitted = rng.random() >= cfg.unsubmitted_fraction
-            tx = Transaction(
-                tx_hash=f"0x{i:064x}",
-                sender=address(sender),
-                receiver=address(receiver),
-                value=round(float(value), 8),
-                gas_price=round(float(gas_price), 4),
-                gas_used=int(gas_used),
-                timestamp=float(ts),
-                is_contract_call=bool(is_call),
-                block_number=block_number,
-                submitted=submitted,
-            )
-            current.append(tx)
-            if len(current) >= cfg.transactions_per_block:
-                blocks.append(Block(block_number, current[-1].timestamp, current))
-                current = []
-                block_number += 1
-        if current:
-            blocks.append(Block(block_number, current[-1].timestamp, current))
-        for block in blocks:
-            ledger.append_block(block)
 
 
 def generate_ledger(config: LedgerConfig | None = None, seed: int | None = None) -> Ledger:

@@ -27,10 +27,11 @@ class Ledger:
     :attr:`blocks`).  The hot consumers (graph build, feature extraction)
     read the columns directly via :attr:`store`.
 
-    Two ingestion paths feed the same store: :meth:`append_block` (object
-    path — a :class:`Block` of :class:`Transaction` objects) and
-    :meth:`append_blocks_columnar` (bulk path — whole column arrays split
-    into fixed-size blocks, the path ``generate_ledger`` uses).
+    Blocks arrive in two forms, :meth:`append_block` (a :class:`Block` of
+    :class:`Transaction` objects, as hand-built ledgers make them) and
+    :meth:`append_blocks_columnar` (whole column arrays split into
+    fixed-size blocks, the path ``generate_ledger`` uses); both write
+    through the store's one write path, ``append_chunk``.
 
     Durability: :meth:`sync` persists the ledger into a
     :class:`~repro.chain.backend.LedgerBackend` directory (append-only column,
@@ -154,15 +155,29 @@ class Ledger:
 
     # ----------------------------------------------------------------- blocks
     def append_block(self, block: Block) -> None:
-        """Register a :class:`Block` of :class:`Transaction` objects."""
+        """Register a :class:`Block` of :class:`Transaction` objects.
+
+        The transactions become one chunk of store rows that keeps each
+        one's own hash and block number; an empty block adds no rows and
+        leaves :attr:`data_version` alone.
+        """
         if self._block_numbers and block.number <= self._block_numbers[-1]:
             raise ValueError("block numbers must be strictly increasing")
-        start = self._store.num_rows
-        for tx in block.transactions:
-            self._store.append_tx(tx)
+        store = self._store
+        start = store.num_rows
+        txs = block.transactions
+        if txs:
+            sender_ids, receiver_ids = store.intern_pairs(
+                [tx.sender for tx in txs], [tx.receiver for tx in txs])
+            store.append_chunk(
+                sender_ids, receiver_ids, [tx.value for tx in txs],
+                [tx.gas_price for tx in txs], [tx.gas_used for tx in txs],
+                [tx.timestamp for tx in txs], [tx.is_contract_call for tx in txs],
+                [tx.submitted for tx in txs], [tx.block_number for tx in txs],
+                tx_hashes=[tx.tx_hash for tx in txs])
         self._block_numbers.append(block.number)
         self._block_timestamps.append(block.timestamp)
-        self._block_bounds.append((start, self._store.num_rows))
+        self._block_bounds.append((start, store.num_rows))
 
     def append_blocks_columnar(self, senders: "Sequence[str] | np.ndarray",
                                receivers: "Sequence[str] | np.ndarray",
@@ -171,19 +186,18 @@ class Ledger:
                                is_contract_call: np.ndarray, submitted: np.ndarray,
                                transactions_per_block: int,
                                tx_hashes: Sequence[str] | None = None) -> None:
-        """Bulk path: append rows column-wise, split into fixed-size blocks.
+        """Append rows column-wise, split into fixed-size blocks.
 
         Rows must already be in block (timestamp) order.  Consecutive runs of
         ``transactions_per_block`` rows become one block whose timestamp is
         its last transaction's timestamp and whose number continues from the
-        last registered block — exactly the semantics of the object-path
-        assembly loop.  ``tx_hashes=None`` keeps the generator's derived
-        ``0x{row:064x}`` hashes without per-row storage.
+        last registered block.  ``tx_hashes=None`` keeps the generator's
+        derived ``0x{row:064x}`` hashes without per-row storage.
 
-        ``senders``/``receivers`` are either address strings (interned here,
-        the historical path) or integer ndarrays of already-interned store
-        account ids (the scenario engine's zero-Python-object path; validated
-        against the store's address table).
+        ``senders``/``receivers`` are either address strings (interned here)
+        or integer ndarrays of already-interned store account ids (the
+        scenario engine's zero-Python-object path; validated against the
+        store's address table).
         """
         n = len(values)
         if n == 0:

@@ -10,13 +10,11 @@ lazily, only when a caller crosses the object API boundary
 hot consumers — ``build_transaction_graph``, ``DeepFeatureExtractor`` and the
 benchmarks — read the column arrays directly.
 
-Two ingestion paths feed the same columns:
-
-* ``append_tx`` buffers a single :class:`Transaction` (the object path used
-  by ``Ledger.append_block`` and hand-built test ledgers);
-* ``append_chunk`` writes whole column arrays at once (the path
-  ``generate_ledger`` uses to assemble millions of rows without creating a
-  single ``Transaction``, and ``Ledger.append_blocks_columnar`` after it).
+One write path feeds the columns: ``append_chunk`` writes whole column
+arrays at once.  ``generate_ledger`` assembles millions of rows through it
+without creating a single ``Transaction``, ``Ledger.append_blocks_columnar``
+appends through it, and so does ``Ledger.append_block``, one chunk per
+block of hand-built transactions.
 
 Each column lives in one growable buffer with capacity doubling, so an
 append costs O(appended rows), amortised, and a read after it costs O(1).
@@ -82,25 +80,22 @@ class ColumnarTxStore:
     Rows are append-only and kept in registration (block) order.  Each column
     is one growable buffer whose first ``_filled`` entries are live rows;
     capacity doubles when an append outgrows it, as ``TxGraph._grow`` does
-    for edges.  ``append_chunk`` writes into the buffers directly and
-    ``append_tx`` buffers rows in Python lists that flush into them on the
-    next read or chunk, so both paths cost amortised O(1) per row and a read
-    after an append copies nothing.  Rows never move within a buffer, so the
-    views :meth:`columns` hands out stay valid: later rows are written past
-    them, and a regrown buffer leaves the old one to the views that hold it.
+    for edges.  ``append_chunk`` writes into the buffers directly, so an
+    append costs amortised O(1) per row and a read after it copies nothing.
+    Rows never move within a buffer, so the views :meth:`columns` hands out
+    stay valid: later rows are written past them, and a regrown buffer
+    leaves the old one to the views that hold it.
     """
 
     def __init__(self):
         self._addr_to_id: dict[str, int] = {}
         self._addresses: list[str] = []
-        # Column buffers (the first _filled entries are live), the cached
-        # read-only views over them, and object-path rows not yet flushed.
+        # Column buffers (the first _filled entries are live) and the cached
+        # read-only views over them.
         self._buffers: dict[str, np.ndarray] = {
             name: np.empty(0, dtype=dtype) for name, dtype in _COLUMN_DTYPES}
         self._filled = 0
         self._view: TxColumns | None = None
-        self._row_buffer: dict[str, list] = {name: [] for name, _ in _COLUMN_DTYPES}
-        self._num_rows = 0
         # Sparse hash storage: only hashes deviating from the derived pattern.
         self._explicit_hash_by_row: dict[int, str] = {}
         self._row_by_explicit_hash: dict[str, int] = {}
@@ -113,12 +108,12 @@ class ColumnarTxStore:
         # one integer instead of probing row/account counts individually.
         self._data_version = 0
         # Lazily built per-address row index (CSR over interned ids); valid
-        # while ``_index_key`` matches ``(_num_rows, num interned addresses)``
+        # while ``_index_key`` matches ``(_filled, num interned addresses)``
         # — rows *and* addresses, because interning alone widens the indptr.
         self._index_key: tuple[int, int] = (-1, -1)
         self._index_indptr: np.ndarray | None = None
         self._index_row_ids: np.ndarray | None = None
-        # Guards the two lazy builds (row-buffer flush, address index) so
+        # Guards the two lazy builds (column views, address index) so
         # concurrent readers of a quiescent store are safe; writes stay
         # single-threaded, matching the TxGraph concurrency contract.
         self._lock = threading.RLock()
@@ -137,14 +132,6 @@ class ColumnarTxStore:
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------- interning
-    def intern(self, address: str) -> int:
-        """Return the dense integer id of ``address``, assigning one if new."""
-        idx = self._addr_to_id.get(address)
-        if idx is None:
-            idx = self._addr_to_id[address] = len(self._addresses)
-            self._addresses.append(address)
-        return idx
-
     def intern_many(self, addresses: Sequence[str]) -> np.ndarray:
         """Intern a sequence of addresses; returns their ids as an int64 array.
 
@@ -173,9 +160,9 @@ class ColumnarTxStore:
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Intern sender/receiver sequences in interleaved per-row order.
 
-        Scanning ``sender_0, receiver_0, sender_1, ...`` assigns ids in the
-        same first-appearance order as the per-``Transaction`` object path,
-        so bulk-built and object-built stores are column-for-column equal.
+        Scanning ``sender_0, receiver_0, sender_1, ...`` assigns ids in
+        first-appearance order over the rows, so a ledger's interning table
+        does not depend on how its rows were split into appends.
         """
         interleaved = [None] * (2 * len(senders))
         interleaved[0::2] = senders
@@ -207,51 +194,18 @@ class ColumnarTxStore:
     # --------------------------------------------------------------- appends
     @property
     def num_rows(self) -> int:
-        return self._num_rows
+        return self._filled
 
     @property
     def data_version(self) -> int:
-        """Monotonic append epoch; grows on every :meth:`append_tx` /
-        :meth:`append_chunk` call.  Caches across the stack (graph ingestion,
-        the feature table, the serving sample cache) compare this single
-        integer to detect ledger growth in O(1)."""
+        """Monotonic append epoch; grows by one on every :meth:`append_chunk`
+        call.  Caches across the stack (graph ingestion, the feature table,
+        the serving sample cache) compare this single integer to detect
+        ledger growth in O(1)."""
         return self._data_version
 
     def __len__(self) -> int:
-        return self._num_rows
-
-    def _record_submitted_span(self, timestamps: np.ndarray | float) -> None:
-        ts_min = float(np.min(timestamps))
-        ts_max = float(np.max(timestamps))
-        if self._submitted_ts_min is None or ts_min < self._submitted_ts_min:
-            self._submitted_ts_min = ts_min
-        if self._submitted_ts_max is None or ts_max > self._submitted_ts_max:
-            self._submitted_ts_max = ts_max
-
-    def append_tx(self, tx: Transaction) -> int:
-        """Register one :class:`Transaction` (object path); returns its row id."""
-        row = self._num_rows
-        sender = self.intern(tx.sender)
-        receiver = self.intern(tx.receiver)
-        buf = self._row_buffer
-        buf["sender_id"].append(sender)
-        buf["receiver_id"].append(receiver)
-        buf["value"].append(tx.value)
-        buf["gas_price"].append(tx.gas_price)
-        buf["gas_used"].append(tx.gas_used)
-        buf["timestamp"].append(tx.timestamp)
-        buf["is_contract_call"].append(tx.is_contract_call)
-        buf["submitted"].append(tx.submitted)
-        buf["block_number"].append(tx.block_number)
-        if tx.tx_hash != _derived_hash(row):
-            self._explicit_hash_by_row[row] = tx.tx_hash
-            self._row_by_explicit_hash[tx.tx_hash] = row
-        if tx.submitted:
-            self._record_submitted_span(tx.timestamp)
-        self._view = None
-        self._num_rows += 1
-        self._data_version += 1
-        return row
+        return self._filled
 
     def append_chunk(self, sender_ids: np.ndarray, receiver_ids: np.ndarray,
                      values: np.ndarray, gas_prices: np.ndarray,
@@ -259,7 +213,7 @@ class ColumnarTxStore:
                      is_contract_call: np.ndarray, submitted: np.ndarray,
                      block_numbers: np.ndarray,
                      tx_hashes: Sequence[str] | None = None) -> int:
-        """Append whole column arrays at once (bulk path); returns the first row id.
+        """Append whole column arrays at once; returns the first row id.
 
         ``sender_ids``/``receiver_ids`` must already be interned (see
         :meth:`intern_many`): an id that is negative or past the interning
@@ -268,7 +222,6 @@ class ColumnarTxStore:
         convention — and costs no per-row storage.  The rows are copied into
         the column buffers: O(chunk rows), amortised.
         """
-        self._flush_row_buffer()
         chunk = {name: np.asarray(column, dtype=dtype) for (name, dtype), column in zip(
             _COLUMN_DTYPES, (sender_ids, receiver_ids, values, gas_prices, gas_used,
                              timestamps, is_contract_call, submitted, block_numbers))}
@@ -279,7 +232,7 @@ class ColumnarTxStore:
                   or max(chunk["sender_id"].max(), chunk["receiver_id"].max())
                   >= len(self._addresses)):
             raise ValueError("sender/receiver ids must be interned before append_chunk")
-        first_row = self._num_rows
+        first_row = self._filled
         if tx_hashes is not None:
             if len(tx_hashes) != n:
                 raise ValueError("tx_hashes length must match the chunk length")
@@ -288,12 +241,15 @@ class ColumnarTxStore:
                 if tx_hash != _derived_hash(row):
                     self._explicit_hash_by_row[row] = tx_hash
                     self._row_by_explicit_hash[tx_hash] = row
-        sub = chunk["submitted"]
-        if sub.any():
-            self._record_submitted_span(chunk["timestamp"][sub])
+        stamps = chunk["timestamp"][chunk["submitted"]]
+        if len(stamps):
+            ts_min, ts_max = float(stamps.min()), float(stamps.max())
+            if self._submitted_ts_min is None or ts_min < self._submitted_ts_min:
+                self._submitted_ts_min = ts_min
+            if self._submitted_ts_max is None or ts_max > self._submitted_ts_max:
+                self._submitted_ts_max = ts_max
         if n:
             self._write_rows(chunk, n)
-        self._num_rows += n
         self._data_version += 1
         return first_row
 
@@ -318,35 +274,23 @@ class ColumnarTxStore:
         self._filled = need
         self._view = None
 
-    def _flush_row_buffer(self) -> None:
-        buf = self._row_buffer
-        n = len(buf["sender_id"])
-        if not n:
-            return
-        self._write_rows({name: np.asarray(buf[name], dtype=dtype)
-                          for name, dtype in _COLUMN_DTYPES}, n)
-        self._row_buffer = {name: [] for name, _ in _COLUMN_DTYPES}
-
     # --------------------------------------------------------------- columns
     def columns(self) -> TxColumns:
-        """Read-only views of the columns over every registered row (all paths).
+        """Read-only views of the columns over every registered row.
 
         O(1): the views cover the buffers' live rows, so a read after an
-        append copies nothing.  Rows that ``append_tx`` buffered are flushed
-        into the buffers first, O(those rows).  A snapshot taken earlier
-        stays valid and unchanged after later appends, because they write
-        only past its rows.
+        append copies nothing.  A snapshot taken earlier stays valid and
+        unchanged after later appends, because they write only past its rows.
 
-        Thread-safe for concurrent readers: the flush and the new snapshot
-        are built under the store lock, and the snapshot is published last,
-        so the lock-free fast path only sees a complete one.
+        Thread-safe for concurrent readers: the new snapshot is built under
+        the store lock and published last, so the lock-free fast path only
+        sees a complete one.
         """
         view = self._view
         if view is None:
             with self._lock:
                 view = self._view
                 if view is None:
-                    self._flush_row_buffer()
                     arrays = {}
                     for name, _ in _COLUMN_DTYPES:
                         arrays[name] = column = self._buffers[name][:self._filled]
@@ -373,7 +317,7 @@ class ColumnarTxStore:
             # A derived-pattern hash only matches a row that kept its default,
             # and only in its canonical spelling (lowercase, zero-padded) —
             # alternative spellings of the same integer are unknown hashes.
-            if (0 <= row < self._num_rows and row not in self._explicit_hash_by_row
+            if (0 <= row < self._filled and row not in self._explicit_hash_by_row
                     and tx_hash == _derived_hash(row)):
                 return row
         raise KeyError(tx_hash)
@@ -405,7 +349,7 @@ class ColumnarTxStore:
         """Materialise transactions lazily in row (= block) order."""
         cols = self.columns()
         submitted = cols.submitted
-        for row in range(self._num_rows):
+        for row in range(len(cols)):
             if submitted[row] or include_unsubmitted:
                 yield self._materialize_from(cols, row)
 
@@ -425,7 +369,7 @@ class ColumnarTxStore:
         ``transactions_for`` must not return the same transaction twice.
         """
         cols = self.columns()
-        n = self._num_rows
+        n = len(cols)
         sender_ids = cols.sender_id
         receiver_ids = cols.receiver_id
         non_self = sender_ids != receiver_ids
@@ -448,19 +392,19 @@ class ColumnarTxStore:
         addresses that never transacted.
 
         Index validity is keyed on ``(num_rows, num_addresses)``: an address
-        interned after the index was built (``intern``/``intern_many`` without
-        an accompanying row append) widens the indptr on the next query
-        instead of indexing past its end.
+        interned after the index was built (``intern_many`` without an
+        accompanying row append) widens the indptr on the next query instead
+        of indexing past its end.
         """
         account_id = self._addr_to_id.get(address)
         if account_id is None:
             return np.empty(0, dtype=np.int64)
-        key = (self._num_rows, len(self._addresses))
+        key = (self._filled, len(self._addresses))
         if self._index_key != key:
             # Double-checked: _build_address_index assigns _index_key last,
             # so the lock-free hit above only sees a fully built index.
             with self._lock:
-                if self._index_key != (self._num_rows, len(self._addresses)):
+                if self._index_key != (self._filled, len(self._addresses)):
                     self._build_address_index()
         start = self._index_indptr[account_id]
         stop = self._index_indptr[account_id + 1]

@@ -130,8 +130,7 @@ class LDGBranch:
         mean, std = self._feature_stats
         features = (sample.node_features - mean) / std
         # Cached CSR slices: built once per sample, no dense per-slice matrices.
-        slices = sample.time_slices(self.config.num_slices, weighted=False,
-                                    sparse=True)
+        slices = sample.time_slices(self.config.num_slices, weighted=False)
         return features, slices
 
     @staticmethod

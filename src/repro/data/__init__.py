@@ -1,4 +1,4 @@
-"""Ethereum data processing: filtering, sampling, features and dataset building.
+"""Ethereum data processing: graph building, sampling, features and datasets.
 
 Implements Section III of the paper: transaction filtering, top-K neighbour
 sampling (Eq. 2), the 15-dimensional deep account features of Table I, edge
@@ -12,7 +12,7 @@ from repro.data.features import (
     FEATURE_GROUPS,
     category_feature_matrix,
 )
-from repro.data.pipeline import build_transaction_graph, filter_transactions
+from repro.data.pipeline import build_transaction_graph
 from repro.data.dataset import (
     AccountSubgraph,
     SubgraphDataset,
@@ -21,7 +21,6 @@ from repro.data.dataset import (
 )
 from repro.data.slicing import (
     transaction_evolution_times,
-    time_slice_adjacency,
     time_slice_csr,
 )
 from repro.data.splits import train_test_split, stratified_kfold, one_vs_rest_labels
@@ -32,13 +31,11 @@ __all__ = [
     "FEATURE_GROUPS",
     "category_feature_matrix",
     "build_transaction_graph",
-    "filter_transactions",
     "AccountSubgraph",
     "SubgraphDataset",
     "SubgraphDatasetBuilder",
     "DatasetConfig",
     "transaction_evolution_times",
-    "time_slice_adjacency",
     "time_slice_csr",
     "train_test_split",
     "stratified_kfold",

@@ -14,7 +14,7 @@ from repro.chain.labelcloud import AccountCategory
 from repro.chain.ledger import Ledger
 from repro.data.features import FEATURE_NAMES, DeepFeatureExtractor
 from repro.data.pipeline import build_transaction_graph
-from repro.data.slicing import time_slice_adjacency, time_slice_csr
+from repro.data.slicing import time_slice_csr
 from repro.graph.sampling import ego_subgraph
 from repro.graph.sparse import SparseAdjacency
 from repro.graph.txgraph import TxGraph
@@ -143,16 +143,12 @@ class AccountSubgraph:
         agg[:, 1] = np.bincount(endpoints, weights=payload, minlength=n)
         return agg
 
-    def time_slices(self, num_slices: int, weighted: bool = True,
-                    sparse: bool = False):
+    def time_slices(self, num_slices: int, weighted: bool = True):
         """The LDG's discrete-time adjacency sequence (Eq. 1).
 
-        With ``sparse=True`` the slices are cached :class:`SparseAdjacency`
-        instances built straight from the edge arrays (no dense allocation);
-        the default remains the seed's dense matrices.
+        The slices are cached :class:`SparseAdjacency` instances built
+        straight from the edge arrays (no dense allocation).
         """
-        if not sparse:
-            return time_slice_adjacency(self.graph, num_slices, weighted=weighted)
         key = ("slices", num_slices, weighted)
         cached = self._sparse_cache.get(key)
         if cached is None:

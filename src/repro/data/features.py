@@ -7,7 +7,7 @@ import threading
 import numpy as np
 
 from repro.chain.ledger import Ledger
-from repro.chain.transactions import GWEI_PER_ETH, Transaction
+from repro.chain.transactions import GWEI_PER_ETH
 
 __all__ = [
     "FEATURE_NAMES",
@@ -42,15 +42,6 @@ FEATURE_GROUPS: dict[str, tuple[str, ...]] = {
     "TFF": ("SETF", "RETF", "SAETF", "RAETF"),
     "CF": ("NC",),
 }
-
-
-def _interval_stats(timestamps: list[float]) -> tuple[float, float]:
-    """(min, max) absolute gap between consecutive timestamps; zeros if < 2 events."""
-    if len(timestamps) < 2:
-        return (0.0, 0.0)
-    ordered = sorted(timestamps)
-    gaps = np.abs(np.diff(ordered))
-    return (float(gaps.min()), float(gaps.max()))
 
 
 def _group_runs(accounts_sorted: np.ndarray, ts_sorted: np.ndarray,
@@ -184,11 +175,13 @@ def _submitted_rows(cols, rows: slice, mask: np.ndarray) -> tuple[np.ndarray, ..
 
 
 class DeepFeatureExtractor:
-    """Compute the 15-dimensional deep feature vector for an account.
+    """Compute the 15-dimensional deep feature vectors of accounts.
 
     Features follow the definitions in Section III-B2: sender statistics
     (Eq. 3-4), receiver statistics, Ether transaction fees (Eq. 5) and the
-    number of contract calls in transactions involving the account.
+    number of contract calls in transactions involving the account.  One
+    table over every interned account is folded from the ledger's columns
+    and read by :meth:`extract_many`.
     """
 
     def __init__(self, ledger: Ledger):
@@ -208,25 +201,6 @@ class DeepFeatureExtractor:
         self.__dict__.update(state)
         self._table_lock = threading.Lock()
 
-    def extract(self, address: str, transactions: list[Transaction] | None = None) -> np.ndarray:
-        """Return the feature vector (length 15) for ``address``.
-
-        Parameters
-        ----------
-        address:
-            The account address.
-        transactions:
-            Optional pre-filtered transaction list (e.g. restricted to a
-            subgraph); defaults to every submitted ledger transaction touching
-            the address.
-        """
-        if transactions is None:
-            transactions = self.ledger.transactions_for(address)
-        sent = [tx for tx in transactions if tx.sender == address]
-        received = [tx for tx in transactions if tx.receiver == address]
-        nc = sum(1 for tx in transactions if tx.is_contract_call)
-        return _feature_vector(sent, received, nc)
-
     def warm(self) -> "DeepFeatureExtractor":
         """Eagerly build the global per-account feature table (idempotent)."""
         self._global_features()
@@ -241,11 +215,13 @@ class DeepFeatureExtractor:
         per-account statistic is computed with grouped reductions
         (row-order ``np.add.at`` for the sums, ``bincount`` for the counts,
         sorted ``reduceat`` for the interval stats) instead of filtering
-        per-address transaction lists once per account.  The result is
-        bit-identical to stacking per-address :meth:`extract` calls; a
-        self-transfer counts exactly once per role (once in the sender
-        statistics, once in the receiver statistics, once in NC), matching
-        the deduplicated :meth:`Ledger.transactions_for`.
+        per-address transaction lists once per account.  Each row equals
+        the per-address scalar reference over
+        :meth:`Ledger.transactions_for` bit for bit
+        (``tests/_feature_reference.py``); a self-transfer counts exactly
+        once per role (once in the sender statistics, once in the receiver
+        statistics, once in NC).  An address that never transacted gets a
+        row of zeros.
         """
         if not addresses:
             return np.zeros((0, len(FEATURE_NAMES)))
@@ -344,39 +320,6 @@ class DeepFeatureExtractor:
         self._table_ids = account_ids
         self._table_key = key               # last: publishes the built table
         return features, account_ids
-
-
-def _feature_vector(sent: list[Transaction], received: list[Transaction],
-                    num_contract_calls: int) -> np.ndarray:
-    """The Table I vector from pre-split sent/received transaction lists.
-
-    Sums are sequential left-folds (plain :func:`sum`) so the scalar path is
-    bit-identical to the row-order ``np.add.at`` accumulation that
-    :meth:`DeepFeatureExtractor.extract_many` uses.
-    """
-    nts = float(len(sent))
-    stv = float(sum(tx.value for tx in sent))
-    sav = stv / nts if nts else 0.0
-    min_sti, max_sti = _interval_stats([tx.timestamp for tx in sent])
-
-    ntr = float(len(received))
-    rtv = float(sum(tx.value for tx in received))
-    rav = rtv / ntr if ntr else 0.0
-    min_rti, max_rti = _interval_stats([tx.timestamp for tx in received])
-
-    setf = float(sum(tx.fee_eth for tx in sent))
-    retf = float(sum(tx.fee_eth for tx in received))
-    saetf = setf / nts if nts else 0.0
-    raetf = retf / ntr if ntr else 0.0
-
-    nc = float(num_contract_calls)
-
-    return np.array([
-        nts, stv, sav, min_sti, max_sti,
-        ntr, rtv, rav, min_rti, max_rti,
-        setf, retf, saetf, raetf,
-        nc,
-    ])
 
 
 def _normalize_columns(matrix: np.ndarray) -> np.ndarray:

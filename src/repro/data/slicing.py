@@ -1,12 +1,11 @@
 """Transaction-evolution-time slicing for the Local Dynamic Graph (Eq. 1).
 
-Two slicers share the same edge-to-slot assignment: :func:`time_slice_adjacency`
-(the seed's dense ``(n, n)`` matrices) and :func:`time_slice_csr`, which builds
-:class:`~repro.graph.sparse.SparseAdjacency` slices directly from the edge
-arrays without ever allocating a dense matrix — the form the sparse LDG encoder
-consumes.  Both read :meth:`TxGraph.edge_arrays` — the graph's columnar edge
-store — so no :class:`~repro.graph.txgraph.Edge` object is materialised on
-either path.
+:func:`time_slice_csr` builds :class:`~repro.graph.sparse.SparseAdjacency`
+slices directly from the edge arrays without ever allocating a dense matrix —
+the form the sparse LDG encoder consumes.  It reads :meth:`TxGraph.edge_arrays`
+— the graph's columnar edge store — so no :class:`~repro.graph.txgraph.Edge`
+object is materialised.  The seed's dense ``(n, n)`` slicer is kept as the
+parity reference in ``tests/_dense_reference.py``.
 
 Stacked scoring (:mod:`repro.core.inference`) builds a chunk's structure in
 one pass over the chunk's concatenated edge columns: :func:`time_slice_csr`
@@ -25,8 +24,7 @@ import numpy as np
 from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
 from repro.graph.txgraph import TxGraph
 
-__all__ = ["transaction_evolution_times", "time_slice_adjacency", "time_slice_csr",
-           "block_adjacency"]
+__all__ = ["transaction_evolution_times", "time_slice_csr", "block_adjacency"]
 
 
 def _offsets(counts: list[int]) -> np.ndarray:
@@ -94,45 +92,22 @@ def _edge_slice_arrays(graphs: Sequence[TxGraph], num_slices: int, weighted: boo
     return node_offsets, src, dst, vals, slots
 
 
-def time_slice_adjacency(graph: TxGraph, num_slices: int,
-                         weighted: bool = True, cumulative: bool = False) -> list[np.ndarray]:
-    """Split the subgraph into ``num_slices`` discrete-time adjacency matrices.
-
-    Each edge is assigned to the slice ``floor(T(e) * num_slices)`` (clamped to
-    the last slice), producing the discrete-time dynamic graph sequence consumed
-    by the LDG encoder.  With ``cumulative=True`` each slice also contains every
-    earlier edge, which some baselines (e.g. TEGDetector-style models) prefer.
-
-    Returned matrices use the graph's node-insertion order (``graph.nodes``)
-    and are symmetrised for message passing.
-    """
-    if num_slices < 1:
-        raise ValueError("num_slices must be >= 1")
-    n = graph.num_nodes
-    slices = [np.zeros((n, n), dtype=np.float64) for _ in range(num_slices)]
-    if graph.num_edges:
-        _nodes, src, dst, vals, slots = _edge_slice_arrays([graph], num_slices, weighted)
-        # Per-edge accumulation in insertion order — the same left-fold the
-        # seed's Edge loop performed (a self loop adds to its diagonal twice).
-        for i, j, value, slot in zip(src.tolist(), dst.tolist(),
-                                     vals.tolist(), slots.tolist()):
-            slices[slot][i, j] += value
-            slices[slot][j, i] += value
-    if cumulative:
-        for k in range(1, num_slices):
-            slices[k] += slices[k - 1]
-    return slices
-
-
 def time_slice_csr(graphs: TxGraph | Sequence[TxGraph], num_slices: int,
                    weighted: bool = True, cumulative: bool = False,
                    ) -> list[SparseAdjacency]:
-    """CSR twin of :func:`time_slice_adjacency`: no per-slice dense allocation.
+    """Split the subgraph into ``num_slices`` discrete-time CSR adjacencies.
 
-    Returns one :class:`SparseAdjacency` per slice whose dense view equals the
-    corresponding seed matrix: the same slot assignment, the same symmetrised
-    accumulation (each edge contributes to ``(i, j)`` and ``(j, i)``, so a
-    self loop counts twice on the diagonal) and the same cumulative semantics.
+    Each edge is assigned to the slice ``floor(T(e) * num_slices)`` (clamped
+    to the last slice), producing the discrete-time dynamic graph sequence
+    consumed by the LDG encoder.  With ``cumulative=True`` each slice also
+    contains every earlier edge, which some baselines (e.g.
+    TEGDetector-style models) prefer.
+
+    Returns one :class:`SparseAdjacency` per slice, over the graph's
+    node-insertion order and symmetrised for message passing: each edge
+    contributes to ``(i, j)`` and ``(j, i)``, so a self loop counts twice on
+    the diagonal.  Its dense view equals the seed's dense slicer
+    (``tests/_dense_reference.py``) bit for bit.
 
     ``graphs`` may also be a sequence of graphs, such as a scoring chunk's.
     Slice ``k`` is then one :class:`BatchedAdjacency` whose block ``b`` is

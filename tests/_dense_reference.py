@@ -170,8 +170,28 @@ def ldg_forward(network, features: np.ndarray, slices: list[np.ndarray]) -> Tens
 
 def time_slice_adjacency_dense(graph, num_slices: int, weighted: bool = True,
                                cumulative: bool = False) -> list[np.ndarray]:
-    """Seed dense time slicer (kept as the parity reference for the CSR slicer)."""
-    from repro.data.slicing import time_slice_adjacency
+    """The seed's dense time slicer: the parity reference for ``time_slice_csr``.
 
-    return time_slice_adjacency(graph, num_slices, weighted=weighted,
-                                cumulative=cumulative)
+    Splits the subgraph into ``num_slices`` discrete-time ``(n, n)``
+    matrices over the graph's node-insertion order.  Each edge lands in the
+    slice ``floor(T(e) * num_slices)`` (clamped to the last slice) and is
+    added to ``[i, j]`` and ``[j, i]`` in edge-insertion order — a self loop
+    adds to its diagonal twice.  With ``cumulative=True`` each slice also
+    holds every earlier edge.
+    """
+    from repro.data.slicing import _edge_slice_arrays
+
+    if num_slices < 1:
+        raise ValueError("num_slices must be >= 1")
+    n = graph.num_nodes
+    slices = [np.zeros((n, n), dtype=np.float64) for _ in range(num_slices)]
+    if graph.num_edges:
+        _nodes, src, dst, vals, slots = _edge_slice_arrays([graph], num_slices, weighted)
+        for i, j, value, slot in zip(src.tolist(), dst.tolist(),
+                                     vals.tolist(), slots.tolist()):
+            slices[slot][i, j] += value
+            slices[slot][j, i] += value
+    if cumulative:
+        for k in range(1, num_slices):
+            slices[k] += slices[k - 1]
+    return slices

@@ -143,36 +143,6 @@ class TestLedgerConfig:
         assert ledger.num_transactions > 0
 
 
-class TestColumnarObjectParity:
-    """The columnar and object assembly paths must build identical ledgers."""
-
-    @pytest.mark.parametrize("scale,seed", [(0.1, 7), (0.25, 11)])
-    def test_paths_produce_identical_ledgers(self, scale, seed):
-        from repro.chain import LedgerGenerator
-
-        config = LedgerConfig().scaled(scale)
-        config.seed = seed
-        columnar = LedgerGenerator(config, columnar=True).generate()
-        objects = LedgerGenerator(config, columnar=False).generate()
-        cc, co = columnar.tx_columns(), objects.tx_columns()
-        for name in ("sender_id", "receiver_id", "value", "gas_price", "gas_used",
-                     "timestamp", "is_contract_call", "submitted", "block_number"):
-            np.testing.assert_array_equal(getattr(cc, name), getattr(co, name),
-                                          err_msg=name)
-        assert columnar.store.addresses == objects.store.addresses
-        assert columnar.num_blocks == objects.num_blocks
-        assert [b.number for b in columnar.blocks] == [b.number for b in objects.blocks]
-        assert [b.timestamp for b in columnar.blocks] \
-            == [b.timestamp for b in objects.blocks]
-        first = next(columnar.transactions())
-        assert first == next(objects.transactions())
-
-    def test_default_path_is_columnar(self):
-        from repro.chain import LedgerGenerator
-
-        assert LedgerGenerator().columnar is True
-
-
 class TestLedgerGenerator:
     def test_generation_is_deterministic(self):
         config = LedgerConfig().scaled(0.1)

@@ -18,14 +18,39 @@ def make_tx(i, sender="0xaa", receiver="0xbb", submitted=True, **kwargs):
                        submitted=submitted, **defaults)
 
 
+def ledger_of(*txs) -> Ledger:
+    """A hand-built ledger holding ``txs`` as one block."""
+    ledger = Ledger()
+    ledger.append_block(Block(0, 2000.0, list(txs)))
+    return ledger
+
+
+COLUMNS = (("sender_id", np.int64), ("receiver_id", np.int64),
+           ("value", np.float64), ("gas_price", np.float64),
+           ("gas_used", np.int64), ("timestamp", np.float64),
+           ("is_contract_call", np.bool_), ("submitted", np.bool_),
+           ("block_number", np.int64))
+
+
+def _chunk(store, pairs):
+    """Append ``(sender, receiver)`` address pairs through the chunk path."""
+    sender_ids, receiver_ids = store.intern_pairs([s for s, _ in pairs],
+                                                  [r for _, r in pairs])
+    n = len(pairs)
+    return store.append_chunk(
+        sender_ids, receiver_ids, np.arange(n, dtype=float) + 1.0,
+        np.full(n, 20.0), np.full(n, 21_000), np.arange(n, dtype=float),
+        np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+        np.zeros(n, dtype=np.int64))
+
+
 class TestInterning:
-    def test_intern_assigns_dense_ids(self):
+    def test_intern_many_assigns_dense_ids(self):
         store = ColumnarTxStore()
-        assert store.intern("0xaa") == 0
-        assert store.intern("0xbb") == 1
-        assert store.intern("0xaa") == 0
-        assert store.addresses == ["0xaa", "0xbb"]
-        assert store.num_addresses == 2
+        assert store.intern_many(["0xaa", "0xbb", "0xaa"]).tolist() == [0, 1, 0]
+        assert store.intern_many(["0xbb", "0xcc"]).tolist() == [1, 2]
+        assert store.addresses == ["0xaa", "0xbb", "0xcc"]
+        assert store.num_addresses == 3
 
     def test_intern_pairs_interleaves_first_appearance(self):
         store = ColumnarTxStore()
@@ -41,12 +66,10 @@ class TestInterning:
 
 
 class TestAppendPaths:
-    def test_object_and_chunk_paths_agree(self):
-        object_store = ColumnarTxStore()
+    def test_block_and_chunk_paths_agree(self):
         txs = [make_tx(0), make_tx(1, sender="0xcc", value=2.5),
                make_tx(2, receiver="0xcc", submitted=False)]
-        for tx in txs:
-            object_store.append_tx(tx)
+        block_store = ledger_of(*txs).store
 
         chunk_store = ColumnarTxStore()
         sender_ids, receiver_ids = chunk_store.intern_pairs(
@@ -62,18 +85,18 @@ class TestAppendPaths:
             np.array([t.block_number for t in txs]),
             tx_hashes=[t.tx_hash for t in txs])
 
-        a, b = object_store.columns(), chunk_store.columns()
-        for name in ("sender_id", "receiver_id", "value", "gas_price", "gas_used",
-                     "timestamp", "is_contract_call", "submitted", "block_number"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        assert object_store.materialize_rows(range(3)) == chunk_store.materialize_rows(range(3))
+        a, b = block_store.columns(), chunk_store.columns()
+        for name, dtype in COLUMNS:
+            assert getattr(a, name).dtype == np.dtype(dtype), name
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert block_store.addresses == chunk_store.addresses == ["0xaa", "0xbb", "0xcc"]
+        assert block_store.materialize_rows(range(3)) == txs
+        assert chunk_store.materialize_rows(range(3)) == txs
 
     def test_materialize_round_trips_transactions(self):
-        store = ColumnarTxStore()
         tx = make_tx(5, value=3.25, gas_price=42.5, is_contract_call=True,
                      block_number=9)
-        store.append_tx(tx)
-        assert store.materialize(0) == tx
+        assert ledger_of(tx).store.materialize(0) == tx
 
     def test_chunk_requires_interned_ids(self):
         store = ColumnarTxStore()
@@ -84,17 +107,19 @@ class TestAppendPaths:
                 np.ones(1, dtype=bool), np.zeros(1, dtype=np.int64))
 
     def test_mixed_paths_keep_row_order(self):
-        store = ColumnarTxStore()
-        store.append_tx(make_tx(0))
+        ledger = ledger_of(make_tx(0))
+        store = ledger.store
         sender_ids, receiver_ids = store.intern_pairs(["0xcc"], ["0xdd"])
         store.append_chunk(sender_ids, receiver_ids, np.array([9.0]),
                            np.array([30.0]), np.array([21_000]),
                            np.array([2000.0]), np.array([False]),
                            np.array([True]), np.array([1]))
-        store.append_tx(make_tx(2, timestamp=3000.0))
+        ledger.append_block(Block(1, 3000.0, [make_tx(2, timestamp=3000.0)]))
         cols = store.columns()
         assert cols.timestamp.tolist() == [1000.0, 2000.0, 3000.0]
         assert store.num_rows == 3
+        assert [tx.tx_hash for tx in ledger.transactions()] == \
+            ["0x0000", f"0x{1:064x}", "0x0002"]
 
 
 class TestHashes:
@@ -110,14 +135,12 @@ class TestHashes:
         assert store._explicit_hash_by_row == {}
 
     def test_explicit_hashes_round_trip(self):
-        store = ColumnarTxStore()
-        store.append_tx(make_tx(0))
+        store = ledger_of(make_tx(0)).store
         assert store.tx_hash(0) == "0x0000"
         assert store.row_of_hash("0x0000") == 0
 
     def test_unknown_hash_raises(self):
-        store = ColumnarTxStore()
-        store.append_tx(make_tx(0))
+        store = ledger_of(make_tx(0)).store
         with pytest.raises(KeyError):
             store.row_of_hash("0xmissing")
         # A derived-pattern hash beyond the row count is also unknown.
@@ -138,46 +161,53 @@ class TestHashes:
 
     def test_explicit_hash_shadows_derived_pattern(self):
         """A row with an explicit hash must not be reachable via its derived one."""
-        store = ColumnarTxStore()
         tx = Transaction(tx_hash="0xfeed", sender="0xaa", receiver="0xbb",
                          value=1.0, gas_price=1.0, gas_used=21_000, timestamp=1.0)
-        store.append_tx(tx)
+        store = ledger_of(tx).store
         assert store.row_of_hash("0xfeed") == 0
         with pytest.raises(KeyError):
             store.row_of_hash(f"0x{0:064x}")
+
+    def test_block_keeps_derived_hashes_unstored(self):
+        """A hand-built transaction whose hash is its row's derived one costs
+        no storage, as in a generated ledger."""
+        txs = [Transaction(tx_hash=f"0x{row:064x}", sender="0xaa", receiver="0xbb",
+                           value=1.0, gas_price=1.0, gas_used=21_000,
+                           timestamp=float(row)) for row in range(2)]
+        txs.append(make_tx(2))
+        store = ledger_of(*txs).store
+        assert store._explicit_hash_by_row == {2: "0x0002"}
+        assert [store.tx_hash(row) for row in range(3)] == [tx.tx_hash for tx in txs]
 
 
 class TestAddressIndex:
     def test_rows_in_block_order(self):
         store = ColumnarTxStore()
-        store.append_tx(make_tx(0, sender="0xaa", receiver="0xbb"))
-        store.append_tx(make_tx(1, sender="0xcc", receiver="0xaa"))
-        store.append_tx(make_tx(2, sender="0xcc", receiver="0xdd"))
+        _chunk(store, [("0xaa", "0xbb"), ("0xcc", "0xaa"), ("0xcc", "0xdd")])
         assert store.rows_for_address("0xaa").tolist() == [0, 1]
         assert store.rows_for_address("0xcc").tolist() == [1, 2]
         assert store.rows_for_address("0xzz").tolist() == []
 
     def test_self_transfer_indexed_once(self):
         store = ColumnarTxStore()
-        store.append_tx(make_tx(0, sender="0xaa", receiver="0xaa"))
-        store.append_tx(make_tx(1, sender="0xaa", receiver="0xbb"))
+        _chunk(store, [("0xaa", "0xaa"), ("0xaa", "0xbb")])
         assert store.rows_for_address("0xaa").tolist() == [0, 1]
 
     def test_index_extends_after_append(self):
         store = ColumnarTxStore()
-        store.append_tx(make_tx(0, sender="0xaa", receiver="0xbb"))
+        _chunk(store, [("0xaa", "0xbb")])
         assert store.rows_for_address("0xaa").tolist() == [0]
-        store.append_tx(make_tx(1, sender="0xbb", receiver="0xaa"))
+        _chunk(store, [("0xbb", "0xaa")])
         assert store.rows_for_address("0xaa").tolist() == [0, 1]
 
     def test_intern_after_index_built_then_query(self):
         """Regression: an address interned *after* the index was built used to
         index past the CSR indptr (IndexError) — the validity key only watched
-        the row count, and ``intern`` adds no rows."""
+        the row count, and interning adds no rows."""
         store = ColumnarTxStore()
-        store.append_tx(make_tx(0, sender="0xaa", receiver="0xbb"))
+        _chunk(store, [("0xaa", "0xbb")])
         assert store.rows_for_address("0xaa").tolist() == [0]   # builds the index
-        store.intern("0xlate")              # widens the table, no new rows
+        store.intern_many(["0xlate"])       # widens the table, no new rows
         assert store.rows_for_address("0xlate").tolist() == []
         assert store.rows_for_address("0xaa").tolist() == [0]
 
@@ -185,7 +215,7 @@ class TestAddressIndex:
         """Regression companion: query between interning and the chunk append,
         and again after the rows land."""
         store = ColumnarTxStore()
-        store.append_tx(make_tx(0, sender="0xaa", receiver="0xbb"))
+        _chunk(store, [("0xaa", "0xbb")])
         store.rows_for_address("0xbb")                          # builds the index
         sender_ids, receiver_ids = store.intern_pairs(["0xcc"], ["0xdd"])
         assert store.rows_for_address("0xdd").tolist() == []    # was IndexError
@@ -199,40 +229,42 @@ class TestAddressIndex:
 
 class TestDataVersion:
     def test_every_append_call_bumps_the_epoch(self):
-        store = ColumnarTxStore()
+        ledger = Ledger()
+        store = ledger.store
         assert store.data_version == 0
-        store.append_tx(make_tx(0))
-        assert store.data_version == 1
-        sender_ids, receiver_ids = store.intern_pairs(["0xcc", "0xcc"],
-                                                      ["0xdd", "0xee"])
-        store.append_chunk(sender_ids, receiver_ids, np.ones(2), np.ones(2),
-                           np.full(2, 21_000), np.array([10.0, 20.0]),
-                           np.zeros(2, dtype=bool), np.ones(2, dtype=bool),
-                           np.zeros(2, dtype=np.int64))
-        assert store.data_version == 2      # one bump per append *call*
+        ledger.append_block(Block(0, 1002.0, [make_tx(0), make_tx(1), make_tx(2)]))
+        assert store.data_version == 1      # one bump per append *call*, not per row
+        _chunk(store, [("0xcc", "0xdd"), ("0xcc", "0xee")])
+        assert store.data_version == 2
+        ledger.append_block(Block(1, 1003.0, []))
+        assert store.data_version == 2      # an empty block appends nothing
+        ledger.append_blocks_columnar(
+            ["0xaa"] * 5, ["0xbb"] * 5, np.ones(5), np.ones(5), np.full(5, 21_000),
+            1100.0 + np.arange(5.0), np.zeros(5, dtype=bool), np.ones(5, dtype=bool),
+            transactions_per_block=2)
+        assert store.data_version == 3      # one call, three blocks
+        assert store.num_rows == 10
 
     def test_reads_do_not_bump_the_epoch(self):
-        store = ColumnarTxStore()
-        store.append_tx(make_tx(0))
+        store = ledger_of(make_tx(0)).store
         before = store.data_version
         store.columns()
         store.rows_for_address("0xaa")
-        store.intern("0xreader")            # interning alone is not ledger growth
+        store.intern_many(["0xreader"])     # interning alone is not ledger growth
         store.materialize(0)
         assert store.data_version == before
 
 
 class TestTimespan:
     def test_submitted_timespan_tracks_min_max(self):
-        store = ColumnarTxStore()
-        assert store.submitted_timespan() is None
-        store.append_tx(make_tx(0, timestamp=500.0))
-        store.append_tx(make_tx(1, timestamp=100.0))
-        assert store.submitted_timespan() == (100.0, 500.0)
+        ledger = Ledger()
+        assert ledger.store.submitted_timespan() is None
+        ledger.append_block(Block(0, 500.0, [make_tx(0, timestamp=500.0)]))
+        ledger.append_block(Block(1, 500.0, [make_tx(1, timestamp=100.0)]))
+        assert ledger.store.submitted_timespan() == (100.0, 500.0)
 
     def test_unsubmitted_rows_do_not_count(self):
-        store = ColumnarTxStore()
-        store.append_tx(make_tx(0, timestamp=500.0, submitted=False))
+        store = ledger_of(make_tx(0, timestamp=500.0, submitted=False)).store
         assert store.submitted_timespan() is None
 
 
@@ -247,6 +279,26 @@ class TestLedgerBoundary:
         assert rebuilt.timestamp == 1010.0
         assert rebuilt.transactions == block.transactions
 
+    def test_append_block_rebuilds_a_generated_ledger(self, small_ledger):
+        """Feeding a generated ledger's materialised blocks back through
+        ``append_block`` rebuilds its columns, hashes, block index and span."""
+        rebuilt = Ledger(genesis_timestamp=small_ledger.genesis_timestamp)
+        rebuilt.store.intern_many(small_ledger.store.addresses)
+        for block in small_ledger.blocks:
+            rebuilt.append_block(block)
+        assert rebuilt.store.addresses == small_ledger.store.addresses
+        a, b = rebuilt.tx_columns(), small_ledger.tx_columns()
+        for name, _ in COLUMNS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert rebuilt.store._explicit_hash_by_row == {}
+        assert rebuilt._block_numbers == small_ledger._block_numbers
+        assert rebuilt._block_timestamps == small_ledger._block_timestamps
+        assert rebuilt._block_bounds == small_ledger._block_bounds
+        assert rebuilt.timespan() == small_ledger.timespan()
+        assert rebuilt.data_version == small_ledger.num_blocks
+        assert list(rebuilt.transactions(include_unsubmitted=True)) == \
+            list(small_ledger.transactions(include_unsubmitted=True))
+
     def test_columnar_blocks_continue_numbering(self):
         ledger = Ledger()
         ledger.append_block(Block(4, 1000.0, [make_tx(0)]))
@@ -259,25 +311,6 @@ class TestLedgerBoundary:
         assert numbers == [4, 5, 6]
         assert [b.timestamp for b in ledger.blocks][1:] == [1200.0, 1300.0]
         assert ledger.num_transactions == 4
-
-
-COLUMNS = (("sender_id", np.int64), ("receiver_id", np.int64),
-           ("value", np.float64), ("gas_price", np.float64),
-           ("gas_used", np.int64), ("timestamp", np.float64),
-           ("is_contract_call", np.bool_), ("submitted", np.bool_),
-           ("block_number", np.int64))
-
-
-def _chunk(store, pairs):
-    """Append ``(sender, receiver)`` address pairs through the chunk path."""
-    sender_ids, receiver_ids = store.intern_pairs([s for s, _ in pairs],
-                                                  [r for _, r in pairs])
-    n = len(pairs)
-    return store.append_chunk(
-        sender_ids, receiver_ids, np.arange(n, dtype=float) + 1.0,
-        np.full(n, 20.0), np.full(n, 21_000), np.arange(n, dtype=float),
-        np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
-        np.zeros(n, dtype=np.int64))
 
 
 class TestGrowableColumns:
@@ -318,7 +351,7 @@ class TestGrowableColumns:
         store = ColumnarTxStore()
         _chunk(store, [("0xaa", "0xbb")])
         assert store.columns() is store.columns()
-        store.append_tx(make_tx(1))
+        _chunk(store, [("0xbb", "0xaa")])
         assert len(store.columns()) == 2
 
     def test_pickle_carries_only_the_live_rows(self):
@@ -336,10 +369,10 @@ class TestGrowableColumns:
 
 
 # Store programs over six addresses (indices 6 and 7 are interned only):
-# one Transaction (sender, receiver, value, submitted, explicit hash), a
-# chunk of (sender, receiver, value, submitted) rows through the store or
-# through Ledger.append_blocks_columnar, an intern, a read, a pickle round
-# trip, or a sync followed by Ledger.open.
+# a one-Transaction block through Ledger.append_block (sender, receiver,
+# value, submitted, explicit hash), a chunk of (sender, receiver, value,
+# submitted) rows through the store or through Ledger.append_blocks_columnar,
+# an intern, a read, a pickle round trip, or a sync followed by Ledger.open.
 _row = st.tuples(st.integers(0, 5), st.integers(0, 5),
                  st.floats(0.0, 100.0, allow_nan=False), st.booleans())
 store_op = st.one_of(
@@ -397,12 +430,13 @@ def test_store_programs_match_a_reference_concatenation(program):
             if kind == "tx":
                 (sender, receiver, value, submitted), explicit = op[1], op[2]
                 row = store.num_rows
-                store.append_tx(Transaction(
+                next_block = ledger._block_numbers[-1] + 1 if ledger.num_blocks else 0
+                ledger.append_block(Block(next_block, 1000.0 + row, [Transaction(
                     tx_hash=f"0xexplicit{row}" if explicit else f"0x{row:064x}",
                     sender=addresses[sender], receiver=addresses[receiver],
                     value=value, gas_price=20.0, gas_used=21_000,
                     timestamp=1000.0 + row, block_number=row,
-                    submitted=submitted))
+                    submitted=submitted)]))
                 expect([op[1]], [row])
             elif kind == "chunk" and op[2]:
                 rows = op[1]
@@ -432,7 +466,8 @@ def test_store_programs_match_a_reference_concatenation(program):
                     transactions_per_block=3)
                 expect(rows, [next_block + i // 3 for i in range(n)])
             elif kind == "intern":
-                assert store.intern(addresses[op[1]]) == intern(addresses[op[1]])
+                address = addresses[op[1]]
+                assert store.intern_many([address]).tolist() == [intern(address)]
             elif kind == "read":
                 cols = ledger.tx_columns()
                 check(cols)

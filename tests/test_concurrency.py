@@ -15,6 +15,7 @@ Three layers under test:
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
 import threading
 import time
@@ -427,6 +428,22 @@ def test_parallel_scorer_warm_replaces_a_stale_pool():
         assert scorer.score(addresses) == cold.score(addresses)
 
 
+@pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                    reason="the platform has no forkserver start method")
+def test_parallel_scorer_workers_start_from_a_forkserver(facade, served_addresses):
+    """Regression: pools forked the calling process, so a pool started on a
+    service's executor thread could fork while another thread held a lock,
+    which then stays held in the child.  Workers now come from a forkserver,
+    so none of them is a child of this process."""
+    with ParallelScorer(facade, max_workers=2) as scorer:
+        scorer.warm()
+        assert scorer._executor._mp_context.get_start_method() == "forkserver"
+        parents = {future.result() for future in [
+            scorer._executor.submit(os.getppid) for _ in range(4)]}
+        assert os.getpid() not in parents
+        assert scorer.score(served_addresses) == facade.score(served_addresses)
+
+
 def _crash_worker(addresses):
     """Stands in for the worker's chunk function: the process dies mid-batch."""
     os._exit(1)
@@ -730,8 +747,33 @@ def test_scoring_service_over_parallel_scorer(facade, served_addresses):
             return await svc.score_many(served_addresses)
 
     with ParallelScorer(facade, max_workers=2, chunk_size=4) as scorer:
-        # Fork the workers before the service's executor thread exists.
         scorer.warm()
         results = asyncio.run(main(scorer))
     for address, result in zip(served_addresses, results):
         assert result == expected[address]
+
+
+def test_scoring_service_over_a_warmed_scorer_follows_an_append():
+    """A service over a warmed scorer answers as a facade's score() does, and
+    after an append its next batch starts a fresh pool from the service's
+    executor thread, whose answers equal a cold facade's over the grown
+    ledger.  (The fitted facade itself re-serves cached scores of untouched
+    neighbours of an append, so it is not the reference after it.)"""
+    ledger, deanon, addresses = _fitted_on_a_private_ledger()
+
+    async def serve(scorer):
+        async with ScoringService(scorer) as svc:
+            return await svc.score_many(addresses)
+
+    with ParallelScorer(deanon, max_workers=2) as scorer:
+        scorer.warm()
+        before = asyncio.run(serve(scorer))
+        expected = deanon.score(addresses)
+        assert before == [expected[address] for address in addresses]
+        stale = scorer._executor
+        append_block_touching(ledger, addresses[:3])
+        after = asyncio.run(serve(scorer))
+        assert scorer._executor is not stale
+    expected = DeAnonymizer(ledger).set_state(deanon.get_state()).score(addresses)
+    assert after == [expected[address] for address in addresses]
+    assert after != before

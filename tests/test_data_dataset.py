@@ -6,6 +6,8 @@ import pytest
 from repro.chain import AccountCategory
 from repro.data import DatasetConfig, SubgraphDatasetBuilder
 
+from tests._dense_reference import time_slice_adjacency_dense
+
 
 class TestDatasetBuilder:
     def test_every_labelled_account_becomes_a_sample(self, small_ledger, small_dataset):
@@ -66,6 +68,9 @@ class TestAccountSubgraph:
         slices = sample.time_slices(6)
         assert len(slices) == 6
         assert all(m.shape == (sample.num_nodes, sample.num_nodes) for m in slices)
+        dense = time_slice_adjacency_dense(sample.graph, 6)
+        for sparse_slice, dense_slice in zip(slices, dense):
+            np.testing.assert_array_equal(sparse_slice.to_dense(), dense_slice)
 
 
 class TestTasks:

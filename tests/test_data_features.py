@@ -6,6 +6,13 @@ import pytest
 from repro.chain import Account, Block, Ledger, Transaction
 from repro.data import FEATURE_GROUPS, FEATURE_NAMES, DeepFeatureExtractor, category_feature_matrix
 
+from tests._feature_reference import reference_features
+
+
+def features_of(ledger: Ledger, address: str) -> dict:
+    """``address``'s Table I features by name, from the extractor's table."""
+    return dict(zip(FEATURE_NAMES, DeepFeatureExtractor(ledger).extract_many([address])[0]))
+
 
 def build_ledger_with_known_activity() -> Ledger:
     """A tiny ledger where every feature of account 0xaa can be computed by hand."""
@@ -27,10 +34,7 @@ def build_ledger_with_known_activity() -> Ledger:
 
 @pytest.fixture()
 def known_features():
-    ledger = build_ledger_with_known_activity()
-    extractor = DeepFeatureExtractor(ledger)
-    vector = extractor.extract("0xaa")
-    return dict(zip(FEATURE_NAMES, vector))
+    return features_of(build_ledger_with_known_activity(), "0xaa")
 
 
 class TestFeatureDefinitions:
@@ -72,12 +76,11 @@ class TestFeatureDefinitions:
     def test_inactive_account_is_all_zero(self):
         ledger = build_ledger_with_known_activity()
         ledger.add_account(Account("0xdd"))
-        vector = DeepFeatureExtractor(ledger).extract("0xdd")
-        np.testing.assert_allclose(vector, np.zeros(15))
+        vector = DeepFeatureExtractor(ledger).extract_many(["0xdd"])[0]
+        np.testing.assert_array_equal(vector, np.zeros(15))
 
     def test_single_transaction_has_zero_intervals(self):
-        ledger = build_ledger_with_known_activity()
-        features = dict(zip(FEATURE_NAMES, DeepFeatureExtractor(ledger).extract("0xcc")))
+        features = features_of(build_ledger_with_known_activity(), "0xcc")
         assert features["min_STI"] == 0.0 and features["max_STI"] == 0.0
 
     def test_extract_many_stacks_rows(self):
@@ -90,11 +93,16 @@ class TestFeatureDefinitions:
         assert DeepFeatureExtractor(ledger).extract_many([]).shape == (0, 15)
 
     def test_restricted_transaction_list(self):
+        """The reference over a transaction subset equals the table of a
+        ledger that holds only that subset."""
         ledger = build_ledger_with_known_activity()
-        extractor = DeepFeatureExtractor(ledger)
         subset = ledger.transactions_for("0xaa")[:1]
-        vector = extractor.extract("0xaa", transactions=subset)
+        vector = reference_features(ledger, "0xaa", transactions=subset)
         assert dict(zip(FEATURE_NAMES, vector))["NTS"] == 1
+        restricted = Ledger()
+        restricted.append_block(Block(0, 3000.0, subset))
+        np.testing.assert_array_equal(
+            vector, DeepFeatureExtractor(restricted).extract_many(["0xaa"])[0])
 
 
 class TestSelfTransferCounting:
@@ -115,8 +123,7 @@ class TestSelfTransferCounting:
         return ledger
 
     def test_self_transfer_counts_once_per_role(self):
-        ledger = self.build_self_transfer_ledger()
-        features = dict(zip(FEATURE_NAMES, DeepFeatureExtractor(ledger).extract("0xaa")))
+        features = features_of(self.build_self_transfer_ledger(), "0xaa")
         assert features["NTS"] == 2            # the self-transfer + the send
         assert features["STV"] == pytest.approx(8.0)
         assert features["NTR"] == 1            # the self-transfer, once
@@ -129,14 +136,12 @@ class TestSelfTransferCounting:
 
     def test_extract_many_parity_with_self_transfers(self):
         ledger = self.build_self_transfer_ledger()
-        extractor = DeepFeatureExtractor(ledger)
-        looped = np.vstack([extractor.extract(a) for a in ("0xaa", "0xbb")])
+        looped = np.vstack([reference_features(ledger, a) for a in ("0xaa", "0xbb")])
         batched = DeepFeatureExtractor(ledger).extract_many(["0xaa", "0xbb"])
         np.testing.assert_array_equal(looped, batched)
 
     def test_intervals_see_self_transfer_once(self):
-        ledger = self.build_self_transfer_ledger()
-        features = dict(zip(FEATURE_NAMES, DeepFeatureExtractor(ledger).extract("0xaa")))
+        features = features_of(self.build_self_transfer_ledger(), "0xaa")
         # Send timestamps are [1000, 1500]: one 500s gap (a duplicated
         # self-transfer would have produced a spurious 0s minimum gap).
         assert features["min_STI"] == pytest.approx(500.0)

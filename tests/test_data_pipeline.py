@@ -1,17 +1,15 @@
-"""Tests for transaction filtering, graph building and time slicing."""
+"""Tests for filtering, graph building and time slicing."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chain import Transaction
-from repro.data import (
-    build_transaction_graph,
-    filter_transactions,
-    time_slice_adjacency,
-    transaction_evolution_times,
-)
+from repro.chain import Block, Ledger, Transaction
+from repro.data import build_transaction_graph, transaction_evolution_times
 from repro.graph import TxGraph
+
+from tests._dense_reference import time_slice_adjacency_dense
+from tests._dict_reference import DictGraphReference
 
 
 def make_tx(i, sender="0xaa", receiver="0xbb", value=1.0, submitted=True):
@@ -19,23 +17,46 @@ def make_tx(i, sender="0xaa", receiver="0xbb", value=1.0, submitted=True):
                        1000.0 + i, submitted=submitted)
 
 
+def ledger_of(*txs) -> Ledger:
+    """A hand-built ledger holding ``txs`` as one block."""
+    ledger = Ledger()
+    ledger.append_block(Block(0, 2000.0, list(txs)))
+    return ledger
+
+
+def edge_tuples(graph) -> list[tuple]:
+    return [(e.src, e.dst, e.amount, e.count, e.timestamp) for e in graph.edges]
+
+
 class TestFilterTransactions:
+    """Rows the graph build drops (Section III-B1) add no edge."""
+
     def test_drops_unsubmitted(self):
-        kept = filter_transactions([make_tx(0), make_tx(1, submitted=False)])
-        assert len(kept) == 1
+        graph = build_transaction_graph(ledger_of(
+            make_tx(0), make_tx(1, sender="0xcc", receiver="0xdd", submitted=False)))
+        assert edge_tuples(graph) == [("0xaa", "0xbb", 1.0, 1, 1000.0)]
+        assert graph.nodes == ["0xaa", "0xbb"]
 
     def test_drops_self_transfers(self):
-        kept = filter_transactions([make_tx(0, sender="0xaa", receiver="0xaa")])
-        assert kept == []
+        graph = build_transaction_graph(ledger_of(
+            make_tx(0, sender="0xaa", receiver="0xaa")))
+        assert graph.num_edges == 0 and graph.num_nodes == 0
 
     def test_min_value_threshold(self):
-        kept = filter_transactions([make_tx(0, value=0.001), make_tx(1, value=5.0)],
-                                   min_value=0.01)
-        assert len(kept) == 1 and kept[0].value == 5.0
+        """A transfer under ``min_value`` is dropped; one at it is kept."""
+        ledger = ledger_of(make_tx(0, value=0.001),
+                           make_tx(1, sender="0xcc", value=5.0),
+                           make_tx(2, sender="0xdd", value=0.01))
+        graph = build_transaction_graph(ledger, min_value=0.01)
+        assert edge_tuples(graph) == [("0xcc", "0xbb", 5.0, 1, 1001.0),
+                                      ("0xdd", "0xbb", 0.01, 1, 1002.0)]
 
     def test_keeps_order(self):
-        kept = filter_transactions([make_tx(i) for i in range(5)])
-        assert [t.tx_hash for t in kept] == [f"0x{i}" for i in range(5)]
+        receivers = ["0xb4", "0xb1", "0xb3", "0xb0", "0xb2"]
+        graph = build_transaction_graph(ledger_of(
+            *[make_tx(i, receiver=r) for i, r in enumerate(receivers)]))
+        assert [e.dst for e in graph.edges] == receivers
+        assert [e.timestamp for e in graph.edges] == [1000.0 + i for i in range(5)]
 
 
 class TestBuildTransactionGraph:
@@ -64,25 +85,31 @@ class TestBuildTransactionGraph:
         assert graph_value == pytest.approx(submitted_value, rel=1e-6)
 
 
+def reference_graph(ledger, min_value: float = 0.0) -> DictGraphReference:
+    """Sequential ``add_edge`` calls over the ledger's materialised
+    transactions, under the build's filter."""
+    reference = DictGraphReference()
+    for tx in ledger.transactions(include_unsubmitted=True):
+        if tx.submitted and tx.sender != tx.receiver and tx.value >= min_value:
+            reference.add_edge(tx.sender, tx.receiver, amount=tx.value, count=1,
+                               timestamp=tx.timestamp)
+    return reference
+
+
 class TestColumnarGraphParity:
-    """The columnar bulk ingest must produce a bit-identical graph."""
+    """The columnar ingest equals a per-transaction reference, bit for bit."""
 
-    def test_bit_identical_to_object_path(self, small_ledger):
-        columnar = build_transaction_graph(small_ledger, columnar=True)
-        objects = build_transaction_graph(small_ledger, columnar=False)
-        assert columnar.nodes == objects.nodes
-        assert [(e.src, e.dst) for e in columnar.edges] \
-            == [(e.src, e.dst) for e in objects.edges]
-        for ec, eo in zip(columnar.edges, objects.edges):
-            assert ec.amount == eo.amount        # bitwise, no approx
-            assert ec.count == eo.count
-            assert ec.timestamp == eo.timestamp
-
-    def test_min_value_filter_matches(self, small_ledger):
-        columnar = build_transaction_graph(small_ledger, min_value=0.5, columnar=True)
-        objects = build_transaction_graph(small_ledger, min_value=0.5, columnar=False)
-        assert columnar.nodes == objects.nodes
-        assert columnar.num_edges == objects.num_edges
+    @pytest.mark.parametrize("min_value", [0.0, 0.5])
+    def test_bit_identical_to_sequential_reference(self, small_ledger, min_value):
+        graph = build_transaction_graph(small_ledger, min_value=min_value)
+        reference = reference_graph(small_ledger, min_value=min_value)
+        assert graph.nodes == reference.nodes
+        assert graph.num_edges == reference.num_edges
+        got, expected = edge_tuples(graph), edge_tuples(reference)
+        assert [e[:2] for e in got] == [e[:2] for e in expected]
+        for column in (2, 3, 4):        # amount, count, timestamp: bytes, no approx
+            assert (np.array([e[column] for e in got]).tobytes()
+                    == np.array([e[column] for e in expected]).tobytes())
 
     def test_nodes_are_plain_strings(self, small_ledger):
         graph = build_transaction_graph(small_ledger)
@@ -111,38 +138,38 @@ class TestEvolutionTimes:
 
 class TestTimeSlices:
     def test_number_and_shape_of_slices(self, toy_graph):
-        slices = time_slice_adjacency(toy_graph, 4)
+        slices = time_slice_adjacency_dense(toy_graph, 4)
         assert len(slices) == 4
         assert all(s.shape == (5, 5) for s in slices)
 
     def test_slices_are_symmetric(self, toy_graph):
-        for matrix in time_slice_adjacency(toy_graph, 3):
+        for matrix in time_slice_adjacency_dense(toy_graph, 3):
             np.testing.assert_allclose(matrix, matrix.T)
 
     def test_every_edge_lands_in_exactly_one_slice(self, toy_graph):
-        slices = time_slice_adjacency(toy_graph, 4, weighted=False)
+        slices = time_slice_adjacency_dense(toy_graph, 4, weighted=False)
         total_mass = sum(s.sum() for s in slices)
         assert total_mass == pytest.approx(2 * toy_graph.num_edges)  # symmetrised
 
     def test_union_matches_static_adjacency(self, toy_graph):
-        slices = time_slice_adjacency(toy_graph, 5, weighted=True)
+        slices = time_slice_adjacency_dense(toy_graph, 5, weighted=True)
         combined = (np.sum(slices, axis=0) > 0).astype(float)
         static = toy_graph.adjacency_matrix(symmetric=True)
         np.testing.assert_allclose(combined, (static > 0).astype(float))
 
     def test_cumulative_slices_grow_monotonically(self, toy_graph):
-        slices = time_slice_adjacency(toy_graph, 4, cumulative=True)
+        slices = time_slice_adjacency_dense(toy_graph, 4, cumulative=True)
         for earlier, later in zip(slices[:-1], slices[1:]):
             assert np.all(later >= earlier)
 
     def test_single_slice_equals_full_graph(self, toy_graph):
-        matrix = time_slice_adjacency(toy_graph, 1, weighted=True)[0]
+        matrix = time_slice_adjacency_dense(toy_graph, 1, weighted=True)[0]
         expected = toy_graph.adjacency_matrix(weighted=True, symmetric=False)
         np.testing.assert_allclose(matrix, expected + expected.T)
 
     def test_zero_slices_raises(self, toy_graph):
         with pytest.raises(ValueError):
-            time_slice_adjacency(toy_graph, 0)
+            time_slice_adjacency_dense(toy_graph, 0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -152,5 +179,5 @@ def test_slice_mass_is_conserved_for_any_slice_count(num_slices):
     g.add_edge("a", "b", amount=2.0, timestamp=10.0)
     g.add_edge("b", "c", amount=3.0, timestamp=20.0)
     g.add_edge("c", "a", amount=4.0, timestamp=30.0)
-    slices = time_slice_adjacency(g, num_slices, weighted=True)
+    slices = time_slice_adjacency_dense(g, num_slices, weighted=True)
     assert sum(s.sum() for s in slices) == pytest.approx(2 * (2.0 + 3.0 + 4.0))

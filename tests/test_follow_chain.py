@@ -23,6 +23,7 @@ from repro.data import (
 )
 
 from tests._dict_reference import DictGraphReference
+from tests._feature_reference import reference_features
 
 DATASET_CONFIG = DatasetConfig(top_k=30, max_nodes_per_subgraph=40, seed=3)
 
@@ -263,16 +264,17 @@ class TestFeatureTableRefresh:
             assert graph._in_slots.tobytes() == \
                 np.argsort(graph._dst[:m], kind="stable").tobytes()
 
-    def test_extract_reflects_appended_transactions(self):
+    def test_extract_many_reflects_appended_transactions(self):
         ledger = fresh_ledger(seed=3)
         extractor = DeepFeatureExtractor(ledger)
         address = ledger.store.addresses[0]
-        stale = extractor.extract(address).copy()
+        stale = extractor.extract_many([address])[0].copy()
         append_block_touching(ledger, [address])
-        fresh = extractor.extract(address)
+        fresh = extractor.extract_many([address])[0]
         assert not np.array_equal(fresh, stale)
         np.testing.assert_array_equal(
-            fresh, DeepFeatureExtractor(ledger).extract(address))
+            fresh, DeepFeatureExtractor(ledger).extract_many([address])[0])
+        np.testing.assert_array_equal(fresh, reference_features(ledger, address))
 
 
 class TestServingRefresh:

@@ -14,7 +14,7 @@ import pytest
 from repro.core.augmentation import AugmentationConfig, adaptive_augmentation
 from repro.core.gsg import GSGConfig, _GSGNetwork
 from repro.core.ldg import LDGConfig, _LDGNetwork
-from repro.data.slicing import time_slice_adjacency, time_slice_csr
+from repro.data.slicing import time_slice_csr
 from repro.gnn import (
     APPNPPropagation,
     GATLayer,
@@ -242,8 +242,8 @@ class TestTimeSliceParity:
     def test_csr_slicer_matches_dense(self, small_dataset, toy_graph,
                                       weighted, cumulative):
         for graph in self.slicer_cases(small_dataset, toy_graph):
-            dense = time_slice_adjacency(graph, 5, weighted=weighted,
-                                         cumulative=cumulative)
+            dense = dense_ref.time_slice_adjacency_dense(
+                graph, 5, weighted=weighted, cumulative=cumulative)
             sparse = time_slice_csr(graph, 5, weighted=weighted,
                                     cumulative=cumulative)
             assert len(sparse) == len(dense) == 5
@@ -258,7 +258,7 @@ class TestTimeSliceParity:
         graph = TxGraph()
         graph.add_edge("a", "b", amount=1.0, timestamp=50.0)
         graph.add_edge("b", "c", amount=2.0, timestamp=50.0)
-        dense = time_slice_adjacency(graph, 4)
+        dense = dense_ref.time_slice_adjacency_dense(graph, 4)
         sparse = time_slice_csr(graph, 4)
         assert sparse[0].nnz == 4   # two undirected edges, both directions
         for sp, dn in zip(sparse, dense):
@@ -282,7 +282,7 @@ class TestTimeSliceParity:
         graph = TxGraph()
         graph.add_edge("a", "a", amount=3.0, timestamp=1.0)
         graph.add_edge("a", "b", amount=1.0, timestamp=2.0)
-        dense = time_slice_adjacency(graph, 2)
+        dense = dense_ref.time_slice_adjacency_dense(graph, 2)
         sparse = time_slice_csr(graph, 2)
         assert dense[0][0, 0] == pytest.approx(6.0)
         for sp, dn in zip(sparse, dense):
@@ -294,9 +294,9 @@ class TestTimeSliceParity:
 
     def test_sample_sparse_slices_cached(self, small_dataset):
         sample = small_dataset[0]
-        first = sample.time_slices(4, weighted=False, sparse=True)
-        assert first is sample.time_slices(4, weighted=False, sparse=True)
-        dense = sample.time_slices(4, weighted=False)
+        first = sample.time_slices(4, weighted=False)
+        assert first is sample.time_slices(4, weighted=False)
+        dense = dense_ref.time_slice_adjacency_dense(sample.graph, 4, weighted=False)
         for sp, dn in zip(first, dense):
             np.testing.assert_allclose(sp.to_dense(), dn, atol=ATOL, rtol=0)
 
@@ -382,9 +382,10 @@ def _train_one_step_ldg(samples, labels, prepare_dense: bool):
     def forward(sample):
         features = (sample.node_features - mean) / std
         if prepare_dense:
-            slices = sample.time_slices(cfg.num_slices, weighted=False)
+            slices = dense_ref.time_slice_adjacency_dense(
+                sample.graph, cfg.num_slices, weighted=False)
             return dense_ref.ldg_forward(network, features, slices)
-        slices = sample.time_slices(cfg.num_slices, weighted=False, sparse=True)
+        slices = sample.time_slices(cfg.num_slices, weighted=False)
         return network(features, slices)
 
     for idx in indices:

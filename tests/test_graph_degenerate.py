@@ -19,9 +19,10 @@ from repro.core.augmentation import (
     _node_centrality_sparse,
     adaptive_augmentation,
 )
-from repro.data.slicing import time_slice_adjacency, time_slice_csr
+from repro.data.slicing import time_slice_csr
 from repro.graph import TxGraph, ego_subgraph
 
+from tests._dense_reference import time_slice_adjacency_dense
 from tests._dict_reference import DictGraphReference
 
 
@@ -61,8 +62,8 @@ class TestSlicerParity:
     @pytest.mark.parametrize("cumulative", [True, False])
     def test_csr_equals_dense(self, builder, num_slices, weighted, cumulative):
         graph = builder()
-        dense = time_slice_adjacency(graph, num_slices, weighted=weighted,
-                                     cumulative=cumulative)
+        dense = time_slice_adjacency_dense(graph, num_slices, weighted=weighted,
+                                           cumulative=cumulative)
         sparse = time_slice_csr(graph, num_slices, weighted=weighted,
                                 cumulative=cumulative)
         assert len(dense) == len(sparse) == num_slices
@@ -71,7 +72,7 @@ class TestSlicerParity:
 
     def test_same_timestamp_edges_all_land_in_first_slice(self):
         graph = same_timestamp_graph()
-        slices = time_slice_adjacency(graph, 4, weighted=True)
+        slices = time_slice_adjacency_dense(graph, 4, weighted=True)
         assert slices[0].sum() > 0
         for later in slices[1:]:
             assert later.sum() == 0.0
@@ -82,7 +83,7 @@ MEASURES = ["degree", "eigenvector", "pagerank"]
 
 def _dense_and_csr(graph: TxGraph):
     """The graph's single unweighted time slice, dense and CSR."""
-    return (time_slice_adjacency(graph, 1, weighted=False)[0],
+    return (time_slice_adjacency_dense(graph, 1, weighted=False)[0],
             time_slice_csr(graph, 1, weighted=False)[0])
 
 

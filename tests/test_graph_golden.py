@@ -2,8 +2,10 @@
 
 The digests below were produced by the scenario-engine generator of PR 8
 (vectorised RNG layout, nine categories) on a small seeded ledger and pin
-three artefacts bit-for-bit:
+four artefacts bit-for-bit:
 
+* the generated ledger itself: its interning table, all nine transaction
+  columns and its block numbers, timestamps and row bounds,
 * the serialized edge columns of the global transaction graph (node order,
   src/dst indices, amounts, counts, merged timestamps),
 * the single-pass deep-feature table over every graph node, and
@@ -31,6 +33,8 @@ from repro.graph.sampling import ego_subgraph
 GOLDEN_SCALE = 0.25
 GOLDEN_SEED = 11
 
+GOLDEN_LEDGER_SHA = \
+    "ef890e68c30736a07abb327b9da8402d4fda3cbeeb2a1f1e7ea3c55c3a1d3458"
 GOLDEN_EDGE_COLUMNS_SHA = \
     "772ce7e3852ca7097cfb26b3b834e75d31860a3732474adf2ce7a88c5d886293"
 GOLDEN_FEATURE_TABLE_SHA = \
@@ -49,6 +53,28 @@ def golden_ledger():
 @pytest.fixture(scope="module")
 def golden_graph(golden_ledger):
     return build_transaction_graph(golden_ledger)
+
+
+def ledger_digest(ledger) -> str:
+    """SHA-256 over the interning table, the nine transaction columns in
+    store order, and the block numbers, timestamps and row bounds."""
+    blob = hashlib.sha256()
+    blob.update("\n".join(ledger.store.addresses).encode())
+    cols = ledger.tx_columns()
+    for name in ("sender_id", "receiver_id", "value", "gas_price", "gas_used",
+                 "timestamp", "is_contract_call", "submitted", "block_number"):
+        blob.update(getattr(cols, name).tobytes())
+    blob.update(np.array(ledger._block_numbers, dtype=np.int64).tobytes())
+    blob.update(np.array(ledger._block_timestamps, dtype=np.float64).tobytes())
+    blob.update(np.array(ledger._block_bounds, dtype=np.int64).tobytes())
+    return blob.hexdigest()
+
+
+def test_ledger_digest(golden_ledger):
+    """Recorded while a per-``Transaction`` assembly loop still sat beside the
+    column-wise one; both generated this ledger (2,048 rows, 41 blocks)."""
+    assert golden_ledger.num_transactions == 2048
+    assert ledger_digest(golden_ledger) == GOLDEN_LEDGER_SHA
 
 
 def serialize_edge_columns(graph) -> bytes:

@@ -4,7 +4,7 @@ Property-style checks on randomized graphs compare every indexed traversal
 (``neighbors``, ``degree``, ``out_edges``, ``in_edges``, ``subgraph``,
 ``to_csr``) against the :meth:`TxGraph.to_networkx` view and the dense
 adjacency, and a regression test pins ``extract_many`` to the per-account
-``extract`` loop bit for bit.
+scalar reference in ``tests/_feature_reference.py`` bit for bit.
 """
 
 import numpy as np
@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.features import DeepFeatureExtractor
 from repro.graph import TxGraph
+
+from tests._feature_reference import reference_features
 
 
 edge_lists = st.lists(
@@ -162,9 +164,8 @@ class TestEdgeAPI:
 
 class TestExtractManyParity:
     def test_extract_many_bit_identical_to_loop(self, small_ledger):
-        extractor = DeepFeatureExtractor(small_ledger)
         addresses = [account.address for account in small_ledger.accounts]
-        looped = np.vstack([extractor.extract(a) for a in addresses])
+        looped = np.vstack([reference_features(small_ledger, a) for a in addresses])
         batched = DeepFeatureExtractor(small_ledger).extract_many(addresses)
         np.testing.assert_array_equal(looped, batched)
 
@@ -174,7 +175,7 @@ class TestExtractManyParity:
         batched = extractor.extract_many([known, "0xunknown", known])
         np.testing.assert_array_equal(batched[0], batched[2])
         np.testing.assert_array_equal(batched[1], np.zeros(15))
-        np.testing.assert_array_equal(batched[0], extractor.extract(known))
+        np.testing.assert_array_equal(batched[0], reference_features(small_ledger, known))
 
     def test_extract_many_cache_invalidates_on_ledger_growth(self, small_ledger):
         import copy
@@ -193,5 +194,5 @@ class TestExtractManyParity:
                         timestamp=t_max + 60.0, block_number=last_number + 1)]))
         after = extractor.extract_many(addresses)
         assert not np.array_equal(before, after)
-        looped = np.vstack([extractor.extract(a) for a in addresses])
+        looped = np.vstack([reference_features(ledger, a) for a in addresses])
         np.testing.assert_array_equal(after, looped)
