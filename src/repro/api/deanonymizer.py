@@ -397,8 +397,8 @@ class DeAnonymizer:
     def warm(self, freeze: bool = False) -> "DeAnonymizer":
         """Eagerly build every shared structure the scoring path reads.
 
-        Builds the global transaction graph with its pair->slot dict and row
-        index, plus the extractor's single-pass feature table, so a pool of
+        Builds the global transaction graph with its row index, plus the
+        extractor's single-pass feature table, so a pool of
         concurrent scoring threads never contends on a first-build lock.
         ``freeze=True`` additionally seals the graph against mutation
         (:meth:`TxGraph.freeze <repro.graph.txgraph.TxGraph.freeze>`), the

@@ -50,7 +50,7 @@ class _GRITNetwork(Module):
         self.head = Linear(hidden_dim, 1, rng=rng)
 
     def forward(self, features: np.ndarray, sample: AccountSubgraph) -> Tensor:
-        adjacency = sample.adjacency()
+        adjacency = sample.adjacency_sparse().to_dense()
         degrees = adjacency.sum(axis=1, keepdims=True)
         scaled_degrees = degrees / max(degrees.max(), 1.0)
         inputs = np.hstack([features, scaled_degrees, (degrees > 0).astype(float)])
@@ -108,25 +108,22 @@ class BERT4ETHClassifier(_TrainedGNNBaseline):
         self.max_sequence_length = max_sequence_length
 
     def _tokenize(self, sample: AccountSubgraph) -> np.ndarray:
-        center = sample.center
-        edges = [edge for edge in sample.graph.edges
-                 if edge.src == center or edge.dst == center]
-        edges.sort(key=lambda e: e.timestamp)
-        edges = edges[-self.max_sequence_length:]
-        if not edges:
+        graph = sample.graph
+        center = graph.node_index(sample.center)
+        src, dst, amount, count, stamps = graph.edge_arrays()
+        slots = np.flatnonzero((src == center) | (dst == center))
+        slots = slots[np.argsort(stamps[slots], kind="stable")]
+        slots = slots[-self.max_sequence_length:]
+        if not len(slots):
             return np.zeros((1, 4))
-        timestamps = np.array([e.timestamp for e in edges])
+        timestamps = stamps[slots]
         span = (timestamps.max() - timestamps.min()) or 1.0
-        tokens = []
-        for edge in edges:
-            direction = 1.0 if edge.src == center else -1.0
-            tokens.append([
-                np.log1p(edge.amount),
-                np.log1p(edge.count),
-                direction,
-                (edge.timestamp - timestamps.min()) / span,
-            ])
-        return np.asarray(tokens)
+        return np.column_stack([
+            np.log1p(amount[slots]),
+            np.log1p(count[slots]),
+            np.where(src[slots] == center, 1.0, -1.0),
+            (timestamps - timestamps.min()) / span,
+        ])
 
     def _build_network(self, in_dim: int, rng: np.random.Generator) -> Module:
         del in_dim  # tokens have a fixed width of 4

@@ -21,7 +21,9 @@ append costs O(appended rows), amortised, and a read after it costs O(1).
 
 Transaction hashes are stored sparsely: a row's hash defaults to the
 canonical ``0x{row:064x}`` pattern the generator emits, and only hashes that
-deviate from it (hand-built ledgers) occupy dictionary entries.
+deviate from it (hand-built ledgers) occupy dictionary entries.  Every hash
+names one row: an append whose explicit hash is already taken, repeats, or
+spells another row's derived hash raises before it writes anything.
 """
 
 from __future__ import annotations
@@ -72,6 +74,21 @@ class TxColumns:
 def _derived_hash(row: int) -> str:
     """The canonical generator hash of global row ``row``."""
     return f"0x{row:064x}"
+
+
+def _derived_row(tx_hash: str) -> int | None:
+    """The row whose canonical derived hash ``tx_hash`` is, else ``None``.
+
+    Only the canonical spelling (lowercase, zero-padded) counts: another
+    spelling of the same integer names no row.
+    """
+    if len(tx_hash) != 66 or not tx_hash.startswith("0x"):
+        return None
+    try:
+        row = int(tx_hash, 16)
+    except ValueError:
+        return None
+    return row if tx_hash == _derived_hash(row) else None
 
 
 class ColumnarTxStore:
@@ -219,8 +236,10 @@ class ColumnarTxStore:
         :meth:`intern_many`): an id that is negative or past the interning
         table raises ``ValueError``.  ``tx_hashes=None`` means every appended
         row uses the derived ``0x{row:064x}`` hash — the generator's
-        convention — and costs no per-row storage.  The rows are copied into
-        the column buffers: O(chunk rows), amortised.
+        convention — and costs no per-row storage.  An explicit hash must
+        name its row alone (see :meth:`_explicit_hashes`).  Every check runs
+        before anything is written.  The rows are copied into the column
+        buffers: O(chunk rows), amortised.
         """
         chunk = {name: np.asarray(column, dtype=dtype) for (name, dtype), column in zip(
             _COLUMN_DTYPES, (sender_ids, receiver_ids, values, gas_prices, gas_used,
@@ -233,14 +252,9 @@ class ColumnarTxStore:
                   >= len(self._addresses)):
             raise ValueError("sender/receiver ids must be interned before append_chunk")
         first_row = self._filled
-        if tx_hashes is not None:
-            if len(tx_hashes) != n:
-                raise ValueError("tx_hashes length must match the chunk length")
-            for offset, tx_hash in enumerate(tx_hashes):
-                row = first_row + offset
-                if tx_hash != _derived_hash(row):
-                    self._explicit_hash_by_row[row] = tx_hash
-                    self._row_by_explicit_hash[tx_hash] = row
+        explicit = self._explicit_hashes(tx_hashes, first_row, n)
+        self._row_by_explicit_hash.update(explicit)
+        self._explicit_hash_by_row.update(zip(explicit.values(), explicit))
         stamps = chunk["timestamp"][chunk["submitted"]]
         if len(stamps):
             ts_min, ts_max = float(stamps.min()), float(stamps.max())
@@ -252,6 +266,32 @@ class ColumnarTxStore:
             self._write_rows(chunk, n)
         self._data_version += 1
         return first_row
+
+    def _explicit_hashes(self, tx_hashes: Sequence[str] | None, first_row: int,
+                         n: int) -> dict[str, int]:
+        """Hash -> row for the chunk's hashes that are not their row's derived one.
+
+        Raises ``ValueError`` when such a hash repeats within the chunk, is
+        already another row's explicit hash, or is the canonical derived hash
+        of any other row, earlier or later.  The last rule keeps every
+        derived hash unique without a check per appended row.
+        """
+        if tx_hashes is None:
+            return {}
+        if len(tx_hashes) != n:
+            raise ValueError("tx_hashes length must match the chunk length")
+        explicit: dict[str, int] = {}
+        for row, tx_hash in enumerate(tx_hashes, first_row):
+            if tx_hash == _derived_hash(row):
+                continue
+            if tx_hash in self._row_by_explicit_hash or tx_hash in explicit:
+                raise ValueError(f"transaction hash {tx_hash!r} already names a row")
+            other = _derived_row(tx_hash)
+            if other is not None:
+                raise ValueError(f"transaction hash {tx_hash!r} is the derived hash "
+                                 f"of row {other}, not of row {row}")
+            explicit[tx_hash] = row
+        return explicit
 
     def _write_rows(self, chunk: dict, n: int) -> None:
         """Copy ``n`` rows into the buffers past the live ones.
@@ -309,17 +349,10 @@ class ColumnarTxStore:
         row = self._row_by_explicit_hash.get(tx_hash)
         if row is not None:
             return row
-        if (len(tx_hash) == 66 and tx_hash.startswith("0x")):
-            try:
-                row = int(tx_hash, 16)
-            except ValueError:
-                row = -1
-            # A derived-pattern hash only matches a row that kept its default,
-            # and only in its canonical spelling (lowercase, zero-padded) —
-            # alternative spellings of the same integer are unknown hashes.
-            if (0 <= row < self._filled and row not in self._explicit_hash_by_row
-                    and tx_hash == _derived_hash(row)):
-                return row
+        # A derived hash only matches a row that kept its default.
+        row = _derived_row(tx_hash)
+        if row is not None and row < self._filled and row not in self._explicit_hash_by_row:
+            return row
         raise KeyError(tx_hash)
 
     # --------------------------------------------------------- materialising

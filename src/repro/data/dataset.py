@@ -86,13 +86,9 @@ class AccountSubgraph:
     def num_edges(self) -> int:
         return self.graph.num_edges
 
-    def adjacency(self, weighted: bool = False) -> np.ndarray:
-        """Symmetric adjacency matrix for message passing."""
-        return self.graph.adjacency_matrix(weighted=weighted, symmetric=True)
-
     def adjacency_sparse(self, weighted: bool = False,
                          log_scale: bool = False) -> SparseAdjacency:
-        """Cached CSR view of :meth:`adjacency` (same symmetric ``max(A, A.T)``).
+        """The symmetric ``max(A, A.T)`` adjacency for message passing, cached.
 
         ``log_scale=True`` applies ``log1p`` to the stored values (the
         amount-weighted variant used by TSGN-style baselines); since amounts are
@@ -112,10 +108,6 @@ class AccountSubgraph:
                                                  np.log1p(cached.data))
                     self._sparse_cache[key] = cached
         return cached
-
-    def edge_features(self) -> np.ndarray:
-        """Edge feature matrix ``[total amount, count]`` (Section III-B3)."""
-        return self.graph.edge_feature_matrix()
 
     def node_edge_features(self) -> np.ndarray:
         """Per-node aggregate of incident edge features ``[amount, count]``.
@@ -315,8 +307,8 @@ class SubgraphDatasetBuilder:
     def warm(self, freeze: bool = False) -> "SubgraphDatasetBuilder":
         """Eagerly build every shared lazy structure the sampling path reads.
 
-        Builds the global graph, its pair/row indexes (:meth:`TxGraph.warm`)
-        and the extractor's single-pass feature table, so a pool of sampling
+        Builds the global graph, its row index (:meth:`TxGraph.warm`) and
+        the extractor's single-pass feature table, so a pool of sampling
         threads never contends on a build lock.  After :meth:`refresh` this
         is the cheap incremental step: the new edges are merged into the row
         index and the table is carried forward over the appended rows.  With
@@ -339,21 +331,22 @@ class SubgraphDatasetBuilder:
         """
         return self._graph
 
-    def refresh(self) -> list[str]:
+    def refresh(self) -> np.ndarray:
         """Fold ledger rows appended since the graph build into the pipeline.
 
         Incrementally ingests the new rows into the cached global graph
         (:meth:`TxGraph.ingest` — O(new rows), bit-identical to a cold
-        rebuild) and returns the addresses incident to the new edges: the
-        invalidation set for per-account caches downstream.  The graph's row
+        rebuild) and returns the node ids incident to the new edges, sorted,
+        as one int64 array: the invalidation set for per-account caches
+        downstream.  The graph's row
         index and the extractor's feature table (keyed on ledger growth)
         catch up on their next read, or eagerly in :meth:`warm`, which is
         what :meth:`DeAnonymizer.refresh <repro.api.DeAnonymizer.refresh>`
         calls next.  Neither re-sorts nor re-reduces the whole ledger: the
         index merges the new slots in, and the table folds in only the
         appended rows.  With no cached graph yet — or no new rows — this is
-        a cheap no-op returning ``[]``; later builds see the full ledger
-        anyway.
+        a cheap no-op returning an empty array; later builds see the full
+        ledger anyway.
 
         Follows the graph's write contract: must not run concurrently with
         readers (freeze()d graphs refuse; warm()-only serving deployments
@@ -361,7 +354,7 @@ class SubgraphDatasetBuilder:
         """
         graph = self._graph
         if graph is None:
-            return []
+            return np.empty(0, dtype=np.int64)
         with self._graph_lock:
             return graph.ingest(self.ledger)
 
@@ -411,8 +404,9 @@ class SubgraphDatasetBuilder:
             for address in labelled_addresses]
         # Negative samples: unlabeled accounts with enough activity.
         n_negatives = int(round(len(labelled_addresses) * cfg.negatives_per_positive))
-        candidates = [node for node in graph.nodes
-                      if node not in self.ledger.labels and graph.degree(node) >= 2]
+        degrees = graph.degree_vector().tolist()
+        candidates = [node for node, degree in zip(graph.node_order, degrees)
+                      if node not in self.ledger.labels and degree >= 2]
         rng.shuffle(candidates)
         tasks.extend((address, None) for address in candidates[:n_negatives])
         return tasks

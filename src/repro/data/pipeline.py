@@ -22,8 +22,8 @@ def build_transaction_graph(ledger: Ledger, min_value: float = 0.0) -> TxGraph:
     the code :meth:`TxGraph.ingest` runs on an append, from row 0 into an
     empty graph: the filter mask, the merge and the timestamp means are all
     vectorised, and no ``Transaction`` object is materialised.  The result
-    equals sequential ``add_edge`` calls over the filtered transactions bit
-    for bit (pinned against ``tests/_dict_reference.py`` by
+    equals merging the filtered transactions one at a time, bit for bit
+    (pinned against ``tests/_dict_reference.py`` by
     ``tests/test_data_pipeline.py``).
 
     The built graph remembers how many ledger rows it consumed (and the dust

@@ -2,9 +2,8 @@
 
 :func:`time_slice_csr` builds :class:`~repro.graph.sparse.SparseAdjacency`
 slices directly from the edge arrays without ever allocating a dense matrix —
-the form the sparse LDG encoder consumes.  It reads :meth:`TxGraph.edge_arrays`
-— the graph's columnar edge store — so no :class:`~repro.graph.txgraph.Edge`
-object is materialised.  The seed's dense ``(n, n)`` slicer is kept as the
+the form the sparse LDG encoder consumes.  It reads :meth:`TxGraph.edge_arrays`,
+the graph's edge columns.  The seed's dense ``(n, n)`` slicer is kept as the
 parity reference in ``tests/_dense_reference.py``.
 
 Stacked scoring (:mod:`repro.core.inference`) builds a chunk's structure in
@@ -136,8 +135,7 @@ def block_adjacency(graphs: Sequence[TxGraph]) -> BatchedAdjacency:
     Block ``b`` equals ``SparseAdjacency.from_graph(graphs[b],
     symmetric=True)`` bit for bit: one ``from_coo`` over the doubled edges
     collapses each block's duplicate slots (reciprocal pairs) with
-    ``np.maximum``, as :meth:`TxGraph.to_csr` does, whose memo it leaves
-    untouched.
+    ``np.maximum``, as ``from_graph`` does per graph.
     """
     node_offsets, _edges, src, dst, _amount, _stamps = _block_edge_arrays(graphs)
     return _blocks(SparseAdjacency.from_coo(

@@ -11,46 +11,46 @@ from repro.graph.txgraph import TxGraph
 __all__ = ["random_walks", "node2vec_walks", "trans2vec_walks"]
 
 
-class _NeighborCache:
-    """Lazily sorted neighbour lists backed by the graph's adjacency index.
+def _incident_rows(graph: TxGraph) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each node's incident edges, in node order, from the row index.
 
-    Replaces the old eager full-graph ``_neighbor_map`` rebuild: each node's
-    neighbour list is materialised on first visit (O(deg log deg)), so a walk
-    that never reaches a node never pays for it.
+    A row is ``(others, slots)``: the node index at each edge's other end
+    and its edge slot, out-edges before in-edges, each in insertion order.
+    A self-loop is listed twice, once per direction.
     """
+    ids = np.arange(graph.num_nodes)
+    src, dst, _amount, _count, _ts = graph.edge_arrays()
+    out_slots, out_len = graph.gather_slots(ids)
+    in_slots, in_len = graph.gather_slots(ids, incoming=True)
+    owner = np.concatenate([np.repeat(ids, out_len), np.repeat(ids, in_len)])
+    order = np.argsort(owner, kind="stable")
+    others = np.concatenate([dst[out_slots], src[in_slots]])[order]
+    slots = np.concatenate([out_slots, in_slots])[order]
+    ends = np.cumsum(out_len + in_len).tolist()
+    return [(others[start:end], slots[start:end])
+            for start, end in zip([0] + ends[:-1], ends)]
 
-    def __init__(self, graph: TxGraph):
-        self._graph = graph
-        self._lists: dict[Hashable, list[Hashable]] = {}
-        self._sets: dict[Hashable, set[Hashable]] = {}
 
-    def options(self, node: Hashable) -> list[Hashable]:
-        options = self._lists.get(node)
-        if options is None:
-            options = sorted(self._graph.neighbors(node), key=str)
-            self._lists[node] = options
-        return options
-
-    def members(self, node: Hashable) -> set[Hashable]:
-        members = self._sets.get(node)
-        if members is None:
-            members = set(self.options(node))
-            self._sets[node] = members
-        return members
+def _neighbor_lists(graph: TxGraph) -> dict[Hashable, list[Hashable]]:
+    """Each node's neighbours in either direction, sorted by ``str`` (a
+    self-loop makes a node its own neighbour)."""
+    node_order = graph.node_order
+    return {node: sorted(map(node_order.__getitem__, set(others.tolist())), key=str)
+            for node, (others, _slots) in zip(node_order, _incident_rows(graph))}
 
 
 def random_walks(graph: TxGraph, walk_length: int = 30, walks_per_node: int = 10,
                  seed: int = 0) -> list[list[Hashable]]:
     """Uniform random walks (DeepWalk-style)."""
     rng = np.random.default_rng(seed)
-    neighbors = _NeighborCache(graph)
+    neighbors = _neighbor_lists(graph)
     walks = []
     for _ in range(walks_per_node):
         for start in graph.nodes:
             walk = [start]
             current = start
             for _step in range(walk_length - 1):
-                options = neighbors.options(current)
+                options = neighbors[current]
                 if not options:
                     break
                 current = options[int(rng.integers(0, len(options)))]
@@ -67,14 +67,15 @@ def node2vec_walks(graph: TxGraph, walk_length: int = 30, walks_per_node: int = 
     interpolates between BFS-like (q > 1) and DFS-like (q < 1) exploration.
     """
     rng = np.random.default_rng(seed)
-    neighbors = _NeighborCache(graph)
+    neighbors = _neighbor_lists(graph)
+    members = {node: set(options) for node, options in neighbors.items()}
     walks = []
     for _ in range(walks_per_node):
         for start in graph.nodes:
             walk = [start]
             for _step in range(walk_length - 1):
                 current = walk[-1]
-                options = neighbors.options(current)
+                options = neighbors[current]
                 if not options:
                     break
                 if len(walk) == 1:
@@ -82,7 +83,7 @@ def node2vec_walks(graph: TxGraph, walk_length: int = 30, walks_per_node: int = 
                 else:
                     previous = walk[-2]
                     weights = np.empty(len(options))
-                    prev_nbrs = neighbors.members(previous)
+                    prev_nbrs = members[previous]
                     for i, candidate in enumerate(options):
                         if candidate == previous:
                             weights[i] = 1.0 / p
@@ -108,34 +109,30 @@ def trans2vec_walks(graph: TxGraph, walk_length: int = 30, walks_per_node: int =
     if not 0.0 <= amount_bias <= 1.0:
         raise ValueError("amount_bias must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    # Per-node (amount, timestamp) transition weights, materialised lazily from
-    # the adjacency index on first visit instead of for the whole graph upfront.
-    timestamps = [edge.timestamp for edge in graph.edges] or [0.0]
-    t_min, t_max = min(timestamps), max(timestamps)
+    _src, _dst, amount, _count, stamps = graph.edge_arrays()
+    t_min, t_max = (float(stamps.min()), float(stamps.max())) if len(stamps) else (0.0, 0.0)
     t_span = (t_max - t_min) or 1.0
-    weights_map: dict[Hashable, tuple[list[Hashable], np.ndarray]] = {}
-
-    def transition(node: Hashable) -> tuple[list[Hashable], np.ndarray]:
-        cached = weights_map.get(node)
-        if cached is not None:
-            return cached
-        nbr_weights: dict[Hashable, float] = {}
-        for edge in list(graph.out_edges(node)) + list(graph.in_edges(node)):
-            other = edge.dst if edge.src == node else edge.src
-            if other == node:
-                continue
-            recency = (edge.timestamp - t_min) / t_span
-            score = amount_bias * edge.amount + (1.0 - amount_bias) * (recency + 1e-6)
-            nbr_weights[other] = nbr_weights.get(other, 0.0) + score
-        if nbr_weights:
-            options = sorted(nbr_weights, key=str)
-            raw = np.array([nbr_weights[o] for o in options], dtype=float)
-            raw = raw + 1e-12
-            cached = (options, raw / raw.sum())
+    recency = (stamps - t_min) / t_span
+    edge_scores = amount_bias * amount + (1.0 - amount_bias) * (recency + 1e-6)
+    node_order = graph.node_order
+    transitions: dict[Hashable, tuple[list[Hashable], np.ndarray]] = {}
+    for idx, (others, slots) in enumerate(_incident_rows(graph)):
+        not_self = others != idx
+        others = others[not_self]
+        # Each neighbour's score folds its out-edge's before its in-edge's,
+        # and ties of the str sort keep first-met order.
+        uniq, first, inverse = np.unique(others, return_index=True,
+                                         return_inverse=True)
+        totals = np.bincount(inverse, weights=edge_scores[slots[not_self]],
+                             minlength=len(uniq))
+        met = np.argsort(first, kind="stable")
+        ranked = sorted(met.tolist(), key=lambda j: str(node_order[uniq[j]]))
+        if ranked:
+            raw = totals[ranked] + 1e-12
+            transitions[node_order[idx]] = (
+                [node_order[uniq[j]] for j in ranked], raw / raw.sum())
         else:
-            cached = ([], np.zeros(0))
-        weights_map[node] = cached
-        return cached
+            transitions[node_order[idx]] = ([], np.zeros(0))
 
     walks = []
     for _ in range(walks_per_node):
@@ -143,7 +140,7 @@ def trans2vec_walks(graph: TxGraph, walk_length: int = 30, walks_per_node: int =
             walk = [start]
             current = start
             for _step in range(walk_length - 1):
-                options, probs = transition(current)
+                options, probs = transitions[current]
                 if not options:
                     break
                 current = options[int(rng.choice(len(options), p=probs))]

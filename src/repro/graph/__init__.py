@@ -5,13 +5,12 @@ static graph with merged edges (total amount + count) and per-time-slice local
 dynamic graphs.  :class:`~repro.graph.txgraph.TxGraph` is the common container.
 """
 
-from repro.graph.txgraph import TxGraph, Edge
+from repro.graph.txgraph import TxGraph
 from repro.graph.sparse import SparseAdjacency
 from repro.graph.sampling import ego_subgraph, top_k_neighbors
 
 __all__ = [
     "TxGraph",
-    "Edge",
     "SparseAdjacency",
     "ego_subgraph",
     "top_k_neighbors",

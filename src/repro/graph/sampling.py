@@ -107,8 +107,7 @@ def top_k_neighbors(graph: TxGraph, node: Hashable, k: int) -> list[Hashable]:
     Self-loops never rank.
 
     The scoring runs on the graph's edge columns (amount/count gathered by
-    the CSR row index) — no :class:`~repro.graph.txgraph.Edge` object is
-    materialised.  It is the same ranking code hop expansion in
+    the CSR row index).  It is the same ranking code hop expansion in
     :func:`ego_subgraph` runs, asked for the full order instead of the set.
     """
     if k < 0:

@@ -1,13 +1,13 @@
 """CSR sparse adjacency value type shared by the data pipeline and the GNN stack.
 
-:class:`SparseAdjacency` wraps the ``(indptr, indices, data)`` arrays produced
-by :meth:`TxGraph.to_csr` (or converted from a dense matrix) and provides the
-O(E) primitives message passing is built on: row-segment reductions, sparse
-matrix/dense matrix products and their transposed counterparts.  Instances are
-treated as **immutable** — every transformation (``with_self_loops``,
-``binarized``, ``gcn_normalized``, ...) returns a new instance, which lets the
-expensive derived forms be memoized per instance and reused across training
-epochs.
+:class:`SparseAdjacency` wraps CSR ``(indptr, indices, data)`` arrays, built
+from a graph's edge columns, from COO triplets or from a dense matrix, and
+provides the O(E) primitives message passing is built on: row-segment
+reductions, sparse matrix/dense matrix products and their transposed
+counterparts.  Instances are treated as **immutable** — every transformation
+(``with_self_loops``, ``binarized``, ``gcn_normalized``, ...) returns a new
+instance, which lets the expensive derived forms be memoized per instance and
+reused across training epochs.
 
 The module is intentionally numpy-only (no autograd imports) so that the
 ``graph`` and ``data`` layers can depend on it; the gradient-aware operators
@@ -52,7 +52,7 @@ def segment_reduce(contrib: np.ndarray, indptr: np.ndarray, ufunc=np.add,
 class SparseAdjacency:
     """An immutable square adjacency matrix in CSR form.
 
-    Invariants (the same contract as :meth:`TxGraph.to_csr`):
+    Invariants:
 
     * ``indptr`` has length ``num_nodes + 1`` with ``indptr[0] == 0``;
     * row ``i``'s stored columns are ``indices[indptr[i]:indptr[i+1]]``,
@@ -115,14 +115,19 @@ class SparseAdjacency:
     @classmethod
     def from_graph(cls, graph, weighted: bool = False, symmetric: bool = True,
                    ) -> "SparseAdjacency":
-        """CSR adjacency of a :class:`~repro.graph.txgraph.TxGraph`.
+        """CSR adjacency of a :class:`~repro.graph.txgraph.TxGraph`, in node order.
 
-        ``TxGraph.to_csr`` memoizes its arrays per ``(weighted, symmetric)``
-        until the graph mutates, so instances built repeatedly from the same
-        graph share the underlying arrays zero-copy — safe because
-        ``SparseAdjacency`` already treats its arrays as immutable.
+        Entries are 1 (or the edge amount when ``weighted``).
+        ``symmetric=True`` gives the undirected ``max(A, A.T)`` view: the
+        reversed edges join the forward ones and :meth:`from_coo` collapses
+        each reciprocal pair's two entries with ``np.maximum``.
         """
-        return cls(*graph.to_csr(weighted=weighted, symmetric=symmetric))
+        src, dst, amount, _count, _ts = graph.edge_arrays()
+        vals = amount if weighted else np.ones(len(src))
+        if symmetric:
+            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+            vals = np.concatenate([vals, vals])
+        return cls.from_coo(src, dst, vals, graph.num_nodes, combine=np.maximum)
 
     @classmethod
     def from_coo(cls, rows, cols, vals, num_nodes: int, combine=np.add,

@@ -1,28 +1,26 @@
 """Directed weighted graph container for account-interaction graphs.
 
-``TxGraph`` stores its merged edges as parallel numpy columns — ``src_id`` /
-``dst_id`` (dense node indices), ``amount``, ``count`` and ``timestamp`` —
-mirroring the ledger's :class:`~repro.chain.txstore.ColumnarTxStore`.
-:class:`Edge` objects are materialised lazily, only when a caller crosses the
-object API boundary (``edges``, ``out_edges``, ``in_edges``, ``get_edge``,
-``edges_between``); the hot consumers (``to_csr``, ``subgraph``, sampling,
-time slicing) read the columns directly via :meth:`edge_arrays`.  A node is
-its identifier and nothing else: what is known about an account (its kind,
-its label) stays in the ledger, which the graph is built from.
+``TxGraph`` is a node table plus five edge columns — ``src_id`` / ``dst_id``
+(dense node indices), ``amount``, ``count`` and ``timestamp`` — mirroring the
+ledger's :class:`~repro.chain.txstore.ColumnarTxStore`.  One edge is one
+ordered pair: repeated transfers merge into it (Section III-B3).  Readers take
+the columns from :meth:`edge_arrays` and many nodes' incident edges at once
+from :meth:`gather_slots`.  A node is its identifier and nothing else: what is
+known about an account (its kind, its label) stays in the ledger, which the
+graph is built from.
 
-Per-node adjacency is served from a lazily built CSR row index (edge slots
-sorted by endpoint, insertion order preserved within each row), and the
-``(src, dst) -> slot`` lookup dict is also built lazily, so a bulk-ingested
-graph pays no per-edge Python object or dict cost at construction time.  See
-``DESIGN.md`` for the column/index invariants.
+There is one write path, :meth:`add_edges_bulk` (which :meth:`ingest` feeds
+from the ledger's columns), and one derived structure, the CSR row index:
+edge slots grouped by endpoint, insertion order kept within each row.  It is
+built lazily, appended edges are merged into it, and a write finds the edges
+its rows merge into on its out-rows.  See ``DESIGN.md`` for the invariants.
 
 Concurrency contract: **reads are thread-safe, writes are single-threaded.**
-Every lazy build (pair->slot dict, CSR row index, ``to_csr`` memo) is guarded
-by a per-graph lock with double-checked fast paths, so any number of reader
-threads may race on a cold graph and all observe the one structure the winner
-built — bit-identical to a single-threaded warm-up.  Mutations must not run
-concurrently with reads; serving deployments call :meth:`warm` (pre-build
-the pair->slot dict and the row index) or :meth:`freeze` (warm + reject
+The row index build is guarded by a per-graph lock with a double-checked fast
+path, so any number of reader threads may race on a cold graph and all
+observe the one index the winner built — bit-identical to a single-threaded
+warm-up.  Mutations must not run concurrently with reads; serving deployments
+call :meth:`warm` (build the row index) or :meth:`freeze` (warm + reject
 further mutation) before fanning readers out.
 """
 
@@ -31,39 +29,14 @@ from __future__ import annotations
 import itertools
 import threading
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable
 
 import numpy as np
 
-__all__ = ["Edge", "TxGraph"]
+__all__ = ["TxGraph"]
 
 #: Bit width used to pack an ``(src_id, dst_id)`` pair into one int key.
 _PAIR_SHIFT = 32
-
-
-@dataclass(frozen=True, slots=True)
-class Edge:
-    """A merged directed edge between two accounts.
-
-    Attributes
-    ----------
-    src, dst:
-        Node identifiers (account addresses or integer ids).
-    amount:
-        Total value transferred along this edge (GSG/LDG edge feature ``w``).
-    count:
-        Number of underlying transactions merged into the edge (GSG feature ``t``).
-    timestamp:
-        Representative timestamp (mean of merged transactions); used to assign
-        the edge to an LDG time slice.
-    """
-
-    src: Hashable
-    dst: Hashable
-    amount: float = 0.0
-    count: int = 1
-    timestamp: float = 0.0
 
 
 def _merge_rows(indptr: np.ndarray, slots: np.ndarray, endpoint: np.ndarray,
@@ -93,28 +66,71 @@ def _merge_rows(indptr: np.ndarray, slots: np.ndarray, endpoint: np.ndarray,
     return grown, merged
 
 
+def _fold_groups(groups: np.ndarray, num_groups: int, amounts: np.ndarray,
+                 counts: np.ndarray, timestamps: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each group's rows merged in row order, as one merge per row would.
+
+    Amounts and counts are left-fold sums and the timestamp is the iterative
+    count-weighted mean, whose zero-count guard keeps the running timestamp.
+    ``bincount`` accumulates one element at a time in array order, exactly
+    the sequence of adds a per-row merge performs (``np.add.reduceat`` would
+    sum pairwise and drift in the last ulp for long groups).  It starts every
+    sum from ``+0.0``, which only differs from the fold for a group of
+    ``-0.0`` amounts alone, so such a group is set to ``-0.0``.
+    """
+    order = np.argsort(groups, kind="stable")     # rows grouped, row order kept
+    sizes = np.bincount(groups, minlength=num_groups)
+    starts = np.zeros(num_groups, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    edge_amounts = np.bincount(groups, weights=amounts, minlength=num_groups)
+    negative_zero = (amounts == 0) & np.signbit(amounts)
+    edge_amounts[np.bincount(groups[negative_zero], minlength=num_groups)
+                 == sizes] = -0.0
+    edge_counts = np.bincount(groups, weights=counts.astype(np.float64),
+                              minlength=num_groups).astype(np.int64)
+    # Timestamps: the recurrence is sequential within a group, vectorised
+    # across groups (one pass per row position).
+    ts_acc = np.zeros(num_groups)
+    cnt_acc = np.zeros(num_groups, dtype=np.int64)
+    k = 0
+    active = np.arange(num_groups)
+    while len(active):
+        rows = order[starts[active] + k]
+        t_k = timestamps[rows]
+        c_k = counts[rows]
+        if k == 0:
+            ts_acc[active] = t_k
+            cnt_acc[active] = c_k
+        else:
+            prev_ts = ts_acc[active]
+            prev_cnt = cnt_acc[active]
+            total = prev_cnt + c_k
+            positive = total > 0
+            merged = prev_ts.copy()
+            merged[positive] = ((prev_ts[positive] * prev_cnt[positive]
+                                 + t_k[positive] * c_k[positive])
+                                / total[positive])
+            ts_acc[active] = merged
+            cnt_acc[active] = total
+        k += 1
+        active = active[sizes[active] > k]
+    return edge_amounts, edge_counts, ts_acc
+
+
 class TxGraph:
     """A directed graph of merged weighted edges between account nodes.
 
-    Nodes are stored in insertion order so that the adjacency matrices
-    returned by :meth:`adjacency_matrix` and :meth:`to_csr` have stable row
-    ordering.  Edges live in parallel column arrays in global
-    first-insertion order (merging updates a slot in place, so iteration
-    order is stable under merges), which makes subgraph edge ordering
-    reproducible for free: kept slots are simply sorted.
+    Nodes are stored in insertion order.  Edges live in parallel column
+    arrays in global first-insertion order: a merge updates its pair's slot
+    in place, so edge order is stable under merges, and a subgraph's edge
+    order is simply its kept slots, sorted.
 
-    Derived lookup structures are built lazily and invalidated by version
-    counters (structural for the row index, any-mutation for the CSR cache):
-
-    * ``_slot_of`` — packed ``(src_id, dst_id)`` pair -> edge slot, the O(1)
-      merge/`has_edge` lookup.  Because edges are append-only, a stale dict
-      is synchronised incrementally (new slots appended, nothing rebuilt).
-    * the CSR row index — ``_out_indptr``/``_out_slots`` (and the ``_in``
-      twins) list each node's incident edge slots in insertion order,
-      serving ``out_edges``/``in_edges``/``neighbors``/``degree`` in O(deg).
-      New edges are merged into the existing index, never re-sorted with it.
-    * the :meth:`to_csr` cache — adjacency arrays shared with callers under
-      the same treat-as-immutable contract as ``SparseAdjacency``.
+    The CSR row index — ``_out_indptr``/``_out_slots`` and the ``_in``
+    twins — lists each node's incident edge slots in insertion order.  It is
+    valid while ``_adj_version == _structure_version``; only appended edges
+    move ``_structure_version``, so a write that merges into existing edges
+    alone keeps the index.
     """
 
     def __init__(self):
@@ -127,21 +143,12 @@ class TxGraph:
         self._amount = np.empty(0, dtype=np.float64)
         self._count = np.empty(0, dtype=np.int64)
         self._ts = np.empty(0, dtype=np.float64)
-        # Any mutation bumps _version (payload merges included — the weighted
-        # to_csr cache depends on amounts); only node/edge additions bump
-        # _structure_version, so in-place merges never invalidate the CSR row
-        # index, keeping interleaved merge/traversal streams O(deg) per query.
-        self._version = 0
         self._structure_version = 0
-        self._slot_of: dict[int, int] = {}
-        self._slot_synced = 0               # edges currently keyed in _slot_of
         self._adj_version = -1              # CSR row index validity
         self._out_indptr = np.zeros(1, dtype=np.int64)
         self._out_slots = np.empty(0, dtype=np.int64)
         self._in_indptr = np.zeros(1, dtype=np.int64)
         self._in_slots = np.empty(0, dtype=np.int64)
-        self._csr_version = -1              # to_csr() cache validity
-        self._csr_cache: dict = {}
         # Follow-the-chain bookkeeping: how many ledger rows this graph has
         # consumed and with which dust filter (set by build_transaction_graph,
         # advanced by ingest()).
@@ -151,8 +158,8 @@ class TxGraph:
         # (see _account_node_ids).
         self._account_table: list | None = None
         self._account_gid = np.empty(0, dtype=np.int64)
-        # Guards every lazy build above (reentrant: warm() chains them).
-        self._lock = threading.RLock()
+        # Guards the row index build.
+        self._lock = threading.Lock()
         self._frozen = False
 
     def __getstate__(self):
@@ -166,7 +173,7 @@ class TxGraph:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------- freezing
     @property
@@ -180,41 +187,27 @@ class TxGraph:
                 "(freeze()); mutations are no longer allowed")
 
     def warm(self) -> "TxGraph":
-        """Eagerly build the pair->slot dict and the CSR row index (idempotent,
-        thread-safe).
+        """Eagerly build the CSR row index (idempotent, thread-safe).
 
-        These are the structures every reader on the sampling path touches,
+        It is the one structure every reader on the sampling path touches,
         so after ``warm()`` returns reader threads never contend on a build
-        lock.  The global :meth:`to_csr` forms are not built: serving builds
-        its adjacency per sample subgraph, and ``to_csr`` still builds lazily
-        (under the graph lock) for any caller that needs it.
+        lock.
         """
-        with self._lock:
-            self._ensure_slots()
-            self._ensure_adjacency()
+        self._ensure_adjacency()
         return self
 
     def freeze(self) -> "TxGraph":
         """:meth:`warm` plus sealing: any later mutation raises ``RuntimeError``.
 
         This is the strongest serving guarantee — once frozen, every read on
-        the sampling path is lock-free against fully built immutable
-        structures.
+        the sampling path is lock-free against a fully built immutable
+        index.
         """
         self.warm()
         self._frozen = True
         return self
 
     # ------------------------------------------------------------------ nodes
-    def add_node(self, node: Hashable) -> None:
-        """Add ``node`` (idempotent)."""
-        self._check_mutable()
-        if node not in self._nodes:
-            self._nodes[node] = len(self._node_order)
-            self._node_order.append(node)
-            self._version += 1
-            self._structure_version += 1
-
     def has_node(self, node: Hashable) -> bool:
         return node in self._nodes
 
@@ -248,12 +241,12 @@ class TxGraph:
         """``(src_idx, dst_idx, amount, count, timestamp)`` column views.
 
         One entry per merged edge, in global first-insertion order; ``src_idx``
-        / ``dst_idx`` are node-insertion indices (the rows of
-        :meth:`adjacency_matrix`).  The arrays are live read-only views into
-        the graph's own columns (writes through them raise): do not retain
-        them across mutations — appended edges are not observed, but an
-        in-place merge of an existing pair **is** visible through the views.
-        Consumers that must survive later mutation should copy.
+        / ``dst_idx`` are node-insertion indices.  The arrays are live
+        read-only views into the graph's own columns (writes through them
+        raise): do not retain them across mutations — appended edges are not
+        observed, but an in-place merge of an existing pair **is** visible
+        through the views.  Consumers that must survive later mutation should
+        copy.
         """
         m = self._m
         views = (self._src[:m], self._dst[:m], self._amount[:m],
@@ -261,6 +254,10 @@ class TxGraph:
         for view in views:
             view.flags.writeable = False
         return views
+
+    @property
+    def num_edges(self) -> int:
+        return self._m
 
     def _grow(self, extra: int) -> None:
         need = self._m + extra
@@ -273,20 +270,6 @@ class TxGraph:
             arr = np.empty(new_cap, dtype=old.dtype)
             arr[:self._m] = old[:self._m]
             setattr(self, name, arr)
-
-    def _ensure_slots(self) -> None:
-        """Bring the pair -> slot dict up to date (incremental: append-only)."""
-        if self._slot_synced >= self._m:
-            return
-        with self._lock:
-            start = self._slot_synced
-            m = self._m
-            if start >= m:
-                return
-            keys = ((self._src[start:m] << np.int64(_PAIR_SHIFT))
-                    | self._dst[start:m])
-            self._slot_of.update(zip(keys.tolist(), range(start, m)))
-            self._slot_synced = m
 
     def _ensure_adjacency(self) -> None:
         """Merge edge slots appended since the last build into the CSR row index.
@@ -309,66 +292,17 @@ class TxGraph:
             self._in_indptr, self._in_slots = in_indptr, in_slots
             self._adj_version = self._structure_version
 
-    def _edge_at(self, slot: int) -> Edge:
-        """Materialise the :class:`Edge` view of one column row."""
-        order = self._node_order
-        return Edge(order[self._src[slot]], order[self._dst[slot]],
-                    float(self._amount[slot]), int(self._count[slot]),
-                    float(self._ts[slot]))
-
-    def _append_edge(self, u: int, v: int, amount: float, count: int,
-                     timestamp: float) -> None:
-        """Append one fresh edge row (``add_edge`` is this with width 1)."""
-        self._grow(1)
-        m = self._m
-        self._src[m] = u
-        self._dst[m] = v
-        self._amount[m] = amount
-        self._count[m] = count
-        self._ts[m] = timestamp
-        self._m = m + 1
-        if self._slot_synced == m:
-            self._slot_of[(u << _PAIR_SHIFT) | v] = m
-            self._slot_synced = m + 1
-        self._version += 1
-        self._structure_version += 1
-
-    # ------------------------------------------------------------------ edges
-    def add_edge(self, src: Hashable, dst: Hashable, amount: float = 0.0,
-                 count: int = 1, timestamp: float = 0.0) -> None:
-        """Add a transaction from ``src`` to ``dst``, merging with any existing edge.
-
-        Merging follows Section III-B3 of the paper: repeated transfers between
-        the same ordered pair collapse into a single edge carrying the total
-        amount and the number of transactions.  The timestamp of the merged edge
-        is the count-weighted mean; edges whose merged count is zero (possible
-        when callers pass ``count=0`` placeholders) keep the existing
-        edge's timestamp instead of dividing by zero.
-        """
-        self._check_mutable()
-        self.add_node(src)
-        self.add_node(dst)
-        u = self._nodes[src]
-        v = self._nodes[dst]
-        self._ensure_slots()
-        slot = self._slot_of.get((u << _PAIR_SHIFT) | v)
-        if slot is None:
-            self._append_edge(u, v, amount, count, timestamp)
-            return
-        # In-place merge: the slot (and therefore edge iteration order) is
-        # stable, exactly like re-assigning a dict key was.
-        prev_count = self._count[slot]
-        total = prev_count + count
-        if total > 0:
-            self._ts[slot] = (self._ts[slot] * prev_count
-                              + timestamp * count) / total
-        self._amount[slot] = self._amount[slot] + amount
-        self._count[slot] = total
-        self._version += 1
-
+    # ------------------------------------------------------------------ writes
     def add_edges_bulk(self, srcs, dsts, amounts=None, counts=None,
                        timestamps=None, node_keys: list | None = None) -> None:
-        """Vectorised twin of calling :meth:`add_edge` once per row.
+        """Add one transaction per row, merging repeats of an ordered pair.
+
+        Merging follows Section III-B3 of the paper: repeated transfers
+        between the same ordered pair collapse into a single edge carrying
+        the total amount and the number of transactions.  The timestamp of
+        the merged edge is the count-weighted mean; a merge whose total count
+        is zero (possible when callers pass ``count=0`` placeholders) keeps
+        the edge's timestamp instead of dividing by zero.
 
         Parameters
         ----------
@@ -383,22 +317,20 @@ class TxGraph:
             Optional id -> node-identifier table; lets callers that already
             hold integer codes skip re-factorising string keys.
 
-        The result is bit-identical to the sequential loop: nodes are created
-        in first-appearance order scanning ``(src_0, dst_0, src_1, ...)``,
-        merged edges keep first-appearance order, per-edge amounts/counts are
-        the same left-fold sums, and merged timestamps replay ``add_edge``'s
-        iterative count-weighted mean recurrence (including the zero-count
-        guard).  Rows whose ordered pair already exists in the graph are
-        replayed through :meth:`add_edge` (merging into an existing edge is
-        inherently sequential); fresh pairs take the vectorised path, which
-        appends whole column blocks — no per-edge Python object or dict write.
+        The result is that of merging the rows one at a time, in order, bit
+        for bit: nodes are created in first-appearance order scanning
+        ``(src_0, dst_0, src_1, ...)``, new edges take slots in
+        first-appearance order, amounts and counts are left-fold sums that
+        start from the edge's current payload, and timestamps replay the
+        iterative count-weighted mean (``tests/_dict_reference.py`` holds
+        that row-at-a-time reference).
 
         Cost is O(rows log rows), plus one code table as long as
-        ``node_keys``, plus Python work for new nodes only: endpoint codes map
-        to node ids, and unique pairs probe the pair -> slot dict, a whole
-        array at a time through C-level ``map`` passes, so appending to a
-        large graph costs nothing per existing node or edge.  :meth:`ingest`
-        runs the same two steps with a code table kept across appends.
+        ``node_keys``, plus Python work for new nodes only, plus the gather
+        of the rows' sources' out-rows that finds existing edges
+        (:meth:`_add_rows`): appending to a large graph costs nothing per
+        existing node or edge.  :meth:`ingest` runs the same two steps with
+        a code table kept across appends.
         """
         self._check_mutable()
         srcs = np.asarray(srcs)
@@ -415,12 +347,6 @@ class TxGraph:
         timestamps = (np.zeros(n) if timestamps is None
                       else np.ascontiguousarray(timestamps, dtype=np.float64))
         if node_keys is None:
-            if srcs.dtype == object or dsts.dtype == object:
-                # Non-vectorisable node identifiers: plain sequential loop.
-                for i in range(n):
-                    self.add_edge(srcs[i], dsts[i], float(amounts[i]),
-                                  int(counts[i]), float(timestamps[i]))
-                return
             interleaved = np.empty(2 * n, dtype=np.promote_types(srcs.dtype, dsts.dtype))
             interleaved[0::2] = srcs
             interleaved[1::2] = dsts
@@ -454,7 +380,8 @@ class TxGraph:
         pass, and the keys that are not nodes yet become nodes, in
         first-appearance order over the interleaved endpoint scan
         ``(src_0, dst_0, src_1, ...)``.  The one Python loop left runs over
-        new nodes only.
+        new nodes only.  New nodes get no row index entry here; they have no
+        edges until :meth:`_add_rows` appends them.
         """
         interleaved = np.empty(2 * len(src_codes), dtype=np.int64)
         interleaved[0::2] = src_codes
@@ -478,109 +405,80 @@ class TxGraph:
             gids[new] = list(map(nodes.__getitem__, new_keys))
         code_gid[codes] = gids
 
+    def _find_slots(self, pairs: np.ndarray) -> np.ndarray:
+        """The edge slot of each sorted packed pair key, ``-1`` where none.
+
+        The candidates are the out-rows of the pairs' distinct sources,
+        gathered from the row index and looked up by a sort of their keys
+        and ``searchsorted``: O(sum of those sources' out-degrees), with
+        nothing kept per edge between writes.  Nodes the current write has
+        just registered have no row yet, and no edges either, so they are
+        skipped.
+        """
+        found = np.full(len(pairs), -1, dtype=np.int64)
+        if not self._m:
+            return found
+        self._ensure_adjacency()
+        sources = np.unique(pairs >> np.int64(_PAIR_SHIFT))
+        sources = sources[sources < len(self._out_indptr) - 1]
+        candidates, lengths = self.gather_slots(sources)
+        if not len(candidates):
+            return found
+        keys = ((np.repeat(sources, lengths) << np.int64(_PAIR_SHIFT))
+                | self._dst[candidates])
+        order = np.argsort(keys)
+        keys = keys[order]
+        pos = np.minimum(np.searchsorted(keys, pairs), len(keys) - 1)
+        hit = keys[pos] == pairs
+        found[hit] = candidates[order[pos[hit]]]
+        return found
+
     def _add_rows(self, src_ids: np.ndarray, dst_ids: np.ndarray,
                   amounts: np.ndarray, counts: np.ndarray,
                   timestamps: np.ndarray) -> None:
         """Merge rows between existing nodes (by node id) into the edge columns.
 
-        The second half of :meth:`add_edges_bulk`: rows are grouped by
-        ordered pair, pairs already in the graph are replayed row by row
-        through :meth:`add_edge`, and the new pairs are appended as whole
-        column blocks in first-appearance order.
+        The second half of :meth:`add_edges_bulk`.  Rows are grouped by
+        ordered pair, in first-appearance order.  A pair that already has an
+        edge (:meth:`_find_slots`) folds its rows into that slot, with the
+        slot's payload as the group's first row; the other pairs are
+        appended as whole column blocks, in first-appearance order.
         """
         pair_keys = (src_ids << np.int64(_PAIR_SHIFT)) | dst_ids
         uniq_pairs, pair_first, pair_inverse = np.unique(
             pair_keys, return_index=True, return_inverse=True)
-        # Rows whose pair already exists must merge sequentially; the pairs
-        # probe the pair -> slot dict in one C-level pass.
-        if self._m:
-            self._ensure_slots()
-            existing_pair_mask = np.fromiter(
-                map(self._slot_of.__contains__, uniq_pairs.tolist()),
-                dtype=bool, count=len(uniq_pairs))
-            if existing_pair_mask.any():
-                replay = existing_pair_mask[pair_inverse]
-                order = self._node_order
-                for i in np.flatnonzero(replay).tolist():
-                    self.add_edge(order[src_ids[i]], order[dst_ids[i]],
-                                  float(amounts[i]), int(counts[i]),
-                                  float(timestamps[i]))
-                keep = ~replay
-                if not keep.any():
-                    # The replayed add_edge calls above already bumped
-                    # _version once per merge; a further bump here would
-                    # needlessly invalidate to_csr forms built between bulk
-                    # calls that turn out to be pure replays.
-                    return
-                amounts, counts, timestamps = (amounts[keep], counts[keep],
-                                               timestamps[keep])
-                pair_keys = pair_keys[keep]
-                uniq_pairs, pair_first, pair_inverse = np.unique(
-                    pair_keys, return_index=True, return_inverse=True)
+        num_groups = len(uniq_pairs)
+        appearance = np.argsort(pair_first, kind="stable")
+        rank = np.empty(num_groups, dtype=np.int64)
+        rank[appearance] = np.arange(num_groups)
+        groups = rank[pair_inverse]
+        group_slots = self._find_slots(uniq_pairs)[appearance]
+        merged = np.flatnonzero(group_slots >= 0)
+        targets = group_slots[merged]
+        if len(merged):
+            groups = np.concatenate([merged, groups])
+            amounts = np.concatenate([self._amount[targets], amounts])
+            counts = np.concatenate([self._count[targets], counts])
+            timestamps = np.concatenate([self._ts[targets], timestamps])
+        edge_amounts, edge_counts, edge_ts = _fold_groups(
+            groups, num_groups, amounts, counts, timestamps)
+        self._amount[targets] = edge_amounts[merged]
+        self._count[targets] = edge_counts[merged]
+        self._ts[targets] = edge_ts[merged]
 
-        # Edge groups in first-appearance order.
-        pair_appearance = np.argsort(pair_first, kind="stable")
-        edge_rank = np.empty(len(uniq_pairs), dtype=np.int64)
-        edge_rank[pair_appearance] = np.arange(len(uniq_pairs))
-        groups = edge_rank[pair_inverse]
-        num_edges_new = len(uniq_pairs)
-        order = np.argsort(groups, kind="stable")     # rows grouped, row order kept
-        sizes = np.bincount(groups, minlength=num_edges_new)
-        starts = np.zeros(num_edges_new, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        # Left-fold sums per group: bincount accumulates one element at a time
-        # in array order, exactly the sequence of adds the per-row add_edge
-        # merge performs (np.add.reduceat would sum pairwise and drift in the
-        # last ulp for long groups).
-        edge_amounts = np.bincount(groups, weights=amounts, minlength=num_edges_new)
-        edge_counts = np.bincount(groups, weights=counts.astype(np.float64),
-                                  minlength=num_edges_new).astype(np.int64)
-        single = sizes == 1
-        if single.any():
-            # A size-1 group's merged amount is the raw value itself (bincount
-            # starts from +0.0, which would flip the sign of a lone -0.0).
-            edge_amounts[single] = amounts[order[starts[single]]]
-        # Merged timestamps: replay add_edge's iterative count-weighted mean,
-        # vectorised across edges, sequential within each group.
-        ts_acc = np.zeros(num_edges_new)
-        cnt_acc = np.zeros(num_edges_new, dtype=np.int64)
-        k = 0
-        active = np.arange(num_edges_new)
-        while len(active):
-            rows = order[starts[active] + k]
-            t_k = timestamps[rows]
-            c_k = counts[rows]
-            if k == 0:
-                ts_acc[active] = t_k
-                cnt_acc[active] = c_k
-            else:
-                prev_ts = ts_acc[active]
-                prev_cnt = cnt_acc[active]
-                total = prev_cnt + c_k
-                positive = total > 0
-                merged = prev_ts.copy()
-                merged[positive] = ((prev_ts[positive] * prev_cnt[positive]
-                                     + t_k[positive] * c_k[positive])
-                                    / total[positive])
-                ts_acc[active] = merged
-                cnt_acc[active] = total
-            k += 1
-            active = active[sizes[active] > k]
-
-        # Append the merged edges as whole column blocks, in first-appearance
-        # order.  No Edge objects, no per-edge dict writes — the pair -> slot
-        # dict and the CSR row index are rebuilt lazily on first lookup.
-        new_pairs = uniq_pairs[pair_appearance]
-        self._grow(num_edges_new)
+        fresh = np.flatnonzero(group_slots < 0)
+        if not len(fresh):
+            return                          # merges only: the row index holds
+        new_pairs = uniq_pairs[appearance[fresh]]
+        self._grow(len(fresh))
         m = self._m
-        stop = m + num_edges_new
+        stop = m + len(fresh)
         self._src[m:stop] = new_pairs >> np.int64(_PAIR_SHIFT)
         self._dst[m:stop] = new_pairs & np.int64((1 << _PAIR_SHIFT) - 1)
-        self._amount[m:stop] = edge_amounts
-        self._count[m:stop] = edge_counts
-        self._ts[m:stop] = ts_acc
+        self._amount[m:stop] = edge_amounts[fresh]
+        self._count[m:stop] = edge_counts[fresh]
+        self._ts[m:stop] = edge_ts[fresh]
         self._m = stop
-        self._version += 1
         self._structure_version += 1
 
     @property
@@ -589,7 +487,7 @@ class TxGraph:
         return self._ingested_rows
 
     def ingest(self, ledger, from_row: int | None = None,
-               min_value: float | None = None) -> list:
+               min_value: float | None = None) -> np.ndarray:
         """Incrementally ingest ledger rows appended since the last build.
 
         The O(new rows) twin of
@@ -606,30 +504,28 @@ class TxGraph:
         ``from_row`` defaults to :attr:`ingested_rows` (maintained by
         ``build_transaction_graph`` and previous ``ingest`` calls);
         ``min_value`` defaults to the filter the graph was built with.
-        Returns the addresses incident to the newly ingested edges — the
-        invalidation set for downstream per-account caches (feature rows,
-        serving subgraph samples).
+        Returns the node ids incident to the newly ingested edges, sorted,
+        as one int64 array — the invalidation set for downstream per-account
+        caches (feature rows, serving subgraph samples).
 
         A frozen graph (:meth:`freeze`) raises ``RuntimeError`` when there are
         rows to ingest: sealing is the declaration that no reader will ever
         observe a mutation, so a follow-the-chain deployment must use
         :meth:`warm` instead.  With no new rows, ``ingest`` is a no-op and
-        returns ``[]`` even on a frozen graph.
+        returns an empty array even on a frozen graph.
         """
         kept = self._ingest(ledger, from_row, min_value)
         if kept is None:
-            return []
-        addresses = ledger.store.addresses
-        touched_ids = np.unique(np.concatenate(kept))
-        return list(map(addresses.__getitem__, touched_ids.tolist()))
+            return np.empty(0, dtype=np.int64)
+        return np.unique(np.concatenate(kept))
 
     def _ingest(self, ledger, from_row: int | None = None,
                 min_value: float | None = None,
                 ) -> tuple[np.ndarray, np.ndarray] | None:
-        """:meth:`ingest` without the touched-address list, which a cold
-        build (``build_transaction_graph``) has no use for.
+        """:meth:`ingest` without the touched node ids, which a cold build
+        (``build_transaction_graph``) has no use for.
 
-        Returns the kept rows' ``(sender_ids, receiver_ids)``, or ``None``
+        Returns the kept rows' ``(src_ids, dst_ids)`` node ids, or ``None``
         when there are no rows to ingest.  Endpoints map to node ids through
         :meth:`_account_node_ids`, so an append pays a dict lookup only for
         accounts this graph has not met before.  It reads only the ledger's
@@ -653,15 +549,17 @@ class TxGraph:
                 & (cols.value[sl] >= min_value))
         sender_ids = sender_ids[keep]
         receiver_ids = receiver_ids[keep]
+        src_ids = dst_ids = np.empty(0, dtype=np.int64)
         if len(sender_ids):
             addresses = store.addresses
             code_gid = self._account_node_ids(addresses)
             self._resolve_nodes(sender_ids, receiver_ids, addresses, code_gid)
-            self._add_rows(code_gid[sender_ids], code_gid[receiver_ids],
-                           cols.value[sl][keep], np.ones(len(sender_ids), dtype=np.int64),
+            src_ids, dst_ids = code_gid[sender_ids], code_gid[receiver_ids]
+            self._add_rows(src_ids, dst_ids, cols.value[sl][keep],
+                           np.ones(len(src_ids), dtype=np.int64),
                            cols.timestamp[sl][keep])
         self._ingested_rows = total
-        return sender_ids, receiver_ids
+        return src_ids, dst_ids
 
     def _account_node_ids(self, addresses: list) -> np.ndarray:
         """Account id -> node id over the ledger's interning table ``addresses``.
@@ -684,79 +582,14 @@ class TxGraph:
         self._account_gid = node_ids
         return node_ids
 
-    def has_edge(self, src: Hashable, dst: Hashable) -> bool:
-        u = self._nodes.get(src)
-        v = self._nodes.get(dst)
-        if u is None or v is None:
-            return False
-        self._ensure_slots()
-        return ((u << _PAIR_SHIFT) | v) in self._slot_of
-
-    def _slot_between(self, u: int, v: int) -> int | None:
-        self._ensure_slots()
-        return self._slot_of.get((u << _PAIR_SHIFT) | v)
-
-    def get_edge(self, src: Hashable, dst: Hashable) -> Edge:
-        u = self._nodes.get(src)
-        v = self._nodes.get(dst)
-        slot = self._slot_between(u, v) if u is not None and v is not None else None
-        if slot is None:
-            raise KeyError((src, dst))
-        return self._edge_at(slot)
-
-    def edges_between(self, u: Hashable, v: Hashable) -> list[Edge]:
-        """Merged edges connecting ``u`` and ``v`` in either direction.
-
-        Returns ``[Edge(u, v)]``, ``[Edge(v, u)]``, both (forward first) or an
-        empty list; for a self pair (``u == v``) at most the single loop edge.
-        Nodes absent from the graph simply yield no edges — never a KeyError.
-        """
-        ui = self._nodes.get(u)
-        vi = self._nodes.get(v)
-        if ui is None or vi is None:
-            return []
-        edges = []
-        forward = self._slot_between(ui, vi)
-        if forward is not None:
-            edges.append(self._edge_at(forward))
-        if ui != vi:
-            backward = self._slot_between(vi, ui)
-            if backward is not None:
-                edges.append(self._edge_at(backward))
-        return edges
-
-    @property
-    def edges(self) -> list[Edge]:
-        """Materialised :class:`Edge` views, in insertion order (object boundary)."""
-        m = self._m
-        order = self._node_order
-        return [Edge(order[u], order[v], a, c, t) for u, v, a, c, t in zip(
-            self._src[:m].tolist(), self._dst[:m].tolist(),
-            self._amount[:m].tolist(), self._count[:m].tolist(),
-            self._ts[:m].tolist())]
-
-    @property
-    def num_edges(self) -> int:
-        return self._m
-
-    def _row_slots(self, node: Hashable, indptr_name: str, slots_name: str,
-                   ) -> np.ndarray:
-        idx = self._nodes.get(node)
-        if idx is None or self._m == 0:
-            return np.empty(0, dtype=np.int64)
-        self._ensure_adjacency()
-        indptr = getattr(self, indptr_name)
-        slots = getattr(self, slots_name)
-        return slots[indptr[idx]:indptr[idx + 1]]
-
+    # ------------------------------------------------------------------ reads
     def gather_slots(self, ids: np.ndarray, incoming: bool = False,
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Edge-column slots of many nodes' out-edges (or in-edges) at once.
 
         ``ids`` are node indices.  Returns ``(slots, lengths)``: the rows of
         ``ids`` concatenated in the order given, each in insertion order, and
-        each row's length — :meth:`out_slots` / :meth:`in_slots` per node,
-        vectorised into one gather over the CSR row index.
+        each row's length — one gather over the CSR row index.
         """
         self._ensure_adjacency()
         if incoming:
@@ -770,43 +603,17 @@ class TxGraph:
         positions = np.repeat(shift, lengths) + np.arange(int(lengths.sum()))
         return row_slots[positions], lengths
 
-    def out_slots(self, node: Hashable) -> np.ndarray:
-        """Edge-column slots of ``node``'s out-edges, in insertion order."""
-        return self._row_slots(node, "_out_indptr", "_out_slots")
-
-    def in_slots(self, node: Hashable) -> np.ndarray:
-        """Edge-column slots of ``node``'s in-edges, in insertion order."""
-        return self._row_slots(node, "_in_indptr", "_in_slots")
-
-    def out_edges(self, node: Hashable) -> Iterator[Edge]:
-        for slot in self.out_slots(node).tolist():
-            yield self._edge_at(slot)
-
-    def in_edges(self, node: Hashable) -> Iterator[Edge]:
-        for slot in self.in_slots(node).tolist():
-            yield self._edge_at(slot)
-
-    def out_degree(self, node: Hashable) -> int:
-        return len(self.out_slots(node))
-
-    def in_degree(self, node: Hashable) -> int:
-        return len(self.in_slots(node))
-
-    def neighbors(self, node: Hashable) -> set[Hashable]:
-        """Return successors and predecessors of ``node`` (undirected neighbourhood)."""
-        out_ids = self._dst[self.out_slots(node)]
-        in_ids = self._src[self.in_slots(node)]
-        order = self._node_order
-        return {order[i] for i in set(out_ids.tolist()) | set(in_ids.tolist())}
-
     def degree(self, node: Hashable) -> int:
         """Number of distinct directed edges incident to ``node`` (a self-loop counts once)."""
         idx = self._nodes.get(node)
-        if idx is None:
+        if idx is None or not self._m:
             return 0
-        out_row = self.out_slots(node)
-        loop = 1 if len(out_row) and bool(np.any(self._dst[out_row] == idx)) else 0
-        return len(out_row) + len(self.in_slots(node)) - loop
+        self._ensure_adjacency()
+        start, stop = self._out_indptr[idx:idx + 2].tolist()
+        in_start, in_stop = self._in_indptr[idx:idx + 2].tolist()
+        loop = stop > start and bool(
+            (self._dst[self._out_slots[start:stop]] == idx).any())
+        return stop - start + in_stop - in_start - loop
 
     def degree_vector(self) -> np.ndarray:
         """Degrees of every node in insertion order, in one O(N + E) pass.
@@ -823,133 +630,13 @@ class TxGraph:
             deg -= np.bincount(src[loops], minlength=n)
         return deg
 
-    # ----------------------------------------------------------------- matrices
-    def adjacency_matrix(self, weighted: bool = False, symmetric: bool = False) -> np.ndarray:
-        """Dense adjacency matrix in node-insertion order.
-
-        Parameters
-        ----------
-        weighted:
-            Use edge amounts instead of 0/1 entries.
-        symmetric:
-            Return ``max(A, A.T)`` — the undirected view used by the GNN encoders.
-        """
-        n = self.num_nodes
-        m = self._m
-        adj = np.zeros((n, n), dtype=np.float64)
-        if m:
-            vals = self._amount[:m] if weighted else np.ones(m)
-            adj[self._src[:m], self._dst[:m]] = vals
-        if symmetric:
-            adj = np.maximum(adj, adj.T)
-        return adj
-
-    def to_csr(self, weighted: bool = False, symmetric: bool = False,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparse CSR adjacency ``(indptr, indices, data)`` in node-insertion order.
-
-        The arrays satisfy the standard CSR contract: row ``i``'s non-zero
-        columns are ``indices[indptr[i]:indptr[i + 1]]`` (sorted ascending) with
-        values ``data[indptr[i]:indptr[i + 1]]``.  ``symmetric=True`` mirrors
-        :meth:`adjacency_matrix`: the ``max(A, A.T)`` undirected view.
-
-        Results are memoized per ``(weighted, symmetric)`` until the graph
-        mutates; callers share the arrays and must treat them as immutable
-        (the same contract as :class:`~repro.graph.sparse.SparseAdjacency`).
-        Concurrent cold reads serialise on the graph lock and all receive the
-        one set of arrays the winning thread built.
-        """
-        key = (weighted, symmetric)
-        if self._csr_version == self._version:
-            # Lock-free hit: the cache dict is replaced (never cleared in
-            # place) on invalidation, so a stale reference still yields a
-            # result consistent with the version it was checked against.
-            cached = self._csr_cache.get(key)
-            if cached is not None:
-                return cached
-        with self._lock:
-            if self._csr_version != self._version:
-                self._csr_cache = {}
-                self._csr_version = self._version
-            cached = self._csr_cache.get(key)
-            if cached is not None:
-                return cached
-            result = self._build_csr(weighted, symmetric)
-            self._csr_cache[key] = result
-            return result
-
-    def _build_csr(self, weighted: bool, symmetric: bool,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = self.num_nodes
-        m = self._m
-        if not m:
-            return (np.zeros(n + 1, dtype=np.int64),
-                    np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.float64))
-        rows = self._src[:m]
-        cols = self._dst[:m]
-        vals = np.array(self._amount[:m]) if weighted else np.ones(m)
-        if symmetric:
-            rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-            vals = np.concatenate([vals, vals])
-        # Sort by (row, col) and collapse duplicate slots (reciprocal edges in
-        # the symmetric view) with max, matching max(A, A.T).
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        keys = rows * n + cols
-        starts = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
-        rows, cols = rows[starts], cols[starts]
-        vals = np.maximum.reduceat(vals, starts)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return (indptr, cols, vals)
-
-    def edge_feature_matrix(self) -> np.ndarray:
-        """Edge features ``[amount, count]`` in edge-insertion order."""
-        m = self._m
-        if not m:
-            return np.zeros((0, 2))
-        return np.column_stack((self._amount[:m],
-                                self._count[:m].astype(np.float64)))
-
-    # --------------------------------------------------------------- subgraphs
-    def subgraph(self, nodes: Iterable[Hashable]) -> "TxGraph":
-        """Induced subgraph on ``nodes``.
-
-        Node and edge insertion order follow the parent graph, so matrices built
-        from the subgraph are reproducible regardless of the order of ``nodes``.
-        Identifiers absent from the graph are ignored; a node set inducing no
-        edges yields an edgeless subgraph — never a KeyError.
-        """
-        node_index = self._nodes
-        keep_ids = np.array(
-            sorted({node_index[node] for node in nodes if node in node_index}),
-            dtype=np.int64)
-        m = self._m
-        slots = np.empty(0, dtype=np.int64)
-        if m and len(keep_ids):
-            n = len(self._node_order)
-            in_keep = np.zeros(n, dtype=bool)
-            in_keep[keep_ids] = True
-            if (self._adj_version == self._structure_version
-                    and len(keep_ids) * 4 < n):
-                # Gather candidate slots from the CSR row index: O(sum deg),
-                # then restore global insertion order with a sort on slots.
-                cand, _lengths = self.gather_slots(keep_ids)
-                slots = np.sort(cand[in_keep[self._dst[cand]]])
-            else:
-                # Dense selection: one vectorised pass over the edge columns.
-                slots = np.flatnonzero(in_keep[self._src[:m]]
-                                       & in_keep[self._dst[:m]])
-        return self.subgraph_by_index(keep_ids, slots)
-
     def subgraph_by_index(self, ids: np.ndarray, slots: np.ndarray) -> "TxGraph":
         """The subgraph on node indices ``ids`` holding edge slots ``slots``.
 
-        The id-level constructor behind :meth:`subgraph` and ego sampling:
-        ``ids`` must be ascending and unique, and ``slots`` ascending, with
-        both endpoints of every slot in ``ids`` (for an induced subgraph, all
-        such slots).  Nodes and edges keep the parent's order.
+        The constructor behind ego sampling: ``ids`` must be ascending and
+        unique, and ``slots`` ascending, with both endpoints of every slot in
+        ``ids`` (for an induced subgraph, all such slots).  Nodes and edges
+        keep the parent's order.
         """
         sub = TxGraph()
         sub._node_order = list(map(self._node_order.__getitem__, ids.tolist()))
@@ -962,22 +649,7 @@ class TxGraph:
             sub._count = self._count[slots]
             sub._ts = self._ts[slots]
             sub._m = len(slots)
-        sub._version += 1
         return sub
-
-    def copy(self) -> "TxGraph":
-        return self.subgraph(self._node_order)
-
-    def to_networkx(self):
-        """Convert to a :class:`networkx.DiGraph` (for interop and validation)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(self._node_order)
-        for edge in self.edges:
-            g.add_edge(edge.src, edge.dst, amount=edge.amount, count=edge.count,
-                       timestamp=edge.timestamp)
-        return g
 
     def __repr__(self) -> str:
         return f"TxGraph(nodes={self.num_nodes}, edges={self.num_edges})"

@@ -8,7 +8,8 @@ on randomized adjacencies: layer forwards and gradients, the GSG and LDG
 encoders, and whole training steps.
 
 All functions take dense ``np.ndarray`` adjacencies and support full autograd,
-exactly as the seed layers did.
+exactly as the seed layers did.  :func:`dense_adjacency` builds such a matrix
+from a graph's edge columns, independently of the CSR builders it checks.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.nn import Tensor, concat
 from repro.nn.functional import leaky_relu, relu, softmax
 
 __all__ = [
+    "dense_adjacency",
     "normalize_adjacency_dense",
     "gcn_forward",
     "gat_forward",
@@ -34,6 +36,16 @@ __all__ = [
     "ldg_forward",
     "time_slice_adjacency_dense",
 ]
+
+
+def dense_adjacency(graph, weighted: bool = False,
+                    symmetric: bool = True) -> np.ndarray:
+    """The seed's dense adjacency in node order: 1 (or the edge amount when
+    ``weighted``) at ``[src, dst]``; ``symmetric`` gives ``max(A, A.T)``."""
+    src, dst, amount, _count, _ts = graph.edge_arrays()
+    adj = np.zeros((graph.num_nodes, graph.num_nodes), dtype=np.float64)
+    adj[src, dst] = amount if weighted else 1.0
+    return np.maximum(adj, adj.T) if symmetric else adj
 
 
 def normalize_adjacency_dense(adjacency: np.ndarray, add_self_loops: bool = True,

@@ -3,10 +3,11 @@
 The sampling code ``repro.graph.sampling`` and ``repro.data.dataset`` ran
 before ego sampling became one array pass over the row index: a Python loop
 over each frontier node, a ``sorted`` top-K ranking per node with more than
-``k`` incident edges, one ``TxGraph.subgraph`` build for the ego set and a
-second one after truncating it by degree.  It reads the graph only through
-per-node public calls (``degree``, ``neighbors``, ``out_slots`` /
-``in_slots``, ``subgraph``, ``degree_vector``).  The property tests in
+``k`` incident edges, one induced-subgraph build for the ego set and a
+second one after truncating it by degree.  It reads the graph one node at a
+time: ``degree``, ``degree_vector``, single-node ``gather_slots`` and the
+per-node readers of ``tests/_dict_reference.py`` (neighbours, induced
+subgraphs).  The property tests in
 ``tests/test_graph_sampling_property.py`` require the array-native sampler to
 equal it bit for bit, tie-breaks included.
 """
@@ -18,6 +19,8 @@ from typing import Hashable
 import numpy as np
 
 from repro.graph.txgraph import TxGraph
+
+from tests._dict_reference import induced_subgraph, neighbors
 
 __all__ = ["reference_top_k_neighbors", "reference_ego_subgraph",
            "reference_truncate", "reference_sample_graph"]
@@ -31,8 +34,8 @@ def reference_top_k_neighbors(graph: TxGraph, node: Hashable,
         return []
     idx = graph.node_index(node)
     src_ids, dst_ids, amount_col, count_col, _ts = graph.edge_arrays()
-    out_slots = graph.out_slots(node)
-    in_slots = graph.in_slots(node)
+    out_slots, _length = graph.gather_slots(np.array([idx]))
+    in_slots, _length = graph.gather_slots(np.array([idx]), incoming=True)
     others = np.concatenate([dst_ids[out_slots], src_ids[in_slots]])
     slots = np.concatenate([out_slots, in_slots])
     not_self = others != idx
@@ -66,7 +69,7 @@ def reference_ego_subgraph(graph: TxGraph, center: Hashable, hops: int = 2,
             # With at most k incident edges every neighbour ranks in the top-k;
             # the centre itself (a self-loop "neighbour") is already selected.
             if graph.degree(node) <= k:
-                candidates = graph.neighbors(node)
+                candidates = neighbors(graph, node)
             else:
                 candidates = reference_top_k_neighbors(graph, node, k)
             for neighbor in candidates:
@@ -76,7 +79,7 @@ def reference_ego_subgraph(graph: TxGraph, center: Hashable, hops: int = 2,
         frontier = next_frontier
         if not frontier:
             break
-    return graph.subgraph(selected)
+    return induced_subgraph(graph, selected)
 
 
 def reference_truncate(sub: TxGraph, center: Hashable, max_nodes: int) -> TxGraph:
@@ -85,7 +88,7 @@ def reference_truncate(sub: TxGraph, center: Hashable, max_nodes: int) -> TxGrap
     ranked = sorted((node for node in sub.nodes if node != center),
                     key=lambda n: -degrees[sub.node_index(n)])
     keep = [center] + ranked[:max_nodes - 1]
-    return sub.subgraph(keep)
+    return induced_subgraph(sub, keep)
 
 
 def reference_sample_graph(graph: TxGraph, center: Hashable, hops: int, k: int,

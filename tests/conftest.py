@@ -11,7 +11,8 @@ import pytest
 
 from repro.chain import LedgerConfig, generate_ledger
 from repro.data import DatasetConfig, SubgraphDatasetBuilder
-from repro.graph import TxGraph
+
+from tests._dict_reference import build_graph
 
 
 @pytest.fixture(scope="session")
@@ -39,14 +40,14 @@ def exchange_task(small_dataset):
 @pytest.fixture()
 def toy_graph():
     """A hand-built 5-node transaction graph with known structure."""
-    graph = TxGraph()
-    graph.add_edge("a", "b", amount=3.0, timestamp=100.0)
-    graph.add_edge("a", "b", amount=1.0, timestamp=200.0)   # merges with the first
-    graph.add_edge("b", "c", amount=5.0, timestamp=300.0)
-    graph.add_edge("c", "d", amount=0.5, timestamp=400.0)
-    graph.add_edge("d", "a", amount=2.0, timestamp=500.0)
-    graph.add_edge("a", "e", amount=10.0, timestamp=600.0)
-    return graph
+    return build_graph([
+        ("a", "b", 3.0, 1, 100.0),
+        ("a", "b", 1.0, 1, 200.0),          # merges with the first
+        ("b", "c", 5.0, 1, 300.0),
+        ("c", "d", 0.5, 1, 400.0),
+        ("d", "a", 2.0, 1, 500.0),
+        ("a", "e", 10.0, 1, 600.0),
+    ])
 
 
 @pytest.fixture()

@@ -10,6 +10,7 @@ from repro.baselines import (
     baseline_registry,
 )
 from repro.metrics import accuracy
+from tests._dict_reference import graph_with_nodes
 
 FAST_GNN_KWARGS = dict(hidden_dim=8, epochs=3)
 
@@ -100,10 +101,8 @@ class TestAllBaselines:
         model = BERT4ETHClassifier(**FAST_GNN_KWARGS)
         # Construct a degenerate sample graph with an isolated centre.
         from repro.data.dataset import AccountSubgraph
-        from repro.graph import TxGraph
 
-        graph = TxGraph()
-        graph.add_node("0xlonely")
+        graph = graph_with_nodes(["0xlonely"])
         sample = AccountSubgraph(center="0xlonely", category=None, graph=graph,
                                  node_features=np.zeros((1, 15)), center_index=0)
         tokens = model._tokenize(sample)

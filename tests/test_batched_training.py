@@ -353,8 +353,8 @@ def assert_same_dataset(a, b) -> None:
         assert left.center_index == right.center_index
         assert left.graph.nodes == right.graph.nodes
         np.testing.assert_array_equal(left.node_features, right.node_features)
-        np.testing.assert_array_equal(left.adjacency(weighted=True),
-                                      right.adjacency(weighted=True))
+        for got, want in zip(left.graph.edge_arrays(), right.graph.edge_arrays()):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestParallelBuild:

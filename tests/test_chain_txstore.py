@@ -180,6 +180,56 @@ class TestHashes:
         assert [store.tx_hash(row) for row in range(3)] == [tx.tx_hash for tx in txs]
 
 
+def _append_hashed(ledger: Ledger, hashes) -> None:
+    """Append one row per entry of ``hashes`` through the columnar path; a
+    ``None`` entry takes its row's derived hash."""
+    first, n = ledger.num_transactions, len(hashes)
+    ledger.append_blocks_columnar(
+        ["0xaa"] * n, ["0xbb"] * n, values=np.ones(n), gas_prices=np.ones(n),
+        gas_used=np.full(n, 21_000), timestamps=first + np.arange(n, dtype=float),
+        is_contract_call=np.zeros(n, dtype=bool), submitted=np.ones(n, dtype=bool),
+        transactions_per_block=2,
+        tx_hashes=[f"0x{row:064x}" if h is None else h
+                   for row, h in enumerate(hashes, first)])
+
+
+def _hash_state(ledger: Ledger) -> tuple:
+    store = ledger.store
+    hashes = [store.tx_hash(row) for row in range(store.num_rows)]
+    return (store.num_rows, ledger.data_version, list(ledger._block_numbers),
+            list(ledger._block_bounds), hashes, list(map(store.row_of_hash, hashes)))
+
+
+class TestHashUniqueness:
+    """One transaction hash names one row: an append that would give a hash
+    a second row raises before it writes anything."""
+
+    @pytest.mark.parametrize("earlier, rejected", [
+        ([None, None], [f"0x{0:064x}"]),        # an earlier row's derived hash
+        (["0xfirst"], ["0xdup", "0xdup"]),      # a repeat within the chunk
+        (["0xdup"], [None, "0xdup"]),           # another row's explicit hash
+        ([None] * 5, [f"0x{9:064x}"]),          # a later row's derived hash
+    ])
+    def test_a_second_row_for_a_hash_is_rejected(self, earlier, rejected):
+        ledger = Ledger()
+        _append_hashed(ledger, earlier)
+        before = _hash_state(ledger)
+        with pytest.raises(ValueError, match="hash"):
+            _append_hashed(ledger, rejected)
+        assert _hash_state(ledger) == before
+        # The store still appends, and every hash it answers names one row.
+        _append_hashed(ledger, [None] * 6)
+        _num_rows, _version, _numbers, _bounds, hashes, rows = _hash_state(ledger)
+        assert len(set(hashes)) == len(hashes)
+        assert rows == list(range(len(hashes)))
+
+    def test_a_row_may_spell_out_its_own_derived_hash(self):
+        ledger = Ledger()
+        _append_hashed(ledger, [None, f"0x{1:064x}", "0xown"])
+        assert ledger.store._explicit_hash_by_row == {2: "0xown"}
+        assert ledger.store.row_of_hash(f"0x{1:064x}") == 1
+
+
 class TestAddressIndex:
     def test_rows_in_block_order(self):
         store = ColumnarTxStore()

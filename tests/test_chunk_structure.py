@@ -24,10 +24,11 @@ from repro.data.dataset import AccountSubgraph
 from repro.data.slicing import block_adjacency, time_slice_csr
 from repro.graph import TxGraph
 from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
+from tests._dict_reference import add_rows, graph_with_nodes
 
 # One graph: (node count, flat timestamps?, edges (src, dst, amount, time)).
 # Endpoints are reduced mod the node count, so self loops, reciprocal pairs
-# and repeated pairs (merged by add_edge) all occur; an empty edge list is an
+# and repeated pairs (merged into one edge) all occur; an empty edge list is an
 # edgeless sample.
 graph_descriptors = st.tuples(
     st.integers(1, 7), st.booleans(),
@@ -39,13 +40,9 @@ chunks = st.lists(graph_descriptors, min_size=1, max_size=6)
 
 
 def build_graph(num_nodes: int, flat: bool, edges) -> TxGraph:
-    graph = TxGraph()
-    for i in range(num_nodes):
-        graph.add_node(f"n{i}")
-    for src, dst, amount, timestamp in edges:
-        graph.add_edge(f"n{src % num_nodes}", f"n{dst % num_nodes}", amount=amount,
-                       timestamp=7.0 if flat else timestamp)
-    return graph
+    return add_rows(graph_with_nodes(f"n{i}" for i in range(num_nodes)), [
+        (f"n{src % num_nodes}", f"n{dst % num_nodes}", amount, 1,
+         7.0 if flat else timestamp) for src, dst, amount, timestamp in edges])
 
 
 def assert_same_csr(got: SparseAdjacency, want: SparseAdjacency) -> None:
@@ -135,9 +132,9 @@ def micro_config() -> DBG4ETHConfig:
         calibration=CalibrationConfig())
 
 
-def memoized(sample: AccountSubgraph) -> tuple[int, int]:
-    """``(sparse forms on the sample, CSR arrays memoized on its graph)``."""
-    return len(sample._sparse_cache), len(sample.graph._csr_cache)
+def memoized(sample: AccountSubgraph) -> tuple[int, bool]:
+    """``(sparse forms on the sample, whether its graph built a row index)``."""
+    return len(sample._sparse_cache), sample.graph._adj_version >= 0
 
 
 def test_score_memoizes_no_structure_on_cached_samples(small_ledger, small_dataset):
@@ -145,10 +142,10 @@ def test_score_memoizes_no_structure_on_cached_samples(small_ledger, small_datas
     trainer = DeAnonymizer(small_ledger, DATASET_CONFIG)
     trainer.model_config = micro_config()
     fresh = [trainer.sample_for(sample.center) for sample in samples[:12]]
-    assert {memoized(sample) for sample in fresh} == {(0, 0)}
+    assert {memoized(sample) for sample in fresh} == {(0, False)}
     trainer.fit_category("exchange", fresh, labels[:12])
     # Training reuses each sample's adjacency and time slices across epochs.
-    assert {memoized(sample) for sample in fresh} == {(2, 1)}
+    assert {memoized(sample) for sample in fresh} == {(2, False)}
 
     facade = DeAnonymizer(small_ledger, DATASET_CONFIG).set_state(trainer.get_state())
     centres = [sample.center for sample in small_dataset]
@@ -157,4 +154,4 @@ def test_score_memoizes_no_structure_on_cached_samples(small_ledger, small_datas
     facade.score(alone)
     cached = [facade.sample_for(address) for address in batch + [alone]]
     assert all(sample.head_scores is not None for sample in cached)
-    assert {memoized(sample) for sample in cached} == {(0, 0)}
+    assert {memoized(sample) for sample in cached} == {(0, False)}

@@ -33,6 +33,8 @@ from repro.api import (
 )
 from repro.core import CalibrationConfig, DBG4ETHConfig, GSGConfig, LDGConfig
 from repro.data import DatasetConfig, SubgraphDatasetBuilder
+from repro.graph import SparseAdjacency
+from tests._dict_reference import add_edge
 from tests.test_follow_chain import append_block_touching, fresh_ledger
 
 DATASET_CONFIG = DatasetConfig(top_k=40, max_nodes_per_subgraph=40, seed=3)
@@ -92,33 +94,30 @@ def served_addresses(small_dataset):
 # Lazy-structure thread safety
 # --------------------------------------------------------------------------
 
-def _csr_arrays(graph, weighted, symmetric):
-    return graph.to_csr(weighted=weighted, symmetric=symmetric)
-
-
-def test_txgraph_concurrent_csr_builds_match_warm(small_ledger):
-    """Racing first-builds of every lazy TxGraph structure are bit-identical
-    to a single-threaded warm() on an identical graph."""
-    reference = SubgraphDatasetBuilder(small_ledger, DATASET_CONFIG).graph
-    reference.warm()
+def test_txgraph_concurrent_row_index_builds_match_warm(small_ledger):
+    """Racing first builds of the row index — the one lazy TxGraph
+    structure — are bit-identical to a single-threaded warm() on an
+    identical graph, and every thread reads the one index the winner
+    built."""
+    reference = SubgraphDatasetBuilder(small_ledger, DATASET_CONFIG).graph.warm()
     cold = SubgraphDatasetBuilder(small_ledger, DATASET_CONFIG).graph
+    ids = np.arange(cold.num_nodes)
     nodes = cold.nodes[:N_THREADS]
 
     def work(i):
-        node = nodes[i % len(nodes)]
-        return (_csr_arrays(cold, False, True), _csr_arrays(cold, True, True),
-                cold.out_slots(node), cold.in_slots(node), cold.degree(node))
+        out_slots, _out_len = cold.gather_slots(ids)
+        in_slots, _in_len = cold.gather_slots(ids, incoming=True)
+        index = (cold._out_indptr, cold._out_slots, cold._in_indptr, cold._in_slots)
+        return out_slots, in_slots, cold.degree(nodes[i % len(nodes)]), index
 
     results = _hammer(N_THREADS, work)
-    for key in ((False, True), (True, True)):
-        want = _csr_arrays(reference, *key)
-        got = _csr_arrays(cold, *key)
-        for w, g in zip(want, got):
-            np.testing.assert_array_equal(w, g)
-    # Every thread observed the same memoized CSR objects (built exactly once).
-    for i in range(1, N_THREADS):
-        assert results[i][0][0] is results[0][0][0]
-        assert results[i][1][0] is results[0][1][0]
+    want_out, _lengths = reference.gather_slots(ids)
+    want_in, _lengths = reference.gather_slots(ids, incoming=True)
+    for i, (out_slots, in_slots, degree, index) in enumerate(results):
+        np.testing.assert_array_equal(out_slots, want_out)
+        np.testing.assert_array_equal(in_slots, want_in)
+        assert degree == reference.degree(nodes[i % len(nodes)])
+        assert all(got is first for got, first in zip(index, results[0][3]))
 
 
 def test_txgraph_freeze_blocks_mutation(small_ledger):
@@ -127,13 +126,14 @@ def test_txgraph_freeze_blocks_mutation(small_ledger):
     graph.freeze()
     assert graph.frozen
     with pytest.raises(RuntimeError, match="frozen"):
-        graph.add_node("0xNEW")
+        add_edge(graph, "0xNEW", graph.nodes[0])
     with pytest.raises(RuntimeError, match="frozen"):
-        graph.add_edge(graph.nodes[0], graph.nodes[1])
+        add_edge(graph, graph.nodes[0], graph.nodes[1])
+    assert "0xNEW" not in graph
     # freeze() is idempotent and scoring reads still work.
     graph.freeze()
-    indptr, indices, data = graph.to_csr(False, True)
-    assert indptr[-1] == len(indices) == len(data)
+    csr = SparseAdjacency.from_graph(graph)
+    assert csr.indptr[-1] == len(csr.indices) == len(csr.data)
 
 
 def test_sparse_adjacency_concurrent_memo_single_instance(small_dataset):
@@ -189,8 +189,9 @@ def test_sample_for_concurrent_hammer_bit_identical(small_ledger, served_address
         got = concurrent.sample_for(address)
         assert got.center == want.center
         np.testing.assert_array_equal(got.node_features, want.node_features)
-        np.testing.assert_array_equal(got.adjacency(weighted=True),
-                                      want.adjacency(weighted=True))
+        for got_column, want_column in zip(got.graph.edge_arrays(),
+                                           want.graph.edge_arrays()):
+            np.testing.assert_array_equal(got_column, want_column)
 
 
 # --------------------------------------------------------------------------

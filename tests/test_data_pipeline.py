@@ -8,8 +8,8 @@ from repro.chain import Block, Ledger, Transaction
 from repro.data import build_transaction_graph, transaction_evolution_times
 from repro.graph import TxGraph
 
-from tests._dense_reference import time_slice_adjacency_dense
-from tests._dict_reference import DictGraphReference
+from tests._dense_reference import dense_adjacency, time_slice_adjacency_dense
+from tests._dict_reference import DictGraphReference, build_graph, edge_list
 
 
 def make_tx(i, sender="0xaa", receiver="0xbb", value=1.0, submitted=True):
@@ -25,7 +25,8 @@ def ledger_of(*txs) -> Ledger:
 
 
 def edge_tuples(graph) -> list[tuple]:
-    return [(e.src, e.dst, e.amount, e.count, e.timestamp) for e in graph.edges]
+    edges = graph.edges if isinstance(graph, DictGraphReference) else edge_list(graph)
+    return [tuple(edge) for edge in edges]
 
 
 class TestFilterTransactions:
@@ -55,8 +56,8 @@ class TestFilterTransactions:
         receivers = ["0xb4", "0xb1", "0xb3", "0xb0", "0xb2"]
         graph = build_transaction_graph(ledger_of(
             *[make_tx(i, receiver=r) for i, r in enumerate(receivers)]))
-        assert [e.dst for e in graph.edges] == receivers
-        assert [e.timestamp for e in graph.edges] == [1000.0 + i for i in range(5)]
+        assert [e.dst for e in edge_list(graph)] == receivers
+        assert [e.timestamp for e in edge_list(graph)] == [1000.0 + i for i in range(5)]
 
 
 class TestBuildTransactionGraph:
@@ -75,19 +76,19 @@ class TestBuildTransactionGraph:
 
     def test_repeated_transfers_merge(self, small_ledger):
         graph = build_transaction_graph(small_ledger)
-        assert any(edge.count > 1 for edge in graph.edges)
+        assert graph.edge_arrays()[3].max() > 1
 
     def test_no_unsubmitted_edges(self, small_ledger):
         graph = build_transaction_graph(small_ledger)
         submitted_value = sum(t.value for t in small_ledger.transactions()
                               if t.sender != t.receiver)
-        graph_value = sum(e.amount for e in graph.edges)
+        graph_value = graph.edge_arrays()[2].sum()
         assert graph_value == pytest.approx(submitted_value, rel=1e-6)
 
 
 def reference_graph(ledger, min_value: float = 0.0) -> DictGraphReference:
-    """Sequential ``add_edge`` calls over the ledger's materialised
-    transactions, under the build's filter."""
+    """Sequential merges of the ledger's materialised transactions, under the
+    build's filter."""
     reference = DictGraphReference()
     for tx in ledger.transactions(include_unsubmitted=True):
         if tx.submitted and tx.sender != tx.receiver and tx.value >= min_value:
@@ -127,9 +128,7 @@ class TestEvolutionTimes:
         assert max(times.values()) == pytest.approx(1.0)
 
     def test_single_timestamp_graph(self):
-        g = TxGraph()
-        g.add_edge("a", "b", amount=1.0, timestamp=50.0)
-        g.add_edge("b", "c", amount=1.0, timestamp=50.0)
+        g = build_graph([("a", "b", 1.0, 1, 50.0), ("b", "c", 1.0, 1, 50.0)])
         assert set(transaction_evolution_times(g).values()) == {0.0}
 
     def test_empty_graph(self):
@@ -154,7 +153,7 @@ class TestTimeSlices:
     def test_union_matches_static_adjacency(self, toy_graph):
         slices = time_slice_adjacency_dense(toy_graph, 5, weighted=True)
         combined = (np.sum(slices, axis=0) > 0).astype(float)
-        static = toy_graph.adjacency_matrix(symmetric=True)
+        static = dense_adjacency(toy_graph, symmetric=True)
         np.testing.assert_allclose(combined, (static > 0).astype(float))
 
     def test_cumulative_slices_grow_monotonically(self, toy_graph):
@@ -164,7 +163,7 @@ class TestTimeSlices:
 
     def test_single_slice_equals_full_graph(self, toy_graph):
         matrix = time_slice_adjacency_dense(toy_graph, 1, weighted=True)[0]
-        expected = toy_graph.adjacency_matrix(weighted=True, symmetric=False)
+        expected = dense_adjacency(toy_graph, weighted=True, symmetric=False)
         np.testing.assert_allclose(matrix, expected + expected.T)
 
     def test_zero_slices_raises(self, toy_graph):
@@ -175,9 +174,7 @@ class TestTimeSlices:
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 8))
 def test_slice_mass_is_conserved_for_any_slice_count(num_slices):
-    g = TxGraph()
-    g.add_edge("a", "b", amount=2.0, timestamp=10.0)
-    g.add_edge("b", "c", amount=3.0, timestamp=20.0)
-    g.add_edge("c", "a", amount=4.0, timestamp=30.0)
+    g = build_graph([("a", "b", 2.0, 1, 10.0), ("b", "c", 3.0, 1, 20.0),
+                     ("c", "a", 4.0, 1, 30.0)])
     slices = time_slice_adjacency_dense(g, num_slices, weighted=True)
     assert sum(s.sum() for s in slices) == pytest.approx(2 * (2.0 + 3.0 + 4.0))

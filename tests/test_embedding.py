@@ -12,20 +12,16 @@ from repro.embedding import (
     random_walks,
     trans2vec_walks,
 )
-from repro.graph import TxGraph
+from tests._dict_reference import build_graph, graph_with_nodes, neighbors
 
 
 @pytest.fixture()
 def two_cluster_graph():
     """Two dense 4-cliques joined by a single bridge edge."""
-    g = TxGraph()
-    for cluster, offset in (("a", 0), ("b", 10)):
-        for i in range(4):
-            for j in range(i + 1, 4):
-                g.add_edge(f"{cluster}{offset + i}", f"{cluster}{offset + j}",
-                           amount=1.0, timestamp=100.0 + i)
-    g.add_edge("a0", "b10", amount=0.1, timestamp=500.0)
-    return g
+    rows = [(f"{cluster}{offset + i}", f"{cluster}{offset + j}", 1.0, 1, 100.0 + i)
+            for cluster, offset in (("a", 0), ("b", 10))
+            for i in range(4) for j in range(i + 1, 4)]
+    return build_graph(rows + [("a0", "b10", 0.1, 1, 500.0)])
 
 
 class TestWalks:
@@ -38,15 +34,14 @@ class TestWalks:
     def test_walk_steps_follow_edges(self, toy_graph):
         for walk in random_walks(toy_graph, walk_length=6, walks_per_node=1, seed=1):
             for current, nxt in zip(walk, walk[1:]):
-                assert nxt in toy_graph.neighbors(current)
+                assert nxt in neighbors(toy_graph, current)
 
     def test_walk_length_respected(self, toy_graph):
         walks = random_walks(toy_graph, walk_length=7, walks_per_node=1, seed=0)
         assert all(len(walk) <= 7 for walk in walks)
 
     def test_isolated_node_walk_has_length_one(self):
-        g = TxGraph()
-        g.add_node("solo")
+        g = graph_with_nodes(["solo"])
         walks = random_walks(g, walk_length=5, walks_per_node=1)
         assert walks == [["solo"]]
 
@@ -63,12 +58,11 @@ class TestWalks:
     def test_node2vec_steps_follow_edges(self, toy_graph):
         for walk in node2vec_walks(toy_graph, walk_length=6, walks_per_node=1, seed=2):
             for current, nxt in zip(walk, walk[1:]):
-                assert nxt in toy_graph.neighbors(current)
+                assert nxt in neighbors(toy_graph, current)
 
     def test_trans2vec_prefers_high_amount_edges(self):
-        g = TxGraph()
-        g.add_edge("c", "rich", amount=1000.0, timestamp=100.0)
-        g.add_edge("c", "poor", amount=0.001, timestamp=100.0)
+        g = build_graph([("c", "rich", 1000.0, 1, 100.0),
+                         ("c", "poor", 0.001, 1, 100.0)])
         walks = trans2vec_walks(g, walk_length=2, walks_per_node=200, amount_bias=1.0, seed=0)
         second_steps = [w[1] for w in walks if w[0] == "c" and len(w) > 1]
         assert second_steps.count("rich") > 0.9 * len(second_steps)

@@ -22,7 +22,7 @@ from repro.data import (
     build_transaction_graph,
 )
 
-from tests._dict_reference import DictGraphReference
+from tests._dict_reference import DictGraphReference, add_edge, edge_list, exact
 from tests._feature_reference import reference_features
 
 DATASET_CONFIG = DatasetConfig(top_k=30, max_nodes_per_subgraph=40, seed=3)
@@ -116,25 +116,45 @@ def assert_graphs_bit_identical(a, b):
                                       getattr(b, name)[:b._m], err_msg=name)
 
 
+def kept_node_ids(ledger, graph, start: int, min_value: float = 0.0) -> list[int]:
+    """Sorted node ids of every endpoint of a row from ``start`` on that the
+    graph filter keeps."""
+    cols = ledger.tx_columns()
+    addresses = ledger.store.addresses
+    ids = set()
+    for row in range(start, ledger.num_transactions):
+        sender, receiver = cols.sender_id[row], cols.receiver_id[row]
+        if (cols.submitted[row] and sender != receiver
+                and cols.value[row] >= min_value):
+            ids.update((graph.node_index(addresses[sender]),
+                        graph.node_index(addresses[receiver])))
+    return sorted(ids)
+
+
 class TestGraphIngest:
     def test_ingest_matches_cold_rebuild(self):
         ledger = fresh_ledger()
         graph = build_transaction_graph(ledger, min_value=0.5)
         assert graph.ingested_rows == ledger.num_transactions
         targets = ledger.store.addresses[:3]
+        start = ledger.num_transactions
         append_block_touching(ledger, targets)
         touched = graph.ingest(ledger)
         cold = build_transaction_graph(ledger, min_value=0.5)
         assert_graphs_bit_identical(graph, cold)
         assert graph.ingested_rows == ledger.num_transactions
-        assert set(targets) <= set(touched)
+        assert touched.dtype == np.int64
+        assert touched.tolist() == kept_node_ids(ledger, graph, start, min_value=0.5)
+        assert {graph.node_index(t) for t in targets} <= set(touched.tolist())
 
     def test_ingest_is_idempotent_when_clean(self):
         ledger = fresh_ledger()
-        graph = build_transaction_graph(ledger)
-        version = graph._version
-        assert graph.ingest(ledger) == []
-        assert graph._version == version
+        graph = build_transaction_graph(ledger).warm()
+        before = exact(edge_list(graph))
+        touched = graph.ingest(ledger)
+        assert touched.dtype == np.int64 and len(touched) == 0
+        assert graph._adj_version == graph._structure_version
+        assert exact(edge_list(graph)) == before
 
     def test_repeated_ingest_rounds_match_cold_rebuild(self):
         ledger = fresh_ledger(seed=4)
@@ -146,7 +166,8 @@ class TestGraphIngest:
         assert_graphs_bit_identical(graph, build_transaction_graph(ledger))
 
     def test_ingest_touched_set_excludes_filtered_rows(self):
-        """Rows the dust/self/unsubmitted filter drops touch nobody."""
+        """Rows the dust/self/unsubmitted filter drops touch nobody: the dust
+        sender does not even become a node."""
         ledger = fresh_ledger(seed=5)
         graph = build_transaction_graph(ledger, min_value=1.0)
         quiet = "0xonly_dust_sender"
@@ -162,14 +183,15 @@ class TestGraphIngest:
             submitted=np.ones(2, dtype=bool),
             transactions_per_block=2)
         touched = graph.ingest(ledger, min_value=1.0)
-        assert quiet not in touched
-        assert loud in touched
+        assert quiet not in graph
+        assert touched.tolist() == sorted([graph.node_index(loud),
+                                           graph.node_index("0xloud_partner")])
 
     def test_ingest_finds_nodes_added_by_hand_like_the_reference(self):
-        """An account that became a node through ``add_edge`` (not through
-        ingest) before any ingested row named it: the ingest must merge into
-        that node, exactly as the sequential reference replaying every kept
-        row does, and so must every later ingest."""
+        """An account that became a node through ``add_edges_bulk`` (not
+        through ingest) before any ingested row named it: the ingest must
+        merge into that node, exactly as the sequential reference replaying
+        every kept row does, and so must every later ingest."""
         ledger = fresh_ledger(seed=15)
         graph = build_transaction_graph(ledger)
         reference = DictGraphReference()
@@ -186,7 +208,7 @@ class TestGraphIngest:
 
         replay(0)
         by_hand, partner = "0xby_hand", ledger.store.addresses[0]
-        graph.add_edge(by_hand, partner, amount=2.5, count=1, timestamp=1.0)
+        add_edge(graph, by_hand, partner, amount=2.5, count=1, timestamp=1.0)
         reference.add_edge(by_hand, partner, amount=2.5, count=1, timestamp=1.0)
         for targets in ([by_hand, partner], [by_hand, ledger.store.addresses[1]]):
             start = ledger.num_transactions
@@ -194,19 +216,29 @@ class TestGraphIngest:
             graph.ingest(ledger)
             replay(start)
             assert graph.nodes == reference.nodes
-            assert [(e.src, e.dst, e.amount, e.count, e.timestamp)
-                    for e in graph.edges] == \
-                [(e.src, e.dst, e.amount, e.count, e.timestamp)
-                 for e in reference.edges]
+            assert exact(edge_list(graph)) == exact(reference.edges)
 
     def test_frozen_graph_refuses_ingest_with_new_rows(self):
         ledger = fresh_ledger(seed=6)
         graph = build_transaction_graph(ledger)
         graph.freeze()
-        assert graph.ingest(ledger) == []              # clean: no-op even frozen
+        assert len(graph.ingest(ledger)) == 0          # clean: no-op even frozen
         append_block_touching(ledger, ledger.store.addresses[:1])
         with pytest.raises(RuntimeError, match="frozen"):
             graph.ingest(ledger)
+
+
+    def test_builder_refresh_returns_touched_node_ids(self):
+        ledger = fresh_ledger(seed=16)
+        builder = SubgraphDatasetBuilder(ledger, DATASET_CONFIG)
+        assert len(builder.refresh()) == 0             # no graph built yet
+        graph = builder.graph
+        start = ledger.num_transactions
+        append_block_touching(ledger, ledger.store.addresses[:2])
+        touched = builder.refresh()
+        assert touched.dtype == np.int64
+        assert touched.tolist() == kept_node_ids(ledger, graph, start)
+        assert len(builder.refresh()) == 0             # nothing new
 
 
 class TestFeatureTableRefresh:

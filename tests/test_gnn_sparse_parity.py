@@ -29,6 +29,7 @@ from repro.gnn.pooling import DiffPool
 from repro.nn import Adam, Tensor
 from repro.nn.losses import binary_cross_entropy_with_logits
 from tests import _dense_reference as dense_ref
+from tests._dict_reference import build_graph, graph_with_nodes
 
 ATOL = 1e-9
 
@@ -69,7 +70,7 @@ def random_cases(rng):
 def ego_adjacencies(small_dataset):
     """Unweighted symmetric adjacencies of real sampled ego subgraphs."""
     samples = sorted(small_dataset.samples, key=lambda s: -s.num_nodes)[:3]
-    return [s.adjacency() for s in samples]
+    return [dense_ref.dense_adjacency(s.graph) for s in samples]
 
 
 class TestSparseAdjacencyType:
@@ -78,13 +79,13 @@ class TestSparseAdjacencyType:
             sp = SparseAdjacency.from_dense(adj)
             np.testing.assert_array_equal(sp.to_dense(), adj)
 
-    def test_from_graph_matches_adjacency_matrix(self, toy_graph):
+    def test_from_graph_matches_dense_adjacency(self, toy_graph):
         for weighted in (False, True):
             for symmetric in (False, True):
                 sp = SparseAdjacency.from_graph(toy_graph, weighted=weighted,
                                                 symmetric=symmetric)
-                dense = toy_graph.adjacency_matrix(weighted=weighted,
-                                                   symmetric=symmetric)
+                dense = dense_ref.dense_adjacency(toy_graph, weighted=weighted,
+                                                  symmetric=symmetric)
                 np.testing.assert_array_equal(sp.to_dense(), dense)
 
     def test_from_coo_sums_duplicates(self):
@@ -253,11 +254,7 @@ class TestTimeSliceParity:
 
     def test_all_edges_in_one_slice(self):
         """Uniform timestamps put every edge in slot 0; later slices are empty."""
-        from repro.graph.txgraph import TxGraph
-
-        graph = TxGraph()
-        graph.add_edge("a", "b", amount=1.0, timestamp=50.0)
-        graph.add_edge("b", "c", amount=2.0, timestamp=50.0)
+        graph = build_graph([("a", "b", 1.0, 1, 50.0), ("b", "c", 2.0, 1, 50.0)])
         dense = dense_ref.time_slice_adjacency_dense(graph, 4)
         sparse = time_slice_csr(graph, 4)
         assert sparse[0].nnz == 4   # two undirected edges, both directions
@@ -267,21 +264,14 @@ class TestTimeSliceParity:
             assert sp.nnz == 0
 
     def test_empty_graph_slices(self):
-        from repro.graph.txgraph import TxGraph
-
-        graph = TxGraph()
-        graph.add_node("solo")
+        graph = graph_with_nodes(["solo"])
         sparse = time_slice_csr(graph, 3)
         assert [sp.shape for sp in sparse] == [(1, 1)] * 3
         assert all(sp.nnz == 0 for sp in sparse)
 
     def test_self_loop_counts_twice(self):
         """The seed slicer adds a self loop to [i, i] twice; the CSR twin must too."""
-        from repro.graph.txgraph import TxGraph
-
-        graph = TxGraph()
-        graph.add_edge("a", "a", amount=3.0, timestamp=1.0)
-        graph.add_edge("a", "b", amount=1.0, timestamp=2.0)
+        graph = build_graph([("a", "a", 3.0, 1, 1.0), ("a", "b", 1.0, 1, 2.0)])
         dense = dense_ref.time_slice_adjacency_dense(graph, 2)
         sparse = time_slice_csr(graph, 2)
         assert dense[0][0, 0] == pytest.approx(6.0)
@@ -345,7 +335,7 @@ def _train_one_step_gsg(samples, labels, prepare_dense: bool):
         optimizer.zero_grad()
         if prepare_dense:
             logit = dense_ref.gsg_forward(network, features, edge_features,
-                                          sample.adjacency())
+                                          dense_ref.dense_adjacency(sample.graph))
         else:
             logit = network(features, edge_features, sample.adjacency_sparse())
         loss = binary_cross_entropy_with_logits(logit.reshape(1),
@@ -359,7 +349,7 @@ def _train_one_step_gsg(samples, labels, prepare_dense: bool):
         edge_features = np.log1p(np.abs(sample.node_edge_features()))
         if prepare_dense:
             out = dense_ref.gsg_forward(network, features, edge_features,
-                                        sample.adjacency())
+                                        dense_ref.dense_adjacency(sample.graph))
         else:
             out = network(features, edge_features, sample.adjacency_sparse())
         logits.append(out.data.item())

@@ -7,7 +7,8 @@ and agree across the two paths.
 Degenerate *queries* — subgraphs over node sets with no induced edges or
 with identifiers absent from the graph, ``edges_between`` on absent nodes —
 must return empty results (never ``KeyError``) identically on the columnar
-``TxGraph`` and the dict-backed reference path.
+``TxGraph``, read through ``subgraph_by_index`` and ``gather_slots``, and on
+the dict-backed reference.
 """
 
 import numpy as np
@@ -23,7 +24,20 @@ from repro.data.slicing import time_slice_csr
 from repro.graph import TxGraph, ego_subgraph
 
 from tests._dense_reference import time_slice_adjacency_dense
-from tests._dict_reference import DictGraphReference
+from tests._dict_reference import (
+    DictGraphReference,
+    add_edge,
+    build_graph,
+    edge_list,
+    edges_between,
+    get_edge,
+    graph_with_nodes,
+    has_edge,
+    in_edges,
+    induced_subgraph,
+    neighbors,
+    out_edges,
+)
 
 
 def empty_graph() -> TxGraph:
@@ -31,24 +45,16 @@ def empty_graph() -> TxGraph:
 
 
 def single_node_graph() -> TxGraph:
-    g = TxGraph()
-    g.add_node("solo")
-    return g
+    return graph_with_nodes(["solo"])
 
 
 def self_loop_graph() -> TxGraph:
-    g = TxGraph()
-    g.add_edge("solo", "solo", amount=2.0, timestamp=100.0)
-    return g
+    return build_graph([("solo", "solo", 2.0, 1, 100.0)])
 
 
 def same_timestamp_graph() -> TxGraph:
-    g = TxGraph()
-    g.add_edge("a", "b", amount=1.0, timestamp=500.0)
-    g.add_edge("b", "c", amount=2.0, timestamp=500.0)
-    g.add_edge("c", "a", amount=3.0, timestamp=500.0)
-    g.add_edge("a", "a", amount=4.0, timestamp=500.0)
-    return g
+    return build_graph([("a", "b", 1.0, 1, 500.0), ("b", "c", 2.0, 1, 500.0),
+                        ("c", "a", 3.0, 1, 500.0), ("a", "a", 4.0, 1, 500.0)])
 
 
 DEGENERATE_BUILDERS = [empty_graph, single_node_graph, self_loop_graph,
@@ -142,62 +148,61 @@ class TestDegenerateSampling:
 
 def _both_paths():
     """The same 4-node graph on the columnar TxGraph and the dict reference."""
-    graphs = []
-    for cls in (TxGraph, DictGraphReference):
-        g = cls()
-        g.add_edge("a", "b", amount=1.0, timestamp=10.0)
-        g.add_edge("b", "c", amount=2.0, timestamp=20.0)
-        g.add_node("isolated")
-        graphs.append(g)
-    return graphs
+    rows = [("a", "b", 1.0, 1, 10.0), ("b", "c", 2.0, 1, 20.0)]
+    reference = DictGraphReference()
+    for row in rows:
+        reference.add_edge(*row)
+    reference.add_node("isolated")
+    return build_graph(rows, nodes=["a", "b", "c", "isolated"]), reference
+
+
+def _subgraphs(nodes):
+    """``(subgraph, its edges)`` of ``nodes`` on both paths."""
+    g, reference = _both_paths()
+    sub, ref_sub = induced_subgraph(g, nodes), reference.subgraph(nodes)
+    return [(sub, edge_list(sub)), (ref_sub, ref_sub.edges)]
 
 
 class TestEmptyResultsOnBothPaths:
-    """Degenerate queries return empty results, not KeyError (old and new path)."""
+    """Degenerate queries return empty results, not KeyError (both paths)."""
 
     def test_subgraph_with_no_induced_edges(self):
-        for g in _both_paths():
-            sub = g.subgraph(["a", "c", "isolated"])
+        for sub, edges in _subgraphs(["a", "c", "isolated"]):
             assert sub.nodes == ["a", "c", "isolated"]
             assert sub.num_edges == 0
-            assert sub.edges == []
+            assert edges == []
 
     def test_subgraph_with_absent_nodes_ignores_them(self):
-        for g in _both_paths():
-            sub = g.subgraph(["a", "b", "zz", "yy"])
+        for sub, edges in _subgraphs(["a", "b", "zz", "yy"]):
             assert sub.nodes == ["a", "b"]
             assert sub.num_edges == 1
-            assert [(e.src, e.dst) for e in sub.edges] == [("a", "b")]
+            assert [(e.src, e.dst) for e in edges] == [("a", "b")]
 
     def test_subgraph_of_only_absent_nodes_is_empty(self):
-        for g in _both_paths():
-            sub = g.subgraph(["zz", "yy"])
+        for sub, _edges in _subgraphs(["zz", "yy"]):
             assert sub.nodes == []
             assert sub.num_edges == 0
 
     def test_subgraph_of_empty_node_set_is_empty(self):
-        for g in _both_paths():
-            sub = g.subgraph([])
+        for sub, _edges in _subgraphs([]):
             assert sub.nodes == []
             assert sub.num_edges == 0
 
     def test_edges_between_absent_nodes_is_empty(self):
-        for g in _both_paths():
-            assert g.edges_between("zz", "yy") == []
-            assert g.edges_between("a", "zz") == []
-            assert g.edges_between("zz", "a") == []
-            assert g.edges_between("zz", "zz") == []
+        g, reference = _both_paths()
+        for u, v in (("zz", "yy"), ("a", "zz"), ("zz", "a"), ("zz", "zz")):
+            assert edges_between(g, u, v) == []
+            assert reference.edges_between(u, v) == []
 
     def test_traversals_of_absent_node_are_empty(self):
-        for g in _both_paths():
-            assert list(g.out_edges("zz")) == []
-            assert list(g.in_edges("zz")) == []
-            assert g.neighbors("zz") == set()
-            assert g.degree("zz") == 0
+        g, reference = _both_paths()
+        assert out_edges(g, "zz") == in_edges(g, "zz") == []
+        assert reference.out_edges("zz") == reference.in_edges("zz") == []
+        assert neighbors(g, "zz") == reference.neighbors("zz") == set()
+        assert g.degree("zz") == reference.degree("zz") == 0
 
     def test_subgraph_keeps_edgeless_nodes(self):
-        for g in _both_paths():
-            sub = g.subgraph(["isolated"])
+        for sub, _edges in _subgraphs(["isolated"]):
             assert sub.nodes == ["isolated"]
             assert sub.num_edges == 0
 
@@ -206,23 +211,25 @@ class TestDegenerateQueriesOnTxGraph:
     """Columnar-specific guards that have no dict-path equivalent."""
 
     def test_has_edge_and_get_edge_on_absent_nodes(self):
-        (g, _ref) = _both_paths()
-        assert not g.has_edge("zz", "a")
-        assert not g.has_edge("a", "zz")
+        g, _reference = _both_paths()
+        assert not has_edge(g, "zz", "a")
+        assert not has_edge(g, "a", "zz")
         with pytest.raises(KeyError):
-            g.get_edge("zz", "a")
+            get_edge(g, "zz", "a")
 
     def test_empty_graph_queries(self):
         g = TxGraph()
-        assert g.edges == []
-        assert g.subgraph(["anything"]).nodes == []
-        assert g.edges_between("u", "v") == []
+        assert edge_list(g) == []
+        assert induced_subgraph(g, ["anything"]).nodes == []
+        assert g.degree("u") == 0
         assert g.degree_vector().tolist() == []
         for arr in g.edge_arrays():
             assert len(arr) == 0
+        slots, lengths = g.gather_slots(np.empty(0, dtype=np.int64))
+        assert len(slots) == len(lengths) == 0
 
     def test_degree_vector_matches_per_node_degree(self):
-        g, _ref = _both_paths()
-        g.add_edge("c", "c", amount=1.0)   # self-loop counts once
+        g, _reference = _both_paths()
+        add_edge(g, "c", "c", amount=1.0)   # self-loop counts once
         degrees = g.degree_vector()
         assert degrees.tolist() == [g.degree(node) for node in g.nodes]

@@ -8,8 +8,11 @@ four artefacts bit-for-bit:
   columns and its block numbers, timestamps and row bounds,
 * the serialized edge columns of the global transaction graph (node order,
   src/dst indices, amounts, counts, merged timestamps),
-* the single-pass deep-feature table over every graph node, and
-* the node sets of 2-hop top-K ego samples around deterministic centres.
+* the single-pass deep-feature table over every graph node,
+* the node sets of 2-hop top-K ego samples around deterministic centres, and
+* what the baselines read off truncated samples around the same centres:
+  DeepWalk, Node2Vec and Trans2Vec walks, BERT4ETH tokens and the output of
+  a seeded GRIT network.
 
 Any refactor of the graph or feature layers that changes a single bit — an
 edge reordered, a timestamp mean computed in a different association order, a
@@ -22,9 +25,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.baselines import BERT4ETHClassifier, GRITClassifier
 from repro.chain import LedgerConfig, generate_ledger
+from repro.data import DatasetConfig, SubgraphDatasetBuilder
 from repro.data.features import DeepFeatureExtractor
 from repro.data.pipeline import build_transaction_graph
+from repro.embedding.walks import node2vec_walks, random_walks, trans2vec_walks
 from repro.graph.sampling import ego_subgraph
 
 #: Ledger generation parameters behind the pinned digests.  Changing any of
@@ -41,6 +47,8 @@ GOLDEN_FEATURE_TABLE_SHA = \
     "773a338e9008f55dcb91cbe5fa386ab327f77a851861763a7dd5ccf2e009a8bb"
 GOLDEN_EGO_SAMPLES_SHA = \
     "9e52d333cf13d9200abfc48cfc85a519b1b5e790e70826709f37556898dae6a0"
+GOLDEN_SAMPLE_READERS_SHA = \
+    "289214a893288df46c73712ac0ff7a402af0e907f2b56068b10329cc883399e7"
 
 
 @pytest.fixture(scope="module")
@@ -81,13 +89,7 @@ def serialize_edge_columns(graph) -> bytes:
     """Node order plus every edge column, in edge-insertion order."""
     blob = hashlib.sha256()
     blob.update("\n".join(str(node) for node in graph.nodes).encode())
-    edges = graph.edges
-    src = np.array([graph.node_index(e.src) for e in edges], dtype=np.int64)
-    dst = np.array([graph.node_index(e.dst) for e in edges], dtype=np.int64)
-    amount = np.array([e.amount for e in edges], dtype=np.float64)
-    count = np.array([e.count for e in edges], dtype=np.int64)
-    timestamp = np.array([e.timestamp for e in edges], dtype=np.float64)
-    for column in (src, dst, amount, count, timestamp):
+    for column in graph.edge_arrays():
         blob.update(column.tobytes())
     return blob.hexdigest().encode()
 
@@ -104,16 +106,44 @@ def test_feature_table_digest(golden_ledger, golden_graph):
     assert digest == GOLDEN_FEATURE_TABLE_SHA
 
 
+def golden_centres(ledger, graph) -> list:
+    """The first four labelled addresses present in the graph plus the two
+    highest-degree nodes (ties broken by address)."""
+    labelled = [addr for addr, _cat in ledger.labels.items()
+                if graph.has_node(addr)][:4]
+    hubs = sorted(graph.nodes, key=lambda n: (-graph.degree(n), str(n)))[:2]
+    return labelled + hubs
+
+
 def test_ego_sample_node_sets_digest(golden_ledger, golden_graph):
-    # Deterministic centres: the first four labelled addresses present in the
-    # graph plus the two highest-degree nodes (ties broken by address).
-    labelled = [addr for addr, _cat in golden_ledger.labels.items()
-                if golden_graph.has_node(addr)][:4]
-    hubs = sorted(golden_graph.nodes,
-                  key=lambda n: (-golden_graph.degree(n), str(n)))[:2]
     blob = hashlib.sha256()
-    for center in labelled + hubs:
+    for center in golden_centres(golden_ledger, golden_graph):
         sub = ego_subgraph(golden_graph, center, hops=2, k=2000)
         blob.update(f"{center}->{','.join(str(n) for n in sub.nodes)};".encode())
         blob.update(str(sub.num_edges).encode())
     assert blob.hexdigest() == GOLDEN_EGO_SAMPLES_SHA
+
+
+def test_sample_readers_digest(golden_ledger, golden_graph):
+    """Table III runs only DeepWalk and BERT4ETH of these readers, so the
+    tables alone would not notice Node2Vec, Trans2Vec or GRIT drifting.  The
+    samples are truncated to 30 nodes and hold reciprocal pairs, so the walks'
+    out-then-in neighbour folds are exercised."""
+    builder = SubgraphDatasetBuilder(golden_ledger,
+                                     DatasetConfig(max_nodes_per_subgraph=30))
+    bert4eth = BERT4ETHClassifier(max_sequence_length=12)
+    grit = GRITClassifier(hidden_dim=8)._build_network(15, np.random.default_rng(4))
+    blob = hashlib.sha256()
+    for center in golden_centres(golden_ledger, golden_graph):
+        sample = builder.build_sample(center)
+        graph = sample.graph
+        for walks in (random_walks(graph, walk_length=6, walks_per_node=2, seed=1),
+                      node2vec_walks(graph, walk_length=6, walks_per_node=2,
+                                     p=0.5, q=2.0, seed=2),
+                      trans2vec_walks(graph, walk_length=6, walks_per_node=2,
+                                      amount_bias=0.3, seed=3)):
+            blob.update(";".join(",".join(walk) for walk in walks).encode())
+        blob.update(bert4eth._tokenize(sample).tobytes())
+        features = np.log1p(np.abs(sample.node_features))
+        blob.update(grit(features, sample).data.tobytes())
+    assert blob.hexdigest() == GOLDEN_SAMPLE_READERS_SHA

@@ -1,10 +1,11 @@
 """Parity tests: the indexed TxGraph must agree with reference implementations.
 
-Property-style checks on randomized graphs compare every indexed traversal
-(``neighbors``, ``degree``, ``out_edges``, ``in_edges``, ``subgraph``,
-``to_csr``) against the :meth:`TxGraph.to_networkx` view and the dense
-adjacency, and a regression test pins ``extract_many`` to the per-account
-scalar reference in ``tests/_feature_reference.py`` bit for bit.
+Property-style checks on randomized graphs compare every indexed read — the
+row index behind neighbours, degrees and out/in rows, ``subgraph_by_index``
+behind induced subgraphs, and ``SparseAdjacency.from_graph`` — against a
+networkx view and the dense adjacency, and a regression test pins
+``extract_many`` to the per-account scalar reference in
+``tests/_feature_reference.py`` bit for bit.
 """
 
 import numpy as np
@@ -12,8 +13,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data.features import DeepFeatureExtractor
-from repro.graph import TxGraph
+from repro.graph import SparseAdjacency, TxGraph
 
+from tests._dense_reference import dense_adjacency
+from tests._dict_reference import (
+    add_edge,
+    build_graph,
+    edge_list,
+    edges_between,
+    get_edge,
+    graph_with_nodes,
+    in_edges,
+    induced_subgraph,
+    neighbors,
+    out_edges,
+    to_networkx,
+)
 from tests._feature_reference import reference_features
 
 
@@ -24,38 +39,38 @@ edge_lists = st.lists(
     min_size=1, max_size=60)
 
 
-def build_graph(edges) -> TxGraph:
+def graph_of(edges) -> TxGraph:
     g = TxGraph()
     for src, dst, amount, ts in edges:
-        g.add_edge(src, dst, amount=amount, timestamp=ts)
+        add_edge(g, src, dst, amount=amount, timestamp=ts)
     return g
 
 
 @settings(max_examples=60, deadline=None)
 @given(edge_lists)
 def test_neighbors_and_degree_match_networkx(edges):
-    g = build_graph(edges)
-    nx_graph = g.to_networkx()
+    g = graph_of(edges)
+    nx_graph = to_networkx(g)
     for node in g.nodes:
         nx_nbrs = set(nx_graph.successors(node)) | set(nx_graph.predecessors(node))
-        assert g.neighbors(node) == nx_nbrs
+        assert neighbors(g, node) == nx_nbrs
         assert g.degree(node) == nx_graph.out_degree(node) + nx_graph.in_degree(node) \
             - (1 if nx_graph.has_edge(node, node) else 0)
-        assert g.out_degree(node) == nx_graph.out_degree(node)
-        assert g.in_degree(node) == nx_graph.in_degree(node)
+        assert len(out_edges(g, node)) == nx_graph.out_degree(node)
+        assert len(in_edges(g, node)) == nx_graph.in_degree(node)
 
 
 @settings(max_examples=60, deadline=None)
 @given(edge_lists)
 def test_out_in_edges_match_networkx(edges):
-    g = build_graph(edges)
-    nx_graph = g.to_networkx()
+    g = graph_of(edges)
+    nx_graph = to_networkx(g)
     for node in g.nodes:
-        out_pairs = {(e.src, e.dst) for e in g.out_edges(node)}
-        in_pairs = {(e.src, e.dst) for e in g.in_edges(node)}
+        out_pairs = {(e.src, e.dst) for e in out_edges(g, node)}
+        in_pairs = {(e.src, e.dst) for e in in_edges(g, node)}
         assert out_pairs == set(nx_graph.out_edges(node))
         assert in_pairs == set(nx_graph.in_edges(node))
-        for edge in g.out_edges(node):
+        for edge in out_edges(g, node):
             attrs = nx_graph.edges[edge.src, edge.dst]
             assert attrs["amount"] == pytest.approx(edge.amount)
             assert attrs["count"] == edge.count
@@ -64,23 +79,23 @@ def test_out_in_edges_match_networkx(edges):
 @settings(max_examples=60, deadline=None)
 @given(edge_lists, st.integers(0, 2 ** 31 - 1))
 def test_subgraph_matches_networkx_induced_view(edges, seed):
-    g = build_graph(edges)
+    g = graph_of(edges)
     rng = np.random.default_rng(seed)
     nodes = g.nodes
     keep = [n for n in nodes if rng.random() < 0.5] or nodes[:1]
-    sub = g.subgraph(keep)
-    nx_sub = g.to_networkx().subgraph(keep)
+    sub = induced_subgraph(g, keep)
+    nx_sub = to_networkx(g).subgraph(keep)
     assert set(sub.nodes) == set(nx_sub.nodes)
-    assert {(e.src, e.dst) for e in sub.edges} == set(nx_sub.edges)
+    assert {(e.src, e.dst) for e in edge_list(sub)} == set(nx_sub.edges)
     # Node and edge order must follow the parent graph's insertion order.
     parent_rank = {n: i for i, n in enumerate(nodes)}
     assert sub.nodes == sorted(sub.nodes, key=parent_rank.__getitem__)
-    parent_edge_rank = {(e.src, e.dst): i for i, e in enumerate(g.edges)}
-    sub_keys = [(e.src, e.dst) for e in sub.edges]
+    parent_edge_rank = {(e.src, e.dst): i for i, e in enumerate(edge_list(g))}
+    sub_keys = [(e.src, e.dst) for e in edge_list(sub)]
     assert sub_keys == sorted(sub_keys, key=parent_edge_rank.__getitem__)
     # Merged edge payloads survive unchanged.
-    for e in sub.edges:
-        parent = g.get_edge(e.src, e.dst)
+    for e in edge_list(sub):
+        parent = get_edge(g, e.src, e.dst)
         assert (e.amount, e.count, e.timestamp) == (
             parent.amount, parent.count, parent.timestamp)
 
@@ -95,10 +110,11 @@ def _csr_to_dense(n, indptr, indices, data):
 
 @settings(max_examples=60, deadline=None)
 @given(edge_lists, st.booleans(), st.booleans())
-def test_to_csr_matches_dense_adjacency(edges, weighted, symmetric):
-    g = build_graph(edges)
-    indptr, indices, data = g.to_csr(weighted=weighted, symmetric=symmetric)
-    dense = g.adjacency_matrix(weighted=weighted, symmetric=symmetric)
+def test_from_graph_matches_dense_adjacency(edges, weighted, symmetric):
+    g = graph_of(edges)
+    csr = SparseAdjacency.from_graph(g, weighted=weighted, symmetric=symmetric)
+    indptr, indices, data = csr.indptr, csr.indices, csr.data
+    dense = dense_adjacency(g, weighted=weighted, symmetric=symmetric)
     assert len(indptr) == g.num_nodes + 1
     np.testing.assert_array_equal(
         _csr_to_dense(g.num_nodes, indptr, indices, data), dense)
@@ -108,14 +124,12 @@ def test_to_csr_matches_dense_adjacency(edges, weighted, symmetric):
         assert np.all(np.diff(row) > 0)
 
 
-def test_to_csr_empty_graph():
-    g = TxGraph()
-    indptr, indices, data = g.to_csr()
-    assert indptr.tolist() == [0]
-    assert len(indices) == 0 and len(data) == 0
-    g.add_node("isolated")
-    indptr, indices, data = g.to_csr()
-    assert indptr.tolist() == [0, 0]
+def test_from_graph_empty_graph():
+    csr = SparseAdjacency.from_graph(TxGraph())
+    assert csr.indptr.tolist() == [0]
+    assert len(csr.indices) == 0 and len(csr.data) == 0
+    csr = SparseAdjacency.from_graph(graph_with_nodes(["isolated"]))
+    assert csr.indptr.tolist() == [0, 0]
 
 
 class TestEdgeAPI:
@@ -124,40 +138,38 @@ class TestEdgeAPI:
         assert "zz" not in toy_graph
 
     def test_edges_between_directions(self, toy_graph):
-        forward = toy_graph.edges_between("a", "b")
+        forward = edges_between(toy_graph, "a", "b")
         assert [(e.src, e.dst) for e in forward] == [("a", "b")]
         # Queried from the other side the same single edge comes back.
-        assert [(e.src, e.dst) for e in toy_graph.edges_between("b", "a")] == [("a", "b")]
+        assert [(e.src, e.dst) for e in edges_between(toy_graph, "b", "a")] == \
+            [("a", "b")]
 
     def test_edges_between_both_directions(self):
-        g = TxGraph()
-        g.add_edge("u", "v", amount=1.0)
-        g.add_edge("v", "u", amount=2.0)
-        pairs = [(e.src, e.dst) for e in g.edges_between("u", "v")]
+        g = build_graph([("u", "v", 1.0), ("v", "u", 2.0)])
+        pairs = [(e.src, e.dst) for e in edges_between(g, "u", "v")]
         assert pairs == [("u", "v"), ("v", "u")]
 
     def test_edges_between_self_loop_not_duplicated(self):
-        g = TxGraph()
-        g.add_edge("u", "u", amount=1.0)
-        assert len(g.edges_between("u", "u")) == 1
+        g = build_graph([("u", "u", 1.0)])
+        assert len(edges_between(g, "u", "u")) == 1
 
     def test_edges_between_missing(self, toy_graph):
-        assert toy_graph.edges_between("a", "c") == []
+        assert edges_between(toy_graph, "a", "c") == []
 
-    def test_add_edge_zero_count_merge_keeps_timestamp(self):
+    def test_zero_count_merge_keeps_timestamp(self):
         g = TxGraph()
-        g.add_edge("a", "b", amount=1.0, count=0, timestamp=50.0)
-        g.add_edge("a", "b", amount=2.0, count=0, timestamp=99.0)
-        edge = g.get_edge("a", "b")
+        add_edge(g, "a", "b", amount=1.0, count=0, timestamp=50.0)
+        add_edge(g, "a", "b", amount=2.0, count=0, timestamp=99.0)
+        edge = get_edge(g, "a", "b")
         assert edge.count == 0
         assert edge.amount == pytest.approx(3.0)
         assert edge.timestamp == pytest.approx(50.0)
 
-    def test_add_edge_zero_count_then_real_count(self):
+    def test_zero_count_then_real_count(self):
         g = TxGraph()
-        g.add_edge("a", "b", amount=1.0, count=0, timestamp=50.0)
-        g.add_edge("a", "b", amount=2.0, count=2, timestamp=100.0)
-        edge = g.get_edge("a", "b")
+        add_edge(g, "a", "b", amount=1.0, count=0, timestamp=50.0)
+        add_edge(g, "a", "b", amount=2.0, count=2, timestamp=100.0)
+        edge = get_edge(g, "a", "b")
         assert edge.count == 2
         assert edge.timestamp == pytest.approx(100.0)
 

@@ -1,13 +1,15 @@
-"""Property tests: interleaved add_edge / add_edges_bulk vs a dict reference.
+"""Property tests: interleaved bulk and single-row writes vs a dict reference.
 
-Hypothesis drives arbitrary interleavings of single ``add_edge`` calls and
-``add_edges_bulk`` batches — with duplicate rows, self-loops, zero counts and
-pairs repeated both within and across calls — and requires the columnar
-``TxGraph`` to be **bit-identical** to :class:`DictGraphReference`, which only
-ever sees the flattened sequential row stream: same node order, same edge
-iteration order, same left-fold amounts, counts and iterative count-weighted
-timestamp means, and the same per-node out/in iteration order (after every
-batch, so the merged row index is checked as it grows).
+Hypothesis drives arbitrary interleavings of ``add_edges_bulk`` batches and
+single-row ``add_edges_bulk`` calls — with duplicate rows, self-loops, zero
+counts, ``-0.0`` amounts and pairs repeated both within and across calls —
+and requires the columnar ``TxGraph`` to be **bit-identical** to
+:class:`DictGraphReference`, which only ever sees the flattened sequential
+row stream: same node order, same edge iteration order, same left-fold
+amounts, counts and iterative count-weighted timestamp means (compared by
+their bytes, so ``-0.0`` and ``0.0`` differ), and the same per-node out/in
+iteration order (after every batch, so the merged row index is checked as it
+grows).
 """
 
 import numpy as np
@@ -15,18 +17,28 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import TxGraph
 
-from tests._dict_reference import DictGraphReference
+from tests._dict_reference import (
+    DictGraphReference,
+    add_edge,
+    edge_list,
+    edges_between,
+    exact,
+    in_edges,
+    induced_subgraph,
+    neighbors,
+    out_edges,
+)
 
 # One row: (src, dst, amount, count, timestamp) over a small node universe so
 # duplicates, self-loops and cross-batch pair repeats are frequent.
 row = st.tuples(
     st.integers(0, 5), st.integers(0, 5),
-    st.floats(0.0, 100.0, allow_nan=False),
+    st.one_of(st.just(-0.0), st.floats(0.0, 100.0, allow_nan=False)),
     st.integers(0, 3),
     st.floats(0.0, 1000.0, allow_nan=False))
 
-# A program: sequence of batches, each applied via add_edges_bulk (True) or a
-# sequential add_edge loop (False).
+# A program: sequence of batches, each applied via one add_edges_bulk call
+# (True) or one single-row call per row (False).
 program = st.lists(
     st.tuples(st.booleans(), st.lists(row, min_size=1, max_size=20)),
     min_size=1, max_size=6)
@@ -43,7 +55,7 @@ def apply_program(graph: TxGraph, batches) -> None:
                 timestamps=np.array([r[4] for r in rows]))
         else:
             for src, dst, amount, count, ts in rows:
-                graph.add_edge(src, dst, amount=amount, count=count, timestamp=ts)
+                add_edge(graph, src, dst, amount=amount, count=count, timestamp=ts)
 
 
 def apply_sequential(reference: DictGraphReference, batches) -> None:
@@ -52,24 +64,18 @@ def apply_sequential(reference: DictGraphReference, batches) -> None:
             reference.add_edge(src, dst, amount=amount, count=count, timestamp=ts)
 
 
-def edge_tuples(edges) -> list[tuple]:
-    return [(e.src, e.dst, e.amount, e.count, e.timestamp) for e in edges]
-
-
 def assert_bit_identical(graph: TxGraph, reference: DictGraphReference) -> None:
     assert graph.nodes == reference.nodes
     # Global edge iteration order and payloads, bitwise (no approx).
-    assert edge_tuples(graph.edges) == edge_tuples(reference.edges)
+    assert exact(edge_list(graph)) == exact(reference.edges)
     for node in reference.nodes:
-        assert edge_tuples(graph.out_edges(node)) == \
-            edge_tuples(reference.out_edges(node))
-        assert edge_tuples(graph.in_edges(node)) == \
-            edge_tuples(reference.in_edges(node))
-        assert graph.neighbors(node) == reference.neighbors(node)
+        assert exact(out_edges(graph, node)) == exact(reference.out_edges(node))
+        assert exact(in_edges(graph, node)) == exact(reference.in_edges(node))
+        assert neighbors(graph, node) == reference.neighbors(node)
         assert graph.degree(node) == reference.degree(node)
         for other in reference.nodes:
-            assert edge_tuples(graph.edges_between(node, other)) == \
-                edge_tuples(reference.edges_between(node, other))
+            assert exact(edges_between(graph, node, other)) == \
+                exact(reference.edges_between(node, other))
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,10 +101,10 @@ def test_interleaved_subgraphs_match_sequential_reference(batches, seed):
     rng = np.random.default_rng(seed)
     nodes = reference.nodes
     keep = [n for n in nodes if rng.random() < 0.5]
-    sub = graph.subgraph(keep)
+    sub = induced_subgraph(graph, keep)
     ref_sub = reference.subgraph(keep)
     assert sub.nodes == ref_sub.nodes
-    assert edge_tuples(sub.edges) == edge_tuples(ref_sub.edges)
+    assert exact(edge_list(sub)) == exact(ref_sub.edges)
 
 
 @settings(max_examples=30, deadline=None)
@@ -122,11 +128,13 @@ def test_bulk_with_node_keys_matches_sequential_reference(rows):
 
 @settings(max_examples=60, deadline=None)
 @given(program, st.permutations(range(12)))
-def test_node_keys_bulk_interleaved_with_add_edge_matches_reference(batches, table_order):
-    """The ``node_keys`` path, interleaved with ``add_edge``: rows name nodes
-    by codes into a string table whose order differs from the nodes' first
-    appearance and which holds unused entries, and batches are mixed with
-    single ``add_edge`` calls that create or merge into the same nodes."""
+def test_node_keys_bulk_interleaved_with_single_rows_matches_reference(
+        batches, table_order):
+    """The ``node_keys`` path, interleaved with single-row calls: rows name
+    nodes by codes into a string table whose order differs from the nodes'
+    first appearance and which holds unused entries, and batches are mixed
+    with single-row calls by node identifier that create or merge into the
+    same nodes."""
     node_keys = [f"0xkey{i:02d}" for i in range(12)]
     code_of = list(table_order[:6])          # node r -> code; six codes unused
     graph = TxGraph()
@@ -142,8 +150,8 @@ def test_node_keys_bulk_interleaved_with_add_edge_matches_reference(batches, tab
                 node_keys=node_keys)
         else:
             for src, dst, amount, count, ts in rows:
-                graph.add_edge(node_keys[code_of[src]], node_keys[code_of[dst]],
-                               amount=amount, count=count, timestamp=ts)
+                add_edge(graph, node_keys[code_of[src]], node_keys[code_of[dst]],
+                         amount=amount, count=count, timestamp=ts)
         for src, dst, amount, count, ts in rows:
             reference.add_edge(node_keys[code_of[src]], node_keys[code_of[dst]],
                                amount=amount, count=count, timestamp=ts)
@@ -154,8 +162,7 @@ def test_node_keys_bulk_interleaved_with_add_edge_matches_reference(batches, tab
 @given(st.lists(row, min_size=1, max_size=30))
 def test_node_keys_sharing_a_node_merge_like_the_reference(rows):
     """Two codes of one ``node_keys`` table may name the same node; their
-    rows then merge into that node's edges, as sequential ``add_edge`` calls
-    do."""
+    rows then merge into that node's edges, as sequential merges do."""
     node_keys = [f"0x{i % 4:02d}" for i in range(6)]   # codes 4, 5 repeat 0, 1
     graph = TxGraph()
     graph.add_edges_bulk(

@@ -4,15 +4,17 @@ import pytest
 
 from repro.graph import TxGraph, ego_subgraph, top_k_neighbors
 
+from tests._dict_reference import add_edge, edge_list, graph_with_nodes
+
 
 @pytest.fixture()
 def ranked_graph():
     """Centre 'c' with neighbours of known average transaction value."""
     g = TxGraph()
-    g.add_edge("c", "high", amount=100.0)                  # avg 100
-    g.add_edge("c", "mid", amount=10.0)                    # avg 10
-    g.add_edge("low", "c", amount=1.0)                     # avg 1
-    g.add_edge("mid", "far", amount=50.0)                  # 2-hop from c
+    add_edge(g, "c", "high", amount=100.0)                  # avg 100
+    add_edge(g, "c", "mid", amount=10.0)                    # avg 10
+    add_edge(g, "low", "c", amount=1.0)                     # avg 1
+    add_edge(g, "mid", "far", amount=50.0)                  # 2-hop from c
     return g
 
 
@@ -30,44 +32,43 @@ class TestTopKNeighbors:
         g = TxGraph()
         # 'many' has 10 transactions of 1.0 (avg 1); 'single' has one of 5.0 (avg 5).
         for _ in range(10):
-            g.add_edge("c", "many", amount=1.0)
-        g.add_edge("c", "single", amount=5.0)
+            add_edge(g, "c", "many", amount=1.0)
+        add_edge(g, "c", "single", amount=5.0)
         assert top_k_neighbors(g, "c", k=1) == ["single"]
 
     def test_node_without_neighbours(self):
-        g = TxGraph()
-        g.add_node("isolated")
+        g = graph_with_nodes(["isolated"])
         assert top_k_neighbors(g, "isolated", k=5) == []
 
     def test_self_loops_are_ignored(self):
         g = TxGraph()
-        g.add_edge("c", "c", amount=100.0)
-        g.add_edge("c", "other", amount=1.0)
+        add_edge(g, "c", "c", amount=100.0)
+        add_edge(g, "c", "other", amount=1.0)
         assert top_k_neighbors(g, "c", k=5) == ["other"]
 
     def test_best_direction_average_ranks_not_combined_average(self):
         g = TxGraph()
         # 'split': two directed edges, averages 9 and 1 -> best average 9.
-        g.add_edge("c", "split", amount=9.0)
-        g.add_edge("split", "c", amount=1.0)
+        add_edge(g, "c", "split", amount=9.0)
+        add_edge(g, "split", "c", amount=1.0)
         # 'flat': one edge of average 6 but a larger total (12 > 10).
-        g.add_edge("c", "flat", amount=12.0)
-        g.add_edge("c", "flat", amount=0.0)   # merges: total 12, avg 6
+        add_edge(g, "c", "flat", amount=12.0)
+        add_edge(g, "c", "flat", amount=0.0)   # merges: total 12, avg 6
         assert top_k_neighbors(g, "c", k=2) == ["split", "flat"]
 
     def test_equal_averages_tie_break_on_total(self):
         g = TxGraph()
         # Both neighbours have best average 5.0; 'big' moved more in total.
-        g.add_edge("c", "small", amount=5.0)
-        g.add_edge("c", "big", amount=5.0)
-        g.add_edge("big", "c", amount=3.0)    # raises total to 8, avg stays 5
+        add_edge(g, "c", "small", amount=5.0)
+        add_edge(g, "c", "big", amount=5.0)
+        add_edge(g, "big", "c", amount=3.0)    # raises total to 8, avg stays 5
         assert top_k_neighbors(g, "c", k=2) == ["big", "small"]
 
     def test_equal_scores_tie_break_on_node_id(self):
         g = TxGraph()
         # Insert in non-lexicographic order; identical (avg, total) scores.
         for other in ("nb", "na", "nc"):
-            g.add_edge("c", other, amount=5.0)
+            add_edge(g, "c", other, amount=5.0)
         assert top_k_neighbors(g, "c", k=3) == ["na", "nb", "nc"]
 
 
@@ -105,7 +106,7 @@ class TestEgoSubgraph:
         # at 1, high comes first in insertion order.
         sub = ego_subgraph(ranked_graph, "c", hops=2, k=10, max_nodes=3)
         assert sub.nodes == ["c", "high", "mid"]
-        assert [(e.src, e.dst) for e in sub.edges] == [("c", "high"), ("c", "mid")]
+        assert [(e.src, e.dst) for e in edge_list(sub)] == [("c", "high"), ("c", "mid")]
 
     def test_subgraph_of_ledger_graph_contains_center(self, small_ledger):
         from repro.data import build_transaction_graph

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.chain import Ledger
 from repro.data import DatasetConfig, DeepFeatureExtractor, SubgraphDatasetBuilder
 from repro.graph import TxGraph, ego_subgraph, top_k_neighbors
+from tests._dict_reference import add_rows, graph_with_nodes
 from tests._sampling_reference import (
     reference_ego_subgraph,
     reference_sample_graph,
@@ -43,12 +44,6 @@ def assert_same_graph(actual: TxGraph, expected: TxGraph) -> None:
         np.testing.assert_array_equal(got, want)
 
 
-def add_rows(graph: TxGraph, rows) -> None:
-    src, dst, amounts, counts, timestamps = zip(*rows)
-    graph.add_edges_bulk(np.array(src), np.array(dst), amounts=np.array(amounts),
-                         counts=np.array(counts), timestamps=np.array(timestamps))
-
-
 def draw_sample_args(data, graph: TxGraph) -> tuple:
     """A centre (isolated ones included), hops 1-3 and k from 1 past the
     largest degree."""
@@ -62,9 +57,7 @@ def draw_sample_args(data, graph: TxGraph) -> tuple:
 @given(isolated=st.lists(st.sampled_from(LABELS), min_size=1, max_size=4),
        program=st.lists(edge_rows, min_size=1, max_size=4), data=st.data())
 def test_ego_subgraph_matches_per_node_reference(isolated, program, data):
-    graph = TxGraph()
-    for label in isolated:
-        graph.add_node(label)
+    graph = graph_with_nodes(isolated)
     for rows in program:
         add_rows(graph, rows)
         for _sample in range(3):

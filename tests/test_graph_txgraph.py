@@ -4,51 +4,62 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import TxGraph
+from repro.graph import SparseAdjacency, TxGraph
+
+from tests._dict_reference import (
+    DictGraphReference,
+    add_edge,
+    add_rows,
+    build_graph,
+    edge_list,
+    exact,
+    get_edge,
+    graph_with_nodes,
+    has_edge,
+    in_edges,
+    induced_subgraph,
+    neighbors,
+    out_edges,
+    to_networkx,
+)
 
 
 class TestNodes:
-    def test_add_node_is_idempotent(self):
-        g = TxGraph()
-        g.add_node("a")
-        g.add_node("a")
-        assert g.num_nodes == 1
-
     def test_node_index_follows_insertion_order(self):
-        g = TxGraph()
-        for name in ("x", "y", "z"):
-            g.add_node(name)
+        g = graph_with_nodes(["x", "y", "z"])
         assert [g.node_index(n) for n in ("x", "y", "z")] == [0, 1, 2]
+
+    def test_repeated_endpoints_make_one_node(self):
+        g = build_graph([("a", "b"), ("b", "a"), ("a", "a")])
+        assert g.nodes == ["a", "b"]
 
 
 class TestEdges:
     def test_edge_merging_accumulates_amount_and_count(self, toy_graph):
-        edge = toy_graph.get_edge("a", "b")
+        edge = get_edge(toy_graph, "a", "b")
         assert edge.amount == pytest.approx(4.0)
         assert edge.count == 2
 
     def test_edge_merge_keeps_weighted_mean_timestamp(self, toy_graph):
-        edge = toy_graph.get_edge("a", "b")
+        edge = get_edge(toy_graph, "a", "b")
         assert edge.timestamp == pytest.approx(150.0)
 
     def test_directed_edges_are_distinct(self):
-        g = TxGraph()
-        g.add_edge("a", "b", amount=1.0)
-        g.add_edge("b", "a", amount=2.0)
+        g = build_graph([("a", "b", 1.0), ("b", "a", 2.0)])
         assert g.num_edges == 2
 
     def test_has_edge(self, toy_graph):
-        assert toy_graph.has_edge("a", "b")
-        assert not toy_graph.has_edge("b", "a")
+        assert has_edge(toy_graph, "a", "b")
+        assert not has_edge(toy_graph, "b", "a")
 
     def test_out_and_in_edges(self, toy_graph):
-        out_dsts = {e.dst for e in toy_graph.out_edges("a")}
-        in_srcs = {e.src for e in toy_graph.in_edges("a")}
+        out_dsts = {e.dst for e in out_edges(toy_graph, "a")}
+        in_srcs = {e.src for e in in_edges(toy_graph, "a")}
         assert out_dsts == {"b", "e"}
         assert in_srcs == {"d"}
 
     def test_neighbors_union_of_directions(self, toy_graph):
-        assert toy_graph.neighbors("a") == {"b", "d", "e"}
+        assert neighbors(toy_graph, "a") == {"b", "d", "e"}
 
     def test_degree_counts_both_directions(self, toy_graph):
         assert toy_graph.degree("a") == 3
@@ -56,41 +67,47 @@ class TestEdges:
 
 class TestMatrices:
     def test_adjacency_shape_and_entries(self, toy_graph):
-        adj = toy_graph.adjacency_matrix()
+        adj = SparseAdjacency.from_graph(toy_graph, symmetric=False).to_dense()
         assert adj.shape == (5, 5)
         i, j = toy_graph.node_index("a"), toy_graph.node_index("b")
         assert adj[i, j] == 1.0
         assert adj[j, i] == 0.0
 
     def test_weighted_adjacency_uses_amounts(self, toy_graph):
-        adj = toy_graph.adjacency_matrix(weighted=True)
+        adj = SparseAdjacency.from_graph(toy_graph, weighted=True,
+                                         symmetric=False).to_dense()
         i, j = toy_graph.node_index("a"), toy_graph.node_index("b")
         assert adj[i, j] == pytest.approx(4.0)
 
     def test_symmetric_adjacency(self, toy_graph):
-        adj = toy_graph.adjacency_matrix(symmetric=True)
+        adj = SparseAdjacency.from_graph(toy_graph, symmetric=True).to_dense()
         np.testing.assert_allclose(adj, adj.T)
 
-    def test_edge_feature_matrix(self, toy_graph):
-        feats = toy_graph.edge_feature_matrix()
-        assert feats.shape == (toy_graph.num_edges, 2)
-        assert feats[:, 1].min() >= 1.0
+    def test_edge_count_column(self, toy_graph):
+        _src, _dst, _amount, count, _ts = toy_graph.edge_arrays()
+        assert len(count) == toy_graph.num_edges
+        assert count.min() >= 1
 
 
 class TestSubgraph:
     def test_subgraph_keeps_only_internal_edges(self, toy_graph):
-        sub = toy_graph.subgraph(["a", "b", "c"])
+        sub = induced_subgraph(toy_graph, ["a", "b", "c"])
         assert sub.num_nodes == 3
-        assert sub.has_edge("a", "b") and sub.has_edge("b", "c")
-        assert not sub.has_edge("c", "d")
+        assert has_edge(sub, "a", "b") and has_edge(sub, "b", "c")
+        assert not has_edge(sub, "c", "d")
 
-    def test_copy_is_independent(self, toy_graph):
-        clone = toy_graph.copy()
-        clone.add_edge("z", "a", amount=1.0)
+    def test_subgraph_is_independent(self, toy_graph):
+        """A subgraph owns its columns: a merge into it, or a new node,
+        leaves the parent as it was."""
+        before = exact(edge_list(toy_graph))
+        sub = induced_subgraph(toy_graph, toy_graph.nodes)
+        add_rows(sub, [("a", "b", 5.0, 1, 1.0), ("z", "a", 1.0)])
+        assert get_edge(sub, "a", "b").count == 3
         assert not toy_graph.has_node("z")
+        assert exact(edge_list(toy_graph)) == before
 
-    def test_to_networkx_round_trip_counts(self, toy_graph):
-        nx_graph = toy_graph.to_networkx()
+    def test_networkx_view_counts(self, toy_graph):
+        nx_graph = to_networkx(toy_graph)
         assert nx_graph.number_of_nodes() == toy_graph.num_nodes
         assert nx_graph.number_of_edges() == toy_graph.num_edges
 
@@ -100,100 +117,103 @@ class TestSubgraph:
 def test_adjacency_nonzeros_match_edge_count(pairs):
     g = TxGraph()
     for src, dst in pairs:
-        g.add_edge(src, dst, amount=1.0)
-    adjacency = g.adjacency_matrix()
-    assert int((adjacency > 0).sum()) == g.num_edges
+        add_edge(g, src, dst, amount=1.0)
+    assert SparseAdjacency.from_graph(g, symmetric=False).nnz == g.num_edges
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=20))
 def test_subgraph_never_gains_edges(pairs):
-    g = TxGraph()
-    for src, dst in pairs:
-        g.add_edge(src, dst, amount=1.0)
-    sub = g.subgraph(list(g.nodes)[: max(1, g.num_nodes // 2)])
+    g = build_graph([(src, dst, 1.0) for src, dst in pairs])
+    sub = induced_subgraph(g, list(g.nodes)[: max(1, g.num_nodes // 2)])
     assert sub.num_edges <= g.num_edges
     assert sub.num_nodes <= g.num_nodes
 
 
-def _assert_graphs_bit_identical(a: TxGraph, b: TxGraph) -> None:
-    assert a.nodes == b.nodes
-    assert [(e.src, e.dst) for e in a.edges] == [(e.src, e.dst) for e in b.edges]
-    for ea, eb in zip(a.edges, b.edges):
-        assert ea.amount == eb.amount          # bitwise, no approx
-        assert ea.count == eb.count
-        assert ea.timestamp == eb.timestamp
+def sequential_reference(rows) -> DictGraphReference:
+    reference = DictGraphReference()
+    for row in rows:
+        reference.add_edge(*row)
+    return reference
+
+
+def assert_matches_reference(graph: TxGraph, reference: DictGraphReference) -> None:
+    """Node order, edge order and payloads, bitwise (no approx)."""
+    assert graph.nodes == reference.nodes
+    assert exact(edge_list(graph)) == exact(reference.edges)
 
 
 class TestAddEdgesBulk:
-    """add_edges_bulk must be bit-identical to the sequential add_edge loop."""
+    """add_edges_bulk must be bit-identical to merging the rows one by one."""
 
     @staticmethod
-    def random_stream(rng, n, num_nodes=9, self_loops=True):
-        srcs = rng.integers(0, num_nodes, size=n)
-        dsts = rng.integers(0, num_nodes, size=n)
-        if not self_loops:
-            dsts = np.where(dsts == srcs, (dsts + 1) % num_nodes, dsts)
-        amounts = rng.lognormal(0.0, 1.0, size=n)
-        timestamps = rng.uniform(0.0, 1e6, size=n)
-        return srcs, dsts, amounts, timestamps
+    def random_rows(rng, n, num_nodes=9, counts=None, keys=None):
+        srcs = rng.integers(0, num_nodes, size=n).tolist()
+        dsts = rng.integers(0, num_nodes, size=n).tolist()
+        amounts = rng.lognormal(0.0, 1.0, size=n).tolist()
+        timestamps = rng.uniform(0.0, 1e6, size=n).tolist()
+        counts = [1] * n if counts is None else counts.tolist()
+        if keys is not None:
+            srcs = [keys[i] for i in srcs]
+            dsts = [keys[i] for i in dsts]
+        return list(zip(srcs, dsts, amounts, counts, timestamps))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_sequential_add_edge(self, seed):
-        rng = np.random.default_rng(seed)
-        srcs, dsts, amounts, timestamps = self.random_stream(rng, 400)
-        sequential = TxGraph()
-        for i in range(len(srcs)):
-            sequential.add_edge(int(srcs[i]), int(dsts[i]),
-                                amount=float(amounts[i]), count=1,
-                                timestamp=float(timestamps[i]))
-        bulk = TxGraph()
-        bulk.add_edges_bulk(srcs, dsts, amounts=amounts, timestamps=timestamps)
-        _assert_graphs_bit_identical(sequential, bulk)
+    def test_matches_sequential_reference(self, seed):
+        rows = self.random_rows(np.random.default_rng(seed), 400)
+        assert_matches_reference(build_graph(rows), sequential_reference(rows))
 
     def test_matches_with_node_keys_table(self):
         rng = np.random.default_rng(5)
-        srcs, dsts, amounts, timestamps = self.random_stream(rng, 300)
         node_keys = [f"0x{i:02d}" for i in range(9)]
-        sequential = TxGraph()
-        for i in range(len(srcs)):
-            sequential.add_edge(node_keys[srcs[i]], node_keys[dsts[i]],
-                                amount=float(amounts[i]), count=1,
-                                timestamp=float(timestamps[i]))
+        codes = self.random_rows(rng, 300)
         bulk = TxGraph()
-        bulk.add_edges_bulk(srcs, dsts, amounts=amounts, timestamps=timestamps,
+        src, dst, amounts, _counts, timestamps = map(np.array, zip(*codes))
+        bulk.add_edges_bulk(src, dst, amounts=amounts, timestamps=timestamps,
                             node_keys=node_keys)
-        _assert_graphs_bit_identical(sequential, bulk)
+        rows = [(node_keys[s], node_keys[d], a, c, t) for s, d, a, c, t in codes]
+        assert_matches_reference(bulk, sequential_reference(rows))
         assert all(isinstance(node, str) for node in bulk.nodes)
 
     def test_variable_counts_and_zero_count_guard(self):
         rng = np.random.default_rng(9)
-        srcs, dsts, amounts, timestamps = self.random_stream(rng, 200, num_nodes=4)
-        counts = rng.integers(0, 3, size=len(srcs))
-        sequential = TxGraph()
-        for i in range(len(srcs)):
-            sequential.add_edge(int(srcs[i]), int(dsts[i]),
-                                amount=float(amounts[i]), count=int(counts[i]),
-                                timestamp=float(timestamps[i]))
-        bulk = TxGraph()
-        bulk.add_edges_bulk(srcs, dsts, amounts=amounts, counts=counts,
-                            timestamps=timestamps)
-        _assert_graphs_bit_identical(sequential, bulk)
+        rows = self.random_rows(rng, 200, num_nodes=4,
+                                counts=rng.integers(0, 3, size=200))
+        assert_matches_reference(build_graph(rows), sequential_reference(rows))
 
     def test_merges_into_existing_graph(self):
         rng = np.random.default_rng(11)
-        srcs, dsts, amounts, timestamps = self.random_stream(rng, 120, num_nodes=5)
-        sequential = TxGraph()
-        bulk = TxGraph()
-        for g in (sequential, bulk):
-            g.add_edge(0, 1, amount=2.0, timestamp=10.0)
-            g.add_edge(4, 2, amount=1.0, timestamp=20.0)
-        for i in range(len(srcs)):
-            sequential.add_edge(int(srcs[i]), int(dsts[i]),
-                                amount=float(amounts[i]), count=1,
-                                timestamp=float(timestamps[i]))
-        bulk.add_edges_bulk(srcs, dsts, amounts=amounts, timestamps=timestamps)
-        _assert_graphs_bit_identical(sequential, bulk)
+        seed_rows = [(0, 1, 2.0, 1, 10.0), (4, 2, 1.0, 1, 20.0)]
+        rows = self.random_rows(rng, 120, num_nodes=5)
+        bulk = add_rows(build_graph(seed_rows), rows)
+        assert_matches_reference(bulk, sequential_reference(seed_rows + rows))
+
+    def test_registers_a_node_and_merges_in_one_call(self):
+        """The call's new node is registered before its rows are merged, so
+        the row index, warm from before the call, has no row for it yet; the
+        search for existing edges must pass over it (a new node has none)."""
+        seed_rows = [("a", "b", 1.0, 1, 10.0), ("b", "c", 2.0, 1, 20.0)]
+        graph = build_graph(seed_rows).warm()
+        rows = [("new", "a", 3.0, 1, 30.0), ("a", "b", 4.0, 1, 40.0),
+                ("b", "new", 5.0, 2, 50.0), ("a", "b", 6.0, 1, 60.0)]
+        add_rows(graph, rows)
+        assert_matches_reference(graph, sequential_reference(seed_rows + rows))
+        assert graph.degree("new") == 2
+
+    @pytest.mark.parametrize("rows", [
+        [("a", "b", -0.0), ("a", "b", -0.0)],
+        [("a", "b", -0.0), ("a", "b", 0.0)],
+        [("a", "b", 0.0), ("a", "b", -0.0)],
+    ])
+    def test_negative_zero_amounts_fold_like_the_reference(self, rows):
+        """A group of ``-0.0`` amounts alone sums to ``-0.0``, in one call
+        and when merged into an edge that holds ``-0.0`` already."""
+        reference = sequential_reference(rows)
+        assert_matches_reference(build_graph(rows), reference)
+        one_by_one = TxGraph()
+        for row in rows:
+            add_edge(one_by_one, *row)
+        assert_matches_reference(one_by_one, reference)
 
     def test_empty_stream_is_a_noop(self):
         g = TxGraph()
@@ -211,7 +231,7 @@ class TestAddEdgesBulk:
                              node_keys=["a", "b"])
         assert g.num_nodes == 0 and g.num_edges == 0
 
-    def test_object_dtype_falls_back_to_sequential(self):
+    def test_object_dtype_keys_are_factorised(self):
         bulk = TxGraph()
         bulk.add_edges_bulk(np.array(["a", "a"], dtype=object),
                             np.array(["b", "c"], dtype=object),
@@ -225,71 +245,23 @@ class TestAddEdgesBulk:
 @given(st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 6),
               st.floats(0.001, 100.0, allow_nan=False),
+              st.just(1),
               st.floats(0.0, 1000.0, allow_nan=False)),
     min_size=1, max_size=50))
 def test_add_edges_bulk_property_parity(rows):
-    sequential = TxGraph()
-    for src, dst, amount, ts in rows:
-        sequential.add_edge(src, dst, amount=amount, timestamp=ts)
-    bulk = TxGraph()
-    bulk.add_edges_bulk(np.array([r[0] for r in rows]),
-                        np.array([r[1] for r in rows]),
-                        amounts=np.array([r[2] for r in rows]),
-                        timestamps=np.array([r[3] for r in rows]))
-    _assert_graphs_bit_identical(sequential, bulk)
+    assert_matches_reference(build_graph(rows), sequential_reference(rows))
 
 
-class TestBulkVersionEpoch:
-    """Pin the mutation-epoch accounting of ``add_edges_bulk`` replays."""
-
-    @staticmethod
-    def _seeded():
-        g = TxGraph()
-        g.add_edge("a", "b", amount=1.0, count=1, timestamp=10.0)
-        g.add_edge("b", "c", amount=2.0, count=1, timestamp=20.0)
-        return g
-
-    def test_all_replay_bulk_bumps_version_once_per_merge(self):
-        """Regression: the all-replay early return used to bump ``_version``
-        one extra time on top of the per-merge bumps the replayed
-        ``add_edge`` calls already made."""
-        g = self._seeded()
-        before = g._version
-        g.add_edges_bulk(np.array([0, 1]), np.array([1, 2]),
-                         amounts=np.array([3.0, 4.0]),
-                         timestamps=np.array([30.0, 40.0]),
-                         node_keys=["a", "b", "c"])
-        assert g._version == before + 2
-
-    def test_version_parity_with_sequential_path(self):
-        """Bulk and sequential application of the same replay rows leave the
-        graph at the same epoch — so cache-validity behaviour (``to_csr``
-        keys on ``_version``) is path-independent."""
-        bulk, seq = self._seeded(), self._seeded()
-        rows = [("a", "b", 5.0, 50.0), ("b", "c", 6.0, 60.0), ("a", "b", 7.0, 70.0)]
-        bulk.add_edges_bulk(np.array([0, 1, 0]), np.array([1, 2, 1]),
-                            amounts=np.array([r[2] for r in rows]),
-                            timestamps=np.array([r[3] for r in rows]),
-                            node_keys=["a", "b", "c"])
-        for src, dst, amount, ts in rows:
-            seq.add_edge(src, dst, amount=amount, count=1, timestamp=ts)
-        assert bulk._version == seq._version
-        _assert_graphs_bit_identical(seq, bulk)
-
-    def test_all_replay_keeps_structure_memos(self):
-        """Payload-only replays retain the warmed CSR row index: merges never
-        change topology, so ``_structure_version`` (and with it the
-        ``out_edges``/``in_edges`` row memo) must survive the bulk call."""
-        g = self._seeded()
-        list(g.out_edges("a"))              # warms the row index
-        structure_before = g._structure_version
-        assert g._adj_version == structure_before
-        g.add_edges_bulk(np.array([0, 0]), np.array([1, 1]),
-                         amounts=np.array([1.0, 1.0]),
-                         timestamps=np.array([5.0, 6.0]),
-                         node_keys=["a", "b", "c"])
-        assert g._structure_version == structure_before
-        assert g._adj_version == structure_before
-        # The merged payload is visible through the retained memo.
-        [edge] = [e for e in g.out_edges("a") if e.dst == "b"]
-        assert edge.count == 3
+def test_payload_only_call_keeps_the_row_index():
+    """A call whose rows all merge into existing edges appends nothing, so
+    the row index stays valid, and the merged payload shows through it."""
+    g = build_graph([("a", "b", 1.0, 1, 10.0), ("b", "c", 2.0, 1, 20.0)]).warm()
+    structure_before = g._structure_version
+    g.add_edges_bulk(np.array([0, 0]), np.array([1, 1]),
+                     amounts=np.array([1.0, 1.0]),
+                     timestamps=np.array([5.0, 6.0]),
+                     node_keys=["a", "b", "c"])
+    assert g._structure_version == structure_before
+    assert g._adj_version == structure_before
+    [edge] = [e for e in out_edges(g, "a") if e.dst == "b"]
+    assert edge.count == 3

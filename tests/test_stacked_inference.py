@@ -32,6 +32,7 @@ from repro.data import DatasetConfig
 from repro.data.dataset import AccountSubgraph
 from repro.graph import TxGraph
 from repro.graph.sparse import SparseAdjacency
+from tests._dict_reference import add_edge
 
 DATASET_CONFIG = DatasetConfig(top_k=40, max_nodes_per_subgraph=40, seed=3)
 
@@ -84,7 +85,7 @@ def lone(small_dataset) -> AccountSubgraph:
     """A one-node sample (an account that only pays itself); the fixture
     ledger has none."""
     graph = TxGraph()
-    graph.add_edge("self-payer", "self-payer", amount=2.0, timestamp=5.0)
+    add_edge(graph, "self-payer", "self-payer", amount=2.0, timestamp=5.0)
     return AccountSubgraph("self-payer", None, graph,
                            small_dataset[0].node_features[:1].copy(), 0)
 
