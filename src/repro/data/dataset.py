@@ -338,11 +338,10 @@ class SubgraphDatasetBuilder:
         (:meth:`TxGraph.ingest` — O(new rows), bit-identical to a cold
         rebuild) and returns the node ids incident to the new edges, sorted,
         as one int64 array: the invalidation set for per-account caches
-        downstream.  The graph's row
-        index and the extractor's feature table (keyed on ledger growth)
-        catch up on their next read, or eagerly in :meth:`warm`, which is
-        what :meth:`DeAnonymizer.refresh <repro.api.DeAnonymizer.refresh>`
-        calls next.  Neither re-sorts nor re-reduces the whole ledger: the
+        downstream.  The graph's row index and the extractor's feature table
+        (keyed on ledger growth) catch up on their next read, or eagerly in
+        :meth:`warm`, which is what :meth:`DeAnonymizer.refresh
+        <repro.api.DeAnonymizer.refresh>` calls next.  Neither re-sorts nor re-reduces the whole ledger: the
         index merges the new slots in, and the table folds in only the
         appended rows.  With no cached graph yet — or no new rows — this is
         a cheap no-op returning an empty array; later builds see the full

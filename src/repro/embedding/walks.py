@@ -6,6 +6,7 @@ from typing import Hashable
 
 import numpy as np
 
+from repro.graph.sampling import _incident
 from repro.graph.txgraph import TxGraph
 
 __all__ = ["random_walks", "node2vec_walks", "trans2vec_walks"]
@@ -15,18 +16,14 @@ def _incident_rows(graph: TxGraph) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each node's incident edges, in node order, from the row index.
 
     A row is ``(others, slots)``: the node index at each edge's other end
-    and its edge slot, out-edges before in-edges, each in insertion order.
-    A self-loop is listed twice, once per direction.
+    and its edge slot, out-edges before in-edges, each in insertion order
+    (sampling's gather, grouped by node).  A self-loop is listed twice, once
+    per direction.
     """
-    ids = np.arange(graph.num_nodes)
-    src, dst, _amount, _count, _ts = graph.edge_arrays()
-    out_slots, out_len = graph.gather_slots(ids)
-    in_slots, in_len = graph.gather_slots(ids, incoming=True)
-    owner = np.concatenate([np.repeat(ids, out_len), np.repeat(ids, in_len)])
+    owner, others, slots = _incident(graph, np.arange(graph.num_nodes))
     order = np.argsort(owner, kind="stable")
-    others = np.concatenate([dst[out_slots], src[in_slots]])[order]
-    slots = np.concatenate([out_slots, in_slots])[order]
-    ends = np.cumsum(out_len + in_len).tolist()
+    others, slots = others[order], slots[order]
+    ends = np.cumsum(np.bincount(owner, minlength=graph.num_nodes)).tolist()
     return [(others[start:end], slots[start:end])
             for start, end in zip([0] + ends[:-1], ends)]
 

@@ -408,12 +408,12 @@ class TxGraph:
     def _find_slots(self, pairs: np.ndarray) -> np.ndarray:
         """The edge slot of each sorted packed pair key, ``-1`` where none.
 
-        The candidates are the out-rows of the pairs' distinct sources,
-        gathered from the row index and looked up by a sort of their keys
-        and ``searchsorted``: O(sum of those sources' out-degrees), with
-        nothing kept per edge between writes.  Nodes the current write has
-        just registered have no row yet, and no edges either, so they are
-        skipped.
+        The candidates are the out-edges of the pairs' distinct sources,
+        gathered from the row index; each candidate's packed key is looked
+        up among ``pairs`` with ``searchsorted``.  That is O(c log p) for c
+        candidates and p pairs, with nothing kept per edge between writes.
+        Nodes the current write has just registered have no row yet, and no
+        edges either, so they are skipped.
         """
         found = np.full(len(pairs), -1, dtype=np.int64)
         if not self._m:
@@ -426,11 +426,9 @@ class TxGraph:
             return found
         keys = ((np.repeat(sources, lengths) << np.int64(_PAIR_SHIFT))
                 | self._dst[candidates])
-        order = np.argsort(keys)
-        keys = keys[order]
-        pos = np.minimum(np.searchsorted(keys, pairs), len(keys) - 1)
-        hit = keys[pos] == pairs
-        found[hit] = candidates[order[pos[hit]]]
+        pos = np.minimum(np.searchsorted(pairs, keys), len(pairs) - 1)
+        hit = pairs[pos] == keys
+        found[pos[hit]] = candidates[hit]
         return found
 
     def _add_rows(self, src_ids: np.ndarray, dst_ids: np.ndarray,
