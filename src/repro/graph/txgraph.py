@@ -9,11 +9,12 @@ from :meth:`gather_slots`.  A node is its identifier and nothing else: what is
 known about an account (its kind, its label) stays in the ledger, which the
 graph is built from.
 
-There is one write path, :meth:`add_edges_bulk` (which :meth:`ingest` feeds
-from the ledger's columns), and one derived structure, the CSR row index:
-edge slots grouped by endpoint, insertion order kept within each row.  It is
-built lazily, appended edges are merged into it, and a write finds the edges
-its rows merge into on its out-rows.  See ``DESIGN.md`` for the invariants.
+There is one write path, :meth:`add_edges_bulk`, whose two steps
+:meth:`ingest` runs over the ledger's columns, and one derived structure,
+the CSR row index: edge slots grouped by endpoint, insertion order kept
+within each row.  It is built lazily, appended edges are merged into it, and
+a write finds the edges its rows merge into on its out-rows.  See
+``DESIGN.md`` for the invariants.
 
 Concurrency contract: **reads are thread-safe, writes are single-threaded.**
 The row index build is guarded by a per-graph lock with a double-checked fast

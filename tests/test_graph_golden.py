@@ -2,7 +2,7 @@
 
 The digests below were produced by the scenario-engine generator of PR 8
 (vectorised RNG layout, nine categories) on a small seeded ledger and pin
-four artefacts bit-for-bit:
+five artefacts bit-for-bit:
 
 * the generated ledger itself: its interning table, all nine transaction
   columns and its block numbers, timestamps and row bounds,
@@ -127,8 +127,8 @@ def test_ego_sample_node_sets_digest(golden_ledger, golden_graph):
 def test_sample_readers_digest(golden_ledger, golden_graph):
     """Table III runs only DeepWalk and BERT4ETH of these readers, so the
     tables alone would not notice Node2Vec, Trans2Vec or GRIT drifting.  The
-    samples are truncated to 30 nodes and hold reciprocal pairs, so the walks'
-    out-then-in neighbour folds are exercised."""
+    samples are truncated to 30 nodes and hold reciprocal pairs, so Trans2Vec
+    sums both edges of a neighbour."""
     builder = SubgraphDatasetBuilder(golden_ledger,
                                      DatasetConfig(max_nodes_per_subgraph=30))
     bert4eth = BERT4ETHClassifier(max_sequence_length=12)
