@@ -77,7 +77,7 @@ def naive_score(deanon: DeAnonymizer, addresses: list[str]) -> dict[str, dict[st
     for category in deanon.categories:
         head = deanon.head(category)
         for address in addresses:
-            sample = deanon.builder.build_sample(address)   # fresh: cold CSR caches
+            sample = deanon.builder.build_sample(address)   # fresh, unmemoized sample
             results[address][category] = float(head.predict_proba([sample])[0])
     return results
 

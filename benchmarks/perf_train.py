@@ -1,12 +1,12 @@
-"""Perf harness: block-diagonal minibatch training vs one sample per step.
+"""Perf harness: minibatch training on dense groups vs one sample per step.
 
 Measures, on a synthetic ledger's ``exchange`` one-vs-rest task:
 
 * ``gsg_fit`` / ``ldg_fit`` — full-``fit`` training-step throughput
-  (samples x epochs / second) with ``batch_size`` samples stacked
-  block-diagonally per optimizer step, against the same ``fit`` at
-  ``batch_size=1`` (one subgraph per step: the default, and the headline
-  baseline).  Both run the branches' one training loop; its parity with the
+  (samples x epochs / second) with ``batch_size`` samples per optimizer
+  step, grouped by node count into dense ``(B, n, ...)`` forwards (one per
+  count), against the same ``fit`` at ``batch_size=1`` (one subgraph per
+  step: the default, and the headline baseline).  Both run the branches' one training loop; its parity with the
   per-sample reference training is pinned by
   ``tests/test_batched_training.py``.
 
@@ -57,8 +57,8 @@ def build_task(scale: float, seed: int):
 
     Subgraph extraction matches the table-3 smoke regime
     (``tests/test_experiments.py``: ``top_k=20, max_nodes_per_subgraph=25``) —
-    the paper's workload is many small account ego-subgraphs, which is exactly
-    the regime block-diagonal batching targets.
+    the paper's workload is many small account ego-subgraphs, most of them at
+    the node cap, so a minibatch groups into a few dense forwards.
     """
     config = LedgerConfig().scaled(scale)
     config.seed = seed
@@ -147,7 +147,7 @@ def main() -> None:
     parser.add_argument("--scale", type=float, default=1.2,
                         help="ledger scale multiplier (default: 1.2)")
     parser.add_argument("--batch-size", type=int, default=32,
-                        help="block-diagonal minibatch size (default: 32)")
+                        help="training minibatch size (default: 32)")
     parser.add_argument("--epochs", type=int, default=20,
                         help="training epochs per fit (default: 20)")
     parser.add_argument("--reps", type=int, default=3,

@@ -109,8 +109,8 @@ if __name__ == "__main__":
                         help="which one-vs-rest head to train (default: exchange)")
     parser.add_argument("--batch-size", type=int, default=1,
                         help="training minibatch size for both branches; >1 "
-                             "forwards each minibatch as one block-diagonal "
-                             "sparse pass (default: 1, the per-sample loop)")
+                             "forwards each minibatch as one dense pass per "
+                             "node count (default: 1, the per-sample loop)")
     parser.add_argument("--build-workers", type=int, default=1,
                         help="worker processes for the dataset build; the "
                              "parallel build is bit-identical to the "

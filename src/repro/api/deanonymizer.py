@@ -9,15 +9,14 @@
   :class:`~repro.data.dataset.SubgraphDataset`;
 * **training** of one one-vs-rest DBG4ETH head per account category;
 * **serving**: ``score(addresses)`` goes end-to-end — on-demand 2-hop ego
-  sampling, single-pass feature extraction, cached-CSR branch encoding,
+  sampling, single-pass feature extraction, dense-block branch encoding,
   calibration and classification — for raw addresses the model has never seen;
 * **persistence**: ``save(path)`` / ``DeAnonymizer.load(path, ledger)`` write
   and restore every head bit-for-bit (npz weights + json manifest).
 
 Batched execution: a request for N addresses samples and featurizes each
-address exactly once; the resulting :class:`AccountSubgraph` objects (and the
-CSR adjacency / time-slice caches memoized on them) are then shared by every
-category head.  Heads whose branches share one architecture are scored
+address exactly once; the resulting :class:`AccountSubgraph` objects are then
+shared by every category head.  Heads whose branches share one architecture are scored
 together (:class:`~repro.core.inference.StackedHeads`): one stacked GSG and
 one stacked LDG forward per chunk of samples with equal node counts serve
 all of them, and only calibration and the classifier run per head.  Scores

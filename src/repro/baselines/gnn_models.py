@@ -1,5 +1,8 @@
 """GNN graph-classification baselines: GCN, GAT, GIN, GraphSAGE, APPNP and the
-Ethereum-specific GNN methods (I2BGNN, TSGN, Ethident, TEGDetector)."""
+Ethereum-specific GNN methods (I2BGNN, TSGN, Ethident, TEGDetector).
+
+Each network builds its sample's dense ``(n, n)`` forms from the sample's
+edge columns when it forwards the sample (:mod:`repro.data.slicing`)."""
 
 from __future__ import annotations
 
@@ -7,6 +10,7 @@ import numpy as np
 
 from repro.baselines.base import BaselineClassifier
 from repro.data.dataset import AccountSubgraph
+from repro.data.slicing import adjacency_blocks, time_slice_blocks
 from repro.gnn import (
     APPNPPropagation,
     GATLayer,
@@ -14,6 +18,8 @@ from repro.gnn import (
     GINLayer,
     GraphSAGELayer,
     HierarchicalAttentionEncoder,
+    attention_mask,
+    normalize_adjacency,
 )
 from repro.gnn.pooling import global_max_pool, global_mean_pool
 from repro.gnn.recurrent import GRUCell
@@ -58,7 +64,7 @@ class _TrainedGNNBaseline(BaselineClassifier):
             mean, std = self._feature_stats
             return (sample.node_features - mean) / std
         # Structure-only variant ("w/o node feature" rows): degree + constant.
-        degrees = sample.adjacency_sparse().row_sums().reshape(-1, 1)
+        degrees = adjacency_blocks([sample.graph])[0].sum(axis=1).reshape(-1, 1)
         return np.hstack([np.ones_like(degrees), degrees / max(degrees.max(), 1.0)])
 
     def _input_dim(self, sample: AccountSubgraph) -> int:
@@ -97,24 +103,30 @@ class _TrainedGNNBaseline(BaselineClassifier):
 
 
 class _StackedGNN(Module):
-    """Generic layer stack + pooling + linear head used by most GNN baselines."""
+    """Generic layer stack + pooling + linear head used by most GNN baselines.
+
+    ``form`` maps the sample's symmetric adjacency to what the layers
+    aggregate with: :func:`~repro.gnn.layers.normalize_adjacency` for GCN,
+    :func:`~repro.gnn.layers.attention_mask` for GAT, the adjacency itself
+    for GIN and GraphSAGE.  ``weighted_adjacency`` reads the edge amounts,
+    damped with ``log1p`` as the seed's TSGN did.
+    """
 
     def __init__(self, layers: list[Module], hidden_dim: int, pooling: str,
-                 rng: np.random.Generator, weighted_adjacency: bool = False):
+                 rng: np.random.Generator, form=None, weighted_adjacency: bool = False):
         super().__init__()
         self.layers = layers
         self.pooling = pooling
+        self.form = form
         self.weighted_adjacency = weighted_adjacency
         self.head = Linear(hidden_dim, 1, rng=rng)
 
     def forward(self, features: np.ndarray, sample: AccountSubgraph) -> Tensor:
-        # The sample's cached CSR adjacency: every epoch (and every baseline
-        # sharing the sample) reuses the same memoized normalisations instead
-        # of converting a dense matrix per call.  ``log_scale`` reproduces the
-        # seed's ``np.log1p`` damping of amount-weighted adjacencies exactly
-        # (amounts are non-negative, so the non-zero structure is unchanged).
-        adjacency = sample.adjacency_sparse(weighted=self.weighted_adjacency,
-                                            log_scale=self.weighted_adjacency)
+        adjacency = adjacency_blocks([sample.graph], weighted=self.weighted_adjacency)[0]
+        if self.weighted_adjacency:
+            adjacency = np.log1p(adjacency)
+        if self.form is not None:
+            adjacency = self.form(adjacency)
         h = Tensor(features)
         for layer in self.layers:
             h = layer(h, adjacency)
@@ -130,7 +142,7 @@ class GCNClassifier(_TrainedGNNBaseline):
     def _build_network(self, in_dim: int, rng: np.random.Generator) -> Module:
         dims = [in_dim] + [self.hidden_dim] * self.num_layers
         layers = [GCNLayer(dims[i], dims[i + 1], rng=rng) for i in range(self.num_layers)]
-        return _StackedGNN(layers, self.hidden_dim, "mean", rng)
+        return _StackedGNN(layers, self.hidden_dim, "mean", rng, form=normalize_adjacency)
 
 
 class GATClassifier(_TrainedGNNBaseline):
@@ -146,7 +158,7 @@ class GATClassifier(_TrainedGNNBaseline):
         dims = [in_dim] + [self.hidden_dim] * self.num_layers
         layers = [GATLayer(dims[i], dims[i + 1], num_heads=self.num_heads, rng=rng)
                   for i in range(self.num_layers)]
-        return _StackedGNN(layers, self.hidden_dim, "mean", rng)
+        return _StackedGNN(layers, self.hidden_dim, "mean", rng, form=attention_mask)
 
 
 class GINClassifier(_TrainedGNNBaseline):
@@ -184,7 +196,8 @@ class _APPNPNetwork(Module):
 
     def forward(self, features: np.ndarray, sample: AccountSubgraph) -> Tensor:
         h0 = relu(self.fc2(relu(self.fc1(Tensor(features)))))
-        propagated = self.propagation(h0, sample.adjacency_sparse())
+        propagated = self.propagation(
+            h0, normalize_adjacency(adjacency_blocks([sample.graph])[0]))
         return self.head(global_mean_pool(propagated))
 
 
@@ -221,7 +234,8 @@ class TSGNClassifier(_TrainedGNNBaseline):
     def _build_network(self, in_dim: int, rng: np.random.Generator) -> Module:
         dims = [in_dim] + [self.hidden_dim] * self.num_layers
         layers = [GCNLayer(dims[i], dims[i + 1], rng=rng) for i in range(self.num_layers)]
-        return _StackedGNN(layers, self.hidden_dim, "mean", rng, weighted_adjacency=True)
+        return _StackedGNN(layers, self.hidden_dim, "mean", rng, form=normalize_adjacency,
+                           weighted_adjacency=True)
 
 
 class _EthidentNetwork(Module):
@@ -237,7 +251,8 @@ class _EthidentNetwork(Module):
 
     def forward(self, features: np.ndarray, sample: AccountSubgraph) -> Tensor:
         aligned = relu(self.align(Tensor(features)))
-        return self.head(self.encoder(aligned, sample.adjacency_sparse()))
+        return self.head(self.encoder(
+            aligned, attention_mask(adjacency_blocks([sample.graph])[0])))
 
 
 class EthidentClassifier(_TrainedGNNBaseline):
@@ -263,12 +278,12 @@ class _TEGDetectorNetwork(Module):
         self.head = Linear(hidden_dim, 1, rng=rng)
 
     def forward(self, features: np.ndarray, sample: AccountSubgraph) -> Tensor:
-        slices = sample.time_slices(self.num_slices, weighted=False)
+        slices = normalize_adjacency(time_slice_blocks([sample.graph], self.num_slices)[:, 0])
         hidden = relu(self.input_proj(Tensor(features)))
         weights = softmax(self.time_logits.reshape(1, -1), axis=1)
         pooled_sum = None
-        for t, adjacency in enumerate(slices):
-            topo = self.gcn(hidden, adjacency)
+        for t, normalized in enumerate(slices):
+            topo = self.gcn(hidden, normalized)
             hidden = self.gru(topo, hidden)
             pooled = global_mean_pool(hidden) * weights[0, t].reshape(1, 1)
             pooled_sum = pooled if pooled_sum is None else pooled_sum + pooled

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.baselines.gnn_models import _TrainedGNNBaseline
 from repro.data.dataset import AccountSubgraph
+from repro.data.slicing import adjacency_blocks
 from repro.gnn.pooling import global_mean_pool
 from repro.nn import Linear, Module, Tensor
 from repro.nn.functional import relu, softmax
@@ -50,7 +51,7 @@ class _GRITNetwork(Module):
         self.head = Linear(hidden_dim, 1, rng=rng)
 
     def forward(self, features: np.ndarray, sample: AccountSubgraph) -> Tensor:
-        adjacency = sample.adjacency_sparse().to_dense()
+        adjacency = adjacency_blocks([sample.graph])[0]
         degrees = adjacency.sum(axis=1, keepdims=True)
         scaled_degrees = degrees / max(degrees.max(), 1.0)
         inputs = np.hstack([features, scaled_degrees, (degrees > 0).astype(float)])

@@ -10,10 +10,9 @@ Two augmentation operators following Zhu et al. (2021):
   inversely related to their global importance (mean absolute value), so
   salient attributes survive augmentation.
 
-Both a dense ``(n, n)`` adjacency and a :class:`SparseAdjacency` are accepted;
-the output matches the input form.  The two paths draw from the RNG in the
-same order (one vector over the positive edge slots in row-major order, one
-vector over the feature columns), so a seeded run is reproducible across forms.
+Views are built per sample on its dense ``(n, n)`` adjacency, drawing from
+the RNG in a fixed order: one vector over the positive edge slots in
+row-major order, then one over the feature columns.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.graph.sparse import SparseAdjacency
 
 __all__ = ["AugmentationConfig", "adaptive_augmentation"]
 
@@ -47,8 +44,8 @@ class AugmentationConfig:
             raise ValueError("feature_mask_prob must be in [0, 1]")
 
 
-def _node_centrality_dense(binary: np.ndarray, measure: str) -> np.ndarray:
-    """Node centrality scores of a dense 0/1 adjacency."""
+def _node_centrality(binary: np.ndarray, measure: str) -> np.ndarray:
+    """Node centrality scores of a 0/1 adjacency."""
     n = binary.shape[0]
     if measure == "degree":
         return binary.sum(axis=1)
@@ -70,33 +67,10 @@ def _node_centrality_dense(binary: np.ndarray, measure: str) -> np.ndarray:
     raise ValueError(f"unknown centrality measure: {measure!r}")
 
 
-def _node_centrality_sparse(binary: SparseAdjacency, measure: str) -> np.ndarray:
-    """CSR twin of :func:`_node_centrality_dense` (same iteration counts)."""
-    n = binary.num_nodes
-    if measure == "degree":
-        return binary.row_sums()
-    if measure == "eigenvector":
-        x = np.full(n, 1.0 / max(n, 1))
-        for _ in range(50):
-            x_next = binary.matmul(x) + 1e-12
-            x_next /= np.linalg.norm(x_next)
-            x = x_next
-        return np.abs(x)
-    if measure == "pagerank":
-        damping = 0.85
-        out_degree = np.maximum(binary.row_sums(), 1.0)
-        transition = binary.scale(row=1.0 / out_degree)
-        rank = np.full(n, 1.0 / max(n, 1))
-        for _ in range(50):
-            rank = (1.0 - damping) / max(n, 1) + damping * transition.rmatmul(rank)
-        return rank
-    raise ValueError(f"unknown centrality measure: {measure!r}")
-
-
 def _edge_centrality_matrix(adjacency: np.ndarray, measure: str) -> np.ndarray:
-    """Centrality score per edge slot, from node centralities of the dense adjacency."""
+    """Centrality score per edge slot, from node centralities of the adjacency."""
     binary = (adjacency > 0).astype(float)
-    node_scores = _node_centrality_dense(binary, measure)
+    node_scores = _node_centrality(binary, measure)
     return 0.5 * (node_scores[:, None] + node_scores[None, :])
 
 
@@ -127,8 +101,10 @@ def _mask_features(features: np.ndarray, feature_mask_prob: float,
     return augmented
 
 
-def _augment_dense(adjacency: np.ndarray, config: AugmentationConfig,
-                   rng: np.random.Generator) -> np.ndarray:
+def _drop_edges(adjacency: np.ndarray, config: AugmentationConfig,
+                rng: np.random.Generator) -> np.ndarray:
+    """The adjacency with centrality-scaled edge drops; a symmetric input
+    stays symmetric (an undirected edge survives unless both slots drop)."""
     augmented_adj = adjacency.copy()
     edge_mask = adjacency > 0
     if config.edge_drop_prob > 0.0 and edge_mask.any():
@@ -142,69 +118,19 @@ def _augment_dense(adjacency: np.ndarray, config: AugmentationConfig,
     return augmented_adj
 
 
-def _augment_sparse(adjacency: SparseAdjacency, config: AugmentationConfig,
-                    rng: np.random.Generator) -> SparseAdjacency:
-    """CSR edge drop with the dense path's semantics.
-
-    Positive slots are enumerated in the same row-major order as the dense
-    ``adjacency > 0`` mask, each slot is dropped independently, and a symmetric
-    input is re-symmetrised with ``max(A, A.T)`` — so, like the dense path, an
-    undirected edge survives unless *both* of its directed slots are dropped.
-
-    Everything deterministic per ``(adjacency, config)`` — the positive-slot
-    mask, the centrality-scaled drop probabilities, the symmetry check and the
-    ``max(A, A.T)`` sort plan — is memoized on the adjacency instance, so the
-    per-draw cost of the contrastive loop is just the RNG vector, the value
-    copy and the replayed reductions.
-    """
-    if config.edge_drop_prob <= 0.0:
-        return adjacency
-    edge_mask = adjacency._memoized("aug_edge_mask", lambda: adjacency.data > 0)
-    if not edge_mask.any():
-        return adjacency
-
-    def build_probs():
-        node_scores = _node_centrality_sparse(adjacency.binarized(),
-                                              config.centrality_measure)
-        scores = 0.5 * (node_scores[adjacency.rows]
-                        + node_scores[adjacency.indices])[edge_mask]
-        inverse = scores.max() - scores + 1e-9
-        return np.clip(inverse / inverse.mean() * config.edge_drop_prob,
-                       0.0, 0.95)
-
-    drop_probs = adjacency._memoized(
-        ("aug_drop_probs", config.centrality_measure, config.edge_drop_prob),
-        build_probs)
-    dropped = rng.random(len(drop_probs)) < drop_probs
-    data = adjacency.data.copy()
-    kept_values = data[edge_mask]
-    kept_values[dropped] = 0.0
-    data[edge_mask] = kept_values
-    if adjacency.is_symmetric():
-        augmented = adjacency.symmetrized_max(data)
-    else:
-        augmented = SparseAdjacency(adjacency.indptr, adjacency.indices, data)
-    return augmented.pruned()
-
-
-def adaptive_augmentation(adjacency, features: np.ndarray,
+def adaptive_augmentation(adjacency: np.ndarray, features: np.ndarray,
                           config: AugmentationConfig,
                           rng: np.random.Generator | None = None,
-                          ):
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """Return an augmented ``(adjacency, features)`` view of a subgraph.
 
     Edge drop probabilities are scaled so that, on average, a fraction
     ``edge_drop_prob`` of edges is removed, but low-centrality edges are removed
     preferentially.  Feature-mask probabilities are likewise scaled by inverse
-    column importance.  The adjacency may be dense or sparse; the augmented
-    adjacency is returned in the same form.
+    column importance.  ``adjacency`` is the sample's dense ``(n, n)`` matrix.
     """
     rng = rng or np.random.default_rng(0)
     features = np.asarray(features, dtype=float)
-    if isinstance(adjacency, SparseAdjacency):
-        augmented_adj = _augment_sparse(adjacency, config, rng)
-    else:
-        augmented_adj = _augment_dense(np.asarray(adjacency, dtype=float),
-                                       config, rng)
+    augmented_adj = _drop_edges(np.asarray(adjacency, dtype=float), config, rng)
     augmented_features = _mask_features(features, config.feature_mask_prob, rng)
     return augmented_adj, augmented_features

@@ -1,4 +1,10 @@
-"""Global static account transaction encoding module (Section IV-A)."""
+"""Global static account transaction encoding module (Section IV-A).
+
+The network runs on dense blocks: a group of ``B`` samples with ``n`` nodes
+forwards its ``(B, n, ·)`` features and the :func:`attention mask
+<repro.gnn.layers.attention_mask>` of its ``(B, n, n)`` symmetric adjacency,
+built once per group from the samples' edge columns.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.augmentation import AugmentationConfig, adaptive_augmentation
-from repro.core.inference import StackedGSG
+from repro.core.inference import StackedGSG, node_count_groups
 from repro.core.training import fit_branch
 from repro.data.dataset import AccountSubgraph
+from repro.data.slicing import adjacency_blocks
 from repro.gnn.hierarchical import HierarchicalAttentionEncoder
-from repro.graph.sparse import SparseAdjacency
+from repro.gnn.layers import attention_mask
 from repro.nn import Adam, Linear, Module, Tensor, concat, nt_xent_loss
 from repro.nn.functional import leaky_relu
 
@@ -27,9 +34,9 @@ class GSGConfig:
     ``(P_e, P_f) = (0.3, 0.1)`` and ``(0.4, 0.0)``.
 
     ``batch_size`` is the number of subgraphs per optimizer step, forwarded
-    as one block-diagonal stack with the loss averaged over its samples
-    (see :func:`~repro.core.training.fit_branch`); 1, the default, is a
-    batch of one.  It must be at least 1.  Scoring does not depend on it:
+    one group of equal node counts at a time with the loss averaged over its
+    samples (see :func:`~repro.core.training.fit_branch`); 1, the default, is
+    a batch of one.  It must be at least 1.  Scoring does not depend on it:
     every fitted branch scores each sample with the bits of its own
     one-sample forward.
     """
@@ -61,22 +68,20 @@ class _GSGNetwork(Module):
         self.head = Linear(config.hidden_dim, 1, rng=rng)
 
     def embed(self, features: np.ndarray, edge_features: np.ndarray,
-              adjacency) -> Tensor:
-        """``(B, hidden)`` embeddings of a stack of ``B`` samples.
+              mask: np.ndarray) -> Tensor:
+        """``(B, hidden)`` embeddings of ``B`` samples with ``n`` nodes each.
 
-        ``features`` / ``edge_features`` hold the samples' rows stacked in
-        block order and ``adjacency`` is their block-diagonal graph.  One
-        sample is a one-block stack: its own :class:`SparseAdjacency` (a
-        dense matrix also works).  The alignment layer and the GAT stack are
-        row- and block-local, and the read-out runs per block.
+        ``features`` / ``edge_features`` are ``(B, n, ·)`` and ``mask`` is the
+        ``(B, n, n)`` attention mask of their adjacency.
         """
-        aligned = leaky_relu(self.align(Tensor(np.hstack([features, edge_features]))))
-        return self.encoder(aligned, adjacency)
+        aligned = leaky_relu(self.align(Tensor(np.concatenate([features, edge_features],
+                                                              axis=-1))))
+        return self.encoder(aligned, mask)
 
     def forward(self, features: np.ndarray, edge_features: np.ndarray,
-                adjacency) -> Tensor:
-        """``(B, 1)`` logits of a stack of ``B`` samples (see :meth:`embed`)."""
-        return self.head(self.embed(features, edge_features, adjacency))
+                mask: np.ndarray) -> Tensor:
+        """``(B, 1)`` logits of ``B`` samples with ``n`` nodes each (see :meth:`embed`)."""
+        return self.head(self.embed(features, edge_features, mask))
 
 
 class GSGBranch:
@@ -93,32 +98,22 @@ class GSGBranch:
         self._feature_stats: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ helpers
-    def _prepare(self, sample: AccountSubgraph):
+    def _view(self, sample: AccountSubgraph) -> tuple:
+        """``(features, edge_features, adjacency)`` of one sample, unbatched:
+        what the contrastive views augment."""
         mean, std = self._feature_stats
-        features = (sample.node_features - mean) / std
-        edge_features = np.log1p(np.abs(sample.node_edge_features()))
-        # The sample's cached CSR adjacency: its memoized attention structure
-        # and normalisations are shared across every epoch and both
-        # contrastive views' un-augmented uses.
-        adjacency = sample.adjacency_sparse()
-        return features, edge_features, adjacency
+        return ((sample.node_features - mean) / std,
+                np.log1p(np.abs(sample.node_edge_features())),
+                adjacency_blocks([sample.graph])[0])
 
-    @staticmethod
-    def _stack(prepared: list[tuple], derived: tuple = ("attention_structure",)) -> tuple:
-        """One forward's inputs for a list of :meth:`_prepare` outputs.
-
-        A single sample is its own arrays and adjacency, memoized forms and
-        all.  Several are stacked block-diagonally, with the ``derived`` forms
-        and transpose plans composed from the samples' memoized ones, so a
-        fit's fixed minibatches never re-derive them.  Freshly augmented
-        views have no memoized forms to reuse: pass ``derived=()``.
-        """
-        if len(prepared) == 1:
-            return prepared[0]
-        features, edge_features, adjacencies = zip(*prepared)
-        return (np.vstack(features), np.vstack(edge_features),
-                SparseAdjacency.block_diagonal(adjacencies, derived=derived,
-                                               compose_plans=bool(derived)))
+    def _inputs(self, samples: list[AccountSubgraph]) -> tuple:
+        """One forward's arguments for samples with one node count."""
+        mean, std = self._feature_stats
+        features = (np.array([sample.node_features for sample in samples]) - mean) / std
+        edge_features = np.log1p(np.abs(np.array(
+            [sample.node_edge_features() for sample in samples])))
+        mask = attention_mask(adjacency_blocks([sample.graph for sample in samples]))
+        return features, edge_features, mask
 
     # ----------------------------------------------------------------- training
     def fit(self, samples: list[AccountSubgraph], labels: np.ndarray) -> "GSGBranch":
@@ -126,17 +121,17 @@ class GSGBranch:
                    samples, labels, self._contrastive_step)
         return self
 
-    def _contrastive_step(self, prepared: list[tuple], rng: np.random.Generator,
+    def _contrastive_step(self, samples: list[AccountSubgraph], rng: np.random.Generator,
                           optimizer: Adam) -> None:
         """One contrastive-regularisation step on a random minibatch of subgraphs."""
         cfg = self.config
-        batch_size = min(cfg.contrastive_batch, len(prepared))
+        batch_size = min(cfg.contrastive_batch, len(samples))
         if batch_size < 2 or not (cfg.use_contrastive and cfg.contrastive_weight > 0.0):
             return
-        batch_idx = rng.choice(len(prepared), size=batch_size, replace=False)
+        batch_idx = rng.choice(len(samples), size=batch_size, replace=False)
         view1, view2 = [], []
         for idx in batch_idx:
-            features, edge_features, adjacency = prepared[idx]
+            features, edge_features, adjacency = self._view(samples[idx])
             # RNG order is part of the training contract: view 1 then view 2,
             # in sample order, regardless of how the forwards are grouped.
             adj1, feat1 = adaptive_augmentation(adjacency, features, cfg.view1, rng)
@@ -152,10 +147,22 @@ class GSGBranch:
 
     def _embed_views(self, views: list[tuple]) -> Tensor:
         """Embed ``(features, edge_features, adjacency)`` views, ``batch_size``
-        views per stacked forward (one at a time at ``batch_size=1``)."""
+        views per step, one forward per group of equal node counts (one view
+        at a time at ``batch_size=1``).
+
+        The rows come out group after group; both views of a sample have its
+        node count, so the two view lists come out in one order and the
+        contrastive pairs stay aligned.
+        """
         step = self.config.batch_size
-        pieces = [self._network.embed(*self._stack(views[start:start + step], derived=()))
-                  for start in range(0, len(views), step)]
+        pieces = []
+        for start in range(0, len(views), step):
+            chunk = views[start:start + step]
+            for group in node_count_groups([len(view[0]) for view in chunk]):
+                features, edge_features, adjacency = (
+                    np.array(column) for column in zip(*(chunk[i] for i in group)))
+                pieces.append(self._network.embed(features, edge_features,
+                                                  attention_mask(adjacency)))
         return pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
 
     # ---------------------------------------------------------------- inference
@@ -179,8 +186,7 @@ class GSGBranch:
         """The subgraph embedding (useful for inspection and tests)."""
         if self._network is None:
             raise RuntimeError("GSGBranch has not been fitted")
-        features, edge_features, adjacency = self._prepare(sample)
-        return self._network.embed(features, edge_features, adjacency).data.ravel()
+        return self._network.embed(*self._inputs([sample])).data.ravel()
 
     # ------------------------------------------------------------- persistence
     def get_state(self) -> dict:

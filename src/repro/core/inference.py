@@ -13,37 +13,32 @@ a single sample the ``B = 1`` case.  Every fitted branch scores here,
 whatever ``batch_size`` it was trained with.
 
 Every score is bit-identical to the head's own training forward on that one
-sample (``_network.forward`` on a one-block stack), whatever else the batch
+sample (``_network.forward`` on a one-sample group), whatever else the batch
 holds, because each stacked op does, per (head, sample) block, exactly the
 float operations of the per-sample op:
 
-* dense arrays are ``(H, B, n, d)``, so every block keeps the per-sample
-  shape and is contiguous.  ``np.matmul`` over the two leading axes issues
-  per block the BLAS call of the 2-D product; the weights carry a unit
-  sample axis (``(H, 1, in, out)``) that broadcasts over the chunk;
+* arrays are ``(H, B, n, ...)``, so every block keeps the per-sample shape
+  and is contiguous.  ``np.matmul`` over the leading axes issues per block
+  the BLAS call of the 2-D product.  The weights carry a unit sample axis
+  (``(H, 1, in, out)``) that broadcasts over the chunk; the chunk's dense
+  forms carry no head axis (``(B, n, n)``) and broadcast over the heads;
 * elementwise ops are position-independent;
 * reductions run within a block, so numpy picks the same pairwise or
   sequential summation for it as for the per-sample array.  A layout that
-  merges blocks would not: a read-out or softmax sum over ``(H, B*n, ...)``,
-  over a padded block or down one column of a node-major ``(n, H)`` array
+  merges blocks would not: a softmax or read-out sum over a padded block
   reduces in another order.  Samples of different sizes therefore never
   share an array and are never padded: they are grouped by node count, and
   each group is scored in chunks of at most ``_CHUNK`` samples
   (:func:`_chunks`);
-* sparse message passing runs on the block-diagonal of the chunk's graphs,
-  in which every row keeps its own entries in the same order.  It gathers
-  along the node axis and reduces with ``reduceat``, whose per-column result
-  does not depend on the columns beside it
-  (``SparseAdjacency.matmul(x, axis=1)``).  Every chunk, a chunk of one
-  included, builds that structure once from its concatenated edge columns
-  (:func:`~repro.data.slicing.time_slice_csr`,
-  :func:`~repro.data.slicing.block_adjacency`: one ``from_coo`` per slice
-  and one for the attention structure) and derives the normalised forms on
-  it.  Each block equals the sample's own form bit for bit (pinned in
-  ``tests/test_chunk_structure.py``), and nothing is memoized on the sample:
-  a scored sample is answered from its score memo from then on;
-* past the first DiffPool layer every (head, sample) pair has its own coarse
-  graph; those graphs are laid out as one block-diagonal CSR in the same way.
+* every chunk, a chunk of one included, builds its dense forms once from
+  its samples' edge columns (:func:`~repro.data.slicing.adjacency_blocks`,
+  :func:`~repro.data.slicing.time_slice_blocks`: one scatter each) and
+  derives the GAT mask and the normalised slices on them.  Each block equals
+  the form a training forward builds for that sample alone, and nothing is
+  memoized on the sample: a scored sample is answered from its score memo
+  from then on;
+* past the first DiffPool layer every (head, sample) pair has its own dense
+  coarse graph ``M^T A M``, an ``(H, B, c, c)`` array.
 """
 
 from __future__ import annotations
@@ -52,8 +47,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.data.slicing import block_adjacency, time_slice_csr
-from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
+from repro.data.slicing import adjacency_blocks, time_slice_blocks
+from repro.gnn.layers import attention_mask, normalize_adjacency
+from repro.gnn.pooling import coarsen
 from repro.nn.functional import (elu_array, leaky_relu_array, relu_array, sigmoid_array,
                                  softmax_array)
 
@@ -63,11 +59,21 @@ __all__ = ["StackedGSG", "StackedLDG", "StackedHeads"]
 #: 64 addresses scored by 3 heads on a 2-vCPU x86-64 host (perfbench seed 1:
 #: serve's 5 held-out batches and 8 fresh batches from follow_chain's 1M-tx
 #: graph; bounds alternated over 10 reps), the median heads time per batch
-#: was 147, 141 and 136 ms at bounds 8, 16 and 32 on serve, and 133, 126 and
-#: 122 ms on follow_chain.  32 beat 16 in 6 and 8 of the 10 reps and doubles
-#: the transient peak (tracemalloc per batch: 3.3, 6.2 and 11.9 MB on serve,
-#: 2.0, 3.9 and 7.7 MB on follow_chain), so the bound stays 16.
+#: was 49.6, 47.7 and 48.2 ms at bounds 8, 16 and 32 on serve, and 52.2, 50.3
+#: and 51.0 ms on follow_chain.  32 beat 16 in 3 of the 10 reps on each and
+#: doubles the transient peak (tracemalloc per batch: 2.9, 5.8 and 11.7 MB on
+#: both, set by a full chunk at the 50-node cap), so the bound stays 16.  At
+#: the default cap of 200 one chunk of 16 peaks at 83.4 MB: a (3, 16, 200,
+#: 200) array is 15.4 MB, and the attention holds about five.
 _CHUNK = 16
+
+
+def node_count_groups(sizes: Sequence[int]) -> list[list[int]]:
+    """Positions of ``sizes`` grouped by value, groups in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for position, size in enumerate(sizes):
+        groups.setdefault(size, []).append(position)
+    return list(groups.values())
 
 
 def _chunks(samples: Sequence) -> list[list[int]]:
@@ -76,10 +82,8 @@ def _chunks(samples: Sequence) -> list[list[int]]:
     Samples with the same node count are stacked, in order, at most
     ``_CHUNK`` at a time; a repeated sample takes its own slot.
     """
-    by_size: dict[int, list[int]] = {}
-    for position, sample in enumerate(samples):
-        by_size.setdefault(sample.num_nodes, []).append(position)
-    return [positions[start:start + _CHUNK] for positions in by_size.values()
+    return [positions[start:start + _CHUNK]
+            for positions in node_count_groups([sample.num_nodes for sample in samples])
             for start in range(0, len(positions), _CHUNK)]
 
 
@@ -91,12 +95,6 @@ def _stack(arrays: list[np.ndarray], unit_axes: int = 1) -> np.ndarray:
     """
     stacked = arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
     return stacked.reshape(stacked.shape[:1] + (1,) * unit_axes + stacked.shape[1:])
-
-
-def _nodes(x: np.ndarray) -> np.ndarray:
-    """``(H, B*n, d)`` view of an ``(H, B, n, d)`` array: the chunk's nodes in
-    block-diagonal order, for gathers and sparse products only."""
-    return x.reshape(x.shape[0], -1, x.shape[-1])
 
 
 class _Affine:
@@ -112,51 +110,6 @@ class _Affine:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         out = x @ self.weight
         return out if self.bias is None else out + self.bias
-
-
-class _Graphs:
-    """Sparse products over a chunk's graphs, laid out as one block-diagonal CSR.
-
-    ``x`` is ``(H, B, n, d)``.  ``axis`` is the node axis of the flattened
-    operand: 1 when every head shares the graphs (``(H, B*n, d)``, one block
-    per sample), 0 when every (head, sample) pair has its own
-    (``(H*B*n, d)``, one block per pair).
-    """
-
-    __slots__ = ("adjacency",)
-    axis = 1
-
-    def __init__(self, adjacency: SparseAdjacency):
-        self.adjacency = adjacency
-
-    def _apply(self, product, x: np.ndarray) -> np.ndarray:
-        rows = x.reshape(x.shape[:self.axis] + (-1, x.shape[-1]))
-        return product(rows, axis=self.axis).reshape(x.shape)
-
-    def gcn(self, x: np.ndarray) -> np.ndarray:
-        """``D^-1/2 (A + I) D^-1/2 x`` per block (the GCN propagation)."""
-        return self._apply(self.adjacency.gcn_normalized().matmul, x)
-
-    def rmatmul(self, x: np.ndarray) -> np.ndarray:
-        """``A.T @ x`` per block."""
-        return self._apply(self.adjacency.rmatmul, x)
-
-
-class _CoarseGraphs(_Graphs):
-    """Each (head, sample) pair's coarse graph ``M^T A M`` past the first DiffPool layer.
-
-    The per-sample path converts its dense ``(c, c)`` coarse graph to CSR
-    (:meth:`SparseAdjacency.from_dense`); the ``(H, B, c, c)`` stack is laid
-    out as one block-diagonal CSR of those rows
-    (:meth:`BatchedAdjacency.from_dense_blocks`).
-    """
-
-    __slots__ = ()
-    axis = 0
-
-    def __init__(self, dense: np.ndarray):
-        super().__init__(BatchedAdjacency.from_dense_blocks(
-            dense.reshape((-1,) + dense.shape[-2:])))
 
 
 class _Stacked:
@@ -211,19 +164,14 @@ class StackedGSG(_Stacked):
         x = np.concatenate([features, np.broadcast_to(
             edge_features, (self.size,) + edge_features.shape)], axis=3)
         h = leaky_relu_array(self.align(x), 0.01)                     # Eq. 6
-        structure = block_adjacency([sample.graph for sample in chunk]).attention_structure()
-        rows, cols = structure.rows, structure.indices
+        mask = attention_mask(adjacency_blocks([sample.graph for sample in chunk]))
         for heads, negative_slope in self.layers:                     # Eq. 7-9
             outputs = []
             for project, attn_src, attn_dst in heads:
                 z = project(h)
-                scores = leaky_relu_array(_nodes(z @ attn_src)[:, rows]
-                                          + _nodes(z @ attn_dst)[:, cols], negative_slope)
-                shift = structure.reduce_rows(scores, np.maximum, axis=1)[:, rows]
-                exp = np.exp(scores - shift)
-                attn = exp / structure.reduce_rows(exp, axis=1)[:, rows]
-                outputs.append(structure.reduce_rows(
-                    attn * _nodes(z)[:, cols], axis=1).reshape(z.shape))
+                scores = leaky_relu_array(z @ attn_src + (z @ attn_dst).swapaxes(2, 3),
+                                          negative_slope)
+                outputs.append(softmax_array(scores + mask, axis=3) @ z)
             out = (outputs[0] if len(outputs) == 1
                    else np.stack(outputs, axis=3).sum(axis=3) * (1.0 / len(outputs)))
             h = elu_array(out)
@@ -271,28 +219,33 @@ class StackedLDG(_Stacked):
                             + g["bias_candidate"])
         return (1.0 - update) * hidden + update * candidate
 
-    def _pool(self, x: np.ndarray, graph: _Graphs) -> np.ndarray:
-        """The DiffPool stack (Eq. 19-21) down to one cluster: ``(H, B, 1, d)``."""
+    def _pool(self, x: np.ndarray, adjacency: np.ndarray,
+              normalized: np.ndarray) -> np.ndarray:
+        """The DiffPool stack (Eq. 19-21) down to one cluster: ``(H, B, 1, d)``.
+
+        ``adjacency`` and ``normalized`` are the slice's ``A`` and ``Â``,
+        ``(B, n, n)``; the coarse graphs past the first layer are
+        ``(H, B, c, c)``.
+        """
         for i, (assign_linear, embed_linear) in enumerate(self.pools):
-            assignment = softmax_array(graph.gcn(assign_linear(x)), axis=3)
-            embedded = relu_array(graph.gcn(embed_linear(x)))
+            assignment = softmax_array(normalized @ assign_linear(x), axis=3)
+            embedded = relu_array(normalized @ embed_linear(x))
             if i < len(self.pools) - 1:
-                graph = _CoarseGraphs(
-                    graph.rmatmul(assignment).swapaxes(2, 3) @ assignment)
+                adjacency = coarsen(assignment, adjacency)
+                normalized = normalize_adjacency(adjacency)
             x = assignment.swapaxes(2, 3) @ embedded
         return x
 
     def logits(self, chunk: Sequence) -> np.ndarray:
         """``(H, B)`` raw scores: ``_LDGNetwork.forward`` per head and sample."""
         hidden = relu_array(self.input_proj(self._features(chunk)))
+        slices = time_slice_blocks([sample.graph for sample in chunk], self.num_slices)
+        normalized = normalize_adjacency(slices)
         representation = None
-        slices = time_slice_csr([sample.graph for sample in chunk], self.num_slices,
-                                weighted=False)
-        for t, adjacency in enumerate(slices):
-            graph = _Graphs(adjacency)
-            hidden = self._gru_step(relu_array(graph.gcn(self.gcn(hidden))),
+        for t in range(self.num_slices):
+            hidden = self._gru_step(relu_array(normalized[t] @ self.gcn(hidden)),
                                     hidden)                           # Eq. 14-18
-            pooled = self._pool(hidden, graph)
+            pooled = self._pool(hidden, slices[t], normalized[t])
             pooled = pooled.sum(axis=2, keepdims=True) * (1.0 / pooled.shape[2])
             weighted = pooled * self.slice_weights[..., t:t + 1]
             representation = weighted if representation is None else representation + weighted

@@ -1,4 +1,10 @@
-"""Local dynamic account transaction encoding module (Section IV-B)."""
+"""Local dynamic account transaction encoding module (Section IV-B).
+
+The network runs on dense blocks: a group of ``B`` samples with ``n`` nodes
+forwards its ``(B, n, F)`` features with its ``(T, B, n, n)`` time slices
+(Eq. 1) and their GCN normalisations, built once per group from the
+samples' edge columns.  DiffPool's coarse graphs stay dense.
+"""
 
 from __future__ import annotations
 
@@ -9,11 +15,10 @@ import numpy as np
 from repro.core.inference import StackedLDG
 from repro.core.training import fit_branch
 from repro.data.dataset import AccountSubgraph
-from repro.gnn.layers import GCNLayer
-from repro.gnn.pooling import DiffPool
+from repro.data.slicing import time_slice_blocks
+from repro.gnn.layers import GCNLayer, normalize_adjacency
+from repro.gnn.pooling import DiffPool, coarsen
 from repro.gnn.recurrent import GRUCell
-from repro.gnn.sparse_ops import segment_mean_batch
-from repro.graph.sparse import SparseAdjacency
 from repro.nn import Linear, Module, Parameter, Tensor
 from repro.nn.functional import relu, softmax
 
@@ -28,11 +33,10 @@ class LDGConfig:
     the DiffPool depth studied in Figure 9(b) (2 by default, with pooling rates
     0.1 then collapse-to-one).
 
-    ``batch_size`` is the number of subgraphs per optimizer step: their time
-    slices are stacked block-diagonally per slice index and forwarded as
-    ``num_slices`` sparse passes (see
-    :func:`~repro.core.training.fit_branch`); 1, the default, is a batch
-    of one.  It must be at least 1.  Scoring does not depend on it: every
+    ``batch_size`` is the number of subgraphs per optimizer step, forwarded
+    one group of equal node counts at a time (see
+    :func:`~repro.core.training.fit_branch`); 1, the default, is a batch of
+    one.  It must be at least 1.  Scoring does not depend on it: every
     fitted branch scores each sample with the bits of its own one-sample
     forward.
     """
@@ -77,39 +81,34 @@ class _LDGNetwork(Module):
             clusters = max(1, clusters // 2)
         return pools
 
-    def slice_representations(self, features: np.ndarray, slices) -> list[Tensor]:
+    def slice_representations(self, features: np.ndarray, slices: np.ndarray,
+                              normalized: np.ndarray) -> list[Tensor]:
         """Per-slice pooled evolutionary features ``h^pool_t`` (Eq. 20/22 inputs).
 
-        Returns one ``(B, hidden)`` tensor per time slice for a stack of ``B``
-        samples.  ``features`` holds the samples' node-feature rows stacked
-        in block order; ``slices`` is a length-``T`` sequence whose entry
-        ``t`` is slice ``t`` of every sample stacked block-diagonally (all
-        ``T`` share the stack's node offsets: slicing partitions edges, not
-        nodes).  One sample is a one-block stack: its own per-slice
-        :class:`SparseAdjacency` (dense matrices also work).  GCN and GRU are
-        block- and row-local; DiffPool and the mean read-out reduce per block.
+        Returns one ``(B, hidden)`` tensor per time slice for ``B`` samples
+        with ``n`` nodes each: ``features`` is ``(B, n, F)``, ``slices`` the
+        ``(T, B, n, n)`` time slices and ``normalized`` their
+        :func:`~repro.gnn.layers.normalize_adjacency`.
         """
         hidden = relu(self.input_proj(Tensor(features)))
         pooled_per_slice: list[Tensor] = []
-        for adjacency in slices:
-            adjacency = SparseAdjacency.coerce(adjacency)
-            topo = self.gcn(hidden, adjacency)            # Eq. 14
+        for adjacency, a_hat in zip(slices, normalized):
+            topo = self.gcn(hidden, a_hat)                # Eq. 14
             hidden = self.gru(topo, hidden)               # Eq. 15-18
-            pooled, graph = hidden, adjacency
-            for pool in self.pools[:-1]:
-                pooled, graph, _assign = pool.forward_batched(pooled, graph)  # Eq. 19-21
-            offsets = graph.node_offsets
-            if self.pools:
-                # The last layer leaves one cluster per block, and nothing
-                # reads its coarse graph, so it is never built.
-                pooled, _assign = self.pools[-1].pool_features(pooled, graph)  # Eq. 19-20
-                offsets = np.arange(graph.num_graphs + 1)
-            pooled_per_slice.append(segment_mean_batch(pooled, offsets))
+            pooled = hidden
+            for i, pool in enumerate(self.pools):         # Eq. 19-21
+                pooled, assignment = pool.pool_features(pooled, a_hat)
+                if i < len(self.pools) - 1:
+                    # Nothing reads the last layer's coarse graph.
+                    adjacency = coarsen(assignment.data, adjacency)
+                    a_hat = normalize_adjacency(adjacency)
+            pooled_per_slice.append(pooled.mean(axis=-2))
         return pooled_per_slice
 
-    def forward(self, features: np.ndarray, slices) -> Tensor:
-        """``(B, 1)`` logits of a stack of ``B`` samples (see :meth:`slice_representations`)."""
-        pooled_per_slice = self.slice_representations(features, slices)
+    def forward(self, features: np.ndarray, slices: np.ndarray,
+                normalized: np.ndarray) -> Tensor:
+        """``(B, 1)`` logits of ``B`` samples (see :meth:`slice_representations`)."""
+        pooled_per_slice = self.slice_representations(features, slices, normalized)
         weights = softmax(self.slice_logits.reshape(1, -1), axis=1)
         representation = None
         for t, pooled in enumerate(pooled_per_slice):
@@ -126,29 +125,13 @@ class LDGBranch:
         self._network: _LDGNetwork | None = None
         self._feature_stats: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _prepare(self, sample: AccountSubgraph):
+    def _inputs(self, samples: list[AccountSubgraph]) -> tuple:
+        """One forward's arguments for samples with one node count."""
         mean, std = self._feature_stats
-        features = (sample.node_features - mean) / std
-        # Cached CSR slices: built once per sample, no dense per-slice matrices.
-        slices = sample.time_slices(self.config.num_slices, weighted=False)
-        return features, slices
-
-    @staticmethod
-    def _stack(prepared: list[tuple]) -> tuple:
-        """One forward's inputs for a list of :meth:`_prepare` outputs.
-
-        A single sample is its own features and slices.  Several are stacked:
-        features vertically, slice ``t`` across samples, each stacked slice
-        with its GCN normalisation and transpose plans composed from the
-        samples' memoized ones, so a fit's fixed minibatches never re-derive
-        them.
-        """
-        if len(prepared) == 1:
-            return prepared[0]
-        features, slices = zip(*prepared)
-        return np.vstack(features), [SparseAdjacency.block_diagonal(
-            slice_t, derived=("gcn_normalized",), compose_plans=True)
-            for slice_t in zip(*slices)]
+        features = (np.array([sample.node_features for sample in samples]) - mean) / std
+        slices = time_slice_blocks([sample.graph for sample in samples],
+                                   self.config.num_slices)
+        return features, slices, normalize_adjacency(slices)
 
     def fit(self, samples: list[AccountSubgraph], labels: np.ndarray) -> "LDGBranch":
         fit_branch(self, lambda in_dim, rng: _LDGNetwork(in_dim, self.config, rng),

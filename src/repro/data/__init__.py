@@ -21,7 +21,8 @@ from repro.data.dataset import (
 )
 from repro.data.slicing import (
     transaction_evolution_times,
-    time_slice_csr,
+    adjacency_blocks,
+    time_slice_blocks,
 )
 from repro.data.splits import train_test_split, stratified_kfold, one_vs_rest_labels
 
@@ -36,7 +37,8 @@ __all__ = [
     "SubgraphDatasetBuilder",
     "DatasetConfig",
     "transaction_evolution_times",
-    "time_slice_csr",
+    "adjacency_blocks",
+    "time_slice_blocks",
     "train_test_split",
     "stratified_kfold",
     "one_vs_rest_labels",

@@ -1,4 +1,10 @@
-"""Account-centred subgraph dataset construction (Section III-B)."""
+"""Account-centred subgraph dataset construction (Section III-B).
+
+A sample is its ego subgraph and the subgraph's deep features; the encoders
+build its dense adjacency forms from the graph's edge columns when they
+forward it, so a sample carries no cached form.  The node cap
+``DatasetConfig.max_nodes_per_subgraph`` bounds those forms.
+"""
 
 from __future__ import annotations
 
@@ -14,9 +20,7 @@ from repro.chain.labelcloud import AccountCategory
 from repro.chain.ledger import Ledger
 from repro.data.features import FEATURE_NAMES, DeepFeatureExtractor
 from repro.data.pipeline import build_transaction_graph
-from repro.data.slicing import time_slice_csr
 from repro.graph.sampling import ego_subgraph
-from repro.graph.sparse import SparseAdjacency
 from repro.graph.txgraph import TxGraph
 
 __all__ = ["AccountSubgraph", "SubgraphDataset", "SubgraphDatasetBuilder", "DatasetConfig"]
@@ -47,6 +51,10 @@ class AccountSubgraph:
         :meth:`DeAnonymizer.score <repro.api.DeAnonymizer.score>`); ``None``
         before.  The probabilities are a pure function of the sample and those
         heads, so they are kept as long as the sample is.  Not pickled.
+
+    The encoders build a sample's dense adjacency forms from ``graph``'s edge
+    columns when they forward it (:mod:`repro.data.slicing`) and keep none
+    of them on the sample.
     """
 
     center: str
@@ -54,29 +62,13 @@ class AccountSubgraph:
     graph: TxGraph
     node_features: np.ndarray
     center_index: int
-    # Lazily built sparse forms for training only: the subgraph topology
-    # never changes after sampling, so the CSR adjacency and time-slice
-    # sequences (plus their memoized normalisations) are shared across every
-    # training epoch.  Scoring builds each chunk's structure from the edge
-    # columns instead (repro.core.inference) and leaves this empty.  Builds
-    # are double-check-locked so threads sharing a sample all observe the
-    # single instance the winning thread built.
-    _sparse_cache: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
-    _cache_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                        repr=False, compare=False)
     head_scores: tuple | None = field(default=None, init=False, repr=False,
                                       compare=False)
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["_cache_lock"]            # locks are not picklable
         state.pop("head_scores", None)      # weakly keyed; absent until scored
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._cache_lock = threading.Lock()
 
     @property
     def num_nodes(self) -> int:
@@ -85,29 +77,6 @@ class AccountSubgraph:
     @property
     def num_edges(self) -> int:
         return self.graph.num_edges
-
-    def adjacency_sparse(self, weighted: bool = False,
-                         log_scale: bool = False) -> SparseAdjacency:
-        """The symmetric ``max(A, A.T)`` adjacency for message passing, cached.
-
-        ``log_scale=True`` applies ``log1p`` to the stored values (the
-        amount-weighted variant used by TSGN-style baselines); since amounts are
-        non-negative the non-zero structure — and therefore the memoized
-        normalisations — match the dense ``np.log1p(A)`` exactly.
-        """
-        key = ("adjacency", weighted, log_scale)
-        cached = self._sparse_cache.get(key)
-        if cached is None:
-            with self._cache_lock:
-                cached = self._sparse_cache.get(key)
-                if cached is None:
-                    cached = SparseAdjacency.from_graph(self.graph, weighted=weighted,
-                                                        symmetric=True)
-                    if log_scale:
-                        cached = SparseAdjacency(cached.indptr, cached.indices,
-                                                 np.log1p(cached.data))
-                    self._sparse_cache[key] = cached
-        return cached
 
     def node_edge_features(self) -> np.ndarray:
         """Per-node aggregate of incident edge features ``[amount, count]``.
@@ -135,22 +104,6 @@ class AccountSubgraph:
         agg[:, 1] = np.bincount(endpoints, weights=payload, minlength=n)
         return agg
 
-    def time_slices(self, num_slices: int, weighted: bool = True):
-        """The LDG's discrete-time adjacency sequence (Eq. 1).
-
-        The slices are cached :class:`SparseAdjacency` instances built
-        straight from the edge arrays (no dense allocation).
-        """
-        key = ("slices", num_slices, weighted)
-        cached = self._sparse_cache.get(key)
-        if cached is None:
-            with self._cache_lock:
-                cached = self._sparse_cache.get(key)
-                if cached is None:
-                    cached = time_slice_csr(self.graph, num_slices, weighted=weighted)
-                    self._sparse_cache[key] = cached
-        return cached
-
 
 @dataclass
 class DatasetConfig:
@@ -158,7 +111,9 @@ class DatasetConfig:
 
     ``max_nodes_per_subgraph`` caps each sample: a larger ego set keeps its
     centre plus the highest-degree nodes (see
-    :func:`~repro.graph.sampling.ego_subgraph`).
+    :func:`~repro.graph.sampling.ego_subgraph`).  The cap is mandatory, an
+    ``int`` of at least 1: it bounds every dense form the encoders build,
+    ``8 n^2`` bytes per sample and form (320 KB at the default 200).
     """
 
     hops: int = 2
@@ -166,6 +121,12 @@ class DatasetConfig:
     negatives_per_positive: float = 1.0
     max_nodes_per_subgraph: int = 200
     seed: int = 13
+
+    def __post_init__(self):
+        cap = self.max_nodes_per_subgraph
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+            raise ValueError("DatasetConfig.max_nodes_per_subgraph must be an int >= 1, "
+                             f"got {cap!r}")
 
 
 class SubgraphDataset:

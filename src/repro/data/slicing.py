@@ -1,17 +1,17 @@
-"""Transaction-evolution-time slicing for the Local Dynamic Graph (Eq. 1).
+"""Transaction-evolution-time slicing (Eq. 1) and the dense forms the encoders read.
 
-:func:`time_slice_csr` builds :class:`~repro.graph.sparse.SparseAdjacency`
-slices directly from the edge arrays without ever allocating a dense matrix —
-the form the sparse LDG encoder consumes.  It reads :meth:`TxGraph.edge_arrays`,
-the graph's edge columns.  The seed's dense ``(n, n)`` slicer is kept as the
-parity reference in ``tests/_dense_reference.py``.
+The GNN encoders run on dense per-sample blocks.  A training minibatch or a
+scoring chunk groups its samples by node count, and each group of ``B``
+graphs with ``n`` nodes builds each form with one scatter over the group's
+concatenated edge columns (:meth:`TxGraph.edge_arrays`):
 
-Stacked scoring (:mod:`repro.core.inference`) builds a chunk's structure in
-one pass over the chunk's concatenated edge columns: :func:`time_slice_csr`
-of a sequence of graphs gives each slice as one block-diagonal
-:class:`~repro.graph.sparse.BatchedAdjacency`, and :func:`block_adjacency`
-the chunk's symmetric adjacency.  Every block equals its graph's own form bit
-for bit, and nothing is memoized on the graphs or their samples.
+* :func:`adjacency_blocks` -- the symmetric ``max(A, A.T)``, ``(B, n, n)``;
+* :func:`time_slice_blocks` -- the ``T`` discrete-time slices of Eq. 1,
+  ``(T, B, n, n)``.
+
+Block ``b`` of each equals the seed's dense form of graph ``b`` alone, bit
+for bit (the references are kept in ``tests/_dense_reference.py``), and
+nothing is memoized on the graphs or their samples.
 """
 
 from __future__ import annotations
@@ -20,37 +20,33 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
 from repro.graph.txgraph import TxGraph
 
-__all__ = ["transaction_evolution_times", "time_slice_csr", "block_adjacency"]
+__all__ = ["transaction_evolution_times", "adjacency_blocks", "time_slice_blocks"]
 
 
-def _offsets(counts: list[int]) -> np.ndarray:
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
+def _group_edges(graphs: Sequence[TxGraph]) -> tuple:
+    """``(n, block, src, dst, amount, stamps, edge_offsets)`` of graphs with one node count.
 
-
-def _block_edge_arrays(graphs: Sequence[TxGraph]) -> tuple[np.ndarray, ...]:
-    """``(node_offsets, edge_offsets, src_idx, dst_idx, amount, timestamp)``
-    of ``graphs`` laid side by side.
-
-    Graph ``b`` owns nodes ``node_offsets[b]:node_offsets[b+1]`` and merged
-    edges ``edge_offsets[b]:edge_offsets[b+1]``, in its own order; its
-    endpoints are shifted by its node offset.
+    The graphs' merged edges are laid side by side, each graph's in its own
+    order: graph ``b`` owns edges ``edge_offsets[b]:edge_offsets[b+1]``, and
+    ``block`` names each edge's graph.
     """
+    n = graphs[0].num_nodes
+    if any(graph.num_nodes != n for graph in graphs):
+        raise ValueError("a group's graphs must have one node count")
     columns = [graph.edge_arrays() for graph in graphs]
-    node_offsets = _offsets([graph.num_nodes for graph in graphs])
-    edge_offsets = _offsets([len(src) for src, *_ in columns])
+    counts = [len(src) for src, *_ in columns]
+    edge_offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
+    np.cumsum(counts, out=edge_offsets[1:])
     src, dst, amount, _count, stamps = (np.concatenate(column) for column in zip(*columns))
-    shift = np.repeat(node_offsets[:-1], np.diff(edge_offsets))
-    return node_offsets, edge_offsets, src + shift, dst + shift, amount, stamps
+    block = np.repeat(np.arange(len(graphs), dtype=np.int64), counts)
+    return n, block, src, dst, amount, stamps, edge_offsets
 
 
 def _evolution_time_array(timestamps: np.ndarray, edge_offsets: np.ndarray) -> np.ndarray:
-    """Per-edge ``(t - t_min) / (t_max - t_min)`` over each block's own edges;
-    zeros in a block whose span is flat."""
+    """Per-edge ``(t - t_min) / (t_max - t_min)`` over each graph's own edges;
+    zeros in a graph whose span is flat."""
     counts = np.diff(edge_offsets)
     filled = counts > 0
     times = np.zeros(len(timestamps))
@@ -80,71 +76,38 @@ def transaction_evolution_times(graph: TxGraph) -> dict[tuple, float]:
                                times.tolist())}
 
 
-def _edge_slice_arrays(graphs: Sequence[TxGraph], num_slices: int, weighted: bool,
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(node_offsets, src_idx, dst_idx, value, slot)`` per merged edge of
-    ``graphs`` laid side by side (see :func:`_block_edge_arrays`)."""
-    node_offsets, edge_offsets, src, dst, amount, stamps = _block_edge_arrays(graphs)
-    vals = amount if weighted else np.ones(len(amount))
-    times = _evolution_time_array(stamps, edge_offsets)
-    slots = np.minimum((times * num_slices).astype(np.int64), num_slices - 1)
-    return node_offsets, src, dst, vals, slots
+def adjacency_blocks(graphs: Sequence[TxGraph], weighted: bool = False) -> np.ndarray:
+    """The ``(B, n, n)`` symmetric adjacencies of ``B`` graphs with ``n`` nodes each.
+
+    Block ``b`` is ``max(A, A.T)`` of graph ``b`` over its node order, with
+    1 per edge (the edge amount when ``weighted``, as TSGN reads it): one
+    ``np.maximum`` scatter of every edge in both directions, so a reciprocal
+    pair keeps the larger amount.
+    """
+    n, block, src, dst, amount, _stamps, _offsets = _group_edges(graphs)
+    out = np.zeros((len(graphs), n, n))
+    values = amount if weighted else np.ones(len(src))
+    np.maximum.at(out, (np.concatenate([block, block]), np.concatenate([src, dst]),
+                        np.concatenate([dst, src])), np.concatenate([values, values]))
+    return out
 
 
-def time_slice_csr(graphs: TxGraph | Sequence[TxGraph], num_slices: int,
-                   weighted: bool = True, cumulative: bool = False,
-                   ) -> list[SparseAdjacency]:
-    """Split the subgraph into ``num_slices`` discrete-time CSR adjacencies.
+def time_slice_blocks(graphs: Sequence[TxGraph], num_slices: int) -> np.ndarray:
+    """The ``(T, B, n, n)`` time slices of ``B`` graphs with ``n`` nodes each (Eq. 1).
 
-    Each edge is assigned to the slice ``floor(T(e) * num_slices)`` (clamped
-    to the last slice), producing the discrete-time dynamic graph sequence
-    consumed by the LDG encoder.  With ``cumulative=True`` each slice also
-    contains every earlier edge, which some baselines (e.g.
-    TEGDetector-style models) prefer.
-
-    Returns one :class:`SparseAdjacency` per slice, over the graph's
-    node-insertion order and symmetrised for message passing: each edge
-    contributes to ``(i, j)`` and ``(j, i)``, so a self loop counts twice on
-    the diagonal.  Its dense view equals the seed's dense slicer
-    (``tests/_dense_reference.py``) bit for bit.
-
-    ``graphs`` may also be a sequence of graphs, such as a scoring chunk's.
-    Slice ``k`` is then one :class:`BatchedAdjacency` whose block ``b`` is
-    ``time_slice_csr(graphs[b], ...)[k]`` bit for bit: each graph keeps its
-    own evolution-time span, and the one ``from_coo`` per slice meets every
-    block's triplets in that graph's own order.
+    Each edge lands in the slice ``floor(T(e) * num_slices)`` (clamped to the
+    last slice), ``T(e)`` taken over its own graph's edges, and adds 1 to
+    ``[i, j]`` and ``[j, i]`` of that slice, so a self loop counts twice on
+    the diagonal.  One ``bincount`` over the group's edges builds every slice
+    of every block; the counts are exact, so the result does not depend on
+    the order the edges are met in.
     """
     if num_slices < 1:
         raise ValueError("num_slices must be >= 1")
-    single = isinstance(graphs, TxGraph)
-    node_offsets, src, dst, vals, slots = _edge_slice_arrays(
-        [graphs] if single else graphs, num_slices, weighted)
-    slices = []
-    for k in range(num_slices):
-        mask = slots <= k if cumulative else slots == k
-        i, j, v = src[mask], dst[mask], vals[mask]
-        flat = SparseAdjacency.from_coo(np.concatenate([i, j]), np.concatenate([j, i]),
-                                        np.concatenate([v, v]), int(node_offsets[-1]))
-        slices.append(flat if single else _blocks(flat, node_offsets))
-    return slices
-
-
-def block_adjacency(graphs: Sequence[TxGraph]) -> BatchedAdjacency:
-    """The unweighted ``max(A, A.T)`` of every graph, as one block-diagonal CSR.
-
-    Block ``b`` equals ``SparseAdjacency.from_graph(graphs[b],
-    symmetric=True)`` bit for bit: one ``from_coo`` over the doubled edges
-    collapses each block's duplicate slots (reciprocal pairs) with
-    ``np.maximum``, as ``from_graph`` does per graph.
-    """
-    node_offsets, _edges, src, dst, _amount, _stamps = _block_edge_arrays(graphs)
-    return _blocks(SparseAdjacency.from_coo(
-        np.concatenate([src, dst]), np.concatenate([dst, src]), np.ones(2 * len(src)),
-        int(node_offsets[-1]), combine=np.maximum), node_offsets)
-
-
-def _blocks(flat: SparseAdjacency, node_offsets: np.ndarray) -> BatchedAdjacency:
-    """``flat``, whose entries all lie inside the blocks of ``node_offsets``,
-    as a :class:`BatchedAdjacency` of those blocks."""
-    return BatchedAdjacency(flat.indptr, flat.indices, flat.data, node_offsets=node_offsets,
-                            edge_offsets=flat.indptr[node_offsets])
+    n, block, src, dst, _amount, stamps, edge_offsets = _group_edges(graphs)
+    times = _evolution_time_array(stamps, edge_offsets)
+    slots = np.minimum((times * num_slices).astype(np.int64), num_slices - 1)
+    rows = (slots * len(graphs) + block) * n
+    index = np.concatenate([(rows + src) * n + dst, (rows + dst) * n + src])
+    counts = np.bincount(index, minlength=num_slices * len(graphs) * n * n)
+    return counts.astype(np.float64).reshape(num_slices, len(graphs), n, n)

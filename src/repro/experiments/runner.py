@@ -42,8 +42,8 @@ def fast_dbg4eth_config(epochs: int = 8, batch_size: int = 1,
     """A laptop-fast DBG4ETH configuration used across the benchmark suite.
 
     ``batch_size`` is forwarded to both branch configs: the subgraphs per
-    optimizer step, forwarded as one block-diagonal stack (1 is a batch of
-    one).
+    optimizer step, forwarded one group of equal node counts at a time (1 is
+    a batch of one).
 
     ``overrides`` must name actual :class:`DBG4ETHConfig` fields (``use_gsg``,
     ``classifier``, ...); unknown names raise :class:`TypeError` instead of

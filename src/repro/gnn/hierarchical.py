@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.sparse import SparseAdjacency
 from repro.gnn.layers import GATLayer
-from repro.gnn.sparse_ops import take_rows
 from repro.nn import Linear, Module, Tensor, concat
 from repro.nn.functional import elu, leaky_relu, softmax
 
@@ -28,43 +26,23 @@ class GraphAttentionReadout(Module):
         self.score_linear = Linear(2 * dim, 1, rng=rng)
         self.out_linear = Linear(dim, dim, rng=rng)
 
-    def forward(self, node_embeddings: Tensor,
-                stack: SparseAdjacency | None = None) -> Tensor:
-        """``(B, d)`` embeddings of the ``B`` graphs of a node stack.
+    def forward(self, node_embeddings: Tensor) -> Tensor:
+        """``(B, d)`` embeddings of ``(B, n, d)`` equal-size graphs (``(1, d)``
+        of one ``(n, d)`` graph).
 
-        ``node_embeddings`` holds the graphs' node rows block after block, as
-        laid out by ``stack`` (a block-diagonal adjacency; ``None`` or a plain
-        adjacency is one graph).  Each graph attends over its own nodes plus
-        its own summary row.  Graphs with the same node count ``n`` run as one
-        ``(G, n + 1, d)`` array whose every block sees the float operations
-        of a lone ``(n + 1, d)`` graph, so a graph's embedding does not depend
-        on the rest of the stack (see :mod:`repro.core.inference`).
+        Each graph attends over its own nodes plus its own summary row, and
+        every reduction runs within a graph, so a graph's embedding does not
+        depend on the rest of the stack.
         """
-        groups, order = ([(node_embeddings.shape[0], None)], None) if stack is None \
-            else stack.size_groups()
-        dim = node_embeddings.shape[1]
-        pieces = []
-        for n, rows in groups:
-            nodes = node_embeddings if rows is None else take_rows(node_embeddings, rows)
-            if nodes.shape[0] == n:                                    # one graph: (n, d)
-                pieces.append(self._attend(nodes))
-            else:
-                pieces.append(self._attend(nodes.reshape(-1, n, dim)).reshape(-1, dim))
-        embeddings = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
-        if order is not None:
-            embeddings = take_rows(embeddings, order)
-        return elu(embeddings)                                         # Eq. 13
-
-    def _attend(self, nodes: Tensor) -> Tensor:
-        """Eq. 10-12 on one ``(n, d)`` graph or ``(G, n, d)`` equal-size graphs:
-        the ``(1, d)`` or ``(G, 1, d)`` attention-weighted candidate sums."""
+        nodes = node_embeddings
         summary = nodes.max(axis=-2, keepdims=True)                    # Eq. 10
         candidates = concat([nodes, summary], axis=-2)                 # nodes ∪ {c}
         summary_repeated = Tensor(np.ones(candidates.shape[:-1] + (1,))) @ summary
         scores = leaky_relu(self.score_linear(
             concat([summary_repeated, candidates], axis=-1)), 0.2)     # Eq. 11
         weights = softmax(scores, axis=-2)                             # Eq. 12
-        return (weights * self.out_linear(candidates)).sum(axis=-2, keepdims=True)
+        embedding = (weights * self.out_linear(candidates)).sum(axis=-2)
+        return elu(embedding.reshape(-1, nodes.shape[-1]))             # Eq. 13
 
 
 class HierarchicalAttentionEncoder(Module):
@@ -86,26 +64,19 @@ class HierarchicalAttentionEncoder(Module):
                        for i in range(num_layers)]
         self.readout = GraphAttentionReadout(hidden_dim, rng=rng)
 
-    def node_embeddings(self, x: Tensor, adjacency) -> Tensor:
+    def node_embeddings(self, x: Tensor, mask: np.ndarray) -> Tensor:
         """Run only the node-level attention stack (Eq. 7-9).
 
-        ``adjacency`` may be a :class:`SparseAdjacency` or a dense matrix; a
-        dense input is converted once here so every GAT layer (and each of its
-        heads) shares the same CSR structure and its cached derived forms.
+        ``mask`` is the :func:`~repro.gnn.layers.attention_mask` of the
+        adjacency, ``(n, n)`` or ``(B, n, n)`` to match ``x``; every GAT layer
+        and head shares it.
         """
-        adj = SparseAdjacency.coerce(adjacency)
         h = x
         for layer in self.layers:
-            h = layer(h, adj)
+            h = layer(h, mask)
         return h
 
-    def forward(self, x: Tensor, adjacency) -> Tensor:
-        """``(B, hidden_dim)`` embeddings of the ``B`` graphs of ``adjacency``.
-
-        ``adjacency`` is one graph (a :class:`SparseAdjacency` or a dense
-        matrix: ``B = 1``) or a block-diagonal stack with ``x`` holding its
-        node rows block after block.  The GAT stack runs unchanged on a
-        stack: attention structures and per-row softmaxes are block-local.
-        """
-        adj = SparseAdjacency.coerce(adjacency)
-        return self.readout(self.node_embeddings(x, adj), adj)
+    def forward(self, x: Tensor, mask: np.ndarray) -> Tensor:
+        """``(B, hidden_dim)`` embeddings of ``(B, n, ·)`` equal-size graphs
+        (``B = 1`` for one ``(n, ·)`` graph)."""
+        return self.readout(self.node_embeddings(x, mask))

@@ -1,24 +1,30 @@
-"""Graph convolution layers on CSR sparse adjacency: GCN, GAT, GIN, GraphSAGE, APPNP.
+"""Graph convolution layers on dense adjacency blocks: GCN, GAT, GIN, GraphSAGE, APPNP.
 
-Every layer aggregates in O(E) over a :class:`~repro.graph.sparse.SparseAdjacency`;
-dense ``(n, n)`` matrices are still accepted everywhere and converted on entry,
-so the seed's dense API keeps working.  ``tests/test_gnn_sparse_parity.py``
-pins each sparse forward against faithful dense implementations of the seed
-layers, kept in the test suite, to within 1e-9.
+Every layer takes node features ``(..., n, d)`` and the form of the adjacency
+it aggregates with, ``(..., n, n)``: one sample's ``(n, n)`` or a ``(B, n, n)``
+stack of equal-size samples, whose blocks the layer treats one by one.
+Aggregation is a batched matmul and every reduction runs within a block, so
+each block of a stack gets the bits the sample alone gets.
+
+* :class:`GCNLayer` and :class:`APPNPPropagation` take ``Â``, the
+  :func:`normalize_adjacency` of ``A``;
+* :class:`GATLayer` takes the :func:`attention_mask` of ``A``;
+* :class:`GINLayer` and :class:`GraphSAGELayer` take ``A`` itself.
+
+The forwards are the seed's dense formulas; ``tests/_dense_reference.py``
+keeps the seed's per-sample code as their parity reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.sparse import SparseAdjacency
-from repro.gnn.sparse_ops import (gather_cols, gather_rows,
-                                  segment_softmax, spmm, spmm_edge_weighted)
 from repro.nn import Module, Linear, Parameter, Tensor, concat
-from repro.nn.functional import elu, leaky_relu, relu
+from repro.nn.functional import elu, leaky_relu, relu, softmax
 
 __all__ = [
     "normalize_adjacency",
+    "attention_mask",
     "GCNLayer",
     "GATLayer",
     "GINLayer",
@@ -27,30 +33,39 @@ __all__ = [
 ]
 
 
-def normalize_adjacency(adjacency, add_self_loops: bool = True):
-    """Symmetric GCN normalisation ``D^{-1/2} (A + I) D^{-1/2}``.
+def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
+    """Symmetric GCN normalisation ``D^{-1/2} (A + I) D^{-1/2}`` of every block.
 
-    Polymorphic: a :class:`SparseAdjacency` input returns the normalised sparse
-    form; a dense array keeps the seed's dense-in / dense-out contract.  Both
-    paths guard zero-degree rows (isolated nodes with ``add_self_loops=False``)
-    by zeroing the inverse square root instead of dividing by zero.
+    ``adjacency`` is ``(..., n, n)``.  Rows whose degree is not positive get
+    a zero inverse square root instead of a division by zero.
     """
-    if isinstance(adjacency, SparseAdjacency):
-        return adjacency.gcn_normalized(add_self_loops=add_self_loops)
     adj = np.asarray(adjacency, dtype=np.float64)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError("adjacency must be a square matrix")
-    if add_self_loops:
-        adj = adj + np.eye(adj.shape[0])
-    degree = adj.sum(axis=1)
+    if adj.ndim < 2 or adj.shape[-1] != adj.shape[-2]:
+        raise ValueError("adjacency must be a square matrix or a stack of them")
+    adj = adj + np.eye(adj.shape[-1])
+    degree = adj.sum(axis=-1)
     inv_sqrt = np.zeros_like(degree)
     nonzero = degree > 0
     inv_sqrt[nonzero] = degree[nonzero] ** -0.5
-    return adj * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return adj * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+
+
+def attention_mask(adjacency: np.ndarray) -> np.ndarray:
+    """The GAT's additive score mask of every ``(n, n)`` block of ``adjacency``.
+
+    0 where node ``i`` attends to node ``j`` (``A_ij > 0``, or ``i == j``)
+    and ``-1e9`` elsewhere, so a masked slot's softmax weight is exactly 0.
+    """
+    adj = np.asarray(adjacency)
+    attends = (adj > 0) | np.eye(adj.shape[-1], dtype=bool)
+    return ~attends * -1e9
 
 
 class GCNLayer(Module):
-    """Graph convolution (Kipf & Welling 2017): ``act(\\hat{A} X W)``."""
+    """Graph convolution (Kipf & Welling 2017): ``act(Â X W)``.
+
+    ``normalized`` is ``Â``, the :func:`normalize_adjacency` of ``A``.
+    """
 
     def __init__(self, in_dim: int, out_dim: int, activation=relu,
                  rng: np.random.Generator | None = None):
@@ -58,19 +73,17 @@ class GCNLayer(Module):
         self.linear = Linear(in_dim, out_dim, rng=rng)
         self.activation = activation
 
-    def forward(self, x: Tensor, adjacency) -> Tensor:
-        adj = SparseAdjacency.coerce(adjacency)
-        out = spmm(adj.gcn_normalized(), self.linear(x))
+    def forward(self, x: Tensor, normalized: np.ndarray) -> Tensor:
+        out = Tensor(normalized) @ self.linear(x)
         return self.activation(out) if self.activation is not None else out
 
 
 class GATLayer(Module):
     """Graph attention (Velickovic et al. 2018) with ``num_heads`` averaged heads.
 
-    Attention runs entirely on the edge list of ``A > 0`` plus self loops:
-    per-edge scores ``LeakyReLU(a_src·h_i + a_dst·h_j)`` are normalised with a
-    per-row segment softmax and aggregated with an edge-weighted scatter — the
-    sparse equivalent of the seed's ``(n, n)`` mask + ``-1e9`` softmax.
+    Scores ``LeakyReLU(a_src·h_i + a_dst·h_j)`` over every ``(i, j)`` slot
+    plus the :func:`attention_mask` ``mask``, a row-wise softmax, and the
+    attention-weighted sum ``attn @ h``.
     """
 
     def __init__(self, in_dim: int, out_dim: int, num_heads: int = 1,
@@ -89,30 +102,27 @@ class GATLayer(Module):
         self.attn_dst = [Parameter(rng.normal(0.0, 0.1, size=(out_dim, 1)))
                          for _ in range(num_heads)]
 
-    def forward(self, x: Tensor, adjacency) -> Tensor:
-        n = x.shape[0]
-        structure = SparseAdjacency.coerce(adjacency).attention_structure()
-        rows, cols = structure.rows, structure.indices
+    def forward(self, x: Tensor, mask: np.ndarray) -> Tensor:
+        mask = Tensor(mask)
         head_outputs = []
         for head in range(self.num_heads):
-            h = self.projections[head](x)                   # (n, out_dim)
-            score_src = h @ self.attn_src[head]             # (n, 1)
-            score_dst = h @ self.attn_dst[head]             # (n, 1)
-            scores = leaky_relu(gather_rows(score_src, structure)
-                                + gather_cols(score_dst, structure),
-                                self.negative_slope)        # (E, 1)
-            attn = segment_softmax(scores, structure)
-            head_outputs.append(spmm_edge_weighted(structure, attn, h))
+            h = self.projections[head](x)                   # (..., n, out_dim)
+            score_src = h @ self.attn_src[head]             # (..., n, 1)
+            score_dst = h @ self.attn_dst[head]             # (..., n, 1)
+            scores = leaky_relu(score_src + score_dst.swapaxes(-1, -2),
+                                self.negative_slope)        # (..., n, n)
+            attn = softmax(scores + mask, axis=-1)
+            head_outputs.append(attn @ h)
         if self.num_heads == 1:
             out = head_outputs[0]
         else:
-            stacked = concat([h.reshape(n, 1, self.out_dim) for h in head_outputs], axis=1)
-            out = stacked.mean(axis=1)
+            shape = x.shape[:-1] + (1, self.out_dim)
+            out = concat([h.reshape(shape) for h in head_outputs], axis=-2).mean(axis=-2)
         return self.activation(out) if self.activation is not None else out
 
 
 class GINLayer(Module):
-    """Graph isomorphism layer (Xu et al. 2019): ``MLP((1 + eps) x + A x)``."""
+    """Graph isomorphism layer (Xu et al. 2019): ``MLP((1 + eps) x + (A > 0) x)``."""
 
     def __init__(self, in_dim: int, out_dim: int, hidden_dim: int | None = None,
                  eps: float = 0.0, train_eps: bool = True,
@@ -124,15 +134,14 @@ class GINLayer(Module):
         self.fc1 = Linear(in_dim, hidden_dim, rng=rng)
         self.fc2 = Linear(hidden_dim, out_dim, rng=rng)
 
-    def forward(self, x: Tensor, adjacency) -> Tensor:
-        adj = SparseAdjacency.coerce(adjacency)
-        aggregated = spmm(adj.binarized(), x)
+    def forward(self, x: Tensor, adjacency: np.ndarray) -> Tensor:
+        aggregated = Tensor((np.asarray(adjacency) > 0).astype(np.float64)) @ x
         combined = x * (self.eps + 1.0) + aggregated
         return self.fc2(relu(self.fc1(combined)))
 
 
 class GraphSAGELayer(Module):
-    """GraphSAGE with mean aggregation: ``act(W_self x + W_nbr mean(A x))``."""
+    """GraphSAGE with mean aggregation: ``act(W_self x + W_nbr mean_{j: A_ij > 0} x_j)``."""
 
     def __init__(self, in_dim: int, out_dim: int, activation=relu,
                  rng: np.random.Generator | None = None):
@@ -142,17 +151,19 @@ class GraphSAGELayer(Module):
         self.neighbor_linear = Linear(in_dim, out_dim, rng=rng)
         self.activation = activation
 
-    def forward(self, x: Tensor, adjacency) -> Tensor:
-        adj = SparseAdjacency.coerce(adjacency)
-        neighbor_mean = spmm(adj.mean_normalized(), x)
-        out = self.self_linear(x) + self.neighbor_linear(neighbor_mean)
+    def forward(self, x: Tensor, adjacency: np.ndarray) -> Tensor:
+        adj = (np.asarray(adjacency) > 0).astype(np.float64)
+        degree = adj.sum(axis=-1, keepdims=True)
+        degree[degree == 0] = 1.0
+        out = self.self_linear(x) + self.neighbor_linear(Tensor(adj / degree) @ x)
         return self.activation(out) if self.activation is not None else out
 
 
 class APPNPPropagation(Module):
     """APPNP: personalised-PageRank propagation of an MLP's predictions.
 
-    ``h^{(k+1)} = (1 - alpha) \\hat{A} h^{(k)} + alpha h^{(0)}`` for ``k`` steps.
+    ``h^{(k+1)} = (1 - alpha) Â h^{(k)} + alpha h^{(0)}`` for ``k`` steps, with
+    ``normalized`` the :func:`normalize_adjacency` ``Â``.
     """
 
     def __init__(self, k: int = 10, alpha: float = 0.1):
@@ -162,9 +173,9 @@ class APPNPPropagation(Module):
         self.k = k
         self.alpha = alpha
 
-    def forward(self, h0: Tensor, adjacency) -> Tensor:
-        normalized = SparseAdjacency.coerce(adjacency).gcn_normalized()
+    def forward(self, h0: Tensor, normalized: np.ndarray) -> Tensor:
+        normalized = Tensor(normalized)
         h = h0
         for _ in range(self.k):
-            h = spmm(normalized, h) * (1.0 - self.alpha) + h0 * self.alpha
+            h = (normalized @ h) * (1.0 - self.alpha) + h0 * self.alpha
         return h

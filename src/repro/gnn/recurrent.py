@@ -16,9 +16,9 @@ class GRUCell(Module):
     The LDG encoder feeds the GCN output of each time slice (``U_t``) together
     with the previous evolutionary state (``h_{t-1}``) through update and reset
     gates (Eq. 15-16), computes the candidate state (Eq. 17) and interpolates
-    (Eq. 18).  The cell itself is adjacency-free: the per-slice topology (now a
-    :class:`~repro.graph.sparse.SparseAdjacency` sequence) is consumed by the
-    GCN feeding it, so dense and sparse slice pipelines share this code path.
+    (Eq. 18).  The cell itself is adjacency-free and row-local: the per-slice
+    topology is consumed by the GCN feeding it, and a ``(B, n, d)`` stack of
+    samples steps like each sample alone.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int,

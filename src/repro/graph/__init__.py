@@ -6,12 +6,10 @@ dynamic graphs.  :class:`~repro.graph.txgraph.TxGraph` is the common container.
 """
 
 from repro.graph.txgraph import TxGraph
-from repro.graph.sparse import SparseAdjacency
 from repro.graph.sampling import ego_subgraph, top_k_neighbors
 
 __all__ = [
     "TxGraph",
-    "SparseAdjacency",
     "ego_subgraph",
     "top_k_neighbors",
 ]

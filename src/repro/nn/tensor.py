@@ -368,6 +368,14 @@ class Tensor:
     def T(self) -> "Tensor":
         return self.transpose()
 
+    def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
+        data = self.data.swapaxes(axis1, axis2)
+
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad.swapaxes(axis1, axis2))
+
+        return Tensor._make(data, (self,), backward)
+
     def __getitem__(self, index) -> "Tensor":
         data = self.data[index]
 

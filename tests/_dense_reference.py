@@ -1,15 +1,17 @@
 """Faithful dense re-implementations of the seed GNN forward passes.
 
-The production layers in :mod:`repro.gnn.layers` aggregate on CSR arrays; this
-module preserves the seed's dense ``(n, n)`` math *verbatim*, operating on the
-same layer instances (shared weights), so that
-``tests/test_gnn_sparse_parity.py`` can pin sparse vs dense agreement to 1e-9
-on randomized adjacencies: layer forwards and gradients, the GSG and LDG
-encoders, and whole training steps.
+The production layers in :mod:`repro.gnn` run the seed's dense math over
+``(..., n, n)`` blocks with precomputed forms (``Â``, the attention mask);
+this module preserves the seed's per-sample ``(n, n)`` code *verbatim*,
+operating on the same layer instances (shared weights), so that
+``tests/test_gnn_dense_parity.py`` can pin the two to each other: layer
+forwards and gradients, the GSG and LDG encoders, and whole training steps.
 
-All functions take dense ``np.ndarray`` adjacencies and support full autograd,
-exactly as the seed layers did.  :func:`dense_adjacency` builds such a matrix
-from a graph's edge columns, independently of the CSR builders it checks.
+All functions take one sample's raw ``np.ndarray`` adjacency and support
+full autograd, exactly as the seed layers did.  :func:`dense_adjacency`,
+:func:`attention_mask_dense` and :func:`time_slice_adjacency_dense` build
+the seed's forms from a graph's edge columns, independently of the
+production builders in :mod:`repro.data.slicing` that they check.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.nn.functional import leaky_relu, relu, softmax
 
 __all__ = [
     "dense_adjacency",
+    "attention_mask_dense",
     "normalize_adjacency_dense",
     "gcn_forward",
     "gat_forward",
@@ -48,14 +51,12 @@ def dense_adjacency(graph, weighted: bool = False,
     return np.maximum(adj, adj.T) if symmetric else adj
 
 
-def normalize_adjacency_dense(adjacency: np.ndarray, add_self_loops: bool = True,
-                              ) -> np.ndarray:
+def normalize_adjacency_dense(adjacency: np.ndarray) -> np.ndarray:
     """Seed ``D^{-1/2} (A + I) D^{-1/2}`` on a dense matrix."""
     adj = np.asarray(adjacency, dtype=np.float64)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ValueError("adjacency must be a square matrix")
-    if add_self_loops:
-        adj = adj + np.eye(adj.shape[0])
+    adj = adj + np.eye(adj.shape[0])
     degree = adj.sum(axis=1)
     inv_sqrt = np.zeros_like(degree)
     nonzero = degree > 0
@@ -70,11 +71,17 @@ def gcn_forward(layer, x: Tensor, adjacency: np.ndarray) -> Tensor:
     return layer.activation(out) if layer.activation is not None else out
 
 
+def attention_mask_dense(adjacency: np.ndarray) -> np.ndarray:
+    """The seed GAT's additive mask: ``-1e9`` off the edges and the diagonal."""
+    adjacency = np.asarray(adjacency)
+    mask = (adjacency > 0).astype(np.float64) + np.eye(adjacency.shape[0])
+    return (mask <= 0).astype(np.float64) * -1e9
+
+
 def gat_forward(layer, x: Tensor, adjacency: np.ndarray) -> Tensor:
     """Seed :class:`GATLayer` forward: masked ``(n, n)`` softmax attention."""
     n = x.shape[0]
-    mask = (np.asarray(adjacency) > 0).astype(np.float64) + np.eye(n)
-    neg_inf = Tensor((mask <= 0).astype(np.float64) * -1e9)
+    neg_inf = Tensor(attention_mask_dense(adjacency))
     head_outputs = []
     for head in range(layer.num_heads):
         h = layer.projections[head](x)
@@ -180,30 +187,28 @@ def ldg_forward(network, features: np.ndarray, slices: list[np.ndarray]) -> Tens
     return network.head(relu(representation))
 
 
-def time_slice_adjacency_dense(graph, num_slices: int, weighted: bool = True,
-                               cumulative: bool = False) -> list[np.ndarray]:
-    """The seed's dense time slicer: the parity reference for ``time_slice_csr``.
+def time_slice_adjacency_dense(graph, num_slices: int) -> list[np.ndarray]:
+    """The seed's dense time slicer: the parity reference for ``time_slice_blocks``.
 
     Splits the subgraph into ``num_slices`` discrete-time ``(n, n)``
-    matrices over the graph's node-insertion order.  Each edge lands in the
-    slice ``floor(T(e) * num_slices)`` (clamped to the last slice) and is
-    added to ``[i, j]`` and ``[j, i]`` in edge-insertion order — a self loop
-    adds to its diagonal twice.  With ``cumulative=True`` each slice also
-    holds every earlier edge.
+    matrices over the graph's node-insertion order.  Each edge's evolution
+    time is ``T(e) = (t - t_min) / (t_max - t_min)`` over the graph's edges
+    (0 for every edge when they share one timestamp, Eq. 1); the edge lands
+    in the slice ``floor(T(e) * num_slices)``, clamped to the last slice, and
+    adds 1 to ``[i, j]`` and ``[j, i]`` in edge-insertion order -- a self loop
+    adds to its diagonal twice.
     """
-    from repro.data.slicing import _edge_slice_arrays
-
     if num_slices < 1:
         raise ValueError("num_slices must be >= 1")
     n = graph.num_nodes
     slices = [np.zeros((n, n), dtype=np.float64) for _ in range(num_slices)]
-    if graph.num_edges:
-        _nodes, src, dst, vals, slots = _edge_slice_arrays([graph], num_slices, weighted)
-        for i, j, value, slot in zip(src.tolist(), dst.tolist(),
-                                     vals.tolist(), slots.tolist()):
-            slices[slot][i, j] += value
-            slices[slot][j, i] += value
-    if cumulative:
-        for k in range(1, num_slices):
-            slices[k] += slices[k - 1]
+    src, dst, _amount, _count, stamps = graph.edge_arrays()
+    if not len(stamps):
+        return slices
+    t_min, t_max = stamps.min(), stamps.max()
+    for i, j, stamp in zip(src.tolist(), dst.tolist(), stamps.tolist()):
+        time = (stamp - t_min) / (t_max - t_min) if t_max > t_min else 0.0
+        slot = min(int(time * num_slices), num_slices - 1)
+        slices[slot][i, j] += 1.0
+        slices[slot][j, i] += 1.0
     return slices

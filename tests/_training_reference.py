@@ -3,16 +3,18 @@
 The branches once trained with a per-sample loop at ``batch_size=1`` (one
 subgraph forward per optimizer step) and kept, for ``batch_size > 1``, a
 looped twin of the minibatch schedule that forwarded each sample on its
-own.  Both forwarded one sample through per-sample network code: the
-graph-attention read-out on an ``(n + 1, d)`` candidate matrix and the LDG
-slice representations through :meth:`DiffPool.forward
-<repro.gnn.pooling.DiffPool.forward>` and a dense mean.  That code is kept
-here, reading the networks' parameters and their unchanged layers (GAT
-stack, GCN, GRU, DiffPool).
+own.  Both forwarded one sample through per-sample network code on the
+seed's 2-D shapes: the graph-attention read-out on an ``(n + 1, d)``
+candidate matrix and the LDG slice representations through
+:meth:`DiffPool.forward <repro.gnn.pooling.DiffPool.forward>` and a mean over
+the sample's rows.  That code is kept here, reading the networks' parameters
+and their layers (GAT stack, GCN, GRU, DiffPool) on one ``(n, ·)`` sample,
+with the sample's forms built by the seed builders of
+``tests/_dense_reference.py``.
 
 ``tests/test_batched_training.py`` requires ``fit`` at ``batch_size=1`` to
 equal :func:`reference_fit` bit for bit, and at larger batch sizes to stay
-within ``1e-9`` of the looped schedule.
+within ``1e-9`` of its looped schedule.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ from repro.gnn.pooling import global_max_pool
 from repro.nn import Adam, Tensor, concat, nt_xent_loss
 from repro.nn.functional import elu, leaky_relu, relu, softmax
 from repro.nn.losses import binary_cross_entropy_with_logits
+from tests._dense_reference import (attention_mask_dense, dense_adjacency,
+                                    normalize_adjacency_dense, time_slice_adjacency_dense)
 
 __all__ = ["reference_readout", "reference_gsg_embed", "reference_gsg_forward",
            "reference_ldg_slice_representations", "reference_ldg_forward",
-           "reference_fit"]
+           "reference_inputs", "reference_fit"]
 
 
 def reference_readout(readout, node_embeddings: Tensor) -> Tensor:
@@ -47,15 +51,16 @@ def reference_readout(readout, node_embeddings: Tensor) -> Tensor:
 
 
 def reference_gsg_embed(network, features: np.ndarray, edge_features: np.ndarray,
-                        adjacency) -> Tensor:
-    """``(1, hidden)`` embedding of one sample."""
+                        adjacency: np.ndarray) -> Tensor:
+    """``(1, hidden)`` embedding of one sample with raw ``(n, n)`` adjacency."""
     aligned = leaky_relu(network.align(Tensor(np.hstack([features, edge_features]))))
     encoder = network.encoder
-    return reference_readout(encoder.readout, encoder.node_embeddings(aligned, adjacency))
+    return reference_readout(encoder.readout, encoder.node_embeddings(
+        aligned, attention_mask_dense(adjacency)))
 
 
 def reference_gsg_forward(network, features: np.ndarray, edge_features: np.ndarray,
-                          adjacency) -> Tensor:
+                          adjacency: np.ndarray) -> Tensor:
     return network.head(reference_gsg_embed(network, features, edge_features, adjacency))
 
 
@@ -66,7 +71,7 @@ def reference_ldg_slice_representations(network, features: np.ndarray,
     hidden = projected
     pooled_per_slice: list[Tensor] = []
     for adjacency in slices:
-        topo = network.gcn(hidden, adjacency)            # Eq. 14
+        topo = network.gcn(hidden, normalize_adjacency_dense(adjacency))   # Eq. 14
         hidden = network.gru(topo, hidden)               # Eq. 15-18
         pooled, pooled_adj = hidden, adjacency
         for pool in network.pools:
@@ -85,6 +90,17 @@ def reference_ldg_forward(network, features: np.ndarray, slices) -> Tensor:
     return network.head(relu(representation))            # Eq. 23
 
 
+def reference_inputs(branch, sample) -> tuple:
+    """One sample's 2-D forward inputs: ``(features, edge_features, adjacency)``
+    for a GSG branch, ``(features, slices)`` for an LDG branch."""
+    mean, std = branch._feature_stats
+    features = (sample.node_features - mean) / std
+    if isinstance(branch, GSGBranch):
+        return (features, np.log1p(np.abs(sample.node_edge_features())),
+                dense_adjacency(sample.graph))
+    return features, time_slice_adjacency_dense(sample.graph, branch.config.num_slices)
+
+
 def _contrastive_step(branch, network, samples, rng, optimizer) -> None:
     """One contrastive step, each augmented view embedded on its own."""
     cfg = branch.config
@@ -94,7 +110,7 @@ def _contrastive_step(branch, network, samples, rng, optimizer) -> None:
     batch_idx = rng.choice(len(samples), size=batch_size, replace=False)
     view1, view2 = [], []
     for idx in batch_idx:
-        features, edge_features, adjacency = branch._prepare(samples[idx])
+        features, edge_features, adjacency = reference_inputs(branch, samples[idx])
         adj1, feat1 = adaptive_augmentation(adjacency, features, cfg.view1, rng)
         adj2, feat2 = adaptive_augmentation(adjacency, features, cfg.view2, rng)
         view1.append((feat1, edge_features, adj1))
@@ -139,7 +155,7 @@ def reference_fit(branch, samples, labels):
             rng.shuffle(indices)
             for idx in indices:
                 optimizer.zero_grad()
-                logit = forward(network, *branch._prepare(samples[idx]))
+                logit = forward(network, *reference_inputs(branch, samples[idx]))
                 loss = binary_cross_entropy_with_logits(logit.reshape(1), [labels[idx]])
                 loss.backward()
                 optimizer.step()
@@ -147,8 +163,8 @@ def reference_fit(branch, samples, labels):
             rng.shuffle(order)
             for j in order:
                 optimizer.zero_grad()
-                logits = concat([forward(network, *branch._prepare(samples[i])).reshape(1)
-                                 for i in chunks[j]], axis=0)
+                logits = concat([forward(network, *reference_inputs(branch, samples[i]))
+                                 .reshape(1) for i in chunks[j]], axis=0)
                 loss = binary_cross_entropy_with_logits(logits, labels[chunks[j]])
                 loss.backward()
                 optimizer.step()

@@ -1,19 +1,19 @@
-"""Block-diagonal batched training: structure, segment ops, end-to-end parity.
+"""Minibatch training on dense groups: modules, end-to-end parity, mixed sizes.
 
-Every GSG/LDG fit runs one minibatch loop over block-diagonal stacks; a
-sample is a one-block stack.  Three layers of pinning:
+Every GSG/LDG fit runs one minibatch loop; each minibatch is grouped by node
+count and each group forwards its ``(B, n, ...)`` dense forms, so a sample is
+a one-sample group.  Three layers of pinning:
 
-* hypothesis property suites over arbitrary sample mixes (including 1-node and
-  empty-edge subgraphs) check that :meth:`SparseAdjacency.block_diagonal`
-  stacking, its block-wise derived forms and the segment ops agree with
-  per-sample computation bit-for-bit / to machine precision;
-* module-level tests pin the stacked GraphAttentionReadout (bit for bit per
-  block) and DiffPool against the per-sample forwards, gradients included;
+* module-level hypothesis properties pin the read-out and DiffPool on a
+  group of equal-size graphs to the per-graph forwards: each block's
+  outputs bit for bit, gradients bit for bit with one block and to
+  ``1e-9`` with more;
 * end-to-end tests compare ``fit`` with the per-sample reference training
   in ``tests/_training_reference.py``: bit for bit at ``batch_size=1`` and
-  within ``1e-9`` of its looped schedule above; a batch-trained branch
-  scores every sample with the bits of its own one-sample ``_network``
-  forward.
+  within ``1e-9`` of its looped schedule above, on minibatches of one node
+  count and on minibatches that mix several;
+* a batch-trained branch scores every sample with the bits of its own
+  one-sample ``_network`` forward.
 """
 
 import numpy as np
@@ -23,219 +23,82 @@ from hypothesis import given, settings, strategies as st
 from repro.core import GSGBranch, GSGConfig, LDGBranch, LDGConfig
 from repro.gnn.hierarchical import GraphAttentionReadout
 from repro.gnn.pooling import DiffPool
-from repro.gnn.sparse_ops import segment_matmul, segment_mean_batch
-from repro.graph.sparse import BatchedAdjacency, SparseAdjacency
 from repro.nn import Tensor, concat
 from tests._training_reference import reference_fit, reference_readout
 
 PARITY_ATOL = 1e-9
 
-# Sample descriptors: (num_nodes, [(src, dst, value), ...]); endpoints are
-# reduced mod num_nodes, so 1-node subgraphs (self-loop-only) and empty edge
-# lists are both reachable.
-sample_lists = st.lists(
-    st.tuples(
-        st.integers(1, 8),
-        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
-                           st.floats(0.1, 10.0, allow_nan=False)),
-                 max_size=16)),
-    min_size=1, max_size=6)
+
+def symmetric_blocks(rng: np.random.Generator, blocks: int, n: int) -> np.ndarray:
+    """``(blocks, n, n)`` random symmetric 0/1 adjacencies, self loops included."""
+    upper = np.triu(rng.random((blocks, n, n)) < 0.4)
+    return (upper | upper.swapaxes(1, 2)).astype(np.float64)
 
 
-def build_samples(descriptors) -> list[SparseAdjacency]:
-    samples = []
-    for n, edges in descriptors:
-        rows = np.array([r % n for r, _, _ in edges], dtype=np.int64)
-        cols = np.array([c % n for _, c, _ in edges], dtype=np.int64)
-        vals = np.array([v for _, _, v in edges], dtype=np.float64)
-        samples.append(SparseAdjacency.from_coo(rows, cols, vals, n))
-    return samples
+def grads(module, *tensors) -> list[np.ndarray]:
+    return [p.grad.copy() for p in module.parameters()] + [t.grad.copy() for t in tensors]
 
 
-def assert_same_matrix(a: SparseAdjacency, b: SparseAdjacency) -> None:
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.data, b.data)
+def assert_grads(got, expected, exact: bool) -> None:
+    for g, e in zip(got, expected):
+        if exact:
+            np.testing.assert_array_equal(g, e)
+        else:
+            np.testing.assert_allclose(g, e, atol=PARITY_ATOL, rtol=0)
 
 
-class TestBlockDiagonal:
+class TestGroupModules:
     @settings(max_examples=60, deadline=None)
-    @given(sample_lists)
-    def test_structure_and_blocks_roundtrip(self, descriptors):
-        samples = build_samples(descriptors)
-        stacked = SparseAdjacency.block_diagonal(samples)
-        assert isinstance(stacked, BatchedAdjacency)
-        assert stacked.num_graphs == len(samples)
-        assert stacked.num_nodes == sum(s.num_nodes for s in samples)
-        assert stacked.nnz == sum(s.nnz for s in samples)
-        assert np.array_equal(stacked.node_counts(),
-                              [s.num_nodes for s in samples])
-        for original, block in zip(samples, stacked.blocks()):
-            assert_same_matrix(original, block)
-
-    @settings(max_examples=60, deadline=None)
-    @given(sample_lists, st.integers(0, 2 ** 32 - 1))
-    def test_stacked_matmul_equals_per_sample(self, descriptors, seed):
-        samples = build_samples(descriptors)
-        stacked = SparseAdjacency.block_diagonal(samples)
-        x = np.random.default_rng(seed).standard_normal((stacked.num_nodes, 3))
-        result = stacked.matmul(x)
-        offsets = stacked.node_offsets
-        for b, sample in enumerate(samples):
-            lo, hi = offsets[b], offsets[b + 1]
-            assert np.array_equal(result[lo:hi], sample.matmul(x[lo:hi]))
-
-    @settings(max_examples=40, deadline=None)
-    @given(sample_lists)
-    def test_derived_forms_compose_blockwise(self, descriptors):
-        samples = build_samples(descriptors)
-        stacked = SparseAdjacency.block_diagonal(samples)
-        for name in SparseAdjacency._BLOCKWISE_DERIVED:
-            derived = getattr(stacked, name)()
-            expected = SparseAdjacency.block_diagonal(
-                [getattr(s, name)() for s in samples])
-            assert_same_matrix(derived, expected)
-
-    @settings(max_examples=40, deadline=None)
-    @given(sample_lists)
-    def test_memo_seeding_matches_direct_computation(self, descriptors):
-        samples = build_samples(descriptors)
-        seeded = SparseAdjacency.block_diagonal(
-            samples, derived=("gcn_normalized", "attention_structure"))
-        direct = SparseAdjacency.block_diagonal(samples)
-        assert_same_matrix(seeded.gcn_normalized(), direct.gcn_normalized())
-        assert_same_matrix(seeded.attention_structure(),
-                           direct.attention_structure())
-
-    def test_empty_sample_list_rejected(self):
-        with pytest.raises(ValueError):
-            SparseAdjacency.block_diagonal([])
-
-    def test_pickle_preserves_offsets(self):
-        import pickle
-
-        samples = [SparseAdjacency.empty(2),
-                   SparseAdjacency.from_dense(np.eye(3))]
-        stacked = SparseAdjacency.block_diagonal(samples)
-        clone = pickle.loads(pickle.dumps(stacked))
-        assert isinstance(clone, BatchedAdjacency)
-        assert np.array_equal(clone.node_offsets, stacked.node_offsets)
-        assert np.array_equal(clone.edge_offsets, stacked.edge_offsets)
-        assert_same_matrix(clone, stacked)
-
-
-class TestSegmentReadouts:
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(1, 7), min_size=1, max_size=6),
-           st.integers(0, 2 ** 32 - 1))
-    def test_forward_and_grad_match_looped_reference(self, counts, seed):
-        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        rng = np.random.default_rng(seed)
-        values = rng.standard_normal((offsets[-1], 4))
-
-        x_batched = Tensor(values, requires_grad=True)
-        out = segment_mean_batch(x_batched, offsets)
-        x_looped = Tensor(values, requires_grad=True)
-        ref = concat([x_looped[np.arange(offsets[b], offsets[b + 1])].mean(
-            axis=0, keepdims=True) for b in range(len(counts))], axis=0)
-
-        np.testing.assert_allclose(out.data, ref.data, atol=PARITY_ATOL, rtol=0)
-        upstream = rng.standard_normal(out.data.shape)
-        (out * Tensor(upstream)).sum().backward()
-        (ref * Tensor(upstream)).sum().backward()
-        np.testing.assert_allclose(x_batched.grad, x_looped.grad,
-                                   atol=PARITY_ATOL, rtol=0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(1, 6), min_size=1, max_size=5),
-           st.integers(0, 2 ** 32 - 1))
-    def test_segment_matmul_matches_per_block(self, counts, seed):
-        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        rng = np.random.default_rng(seed)
-        a_data = rng.standard_normal((offsets[-1], 3))
-        b_data = rng.standard_normal((offsets[-1], 2))
-
-        a1, b1 = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
-        out = segment_matmul(a1, b1, offsets)
-        a2, b2 = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
-        ref = concat([
-            a2[np.arange(offsets[g], offsets[g + 1])].T
-            @ b2[np.arange(offsets[g], offsets[g + 1])]
-            for g in range(len(counts))], axis=0)
-
-        np.testing.assert_array_equal(out.data, ref.data)
-        upstream = rng.standard_normal(out.data.shape)
-        (out * Tensor(upstream)).sum().backward()
-        (ref * Tensor(upstream)).sum().backward()
-        np.testing.assert_allclose(a1.grad, a2.grad, atol=PARITY_ATOL, rtol=0)
-        np.testing.assert_allclose(b1.grad, b2.grad, atol=PARITY_ATOL, rtol=0)
-
-
-class TestBatchedModules:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(1, 12), min_size=1, max_size=32),
-           st.integers(0, 2 ** 32 - 1))
-    def test_graph_attention_readout_matches_loop(self, counts, seed):
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+    def test_graph_attention_readout_matches_loop(self, n, blocks, seed):
         """Each block's read-out has the bits of the one-graph reference; with
         one block, so do the gradients (with more, they agree to 1e-9)."""
         rng = np.random.default_rng(seed)
-        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        embeddings = rng.standard_normal((offsets[-1], 6))
+        embeddings = rng.standard_normal((blocks, n, 6))
         readout = GraphAttentionReadout(6, rng=np.random.default_rng(seed % 7))
-        # A plain adjacency is a one-block stack.
-        stack = SparseAdjacency.empty(counts[0]) if len(counts) == 1 else \
-            SparseAdjacency.block_diagonal([SparseAdjacency.empty(n) for n in counts])
 
         x = Tensor(embeddings, requires_grad=True)
-        stacked = readout(x, stack)
-        blocks = [Tensor(embeddings[offsets[b]:offsets[b + 1]], requires_grad=True)
-                  for b in range(len(counts))]
-        looped = concat([reference_readout(readout, block) for block in blocks], axis=0)
-        np.testing.assert_array_equal(stacked.data, looped.data)
+        grouped = readout(x)
+        singles = [Tensor(block, requires_grad=True) for block in embeddings]
+        looped = concat([reference_readout(readout, block) for block in singles], axis=0)
+        np.testing.assert_array_equal(grouped.data, looped.data)
 
-        upstream = rng.standard_normal(stacked.data.shape)
-        for p in readout.parameters():
-            p.zero_grad()
-        (stacked * Tensor(upstream)).sum().backward()
-        stacked_grads = [p.grad.copy() for p in readout.parameters()] + [x.grad]
-        for p in readout.parameters():
-            p.zero_grad()
-        (looped * Tensor(upstream)).sum().backward()
-        looped_grads = [p.grad for p in readout.parameters()] + [
-            np.vstack([block.grad for block in blocks])]
-        for got, expected in zip(stacked_grads, looped_grads):
-            if len(counts) == 1:
-                np.testing.assert_array_equal(got, expected)
-            else:
-                np.testing.assert_allclose(got, expected, atol=PARITY_ATOL, rtol=0)
+        upstream = Tensor(rng.standard_normal(grouped.data.shape))
+        readout.zero_grad()
+        (grouped * upstream).sum().backward()
+        got = grads(readout, x)
+        readout.zero_grad()
+        (looped * upstream).sum().backward()
+        expected = grads(readout) + [np.stack([block.grad for block in singles])]
+        assert_grads(got, expected, exact=blocks == 1)
 
-    @settings(max_examples=25, deadline=None)
-    @given(sample_lists, st.integers(0, 2 ** 32 - 1))
-    def test_diffpool_matches_loop(self, descriptors, seed):
-        samples = [s.symmetrized_max() for s in build_samples(descriptors)]
-        stacked = SparseAdjacency.block_diagonal(samples)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 5), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_diffpool_matches_loop(self, n, blocks, clusters, seed):
         rng = np.random.default_rng(seed)
-        features = rng.standard_normal((stacked.num_nodes, 5))
-        pool = DiffPool(5, 3, rng=np.random.default_rng(1))
+        adjacency = symmetric_blocks(rng, blocks, n)
+        features = rng.standard_normal((blocks, n, 5))
+        pool = DiffPool(5, clusters, rng=np.random.default_rng(1))
 
-        pooled, pooled_adj, assignment = pool.forward_batched(
-            Tensor(features), stacked)
-        assert isinstance(pooled_adj, BatchedAdjacency)
-        assert pooled_adj.num_graphs == len(samples)
-        offsets = stacked.node_offsets
-        for b, sample in enumerate(samples):
-            lo, hi = offsets[b], offsets[b + 1]
-            ref_pooled, ref_adj, ref_assign = pool(Tensor(features[lo:hi]), sample)
-            np.testing.assert_allclose(pooled.data[3 * b:3 * (b + 1)],
-                                       ref_pooled.data, atol=PARITY_ATOL, rtol=0)
-            np.testing.assert_allclose(assignment.data[lo:hi], ref_assign.data,
-                                       atol=PARITY_ATOL, rtol=0)
-            block = pooled_adj.blocks()[b]
-            expected = SparseAdjacency.coerce(ref_adj)
-            np.testing.assert_array_equal(block.indptr, expected.indptr)
-            np.testing.assert_array_equal(block.indices, expected.indices)
-            np.testing.assert_allclose(block.data, expected.data,
-                                       atol=PARITY_ATOL, rtol=0)
+        x = Tensor(features, requires_grad=True)
+        pooled, coarse, assignment = pool(x, adjacency)
+        assert pooled.shape == (blocks, clusters, 5)
+        assert coarse.shape == (blocks, clusters, clusters)
+        singles = [Tensor(block, requires_grad=True) for block in features]
+        looped = [pool(single, adj) for single, adj in zip(singles, adjacency)]
+        for b, (ref_pooled, ref_coarse, ref_assign) in enumerate(looped):
+            np.testing.assert_array_equal(pooled.data[b], ref_pooled.data)
+            np.testing.assert_array_equal(coarse[b], ref_coarse)
+            np.testing.assert_array_equal(assignment.data[b], ref_assign.data)
+
+        upstream = rng.standard_normal(pooled.data.shape)
+        pool.zero_grad()
+        (pooled * Tensor(upstream)).sum().backward()
+        got = grads(pool, x)
+        pool.zero_grad()
+        sum((ref[0] * Tensor(upstream[b])).sum() for b, ref in enumerate(looped)).backward()
+        expected = grads(pool) + [np.stack([single.grad for single in singles])]
+        assert_grads(got, expected, exact=blocks == 1)
 
 
 def tiny_gsg_config(**overrides) -> GSGConfig:
@@ -254,7 +117,7 @@ def tiny_ldg_config(**overrides) -> LDGConfig:
 
 def per_sample_forward(branch, samples) -> np.ndarray:
     """Raw scores of the branch's training forward, one sample at a time."""
-    return np.array([branch._network(*branch._prepare(sample)).data.item()
+    return np.array([branch._network(*branch._inputs([sample])).data.item()
                      for sample in samples])
 
 
@@ -329,6 +192,22 @@ class TestEndToEndParity:
         np.testing.assert_array_equal(branch.predict_scores(samples),
                                       per_sample_forward(branch, samples))
 
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_mixed_size_minibatches_match_looped_reference(self, mixed_task, branch):
+        """Minibatches of 32 that hold several node counts run one forward per
+        count; the fit stays within 1e-9 of the looped schedule, and every
+        sample scores with its one-sample forward's bits."""
+        samples, labels = mixed_task
+        branch_cls, config_factory = BRANCHES[branch]
+        (scores_b, weights_b), (scores_r, weights_r) = fit_pair(
+            branch_cls, lambda: config_factory(batch_size=32), samples, labels)
+        for got, expected in zip(weights_b, weights_r):
+            np.testing.assert_allclose(got, expected, atol=PARITY_ATOL, rtol=0)
+        np.testing.assert_allclose(scores_b, scores_r, atol=PARITY_ATOL, rtol=0)
+        fitted = branch_cls(config_factory(batch_size=32)).fit(samples, labels)
+        np.testing.assert_array_equal(fitted.predict_scores(samples),
+                                      per_sample_forward(fitted, samples))
+
     @pytest.mark.parametrize("batch_size", [0, -3])
     @pytest.mark.parametrize("branch", ["gsg", "ldg"])
     def test_batch_size_below_one_is_rejected(self, tiny_task, branch, batch_size):
@@ -343,6 +222,19 @@ def tiny_task(small_dataset):
     samples, labels = small_dataset.binary_task(
         "exchange", rng=np.random.default_rng(0))
     return samples[:14], labels[:14]
+
+
+@pytest.fixture(scope="module")
+def mixed_task(small_dataset):
+    """40 samples: every one under the 40-node cap (six node counts) and the
+    first 34 at the cap, shuffled; labelled by whether the centre has a
+    category."""
+    small = [s for s in small_dataset if s.num_nodes < 40]
+    capped = [s for s in small_dataset if s.num_nodes == 40][:40 - len(small)]
+    order = np.random.default_rng(2).permutation(40)
+    samples = [(small + capped)[i] for i in order]
+    assert len({s.num_nodes for s in samples}) >= 3
+    return samples, np.array([s.category is not None for s in samples], dtype=float)
 
 
 def assert_same_dataset(a, b) -> None:

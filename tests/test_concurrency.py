@@ -33,7 +33,6 @@ from repro.api import (
 )
 from repro.core import CalibrationConfig, DBG4ETHConfig, GSGConfig, LDGConfig
 from repro.data import DatasetConfig, SubgraphDatasetBuilder
-from repro.graph import SparseAdjacency
 from tests._dict_reference import add_edge
 from tests.test_follow_chain import append_block_touching, fresh_ledger
 
@@ -132,30 +131,8 @@ def test_txgraph_freeze_blocks_mutation(small_ledger):
     assert "0xNEW" not in graph
     # freeze() is idempotent and scoring reads still work.
     graph.freeze()
-    csr = SparseAdjacency.from_graph(graph)
-    assert csr.indptr[-1] == len(csr.indices) == len(csr.data)
-
-
-def test_sparse_adjacency_concurrent_memo_single_instance(small_dataset):
-    """Concurrent normalisations memoize exactly one instance, equal to a
-    single-threaded compute on an identical cold adjacency."""
-    sample = small_dataset[0]
-    cold = sample.adjacency_sparse(weighted=True)
-    warm = sample.adjacency_sparse(weighted=True)
-    assert cold is warm  # AccountSubgraph memoizes the CSR itself
-
-    def work(_):
-        return (cold.gcn_normalized(), cold.mean_normalized(), cold.transpose(),
-                cold.rows)
-
-    results = _hammer(N_THREADS, work)
-    for i in range(1, N_THREADS):
-        for j in range(4):
-            assert results[i][j] is results[0][j]
-    # Parity with a fresh single-threaded computation.
-    fresh = type(cold)(cold.indptr.copy(), cold.indices.copy(), cold.data.copy())
-    np.testing.assert_array_equal(results[0][0].data, fresh.gcn_normalized().data)
-    np.testing.assert_array_equal(results[0][1].data, fresh.mean_normalized().data)
+    columns = graph.edge_arrays()
+    assert {len(column) for column in columns} == {graph.num_edges}
 
 
 def test_feature_table_concurrent_build_matches_sequential(small_ledger):

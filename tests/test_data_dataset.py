@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.chain import AccountCategory
-from repro.data import DatasetConfig, SubgraphDatasetBuilder
+from repro.data import (DatasetConfig, SubgraphDatasetBuilder, adjacency_blocks,
+                        time_slice_blocks)
 
 from tests._dense_reference import time_slice_adjacency_dense
 
@@ -29,6 +30,14 @@ class TestDatasetBuilder:
         for sample in small_dataset.samples[:20]:
             assert sample.node_features.shape == (sample.num_nodes, 15)
 
+    @pytest.mark.parametrize("cap", [None, 0, -3, 2.5, True])
+    def test_node_cap_must_be_a_positive_int(self, cap):
+        """The cap bounds every dense form, so a config without one (or with
+        one no sample can meet) fails at construction, not at the first
+        sample."""
+        with pytest.raises(ValueError, match="max_nodes_per_subgraph"):
+            DatasetConfig(max_nodes_per_subgraph=cap)
+
     def test_max_nodes_respected(self, small_ledger):
         builder = SubgraphDatasetBuilder(
             small_ledger, DatasetConfig(top_k=40, max_nodes_per_subgraph=25))
@@ -52,7 +61,7 @@ class TestDatasetBuilder:
 class TestAccountSubgraph:
     def test_adjacency_is_symmetric(self, small_dataset):
         sample = small_dataset.samples[0]
-        adjacency = sample.adjacency_sparse().to_dense()
+        adjacency = adjacency_blocks([sample.graph])[0]
         np.testing.assert_allclose(adjacency, adjacency.T)
 
     def test_node_edge_features_shape(self, small_dataset):
@@ -61,12 +70,11 @@ class TestAccountSubgraph:
 
     def test_time_slices_match_node_count(self, small_dataset):
         sample = small_dataset.samples[0]
-        slices = sample.time_slices(6)
-        assert len(slices) == 6
-        assert all(m.shape == (sample.num_nodes, sample.num_nodes) for m in slices)
+        slices = time_slice_blocks([sample.graph], 6)
+        assert slices.shape == (6, 1, sample.num_nodes, sample.num_nodes)
         dense = time_slice_adjacency_dense(sample.graph, 6)
-        for sparse_slice, dense_slice in zip(slices, dense):
-            np.testing.assert_array_equal(sparse_slice.to_dense(), dense_slice)
+        for block, dense_slice in zip(slices, dense):
+            np.testing.assert_array_equal(block[0], dense_slice)
 
 
 class TestTasks:

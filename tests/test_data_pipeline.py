@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain import Block, Ledger, Transaction
-from repro.data import build_transaction_graph, transaction_evolution_times
+from repro.data import build_transaction_graph, time_slice_blocks, transaction_evolution_times
 from repro.graph import TxGraph
 
-from tests._dense_reference import dense_adjacency, time_slice_adjacency_dense
+from tests._dense_reference import dense_adjacency
 from tests._dict_reference import DictGraphReference, build_graph, edge_list
 
 
@@ -137,38 +137,29 @@ class TestEvolutionTimes:
 
 class TestTimeSlices:
     def test_number_and_shape_of_slices(self, toy_graph):
-        slices = time_slice_adjacency_dense(toy_graph, 4)
-        assert len(slices) == 4
-        assert all(s.shape == (5, 5) for s in slices)
+        assert time_slice_blocks([toy_graph], 4).shape == (4, 1, 5, 5)
 
     def test_slices_are_symmetric(self, toy_graph):
-        for matrix in time_slice_adjacency_dense(toy_graph, 3):
+        for matrix in time_slice_blocks([toy_graph], 3)[:, 0]:
             np.testing.assert_allclose(matrix, matrix.T)
 
     def test_every_edge_lands_in_exactly_one_slice(self, toy_graph):
-        slices = time_slice_adjacency_dense(toy_graph, 4, weighted=False)
-        total_mass = sum(s.sum() for s in slices)
-        assert total_mass == pytest.approx(2 * toy_graph.num_edges)  # symmetrised
+        slices = time_slice_blocks([toy_graph], 4)
+        assert slices.sum() == 2 * toy_graph.num_edges  # symmetrised
 
     def test_union_matches_static_adjacency(self, toy_graph):
-        slices = time_slice_adjacency_dense(toy_graph, 5, weighted=True)
-        combined = (np.sum(slices, axis=0) > 0).astype(float)
+        combined = (time_slice_blocks([toy_graph], 5).sum(axis=0)[0] > 0).astype(float)
         static = dense_adjacency(toy_graph, symmetric=True)
         np.testing.assert_allclose(combined, (static > 0).astype(float))
 
-    def test_cumulative_slices_grow_monotonically(self, toy_graph):
-        slices = time_slice_adjacency_dense(toy_graph, 4, cumulative=True)
-        for earlier, later in zip(slices[:-1], slices[1:]):
-            assert np.all(later >= earlier)
-
     def test_single_slice_equals_full_graph(self, toy_graph):
-        matrix = time_slice_adjacency_dense(toy_graph, 1, weighted=True)[0]
-        expected = dense_adjacency(toy_graph, weighted=True, symmetric=False)
+        matrix = time_slice_blocks([toy_graph], 1)[0, 0]
+        expected = dense_adjacency(toy_graph, symmetric=False)
         np.testing.assert_allclose(matrix, expected + expected.T)
 
     def test_zero_slices_raises(self, toy_graph):
         with pytest.raises(ValueError):
-            time_slice_adjacency_dense(toy_graph, 0)
+            time_slice_blocks([toy_graph], 0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -176,5 +167,4 @@ class TestTimeSlices:
 def test_slice_mass_is_conserved_for_any_slice_count(num_slices):
     g = build_graph([("a", "b", 2.0, 1, 10.0), ("b", "c", 3.0, 1, 20.0),
                      ("c", "a", 4.0, 1, 30.0)])
-    slices = time_slice_adjacency_dense(g, num_slices, weighted=True)
-    assert sum(s.sum() for s in slices) == pytest.approx(2 * (2.0 + 3.0 + 4.0))
+    assert time_slice_blocks([g], num_slices).sum() == 2 * g.num_edges

@@ -9,9 +9,14 @@ from repro.gnn import (
     GCNLayer,
     GINLayer,
     GraphSAGELayer,
+    attention_mask,
     normalize_adjacency,
 )
 from repro.nn import Adam, Tensor
+
+# The adjacency form each layer aggregates with.
+FORMS = {GCNLayer: normalize_adjacency, GATLayer: attention_mask,
+         GINLayer: np.asarray, GraphSAGELayer: np.asarray}
 
 
 @pytest.fixture()
@@ -51,30 +56,54 @@ class TestNormalizeAdjacency:
         with pytest.raises(ValueError):
             normalize_adjacency(np.zeros((2, 3)))
 
+    def test_stack_normalises_each_block(self, small_graph):
+        adjacency, _ = small_graph
+        stack = np.stack([adjacency, np.zeros((4, 4))])
+        normalized = normalize_adjacency(stack)
+        np.testing.assert_array_equal(normalized[0], normalize_adjacency(adjacency))
+        np.testing.assert_array_equal(normalized[1], np.eye(4))
+
+
+class TestAttentionMask:
+    def test_zero_on_edges_and_diagonal(self, small_graph):
+        adjacency, _ = small_graph
+        mask = attention_mask(adjacency)
+        attends = (adjacency > 0) | np.eye(4, dtype=bool)
+        np.testing.assert_array_equal(mask[attends], 0.0)
+        np.testing.assert_array_equal(mask[~attends], -1e9)
+
 
 class TestLayerShapes:
     @pytest.mark.parametrize("layer_cls", [GCNLayer, GATLayer, GINLayer, GraphSAGELayer])
     def test_output_shape(self, layer_cls, small_graph, rng):
         adjacency, features = small_graph
         layer = layer_cls(6, 5, rng=rng)
-        out = layer(Tensor(features), adjacency)
+        out = layer(Tensor(features), FORMS[layer_cls](adjacency))
         assert out.shape == (4, 5)
+
+    @pytest.mark.parametrize("layer_cls", [GCNLayer, GATLayer, GINLayer, GraphSAGELayer])
+    def test_group_output_shape(self, layer_cls, small_graph, rng):
+        adjacency, features = small_graph
+        layer = layer_cls(6, 5, rng=rng)
+        group = FORMS[layer_cls](np.stack([adjacency, adjacency.T, np.zeros((4, 4))]))
+        assert layer(Tensor(np.stack([features] * 3)), group).shape == (3, 4, 5)
 
     @pytest.mark.parametrize("layer_cls", [GCNLayer, GATLayer, GINLayer, GraphSAGELayer])
     def test_gradients_reach_parameters(self, layer_cls, small_graph, rng):
         adjacency, features = small_graph
         layer = layer_cls(6, 5, rng=rng)
-        layer(Tensor(features), adjacency).sum().backward()
+        layer(Tensor(features), FORMS[layer_cls](adjacency)).sum().backward()
         assert all(p.grad is not None for p in layer.parameters())
 
     def test_gat_multi_head_shape(self, small_graph, rng):
         adjacency, features = small_graph
         layer = GATLayer(6, 5, num_heads=3, rng=rng)
-        assert layer(Tensor(features), adjacency).shape == (4, 5)
+        assert layer(Tensor(features), attention_mask(adjacency)).shape == (4, 5)
 
     def test_appnp_preserves_shape(self, small_graph, rng):
         adjacency, features = small_graph
-        out = APPNPPropagation(k=3, alpha=0.2)(Tensor(features), adjacency)
+        out = APPNPPropagation(k=3, alpha=0.2)(Tensor(features),
+                                              normalize_adjacency(adjacency))
         assert out.shape == features.shape
 
 
@@ -84,10 +113,11 @@ class TestLayerSemantics:
         adjacency[0, 1] = adjacency[1, 0] = 1.0
         layer = GCNLayer(4, 4, activation=None, rng=rng)
         features = rng.normal(size=(3, 4))
-        base = layer(Tensor(features), adjacency).data.copy()
+        normalized = normalize_adjacency(adjacency)
+        base = layer(Tensor(features), normalized).data.copy()
         perturbed = features.copy()
         perturbed[0] += 10.0   # change node 0; node 2 is isolated from it
-        out = layer(Tensor(perturbed), adjacency).data
+        out = layer(Tensor(perturbed), normalized).data
         np.testing.assert_allclose(out[2], base[2])
         assert not np.allclose(out[0], base[0])
 
@@ -96,10 +126,11 @@ class TestLayerSemantics:
         adjacency[0, 1] = adjacency[1, 0] = 1.0
         layer = GATLayer(4, 4, rng=rng)
         features = rng.normal(size=(3, 4))
-        base = layer(Tensor(features), adjacency).data.copy()
+        mask = attention_mask(adjacency)
+        base = layer(Tensor(features), mask).data.copy()
         perturbed = features.copy()
         perturbed[0] += 5.0
-        out = layer(Tensor(perturbed), adjacency).data
+        out = layer(Tensor(perturbed), mask).data
         np.testing.assert_allclose(out[2], base[2])
 
     def test_gin_permutation_equivariance(self, rng):
@@ -113,7 +144,8 @@ class TestLayerSemantics:
 
     def test_appnp_alpha_one_is_identity(self, small_graph):
         adjacency, features = small_graph
-        out = APPNPPropagation(k=5, alpha=1.0)(Tensor(features), adjacency)
+        out = APPNPPropagation(k=5, alpha=1.0)(Tensor(features),
+                                              normalize_adjacency(adjacency))
         np.testing.assert_allclose(out.data, features)
 
     def test_appnp_invalid_alpha_raises(self):
@@ -140,8 +172,8 @@ class TestTrainability:
         """
         layer = GCNLayer(2, 1, activation=None, rng=rng)
         optimizer = Adam(layer.parameters(), lr=0.05)
-        dense = np.ones((4, 4)) - np.eye(4)
-        sparse = np.zeros((4, 4))
+        dense = normalize_adjacency(np.ones((4, 4)) - np.eye(4))
+        sparse = normalize_adjacency(np.zeros((4, 4)))
         features = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         for _ in range(150):
             optimizer.zero_grad()

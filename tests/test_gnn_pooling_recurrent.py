@@ -5,6 +5,7 @@ import pytest
 
 from repro.gnn import (
     DiffPool,
+    attention_mask,
     GRUCell,
     GraphAttentionReadout,
     HierarchicalAttentionEncoder,
@@ -49,6 +50,14 @@ class TestDiffPool:
         pool = DiffPool(in_dim=4, num_clusters=2, rng=rng)
         _f, _a, assignment = pool(Tensor(rng.normal(size=(6, 4))), adjacency)
         np.testing.assert_allclose(assignment.data.sum(axis=1), np.ones(6), atol=1e-9)
+
+    def test_group_pools_each_block(self, rng):
+        adjacency = (rng.random((4, 6, 6)) > 0.5).astype(float)
+        pool = DiffPool(in_dim=3, num_clusters=2, rng=rng)
+        features, pooled_adj, assignment = pool(Tensor(rng.normal(size=(4, 6, 3))), adjacency)
+        assert features.shape == (4, 2, 3)
+        assert pooled_adj.shape == (4, 2, 2)
+        assert assignment.shape == (4, 6, 2)
 
     def test_single_cluster_collapses_graph(self, rng):
         adjacency = np.ones((5, 5)) - np.eye(5)
@@ -114,13 +123,20 @@ class TestHierarchicalAttention:
         adjacency = (rng.random((7, 7)) > 0.5).astype(float)
         adjacency = np.maximum(adjacency, adjacency.T)
         encoder = HierarchicalAttentionEncoder(5, 8, num_layers=2, rng=rng)
-        out = encoder(Tensor(rng.normal(size=(7, 5))), adjacency)
+        out = encoder(Tensor(rng.normal(size=(7, 5))), attention_mask(adjacency))
         assert out.shape == (1, 8)
+
+    def test_group_encoder_shape(self, rng):
+        adjacency = (rng.random((3, 7, 7)) > 0.5).astype(float)
+        encoder = HierarchicalAttentionEncoder(5, 8, num_layers=2, rng=rng)
+        out = encoder(Tensor(rng.normal(size=(3, 7, 5))), attention_mask(adjacency))
+        assert out.shape == (3, 8)
 
     def test_node_embeddings_shape(self, rng):
         adjacency = np.ones((4, 4)) - np.eye(4)
         encoder = HierarchicalAttentionEncoder(3, 6, num_layers=2, rng=rng)
-        assert encoder.node_embeddings(Tensor(rng.normal(size=(4, 3))), adjacency).shape == (4, 6)
+        mask = attention_mask(adjacency)
+        assert encoder.node_embeddings(Tensor(rng.normal(size=(4, 3))), mask).shape == (4, 6)
 
     def test_zero_layers_raises(self):
         with pytest.raises(ValueError):
@@ -131,12 +147,12 @@ class TestHierarchicalAttention:
         features = rng.normal(size=(5, 3))
         dense = np.ones((5, 5)) - np.eye(5)
         sparse = np.zeros((5, 5))
-        out_dense = encoder(Tensor(features), dense).data
-        out_sparse = encoder(Tensor(features), sparse).data
+        out_dense = encoder(Tensor(features), attention_mask(dense)).data
+        out_sparse = encoder(Tensor(features), attention_mask(sparse)).data
         assert not np.allclose(out_dense, out_sparse)
 
     def test_gradients_reach_every_parameter(self, rng):
         adjacency = np.ones((4, 4)) - np.eye(4)
         encoder = HierarchicalAttentionEncoder(3, 6, num_layers=2, rng=rng)
-        encoder(Tensor(rng.normal(size=(4, 3))), adjacency).sum().backward()
+        encoder(Tensor(rng.normal(size=(4, 3))), attention_mask(adjacency)).sum().backward()
         assert all(p.grad is not None for p in encoder.parameters())

@@ -1,4 +1,4 @@
-"""Regression tests for gradient-buffer ownership and fused kernel plans.
+"""Regression tests for gradient-buffer ownership.
 
 The autograd engine lets backward functions that allocate a fresh gradient
 buffer hand it over with ``_accumulate(..., owned=True)`` instead of being
@@ -9,10 +9,7 @@ times in one graph.
 """
 
 import numpy as np
-import pytest
 
-from repro.graph.sparse import SparseAdjacency
-from repro.gnn.sparse_ops import _segment_index, segment_mean_batch, take_rows
 from repro.nn import Tensor, concat
 
 
@@ -66,51 +63,10 @@ class TestOwnedGradAliasing:
         x[np.array([0, 0, 2])].sum().backward()
         np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
 
-    def test_segment_ops_on_shared_input(self):
-        offsets = np.array([0, 2, 3], dtype=np.int64)
-        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        total = take_rows(x, np.array([2, 0])) + segment_mean_batch(x, offsets)
+    def test_swapaxes_and_node_mean_on_shared_input(self):
+        x = Tensor(np.arange(6.0).reshape(1, 3, 2), requires_grad=True)
+        total = x.swapaxes(-1, -2).sum(axis=-1) + x.mean(axis=-2)
         total.sum().backward()
-        expected = np.array([[1.5, 1.5], [0.5, 0.5], [2.0, 2.0]])
-        np.testing.assert_array_equal(x.grad, expected)
-
-
-class TestSegmentIndexCache:
-    def test_matches_diff_and_repeat(self):
-        for offsets in ([0, 3], [0, 1, 4, 4, 9], [0, 2, 2, 5]):
-            offsets = np.asarray(offsets, dtype=np.int64)
-            counts, batch = _segment_index(offsets)
-            np.testing.assert_array_equal(counts, np.diff(offsets))
-            np.testing.assert_array_equal(
-                batch, np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)))
-
-    def test_equal_content_shares_cache_entry(self):
-        a = np.array([0, 2, 5], dtype=np.int64)
-        b = np.array([0, 2, 5], dtype=np.int64)
-        assert _segment_index(a)[1] is _segment_index(b)[1]
-
-
-class TestRmatmulPlan:
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_fused_gather_is_bit_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        dense = rng.random((12, 12)) * (rng.random((12, 12)) < 0.3)
-        sp = SparseAdjacency.from_dense(dense)
-        g = rng.standard_normal((12, 4))
-        perm, t_indptr = sp._transpose_plan()
-        contrib = (g[sp.rows] * sp.data[:, None])[perm]
-        expected = np.add.reduceat(contrib, t_indptr[:-1], axis=0) \
-            if (t_indptr[1:] > t_indptr[:-1]).all() else dense.T @ g
-        if (t_indptr[1:] > t_indptr[:-1]).all():
-            np.testing.assert_array_equal(sp.rmatmul(g), expected)
-        np.testing.assert_allclose(sp.rmatmul(g), dense.T @ g, atol=1e-12)
-
-    def test_plan_is_memoized(self):
-        sp = SparseAdjacency.from_dense(np.eye(4))
-        assert sp._rmatmul_plan()[0] is sp._rmatmul_plan()[0]
-
-    def test_empty_columns_fall_back(self):
-        dense = np.zeros((3, 3))
-        dense[0, 1] = 2.0                   # column 0 and 2 empty
-        sp = SparseAdjacency.from_dense(dense)
-        np.testing.assert_array_equal(sp.rmatmul(np.ones(3)), dense.T @ np.ones(3))
+        np.testing.assert_array_equal(x.grad, np.full((1, 3, 2), 1.0 + 1.0 / 3))
+        # swapaxes hands back a view of its gradient: the stored one is private.
+        assert x.grad.flags.writeable and x.grad.base is None

@@ -1,9 +1,8 @@
 """Degenerate-graph edge cases across slicing, centrality and sampling.
 
 Empty graphs, single nodes (with and without self-loops) and graphs whose
-edges all share one timestamp must neither crash nor diverge between the
-dense and CSR slicers, and the augmentation's centralities must stay finite
-and agree across the two paths.
+edges all share one timestamp must neither crash nor diverge from the seed's
+dense slicer, and the augmentation's centralities and views must stay finite.
 Degenerate *queries* — subgraphs over node sets with no induced edges or
 with identifiers absent from the graph, ``edges_between`` on absent nodes —
 must return empty results (never ``KeyError``) identically on the columnar
@@ -16,11 +15,10 @@ import pytest
 
 from repro.core.augmentation import (
     AugmentationConfig,
-    _node_centrality_dense,
-    _node_centrality_sparse,
+    _node_centrality,
     adaptive_augmentation,
 )
-from repro.data.slicing import time_slice_csr
+from repro.data.slicing import time_slice_blocks
 from repro.graph import TxGraph, ego_subgraph
 
 from tests._dense_reference import time_slice_adjacency_dense
@@ -64,21 +62,16 @@ DEGENERATE_BUILDERS = [empty_graph, single_node_graph, self_loop_graph,
 class TestSlicerParity:
     @pytest.mark.parametrize("builder", DEGENERATE_BUILDERS)
     @pytest.mark.parametrize("num_slices", [1, 3])
-    @pytest.mark.parametrize("weighted", [True, False])
-    @pytest.mark.parametrize("cumulative", [True, False])
-    def test_csr_equals_dense(self, builder, num_slices, weighted, cumulative):
+    def test_blocks_equal_dense(self, builder, num_slices):
         graph = builder()
-        dense = time_slice_adjacency_dense(graph, num_slices, weighted=weighted,
-                                           cumulative=cumulative)
-        sparse = time_slice_csr(graph, num_slices, weighted=weighted,
-                                cumulative=cumulative)
-        assert len(dense) == len(sparse) == num_slices
-        for dense_slice, sparse_slice in zip(dense, sparse):
-            np.testing.assert_array_equal(sparse_slice.to_dense(), dense_slice)
+        dense = time_slice_adjacency_dense(graph, num_slices)
+        blocks = time_slice_blocks([graph], num_slices)
+        assert len(dense) == len(blocks) == num_slices
+        for dense_slice, block in zip(dense, blocks):
+            np.testing.assert_array_equal(block[0], dense_slice)
 
     def test_same_timestamp_edges_all_land_in_first_slice(self):
-        graph = same_timestamp_graph()
-        slices = time_slice_adjacency_dense(graph, 4, weighted=True)
+        slices = time_slice_blocks([same_timestamp_graph()], 4)
         assert slices[0].sum() > 0
         for later in slices[1:]:
             assert later.sum() == 0.0
@@ -87,49 +80,41 @@ class TestSlicerParity:
 MEASURES = ["degree", "eigenvector", "pagerank"]
 
 
-def _dense_and_csr(graph: TxGraph):
-    """The graph's single unweighted time slice, dense and CSR."""
-    return (time_slice_adjacency_dense(graph, 1, weighted=False)[0],
-            time_slice_csr(graph, 1, weighted=False)[0])
+def _one_slice(graph: TxGraph) -> np.ndarray:
+    """The graph's single time slice."""
+    return time_slice_blocks([graph], 1)[0, 0]
 
 
 class TestCentralitiesFinite:
-    """The GSG augmentation's centralities on degenerate slices: finite, one
-    score per node, and equal on the dense and CSR paths."""
+    """The GSG augmentation's centralities on degenerate slices: finite, and
+    one score per node."""
 
     @pytest.mark.parametrize("builder", DEGENERATE_BUILDERS)
     @pytest.mark.parametrize("measure", MEASURES)
     def test_node_centralities_finite(self, builder, measure):
         graph = builder()
-        dense, sparse = _dense_and_csr(graph)
-        dense_scores = _node_centrality_dense((dense > 0).astype(float), measure)
-        sparse_scores = _node_centrality_sparse(sparse.binarized(), measure)
-        assert dense_scores.shape == sparse_scores.shape == (graph.num_nodes,)
-        assert np.isfinite(dense_scores).all()
-        np.testing.assert_allclose(sparse_scores, dense_scores, atol=1e-12, rtol=0)
+        scores = _node_centrality((_one_slice(graph) > 0).astype(float), measure)
+        assert scores.shape == (graph.num_nodes,)
+        assert np.isfinite(scores).all()
 
     @pytest.mark.parametrize("builder", DEGENERATE_BUILDERS)
     @pytest.mark.parametrize("measure", MEASURES)
     def test_edge_centralities_finite(self, builder, measure):
-        """Centrality-scaled edge drop keeps a degenerate view finite, only
-        removes edges, and draws the same view on both paths."""
+        """Centrality-scaled edge drop keeps a degenerate view finite and only
+        removes edges."""
         graph = builder()
-        dense, sparse = _dense_and_csr(graph)
+        adjacency = _one_slice(graph)
         features = np.ones((graph.num_nodes, 3))
         config = AugmentationConfig(0.5, 0.0, centrality_measure=measure)
-        dense_view, _ = adaptive_augmentation(dense, features, config,
-                                              np.random.default_rng(0))
-        sparse_view, _ = adaptive_augmentation(sparse, features, config,
-                                               np.random.default_rng(0))
-        assert np.isfinite(dense_view).all()
-        assert np.all((dense_view > 0) <= (dense > 0))
-        np.testing.assert_array_equal(sparse_view.to_dense(), dense_view)
+        view, _ = adaptive_augmentation(adjacency, features, config,
+                                        np.random.default_rng(0))
+        assert np.isfinite(view).all()
+        assert np.all((view > 0) <= (adjacency > 0))
 
     def test_empty_graph_returns_empty_scores(self):
-        dense, sparse = _dense_and_csr(empty_graph())
+        adjacency = _one_slice(empty_graph())
         for measure in MEASURES:
-            assert _node_centrality_dense(dense, measure).shape == (0,)
-            assert _node_centrality_sparse(sparse, measure).shape == (0,)
+            assert _node_centrality(adjacency, measure).shape == (0,)
 
 
 class TestDegenerateSampling:

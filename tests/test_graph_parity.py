@@ -2,8 +2,8 @@
 
 Property-style checks on randomized graphs compare every indexed read — the
 row index behind neighbours, degrees and out/in rows, ``subgraph_by_index``
-behind induced subgraphs, and ``SparseAdjacency.from_graph`` — against a
-networkx view and the dense adjacency, and a regression test pins
+behind induced subgraphs, and ``adjacency_blocks`` — against a networkx
+view and the seed's dense adjacency, and a regression test pins
 ``extract_many`` to the per-account scalar reference in
 ``tests/_feature_reference.py`` bit for bit.
 """
@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.data import adjacency_blocks
 from repro.data.features import DeepFeatureExtractor
-from repro.graph import SparseAdjacency, TxGraph
+from repro.graph import TxGraph
 
 from tests._dense_reference import dense_adjacency
 from tests._dict_reference import (
@@ -100,36 +101,18 @@ def test_subgraph_matches_networkx_induced_view(edges, seed):
             parent.amount, parent.count, parent.timestamp)
 
 
-def _csr_to_dense(n, indptr, indices, data):
-    dense = np.zeros((n, n))
-    for i in range(n):
-        for j, v in zip(indices[indptr[i]:indptr[i + 1]], data[indptr[i]:indptr[i + 1]]):
-            dense[i, j] = v
-    return dense
-
-
 @settings(max_examples=60, deadline=None)
-@given(edge_lists, st.booleans(), st.booleans())
-def test_from_graph_matches_dense_adjacency(edges, weighted, symmetric):
+@given(edge_lists, st.booleans())
+def test_adjacency_blocks_match_dense_adjacency(edges, weighted):
     g = graph_of(edges)
-    csr = SparseAdjacency.from_graph(g, weighted=weighted, symmetric=symmetric)
-    indptr, indices, data = csr.indptr, csr.indices, csr.data
-    dense = dense_adjacency(g, weighted=weighted, symmetric=symmetric)
-    assert len(indptr) == g.num_nodes + 1
-    np.testing.assert_array_equal(
-        _csr_to_dense(g.num_nodes, indptr, indices, data), dense)
-    # Column indices must be sorted within each row (CSR canonical form).
-    for i in range(g.num_nodes):
-        row = indices[indptr[i]:indptr[i + 1]]
-        assert np.all(np.diff(row) > 0)
+    np.testing.assert_array_equal(adjacency_blocks([g], weighted=weighted)[0],
+                                  dense_adjacency(g, weighted=weighted))
 
 
-def test_from_graph_empty_graph():
-    csr = SparseAdjacency.from_graph(TxGraph())
-    assert csr.indptr.tolist() == [0]
-    assert len(csr.indices) == 0 and len(csr.data) == 0
-    csr = SparseAdjacency.from_graph(graph_with_nodes(["isolated"]))
-    assert csr.indptr.tolist() == [0, 0]
+def test_adjacency_blocks_of_empty_graphs():
+    assert adjacency_blocks([TxGraph()]).shape == (1, 0, 0)
+    np.testing.assert_array_equal(adjacency_blocks([graph_with_nodes(["isolated"])] * 2),
+                                  np.zeros((2, 1, 1)))
 
 
 class TestEdgeAPI:

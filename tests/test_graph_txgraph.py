@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import SparseAdjacency, TxGraph
+from repro.data import adjacency_blocks
+from repro.graph import TxGraph
 
 from tests._dict_reference import (
     DictGraphReference,
@@ -67,20 +68,19 @@ class TestEdges:
 
 class TestMatrices:
     def test_adjacency_shape_and_entries(self, toy_graph):
-        adj = SparseAdjacency.from_graph(toy_graph, symmetric=False).to_dense()
+        adj = adjacency_blocks([toy_graph])[0]
         assert adj.shape == (5, 5)
         i, j = toy_graph.node_index("a"), toy_graph.node_index("b")
-        assert adj[i, j] == 1.0
-        assert adj[j, i] == 0.0
+        assert adj[i, j] == adj[j, i] == 1.0
+        assert adj[i, toy_graph.node_index("c")] == 0.0
 
     def test_weighted_adjacency_uses_amounts(self, toy_graph):
-        adj = SparseAdjacency.from_graph(toy_graph, weighted=True,
-                                         symmetric=False).to_dense()
+        adj = adjacency_blocks([toy_graph], weighted=True)[0]
         i, j = toy_graph.node_index("a"), toy_graph.node_index("b")
-        assert adj[i, j] == pytest.approx(4.0)
+        assert adj[i, j] == adj[j, i] == pytest.approx(4.0)
 
     def test_symmetric_adjacency(self, toy_graph):
-        adj = SparseAdjacency.from_graph(toy_graph, symmetric=True).to_dense()
+        adj = adjacency_blocks([toy_graph])[0]
         np.testing.assert_allclose(adj, adj.T)
 
     def test_edge_count_column(self, toy_graph):
@@ -118,7 +118,10 @@ def test_adjacency_nonzeros_match_edge_count(pairs):
     g = TxGraph()
     for src, dst in pairs:
         add_edge(g, src, dst, amount=1.0)
-    assert SparseAdjacency.from_graph(g, symmetric=False).nnz == g.num_edges
+    src, dst, *_rest = g.edge_arrays()
+    assert len(set(zip(src.tolist(), dst.tolist()))) == g.num_edges
+    slots = set(zip(src.tolist(), dst.tolist())) | set(zip(dst.tolist(), src.tolist()))
+    assert np.count_nonzero(adjacency_blocks([g])[0]) == len(slots)
 
 
 @settings(max_examples=30, deadline=None)

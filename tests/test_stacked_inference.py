@@ -10,8 +10,8 @@ stacking must handle: two heads of one architecture, the
 ``use_gsg=False`` / ``use_ldg=False`` ablations, a wider head that forms its
 own groups, a head with two attention heads per GAT layer and three
 DiffPool layers (coarse graphs pooled again), and a head trained on
-block-diagonal minibatches (``batch_size=4``), which stacks with the heads of
-its architecture like any other.  The batches mix node counts, repeat
+minibatches of four (``batch_size=4``), which stacks with the heads of its
+architecture like any other.  The batches mix node counts, repeat
 samples and fill a node count past one chunk.
 """
 
@@ -27,11 +27,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.api import DeAnonymizer
 from repro.core import CalibrationConfig, DBG4ETHConfig, GSGConfig, LDGConfig, StackedHeads
-from repro.core.inference import _CHUNK, _CoarseGraphs, _chunks
+from repro.core.inference import _CHUNK, _chunks
 from repro.data import DatasetConfig
 from repro.data.dataset import AccountSubgraph
+from repro.gnn.layers import attention_mask, normalize_adjacency
+from repro.gnn.pooling import coarsen
 from repro.graph import TxGraph
-from repro.graph.sparse import SparseAdjacency
+from repro.nn.functional import softmax_array
 from tests._dict_reference import add_edge
 
 DATASET_CONFIG = DatasetConfig(top_k=40, max_nodes_per_subgraph=40, seed=3)
@@ -116,7 +118,7 @@ def forward_scores(head, samples) -> tuple:
     def branch_scores(branch):
         if branch is None:
             return None
-        return np.array([branch._network(*branch._prepare(sample)).data.item()
+        return np.array([branch._network(*branch._inputs([sample])).data.item()
                          for sample in samples])
 
     return branch_scores(head.gsg_branch), branch_scores(head.ldg_branch)
@@ -282,33 +284,48 @@ def test_a_batch_trained_head_scores_alike_in_any_chunking(fitted, pool, small_l
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), heads=st.integers(1, 3), batch=st.integers(1, 4),
-       nodes=st.integers(1, 9), dim=st.integers(1, 5),
+       nodes=st.integers(1, 9), clusters=st.integers(1, 4), dim=st.integers(1, 5),
        zero_share=st.sampled_from([0.0, 0.0, 0.3, 1.0]))
-def test_coarse_graphs_match_each_heads_csr_graph(seed, heads, batch, nodes, dim,
-                                                  zero_share):
+def test_coarse_graphs_match_each_heads_own_graph(seed, heads, batch, nodes, clusters,
+                                                  dim, zero_share):
+    """Past the first DiffPool layer every (head, sample) pair has its own
+    coarse graph: the ``(H, B, c, c)`` ``M^T A M`` of a sample's shared
+    ``(B, n, n)`` graph, its normalisation and the propagation over it equal
+    each pair's 2-D products bit for bit."""
     rng = np.random.default_rng(seed)
-    dense = rng.uniform(0.01, 3.0, size=(heads, batch, nodes, nodes))
-    dense[rng.random(dense.shape) < zero_share] = 0.0
-    x = rng.normal(size=(heads, batch, nodes, dim))
-    graphs = _CoarseGraphs(dense)
-    propagated, transposed = graphs.gcn(x), graphs.rmatmul(x)
+    adjacency = rng.uniform(0.01, 3.0, size=(batch, nodes, nodes))
+    adjacency[rng.random(adjacency.shape) < zero_share] = 0.0
+    assignment = softmax_array(rng.normal(size=(heads, batch, nodes, clusters)), axis=3)
+    x = rng.normal(size=(heads, batch, clusters, dim))
+    coarse = coarsen(assignment, adjacency)
+    normalized = normalize_adjacency(coarse)
+    propagated = normalized @ x
     for h in range(heads):
         for b in range(batch):
-            csr = SparseAdjacency.from_dense(dense[h, b])
-            assert np.array_equal(propagated[h, b], csr.gcn_normalized().matmul(x[h, b]))
-            assert np.array_equal(transposed[h, b], csr.rmatmul(x[h, b]))
+            own = assignment[h, b].T @ adjacency[b] @ assignment[h, b]
+            assert np.array_equal(coarse[h, b], own)
+            assert np.array_equal(normalized[h, b], normalize_adjacency(own))
+            assert np.array_equal(propagated[h, b], normalize_adjacency(own) @ x[h, b])
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), heads=st.integers(1, 3), nodes=st.integers(1, 12),
-       dim=st.integers(1, 6), density=st.floats(0.0, 1.0))
-def test_sparse_products_over_a_head_axis_match_each_slice(seed, heads, nodes, dim, density):
+@given(seed=st.integers(0, 2**32 - 1), heads=st.integers(1, 3), batch=st.integers(1, 4),
+       nodes=st.integers(1, 12), dim=st.integers(1, 6), density=st.floats(0.0, 1.0))
+def test_dense_products_over_a_head_axis_match_each_slice(seed, heads, batch, nodes, dim,
+                                                          density):
+    """A chunk's ``(B, n, n)`` forms broadcast over the head axis: the GCN
+    propagation and the masked attention softmax of every (head, sample)
+    block equal that block's 2-D products bit for bit."""
     rng = np.random.default_rng(seed)
-    dense = np.where(rng.random((nodes, nodes)) < density,
-                     rng.uniform(0.1, 2.0, (nodes, nodes)), 0.0)
-    adjacency = SparseAdjacency.from_dense(dense)
-    x = rng.normal(size=(heads, nodes, dim))
-    product, transposed = adjacency.matmul(x, axis=1), adjacency.rmatmul(x, axis=1)
+    adjacency = (rng.random((batch, nodes, nodes)) < density).astype(np.float64)
+    adjacency = np.maximum(adjacency, adjacency.swapaxes(1, 2))
+    normalized, mask = normalize_adjacency(adjacency), attention_mask(adjacency)
+    x = rng.normal(size=(heads, batch, nodes, dim))
+    scores = rng.normal(size=(heads, batch, nodes, nodes))
+    product = normalized @ x
+    attention = softmax_array(scores + mask, axis=3) @ x
     for h in range(heads):
-        assert np.array_equal(product[h], adjacency.matmul(x[h]))
-        assert np.array_equal(transposed[h], adjacency.rmatmul(x[h]))
+        for b in range(batch):
+            assert np.array_equal(product[h, b], normalized[b] @ x[h, b])
+            assert np.array_equal(attention[h, b],
+                                  softmax_array(scores[h, b] + mask[b], axis=1) @ x[h, b])
