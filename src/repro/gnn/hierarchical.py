@@ -34,15 +34,14 @@ class GraphAttentionReadout(Module):
         every reduction runs within a graph, so a graph's embedding does not
         depend on the rest of the stack.
         """
-        nodes = node_embeddings
-        summary = nodes.max(axis=-2, keepdims=True)                    # Eq. 10
-        candidates = concat([nodes, summary], axis=-2)                 # nodes ∪ {c}
+        summary = node_embeddings.max(axis=-2, keepdims=True)          # Eq. 10
+        candidates = concat([node_embeddings, summary], axis=-2)       # nodes ∪ {c}
         summary_repeated = Tensor(np.ones(candidates.shape[:-1] + (1,))) @ summary
         scores = leaky_relu(self.score_linear(
             concat([summary_repeated, candidates], axis=-1)), 0.2)     # Eq. 11
         weights = softmax(scores, axis=-2)                             # Eq. 12
         embedding = (weights * self.out_linear(candidates)).sum(axis=-2)
-        return elu(embedding.reshape(-1, nodes.shape[-1]))             # Eq. 13
+        return elu(embedding.reshape(-1, node_embeddings.shape[-1]))   # Eq. 13
 
 
 class HierarchicalAttentionEncoder(Module):
