@@ -32,6 +32,8 @@ def _group_edges(graphs: Sequence[TxGraph]) -> tuple:
     order: graph ``b`` owns edges ``edge_offsets[b]:edge_offsets[b+1]``, and
     ``block`` names each edge's graph.
     """
+    if not graphs:
+        raise ValueError("a group holds at least one graph")
     n = graphs[0].num_nodes
     if any(graph.num_nodes != n for graph in graphs):
         raise ValueError("a group's graphs must have one node count")

@@ -1,4 +1,9 @@
-"""Tests for the 14 baseline classifiers behind the common interface."""
+"""Tests for the 14 baseline classifiers behind the common interface.
+
+The GNN baselines build each sample's dense forms when they forward it;
+``TestSeedForwards`` pins every such forward to the seed's per-sample layer
+code on the seed's dense forms (``tests/_dense_reference.py``), bit for bit.
+"""
 
 import numpy as np
 import pytest
@@ -10,6 +15,9 @@ from repro.baselines import (
     baseline_registry,
 )
 from repro.metrics import accuracy
+from repro.nn import Tensor
+from repro.nn.functional import relu, softmax
+from tests import _dense_reference as dense_ref
 from tests._dict_reference import graph_with_nodes
 
 FAST_GNN_KWARGS = dict(hidden_dim=8, epochs=3)
@@ -34,6 +42,74 @@ def fast_registry():
             model.walks_per_node = 1
             model.dim = 8
     return registry
+
+
+def seed_stacked(layer_forward, pooling="mean", weighted=False):
+    """The seed's layer stack, pooling and head on the dense adjacency (TSGN:
+    ``log1p`` of the amount-weighted one)."""
+    def forward(network, features, graph):
+        adjacency = dense_ref.dense_adjacency(graph, weighted=weighted)
+        if weighted:
+            adjacency = np.log1p(adjacency)
+        h = Tensor(features)
+        for layer in network.layers:
+            h = layer_forward(layer, h, adjacency)
+        pooled = h.max(axis=0, keepdims=True) if pooling == "max" else h.mean(axis=0, keepdims=True)
+        return network.head(pooled)
+    return forward
+
+
+def seed_appnp(network, features, graph):
+    h0 = relu(network.fc2(relu(network.fc1(Tensor(features)))))
+    propagated = dense_ref.appnp_forward(network.propagation, h0,
+                                         dense_ref.dense_adjacency(graph))
+    return network.head(propagated.mean(axis=0, keepdims=True))
+
+
+def seed_ethident(network, features, graph):
+    aligned = relu(network.align(Tensor(features)))
+    return network.head(dense_ref.hierarchical_encode(network.encoder, aligned,
+                                                      dense_ref.dense_adjacency(graph)))
+
+
+def seed_tegdetector(network, features, graph):
+    hidden = relu(network.input_proj(Tensor(features)))
+    weights = softmax(network.time_logits.reshape(1, -1), axis=1)
+    pooled_sum = None
+    for t, adjacency in enumerate(dense_ref.time_slice_adjacency_dense(graph, network.num_slices)):
+        hidden = network.gru(dense_ref.gcn_forward(network.gcn, hidden, adjacency), hidden)
+        pooled = hidden.mean(axis=0, keepdims=True) * weights[0, t].reshape(1, 1)
+        pooled_sum = pooled if pooled_sum is None else pooled_sum + pooled
+    return network.head(pooled_sum)
+
+
+SEED_FORWARDS = {
+    "GCN": seed_stacked(dense_ref.gcn_forward),
+    "GAT": seed_stacked(dense_ref.gat_forward),
+    "GIN": seed_stacked(dense_ref.gin_forward),
+    "GraphSAGE": seed_stacked(dense_ref.sage_forward),
+    "I2BGNN": seed_stacked(dense_ref.gin_forward, pooling="max"),
+    "TSGN": seed_stacked(dense_ref.gcn_forward, weighted=True),
+    "APPNP": seed_appnp,
+    "Ethident": seed_ethident,
+    "TEGDetector": seed_tegdetector,
+}
+
+
+class TestSeedForwards:
+    @pytest.mark.parametrize("name", sorted(SEED_FORWARDS))
+    def test_forward_matches_seed(self, name, baseline_task):
+        samples, _labels = baseline_task
+        model = fast_registry()[name]
+        in_dim = samples[0].node_features.shape[1]
+        network = model._build_network(in_dim, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for sample in samples[:4]:
+            features = rng.standard_normal((sample.num_nodes, in_dim))
+            got = network(features, sample)
+            want = SEED_FORWARDS[name](network, features, sample.graph)
+            assert got.shape == want.shape == (1, 1)
+            assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestRegistry:

@@ -4,10 +4,14 @@ Every GSG/LDG fit runs one minibatch loop; each minibatch is grouped by node
 count and each group forwards its ``(B, n, ...)`` dense forms, so a sample is
 a one-sample group.  Three layers of pinning:
 
-* module-level hypothesis properties pin the read-out and DiffPool on a
-  group of equal-size graphs to the per-graph forwards: each block's
-  outputs bit for bit, gradients bit for bit with one block and to
-  ``1e-9`` with more;
+* module-level hypothesis properties pin the read-out, DiffPool and the
+  hierarchical encoder on a group of equal-size graphs to the per-graph
+  forwards: each block's outputs bit for bit, gradients bit for bit with
+  one block and to ``1e-9`` with more; the GSG and LDG networks on a group
+  give every sample the embedding (GSG) or pooled slice features (LDG) of
+  its one-sample group bit for bit, and its logit to ``1e-9`` (the head is
+  one product over the group's rows); GSG's contrastive views embed as
+  they embed alone;
 * end-to-end tests compare ``fit`` with the per-sample reference training
   in ``tests/_training_reference.py``: bit for bit at ``batch_size=1`` and
   within ``1e-9`` of its looped schedule above, on minibatches of one node
@@ -21,7 +25,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import GSGBranch, GSGConfig, LDGBranch, LDGConfig
-from repro.gnn.hierarchical import GraphAttentionReadout
+from repro.core.augmentation import adaptive_augmentation
+from repro.core.gsg import _GSGNetwork
+from repro.core.inference import node_count_groups
+from repro.core.ldg import _LDGNetwork
+from repro.core.training import feature_stats
+from repro.gnn import attention_mask, normalize_adjacency
+from repro.gnn.hierarchical import GraphAttentionReadout, HierarchicalAttentionEncoder
 from repro.gnn.pooling import DiffPool
 from repro.nn import Tensor, concat
 from tests._training_reference import reference_fit, reference_readout
@@ -99,6 +109,108 @@ class TestGroupModules:
         sum((ref[0] * Tensor(upstream[b])).sum() for b, ref in enumerate(looped)).backward()
         expected = grads(pool) + [np.stack([single.grad for single in singles])]
         assert_grads(got, expected, exact=blocks == 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_hierarchical_encoder_matches_loop(self, n, blocks, seed):
+        """Two two-head GAT layers and the read-out on a group: each block's
+        embedding has the bits of its graph alone; gradients as for the
+        read-out."""
+        rng = np.random.default_rng(seed)
+        mask = attention_mask(symmetric_blocks(rng, blocks, n))
+        features = rng.standard_normal((blocks, n, 5))
+        encoder = HierarchicalAttentionEncoder(5, 6, num_layers=2, num_heads=2,
+                                               rng=np.random.default_rng(seed % 5))
+        x = Tensor(features, requires_grad=True)
+        grouped = encoder(x, mask)
+        singles = [Tensor(block, requires_grad=True) for block in features]
+        looped = [encoder(single, block_mask) for single, block_mask in zip(singles, mask)]
+        for b, single in enumerate(looped):
+            np.testing.assert_array_equal(grouped.data[b], single.data[0])
+
+        upstream = rng.standard_normal(grouped.data.shape)
+        encoder.zero_grad()
+        (grouped * Tensor(upstream)).sum().backward()
+        got = grads(encoder, x)
+        encoder.zero_grad()
+        sum((single * Tensor(upstream[b:b + 1])).sum()
+            for b, single in enumerate(looped)).backward()
+        expected = grads(encoder) + [np.stack([single.grad for single in singles])]
+        assert_grads(got, expected, exact=blocks == 1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_gsg_network_matches_loop(self, n, blocks, seed):
+        """A group's GSG embeddings are each sample's one-sample-group
+        embedding, bit for bit; the head is one ``(B, d) @ (d, 1)`` product
+        over the group's rows, so its logits agree to 1e-9."""
+        rng = np.random.default_rng(seed)
+        network = _GSGNetwork(5, 2, GSGConfig(hidden_dim=6, num_heads=2),
+                              np.random.default_rng(seed % 5))
+        features = rng.standard_normal((blocks, n, 5))
+        edge_features = rng.standard_normal((blocks, n, 2))
+        mask = attention_mask(symmetric_blocks(rng, blocks, n))
+        embedded = network.embed(features, edge_features, mask)
+        logits = network(features, edge_features, mask)
+        assert logits.shape == (blocks, 1)
+        for b in range(blocks):
+            own = (features[b:b + 1], edge_features[b:b + 1], mask[b:b + 1])
+            np.testing.assert_array_equal(embedded.data[b], network.embed(*own).data[0])
+            np.testing.assert_allclose(logits.data[b], network(*own).data[0],
+                                       atol=PARITY_ATOL, rtol=0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_ldg_network_matches_loop(self, n, blocks, seed):
+        """Per-slice GCN and GRU, both DiffPool layers and the dense coarse
+        graph between them on a group: each sample's pooled slice features
+        keep the bits of its one-sample group, and its logit (through the
+        head's product over the group's rows) agrees to 1e-9."""
+        rng = np.random.default_rng(seed)
+        network = _LDGNetwork(5, LDGConfig(hidden_dim=6, num_slices=3, first_pool_clusters=3),
+                              np.random.default_rng(seed % 5))
+        features = rng.standard_normal((blocks, n, 5))
+        counts = rng.integers(0, 3, size=(3, blocks, n, n)).astype(np.float64)
+        slices = counts + counts.swapaxes(-1, -2)
+        normalized = normalize_adjacency(slices)
+        pooled = network.slice_representations(features, slices, normalized)
+        logits = network(features, slices, normalized)
+        assert logits.shape == (blocks, 1)
+        for b in range(blocks):
+            own_slices = np.ascontiguousarray(slices[:, b:b + 1])
+            own = (features[b:b + 1], own_slices, normalize_adjacency(own_slices))
+            for grouped, single in zip(pooled, network.slice_representations(*own)):
+                np.testing.assert_array_equal(grouped.data[b], single.data[0])
+            np.testing.assert_allclose(logits.data[b], network(*own).data[0],
+                                       atol=PARITY_ATOL, rtol=0)
+
+    def test_contrastive_views_embed_as_they_embed_alone(self, mixed_task):
+        """``_embed_views`` forwards each minibatch's views one node count at a
+        time; each view's row, in group order, has the bits of the view
+        embedded alone."""
+        samples, _labels = mixed_task
+        branch = GSGBranch(tiny_gsg_config(batch_size=8))
+        branch._feature_stats = feature_stats(samples)
+        branch._network = _GSGNetwork(samples[0].node_features.shape[1], 2, branch.config,
+                                      np.random.default_rng(0))
+        rng = np.random.default_rng(4)
+        views = []
+        for sample in samples:
+            features, edge_features, adjacency = branch._view(sample)
+            adjacency, features = adaptive_augmentation(adjacency, features,
+                                                        branch.config.view1, rng)
+            views.append((features, edge_features, adjacency))
+        chunk_groups = [[start + i for i in group] for start in range(0, len(views), 8)
+                        for group in node_count_groups([len(v[0]) for v in views[start:start + 8]])]
+        assert len(chunk_groups) > len(range(0, len(views), 8))   # some chunk mixes sizes
+        order = [i for group in chunk_groups for i in group]
+        embedded = branch._embed_views(views)
+        assert embedded.shape[0] == len(order)
+        for row, i in zip(embedded.data, order):
+            features, edge_features, adjacency = views[i]
+            alone = branch._network.embed(features[np.newaxis], edge_features[np.newaxis],
+                                          attention_mask(adjacency[np.newaxis]))
+            np.testing.assert_array_equal(row, alone.data[0])
 
 
 def tiny_gsg_config(**overrides) -> GSGConfig:

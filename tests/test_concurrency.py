@@ -32,7 +32,10 @@ from repro.api import (
     WorkerCrashedError,
 )
 from repro.core import CalibrationConfig, DBG4ETHConfig, GSGConfig, LDGConfig
-from repro.data import DatasetConfig, SubgraphDatasetBuilder
+from repro.core.inference import node_count_groups
+from repro.data import (DatasetConfig, SubgraphDatasetBuilder, adjacency_blocks,
+                        time_slice_blocks)
+from repro.gnn import attention_mask, normalize_adjacency
 from tests._dict_reference import add_edge
 from tests.test_follow_chain import append_block_touching, fresh_ledger
 
@@ -133,6 +136,24 @@ def test_txgraph_freeze_blocks_mutation(small_ledger):
     graph.freeze()
     columns = graph.edge_arrays()
     assert {len(column) for column in columns} == {graph.num_edges}
+
+
+def test_dense_forms_build_concurrently_from_shared_samples(small_dataset):
+    """Threads building one group's forms from the same samples at once get
+    the serial build's bits: the builders only read the samples' edge
+    columns and keep nothing on them."""
+    sizes = [sample.num_nodes for sample in small_dataset]
+    graphs = [small_dataset[i].graph for i in max(node_count_groups(sizes), key=len)[:12]]
+
+    def build(_):
+        return (attention_mask(adjacency_blocks(graphs)),
+                adjacency_blocks(graphs, weighted=True),
+                normalize_adjacency(time_slice_blocks(graphs, 4)))
+
+    serial = build(None)
+    for result in _hammer(N_THREADS, build):
+        for got, want in zip(result, serial):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_feature_table_concurrent_build_matches_sequential(small_ledger):

@@ -152,6 +152,28 @@ class TestTimeSlices:
         static = dense_adjacency(toy_graph, symmetric=True)
         np.testing.assert_allclose(combined, (static > 0).astype(float))
 
+    def test_each_edge_lands_in_its_evolution_time_slot(self, toy_graph):
+        """Slot ``floor(T(e) * 4)``, clamped to the last, of Eq. 1's ``T(e)``."""
+        slices = time_slice_blocks([toy_graph], 4)[:, 0]
+        index = {node: i for i, node in enumerate(toy_graph.nodes)}
+        slots = []
+        for (src, dst), time in transaction_evolution_times(toy_graph).items():
+            slot = min(int(time * 4), 3)
+            expected = np.zeros(4)
+            expected[slot] = 1.0
+            np.testing.assert_array_equal(slices[:, index[src], index[dst]], expected)
+            slots.append(slot)
+        assert slots == [0, 1, 2, 3, 3]   # the last edge sits at T = 1
+
+    def test_running_sums_of_slices_reach_the_full_graph(self, toy_graph):
+        """The cumulative view over the slices never loses an edge and ends
+        at every edge counted in both directions."""
+        cumulative = np.cumsum(time_slice_blocks([toy_graph], 4)[:, 0], axis=0)
+        for earlier, later in zip(cumulative[:-1], cumulative[1:]):
+            assert np.all(later >= earlier)
+        static = dense_adjacency(toy_graph, symmetric=False)
+        np.testing.assert_array_equal(cumulative[-1], static + static.T)
+
     def test_single_slice_equals_full_graph(self, toy_graph):
         matrix = time_slice_blocks([toy_graph], 1)[0, 0]
         expected = dense_adjacency(toy_graph, symmetric=False)

@@ -88,6 +88,12 @@ def test_a_group_holds_one_node_count():
         adjacency_blocks([graph_with_nodes(["a"]), graph_with_nodes(["a", "b"])])
 
 
+def test_an_empty_group_is_rejected():
+    for build in (adjacency_blocks, lambda graphs: time_slice_blocks(graphs, 3)):
+        with pytest.raises(ValueError, match="at least one graph"):
+            build([])
+
+
 def test_num_slices_below_one_is_rejected(toy_graph):
     with pytest.raises(ValueError, match="num_slices"):
         time_slice_blocks([toy_graph], 0)

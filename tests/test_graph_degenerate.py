@@ -2,7 +2,8 @@
 
 Empty graphs, single nodes (with and without self-loops) and graphs whose
 edges all share one timestamp must neither crash nor diverge from the seed's
-dense slicer, and the augmentation's centralities and views must stay finite.
+dense forms (adjacency, GAT mask, time slices and their normalisation), and
+the augmentation's centralities and views must stay finite.
 Degenerate *queries* — subgraphs over node sets with no induced edges or
 with identifiers absent from the graph, ``edges_between`` on absent nodes —
 must return empty results (never ``KeyError``) identically on the columnar
@@ -18,10 +19,16 @@ from repro.core.augmentation import (
     _node_centrality,
     adaptive_augmentation,
 )
-from repro.data.slicing import time_slice_blocks
+from repro.data.slicing import adjacency_blocks, time_slice_blocks
+from repro.gnn import attention_mask, normalize_adjacency
 from repro.graph import TxGraph, ego_subgraph
 
-from tests._dense_reference import time_slice_adjacency_dense
+from tests._dense_reference import (
+    attention_mask_dense,
+    dense_adjacency,
+    normalize_adjacency_dense,
+    time_slice_adjacency_dense,
+)
 from tests._dict_reference import (
     DictGraphReference,
     add_edge,
@@ -69,6 +76,26 @@ class TestSlicerParity:
         assert len(dense) == len(blocks) == num_slices
         for dense_slice, block in zip(dense, blocks):
             np.testing.assert_array_equal(block[0], dense_slice)
+
+    @pytest.mark.parametrize("builder", DEGENERATE_BUILDERS)
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_adjacency_equals_dense(self, builder, weighted):
+        graph = builder()
+        blocks = adjacency_blocks([graph], weighted=weighted)
+        assert blocks.shape == (1, graph.num_nodes, graph.num_nodes)
+        np.testing.assert_array_equal(blocks[0], dense_adjacency(graph, weighted=weighted))
+
+    @pytest.mark.parametrize("builder", DEGENERATE_BUILDERS)
+    def test_mask_and_normalized_slices_equal_dense(self, builder):
+        """The derived forms too, with no division by zero on a 0-node or
+        edgeless graph."""
+        graph = builder()
+        with np.errstate(all="raise"):
+            mask = attention_mask(adjacency_blocks([graph]))
+            normalized = normalize_adjacency(time_slice_blocks([graph], 3))
+        np.testing.assert_array_equal(mask[0], attention_mask_dense(dense_adjacency(graph)))
+        for block, dense_slice in zip(normalized, time_slice_adjacency_dense(graph, 3)):
+            np.testing.assert_array_equal(block[0], normalize_adjacency_dense(dense_slice))
 
     def test_same_timestamp_edges_all_land_in_first_slice(self):
         slices = time_slice_blocks([same_timestamp_graph()], 4)

@@ -34,7 +34,7 @@ from repro.gnn.layers import attention_mask, normalize_adjacency
 from repro.gnn.pooling import coarsen
 from repro.graph import TxGraph
 from repro.nn.functional import softmax_array
-from tests._dict_reference import add_edge
+from tests._dict_reference import add_edge, graph_with_nodes
 
 DATASET_CONFIG = DatasetConfig(top_k=40, max_nodes_per_subgraph=40, seed=3)
 
@@ -329,3 +329,26 @@ def test_dense_products_over_a_head_axis_match_each_slice(seed, heads, batch, no
             assert np.array_equal(product[h, b], normalized[b] @ x[h, b])
             assert np.array_equal(attention[h, b],
                                   softmax_array(scores[h, b] + mask[b], axis=1) @ x[h, b])
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(1, 4), max_size=3 * _CHUNK + 5))
+def test_chunks_group_by_node_count_without_padding(sizes):
+    """Every position lands in one chunk, a repeated sample in its own slot.
+    A chunk holds positions of one node count, in order, at most ``_CHUNK``
+    of them; node counts come in order of first appearance, and a count
+    takes as few chunks as the bound allows."""
+    graphs = {size: graph_with_nodes(range(size)) for size in set(sizes)}
+    samples = [AccountSubgraph(center=f"0x{i}", category=None, graph=graphs[size],
+                               node_features=np.zeros((size, 1)), center_index=0)
+               for i, size in enumerate(sizes)]
+    chunks = _chunks(samples)
+    assert sorted(p for chunk in chunks for p in chunk) == list(range(len(sizes)))
+    for chunk in chunks:
+        assert 1 <= len(chunk) <= _CHUNK and chunk == sorted(chunk)
+        assert len({sizes[p] for p in chunk}) == 1
+    firsts = [sizes[chunk[0]] for chunk in chunks]
+    assert list(dict.fromkeys(firsts)) == list(dict.fromkeys(sizes))
+    chunk_counts = Counter(firsts)
+    assert all(chunk_counts[size] == -(-count // _CHUNK)
+               for size, count in Counter(sizes).items())
