@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.chain.ledger import Ledger
 from repro.chain.transactions import GWEI_PER_ETH
+from repro.graph.txgraph import stable_order
 
 __all__ = [
     "FEATURE_NAMES",
@@ -88,7 +89,12 @@ def _fold_rows(features: np.ndarray, last: np.ndarray, sender_ids: np.ndarray,
     same sequence of adds a cold ``bincount`` performs (``old + bincount(new)``
     would round differently).  Interval stats extend from ``last``: the gap
     from it to the account's first new timestamp joins the old and the new
-    gaps.
+    gaps.  They read each account's rows in time order, ties in row order:
+    one stable time order serves both roles (a few ms on rows that are
+    already time-ordered, as generated ledgers are), and a
+    :func:`~repro.graph.txgraph.stable_order` by account id on top of it
+    groups the rows in linear time, the order a lexsort of
+    ``(timestamp, id)`` gives.
 
     That extension is exact only when the new rows do not start before
     ``last``.  Returns a mask of the accounts where, in some role, they do:
@@ -104,6 +110,8 @@ def _fold_rows(features: np.ndarray, last: np.ndarray, sender_ids: np.ndarray,
     features[:, 14] += (np.bincount(sender_ids, weights=is_call, minlength=n_accounts)
                         + np.bincount(receiver_ids, weights=recv_call,
                                       minlength=n_accounts))
+    del recv_call
+    by_time = np.argsort(timestamps, kind="stable")
     for role, ids in enumerate((sender_ids, receiver_ids)):
         offset = 5 * role
         prior = features[:, offset].copy()
@@ -122,9 +130,10 @@ def _fold_rows(features: np.ndarray, last: np.ndarray, sender_ids: np.ndarray,
                                            out=np.zeros(n_accounts), where=active)
         if not len(ids):
             continue
-        order = np.lexsort((timestamps, ids))
+        order = by_time[stable_order(ids[by_time])]
         accounts, first, final, min_gap, max_gap = _group_runs(
             ids[order], timestamps[order])
+        del order
         seen = prior[accounts]
         previous = last[accounts, role]
         bridge = first - previous

@@ -34,10 +34,44 @@ from typing import Hashable
 
 import numpy as np
 
-__all__ = ["TxGraph"]
+__all__ = ["TxGraph", "stable_order"]
 
-#: Bit width used to pack an ``(src_id, dst_id)`` pair into one int key.
-_PAIR_SHIFT = 32
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative integer keys, in linear time.
+
+    An LSD radix sort (Knuth, *TAOCP* Vol. 3, §5.2.5): one stable argsort
+    per 16-bit digit the largest key needs, least significant digit first,
+    each reordering the order the digits below it left.  numpy's stable
+    argsort of a ``uint16`` array is itself a radix sort, so every pass is
+    linear; a stable order is unique, so the result is the comparison
+    sort's, bit for bit.  Raises ``ValueError`` on keys that are not
+    integers, and on a negative key, whose sign bits no digit pass would
+    ever exhaust.
+    """
+    keys = np.asarray(keys)
+    if keys.dtype.kind not in "iu":
+        raise ValueError(f"stable_order needs integer keys, not {keys.dtype}")
+    if not len(keys):
+        return np.empty(0, dtype=np.intp)
+    if keys.min() < 0:
+        raise ValueError("stable_order needs non-negative keys")
+    top = int(keys.max())
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while top >> shift:
+        digit = (keys >> shift).astype(np.uint16)[order]
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+def _run_starts(grouped: np.ndarray) -> np.ndarray:
+    """Mask of the positions of ``grouped`` (equal keys adjacent) that begin a run."""
+    starts = np.empty(len(grouped), dtype=bool)
+    starts[:1] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=starts[1:])
+    return starts
 
 
 def _merge_rows(indptr: np.ndarray, slots: np.ndarray, endpoint: np.ndarray,
@@ -48,23 +82,24 @@ def _merge_rows(indptr: np.ndarray, slots: np.ndarray, endpoint: np.ndarray,
     their slots grouped by ``endpoint``, in insertion order within each row.
     Edges are append-only and never move, so the grown index keeps every old
     row as it is and appends each row's new slots at its end: the new slots
-    are stably sorted by endpoint (O(k log k) for k new edges) and inserted
-    at their rows' old end offsets in one O(m) pass.  The result equals a
-    full stable argsort of ``endpoint[:m]``; a cold build is this merge into
-    the empty index ``([0], [])``, where the insert is the sorted slots.
+    are grouped by endpoint with :func:`stable_order` (O(k) for k new edges)
+    and inserted at their rows' old end offsets in one O(m) pass.  The
+    result equals a full stable argsort of ``endpoint[:m]``; a cold build is
+    this merge into the empty index ``([0], [])``, where the insert is the
+    grouped slots.
     """
     start = len(slots)
     keys = endpoint[start:m]
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys)
     grown = np.empty(n + 1, dtype=np.int64)
     grown[:len(indptr)] = indptr
     grown[len(indptr):] = indptr[-1]
     grown[1:] += np.cumsum(np.bincount(keys, minlength=n))
-    merged = order + start
-    if start:
-        row_ends = indptr[np.minimum(keys[order] + 1, len(indptr) - 1)]
-        merged = np.insert(slots, row_ends, merged)
-    return grown, merged
+    if not start:
+        return grown, order
+    row_ends = indptr[np.minimum(keys[order] + 1, len(indptr) - 1)]
+    order += start
+    return grown, np.insert(slots, row_ends, order)
 
 
 def _fold_groups(groups: np.ndarray, num_groups: int, amounts: np.ndarray,
@@ -78,9 +113,11 @@ def _fold_groups(groups: np.ndarray, num_groups: int, amounts: np.ndarray,
     the sequence of adds a per-row merge performs (``np.add.reduceat`` would
     sum pairwise and drift in the last ulp for long groups).  It starts every
     sum from ``+0.0``, which only differs from the fold for a group of
-    ``-0.0`` amounts alone, so such a group is set to ``-0.0``.
+    ``-0.0`` amounts alone, so such a group is set to ``-0.0``.  The
+    timestamp pass reads the rows grouped by :func:`stable_order`, in row
+    order within each group.
     """
-    order = np.argsort(groups, kind="stable")     # rows grouped, row order kept
+    order = stable_order(groups)
     sizes = np.bincount(groups, minlength=num_groups)
     starts = np.zeros(num_groups, dtype=np.int64)
     np.cumsum(sizes[:-1], out=starts[1:])
@@ -326,9 +363,11 @@ class TxGraph:
         iterative count-weighted mean (``tests/_dict_reference.py`` holds
         that row-at-a-time reference).
 
-        Cost is O(rows log rows), plus one code table as long as
-        ``node_keys``, plus Python work for new nodes only, plus the gather
-        of the rows' sources' out-rows that finds existing edges
+        With integer codes the cost is linear in the rows, whose grouping
+        is :func:`stable_order`'s radix passes (factorising other endpoints
+        with ``np.unique`` is O(rows log rows)), plus one code table as long
+        as ``node_keys``, plus Python work for new nodes only, plus the
+        gather of the rows' sources' out-rows that finds existing edges
         (:meth:`_add_rows`): appending to a large graph costs nothing per
         existing node or edge.  :meth:`ingest` runs the same two steps with
         a code table kept across appends.
@@ -380,18 +419,24 @@ class TxGraph:
         Those codes' keys are looked up in one C-level ``map(dict.get, ...)``
         pass, and the keys that are not nodes yet become nodes, in
         first-appearance order over the interleaved endpoint scan
-        ``(src_0, dst_0, src_1, ...)``.  The one Python loop left runs over
-        new nodes only.  New nodes get no row index entry here; they have no
-        edges until :meth:`_add_rows` appends them.
+        ``(src_0, dst_0, src_1, ...)``: :func:`stable_order` keeps each
+        code's occurrences in scan order, so the first of each run of equal
+        codes is that code's first appearance.  The one Python loop left
+        runs over new nodes only.  New nodes get no row index entry here;
+        they have no edges until :meth:`_add_rows` appends them.
         """
         interleaved = np.empty(2 * len(src_codes), dtype=np.int64)
         interleaved[0::2] = src_codes
         interleaved[1::2] = dst_codes
         unknown = interleaved[code_gid[interleaved] < 0]
+        del interleaved
         if not len(unknown):
             return
-        uniq_codes, first_pos = np.unique(unknown, return_index=True)
-        codes = uniq_codes[np.argsort(first_pos)]
+        order = stable_order(unknown)
+        first = np.zeros(len(unknown), dtype=bool)
+        first[order[_run_starts(unknown[order])]] = True
+        del order
+        codes = unknown[first]
         keys = list(map(node_keys.__getitem__, codes.tolist()))
         nodes = self._nodes
         gids = np.fromiter(map(nodes.get, keys, itertools.repeat(-1)),
@@ -406,8 +451,8 @@ class TxGraph:
             gids[new] = list(map(nodes.__getitem__, new_keys))
         code_gid[codes] = gids
 
-    def _find_slots(self, pairs: np.ndarray) -> np.ndarray:
-        """The edge slot of each sorted packed pair key, ``-1`` where none.
+    def _find_slots(self, pairs: np.ndarray, width: int) -> np.ndarray:
+        """The edge slot of each sorted pair key ``src << width | dst``, ``-1`` where none.
 
         The candidates are the out-edges of the pairs' distinct sources,
         gathered from the row index; each candidate's packed key is looked
@@ -420,13 +465,12 @@ class TxGraph:
         if not self._m:
             return found
         self._ensure_adjacency()
-        sources = np.unique(pairs >> np.int64(_PAIR_SHIFT))
+        sources = np.unique(pairs >> width)
         sources = sources[sources < len(self._out_indptr) - 1]
         candidates, lengths = self.gather_slots(sources)
         if not len(candidates):
             return found
-        keys = ((np.repeat(sources, lengths) << np.int64(_PAIR_SHIFT))
-                | self._dst[candidates])
+        keys = (np.repeat(sources, lengths) << width) | self._dst[candidates]
         pos = np.minimum(np.searchsorted(pairs, keys), len(pairs) - 1)
         hit = pairs[pos] == keys
         found[pos[hit]] = candidates[hit]
@@ -442,16 +486,35 @@ class TxGraph:
         edge (:meth:`_find_slots`) folds its rows into that slot, with the
         slot's payload as the group's first row; the other pairs are
         appended as whole column blocks, in first-appearance order.
+
+        One :func:`stable_order` of the pair keys ``src << width | dst``
+        does the grouping, ``width`` being the bit length of the largest
+        node id, so that keys take as few 16-bit digits as the graph allows.
+        Its runs of equal keys give the distinct pairs, sorted, and each
+        run's first row is its pair's first appearance, because the order is
+        stable; counting those first rows in row order ranks the pairs by
+        appearance, in linear time.
         """
-        pair_keys = (src_ids << np.int64(_PAIR_SHIFT)) | dst_ids
-        uniq_pairs, pair_first, pair_inverse = np.unique(
-            pair_keys, return_index=True, return_inverse=True)
+        width = (len(self._node_order) - 1).bit_length()
+        pair_keys = (src_ids << width) | dst_ids
+        order = stable_order(pair_keys)
+        grouped = pair_keys[order]
+        del pair_keys
+        starts = _run_starts(grouped)
+        uniq_pairs = grouped[starts]
+        del grouped
         num_groups = len(uniq_pairs)
-        appearance = np.argsort(pair_first, kind="stable")
-        rank = np.empty(num_groups, dtype=np.int64)
-        rank[appearance] = np.arange(num_groups)
-        groups = rank[pair_inverse]
-        group_slots = self._find_slots(uniq_pairs)[appearance]
+        pair_first = order[starts]
+        first = np.zeros(len(order), dtype=bool)
+        first[pair_first] = True
+        rank = np.cumsum(first)[pair_first] - 1
+        del first, pair_first
+        groups = np.empty(len(order), dtype=np.int64)
+        groups[order] = rank[np.cumsum(starts) - 1]
+        del order, starts
+        appearance = np.empty(num_groups, dtype=np.int64)
+        appearance[rank] = np.arange(num_groups)
+        group_slots = self._find_slots(uniq_pairs, width)[appearance]
         merged = np.flatnonzero(group_slots >= 0)
         targets = group_slots[merged]
         if len(merged):
@@ -472,8 +535,8 @@ class TxGraph:
         self._grow(len(fresh))
         m = self._m
         stop = m + len(fresh)
-        self._src[m:stop] = new_pairs >> np.int64(_PAIR_SHIFT)
-        self._dst[m:stop] = new_pairs & np.int64((1 << _PAIR_SHIFT) - 1)
+        self._src[m:stop] = new_pairs >> width
+        self._dst[m:stop] = new_pairs & ((1 << width) - 1)
         self._amount[m:stop] = edge_amounts[fresh]
         self._count[m:stop] = edge_counts[fresh]
         self._ts[m:stop] = edge_ts[fresh]

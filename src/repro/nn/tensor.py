@@ -39,8 +39,14 @@ def no_grad():
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """The logistic function on a plain array (the forward of :meth:`Tensor.sigmoid`)."""
-    return 1.0 / (1.0 + np.exp(-x))
+    """The logistic function on a plain array (the forward of :meth:`Tensor.sigmoid`).
+
+    ``exp(-x)`` overflows to ``inf`` below ``x = -709``, where the formula's
+    value, ``0.0``, is the right one; the overflow is silenced so that it
+    raises nothing under ``-W error``.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

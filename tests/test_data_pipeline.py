@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain import Block, Ledger, Transaction
-from repro.data import build_transaction_graph, time_slice_blocks, transaction_evolution_times
+from repro.data import (DeepFeatureExtractor, build_transaction_graph, time_slice_blocks,
+                        transaction_evolution_times)
 from repro.graph import TxGraph
 
 from tests._dense_reference import dense_adjacency
 from tests._dict_reference import DictGraphReference, build_graph, edge_list
+from tests._feature_reference import reference_features
 
 
 def make_tx(i, sender="0xaa", receiver="0xbb", value=1.0, submitted=True):
@@ -115,6 +117,72 @@ class TestColumnarGraphParity:
     def test_nodes_are_plain_strings(self, small_ledger):
         graph = build_transaction_graph(small_ledger)
         assert all(type(node) is str for node in graph.nodes)
+
+
+def out_of_order_ledger() -> Ledger:
+    """Three blocks, the second backdated below the first.
+
+    Pairs repeat within and across blocks and run both ways, with amounts
+    whose sum rounds differently in another order; one account has two rows
+    at the same timestamp; and there is a contract-call self-transfer, an
+    unsubmitted row and a dust row under ``TestColdBuildOutOfTimeOrder.DUST``.
+    """
+    def tx(i, sender, receiver, value, timestamp, **flags):
+        return Transaction(f"0x{i:x}", sender, receiver, value, 20.0 + i,
+                           21_000 + i, timestamp, **flags)
+
+    ledger = Ledger()
+    ledger.append_block(Block(0, 5000.0, [
+        tx(0, "0xaa", "0xbb", 0.1, 5000.0),
+        tx(1, "0xbb", "0xaa", 0.2, 5001.0),
+        tx(2, "0xaa", "0xbb", 0.2, 5002.0),
+        tx(3, "0xcc", "0xcc", 4.0, 5003.0, is_contract_call=True),
+        tx(4, "0xdd", "0xaa", 0.001, 5004.0),
+        tx(5, "0xee", "0xbb", 5.0, 5005.0, submitted=False),
+        tx(6, "0xaa", "0xcc", 1.5, 5006.0),
+    ]))
+    ledger.append_block(Block(1, 1000.0, [
+        tx(7, "0xbb", "0xaa", 0.3, 1000.0),
+        tx(8, "0xaa", "0xbb", 0.3, 1001.0, is_contract_call=True),
+        tx(9, "0xcc", "0xaa", 1.0, 999.5),
+        tx(10, "0xaa", "0xcc", 2.0, 5006.0),
+    ]))
+    ledger.append_block(Block(2, 6000.0, [
+        tx(11, "0xaa", "0xbb", 0.7, 6000.0),
+        tx(12, "0xff", "0xbb", 0.05, 3000.0),
+        tx(13, "0xbb", "0xaa", 0.1, 999.5),
+    ]))
+    return ledger
+
+
+class TestColdBuildOutOfTimeOrder:
+    """A cold build over rows out of time order equals the per-transaction
+    references by bytes: the graph folds each pair's rows in ledger order,
+    and the feature table reads each account's rows in time order."""
+
+    DUST = 0.01
+
+    def test_graph_equals_the_dict_reference(self):
+        ledger = out_of_order_ledger()
+        graph = build_transaction_graph(ledger, min_value=self.DUST)
+        reference = reference_graph(ledger, min_value=self.DUST)
+        assert graph.nodes == reference.nodes == ["0xaa", "0xbb", "0xcc", "0xff"]
+        index = {node: i for i, node in enumerate(reference.nodes)}
+        edges = reference.edges
+        expected = (np.array([index[e.src] for e in edges], dtype=np.int64),
+                    np.array([index[e.dst] for e in edges], dtype=np.int64),
+                    np.array([e.amount for e in edges]),
+                    np.array([e.count for e in edges], dtype=np.int64),
+                    np.array([e.timestamp for e in edges]))
+        for column, want in zip(graph.edge_arrays(), expected):
+            assert column.tobytes() == want.tobytes()
+
+    def test_feature_rows_equal_the_scalar_reference(self):
+        ledger = out_of_order_ledger()
+        addresses = list(ledger.store.addresses)
+        table = DeepFeatureExtractor(ledger).extract_many(addresses)
+        expected = np.vstack([reference_features(ledger, a) for a in addresses])
+        assert table.tobytes() == expected.tobytes()
 
 
 class TestEvolutionTimes:

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.data import adjacency_blocks
 from repro.graph import TxGraph
+from repro.graph.txgraph import stable_order
 
 from tests._dict_reference import (
     DictGraphReference,
@@ -268,3 +269,40 @@ def test_payload_only_call_keeps_the_row_index():
     assert g._adj_version == structure_before
     [edge] = [e for e in out_edges(g, "a") if e.dst == "b"]
     assert edge.count == 3
+
+
+#: Keys on the 16-bit digit boundaries where stable_order adds a pass.
+DIGIT_BOUNDARIES = (0, 2**16 - 1, 2**16, 2**32, 2**48, 2**62)
+
+#: Keys next to a boundary, or anywhere in the first digit or below 2**62,
+#: so that every bit of every digit varies.
+radix_keys = st.one_of(
+    st.sampled_from(DIGIT_BOUNDARIES).flatmap(
+        lambda edge: st.integers(max(edge - 2, 0), edge + 2)),
+    st.integers(0, 2**16), st.integers(0, 2**62))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(radix_keys, min_size=1, max_size=6),
+       picks=st.lists(st.integers(0, 5), max_size=300),
+       dtype=st.sampled_from([np.int64, np.uint64]))
+@example(pool=[0], picks=[], dtype=np.int64)
+@example(pool=[2**62], picks=[0], dtype=np.int64)
+@example(pool=[2**16, 2**16 - 1], picks=[0, 1, 0], dtype=np.int64)
+@example(pool=[2**16 + 1, 2**16], picks=[0, 1] * 40, dtype=np.int64)
+def test_stable_order_is_the_stable_argsort(pool, picks, dtype):
+    """Keys from a few values across the digit boundaries, so most repeat.
+    The examples add the empty and one-element arrays and a long tie in the
+    second digit, which an unstable pass would reorder."""
+    keys = np.array([pool[i % len(pool)] for i in picks], dtype=dtype)
+    order = stable_order(keys)
+    expected = np.argsort(keys, kind="stable")
+    assert order.dtype == expected.dtype
+    assert order.tobytes() == expected.tobytes()
+
+
+def test_stable_order_rejects_negative_and_non_integer_keys():
+    with pytest.raises(ValueError, match="non-negative"):
+        stable_order(np.array([3, -1, 2]))
+    with pytest.raises(ValueError, match="integer"):
+        stable_order(np.array([1.0, 2.0]))

@@ -1,12 +1,14 @@
 """Autograd engine tests: correctness of every op's gradient."""
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.nn import Linear, Tensor, concat, stack, no_grad
+from repro.nn.tensor import sigmoid_array
 
 
 def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -189,6 +191,18 @@ class TestElementwiseGradients:
 
     def test_sigmoid(self, rng):
         check_gradient(lambda t: t.sigmoid(), rng.normal(size=(2, 3)))
+
+    def test_sigmoid_saturates_without_warning(self):
+        """``exp(800)`` overflows; the logistic function is still 0 there."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid_array(np.array([-800.0, 0.0, 800.0]))
+            x = Tensor(np.array([-800.0]), requires_grad=True)
+            y = x.sigmoid()
+            y.sum().backward()
+        assert out.tolist() == [0.0, 0.5, 1.0]
+        assert y.data.tolist() == [0.0]
+        assert x.grad.tolist() == [0.0]
 
     def test_clip(self, rng):
         x = rng.normal(size=(3, 3)) * 2
